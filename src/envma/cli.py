@@ -3,8 +3,11 @@
 Subcommands: eval, conjugate, verify, solve, convergence.  Exit codes:
 0 success; 1 verify property failure; 2 parse error; 3 dimension/theta
 validation failure; 4 policy iteration hit its iteration cap (artifacts are
-still written).  All floating-point output uses 17 significant digits so
-fixed seeds give byte-identical output.  ENVMA_THREADS caps the worker count.
+still written); 5 numerical failure (a frozen-policy linear solve failed or
+an exact evaluation found no solution), reported as one `error:` line.  All
+floating-point output uses 17 significant digits so fixed seeds give
+byte-identical output.  Everything runs in one process; ENVMA_THREADS is
+accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ from .envelope import (
     envelope_eval,
     verify_envelope,
 )
-from .errors import NotPositiveDefinite, ParseError
+from .errors import LinearSolveFailure, NoConvergence, NotPositiveDefinite, ParseError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_MAX_ITER = 4
+EXIT_NUMERICAL = 5
 
 
 def _resolve_theta(theta, lam, Lam) -> float:
@@ -195,10 +199,9 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    res = sv.residual_field(u, g, box)
     os.makedirs(args.out, exist_ok=True)
     _write(args.out, "solution.csv", matio.field_csv(u))
-    _write(args.out, "residual.csv", matio.field_csv(res))
+    _write(args.out, "residual.csv", matio.field_csv(report.residual))
     _write(args.out, "report.txt", matio.report_text(report))
     print(f"wall_time_s = {report.wall_time_s:.3f}", file=sys.stderr)
     if not report.converged:
@@ -286,7 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (LinearSolveFailure, NoConvergence) as exc:
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Linear-algebra substrate: the complex structure J on R^{2n}, the embedding
 of n x n Hermitian matrices into 2n x 2n real symmetric matrices, the trace
-projection onto the J-commuting subspace, determinant-root evaluation, and a
-cyclic-Jacobi eigensolver for the small symmetric matrices this package uses.
+projection onto the J-commuting subspace, determinant-root evaluation, and
+the Hermitian eigen-reduction of stacks of symmetric matrices (one LAPACK
+`eigh` call on the complex stack A + iB, no per-matrix loop).
 
 Conventions
 -----------
@@ -11,16 +12,18 @@ Conventions
 * proj(M) = (M + J^T M J) / 2 is the trace-orthogonal projection onto that
   subspace.  Each Hermitian eigenvalue of extract(proj(M)) shows up twice in
   the real spectrum of proj(M).
+* For M = [[M11, M12], [M21, M22]], extract(proj(M)) = A + iB with
+  A = (M11 + M22) / 2 and B = (M21 - M12) / 2, so the Hermitian spectrum of a
+  whole stack of matrices needs no projection and no real 2n x 2n solve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotJCommuting, NotPositiveDefinite
+from .errors import NotJCommuting, NotPositiveDefinite
 
 # Largest supported real dimension (2n); the package targets desk-scale
 # matrices, not general linear algebra.
@@ -39,26 +42,35 @@ def complex_structure(n: int) -> np.ndarray:
     return J
 
 
-def as_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
-    """Validate and symmetrize a 2n x 2n real matrix.
+def symmetric_stack(m, tol: float = _SYM_TOL) -> np.ndarray:
+    """Validate and symmetrize a stack of 2n x 2n real matrices, shape (N, 2n, 2n).
 
     Asymmetry up to `tol` in max-entry norm is silently symmetrized;
     anything beyond is rejected as malformed input.
     """
     M = np.asarray(m, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    d = M.shape[0]
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {M.shape}")
+    d = M.shape[1]
     if d % 2 != 0:
         raise ValueError(f"dimension must be even (2n), got {d}")
     if d > MAX_DIM:
         raise ValueError(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    asym = float(np.max(np.abs(M - M.T)))
+    MT = M.swapaxes(1, 2)
+    asym = float(np.max(np.abs(M - MT), initial=0.0))
     if asym > tol:
         raise ValueError(f"matrix asymmetry {asym:g} exceeds tolerance {tol:g}")
-    return (M + M.T) / 2.0
+    return (M + MT) / 2.0
+
+
+def as_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
+    """Validate and symmetrize one 2n x 2n real matrix (see symmetric_stack)."""
+    M = np.asarray(m, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    return symmetric_stack(M[np.newaxis], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -91,6 +103,12 @@ class HermitianMatrix:
         return self.real.shape[0]
 
 
+def embed_complex(Z: np.ndarray) -> np.ndarray:
+    """iota for a stack of complex matrices A + iB: [[A, -B], [B, A]] per item."""
+    A, B = Z.real, Z.imag
+    return np.block([[A, -B], [B, A]])
+
+
 def embed(H: HermitianMatrix) -> np.ndarray:
     """iota(H): the 2n x 2n block matrix [[A, -B], [B, A]]; commutes with J."""
     A, B = H.real, H.imag
@@ -118,103 +136,27 @@ def extract(M, tol: float | None = None) -> HermitianMatrix:
 
 def project(M) -> np.ndarray:
     """Trace-orthogonal projection of Sym(2n) onto the J-commuting subspace."""
-    M = as_symmetric(M)
-    n = M.shape[0] // 2
-    J = complex_structure(n)
-    P = (M + J.T @ M @ J) / 2.0
-    return (P + P.T) / 2.0
+    return embed_complex(hermitian_blocks(as_symmetric(M)))
 
 
-def jacobi_eigh(S, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a small real symmetric matrix by cyclic Jacobi.
+def jacobi_eigh(S) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decomposition of a real symmetric matrix (LAPACK `eigh`).
 
     Returns (w, V) with eigenvalues ascending and orthonormal columns,
-    S @ V = V @ diag(w).  Raises NoConvergence if the sweep budget is
-    exhausted (it never is for well-formed input; Jacobi converges
-    quadratically).
+    S @ V = V @ diag(w).  The name survives from an earlier cyclic-Jacobi
+    implementation.
     """
-    A = np.array(S, dtype=float, copy=True)
-    m = A.shape[0]
-    if m == 1:
-        return A[0, :1].copy(), np.ones((1, 1))
-    V = np.eye(m)
-    scale = float(np.linalg.norm(A))
-    if scale == 0.0:
-        return np.zeros(m), V
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(A, 1) ** 2)))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                App, Aqq = A[p, p], A[q, q]
-                A[p, p] = App - t * apq
-                A[q, q] = Aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                idx = np.arange(m)
-                idx = idx[(idx != p) & (idx != q)]
-                Arp = A[idx, p].copy()
-                Arq = A[idx, q].copy()
-                A[idx, p] = c * Arp - s * Arq
-                A[p, idx] = A[idx, p]
-                A[idx, q] = s * Arp + c * Arq
-                A[q, idx] = A[idx, q]
-                Vp = V[:, p].copy()
-                V[:, p] = c * Vp - s * V[:, q]
-                V[:, q] = s * Vp + c * V[:, q]
-    else:
-        raise NoConvergence(f"Jacobi sweep budget ({max_sweeps}) exhausted")
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return np.linalg.eigh(np.asarray(S, dtype=float))
 
 
 def herm_eigensystem(H: HermitianMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and a unitary eigenbasis of H as real blocks.
 
-    Works on the 2n x 2n real embedding: real eigenvalues arrive in pairs,
-    and each J-invariant eigenplane span{v, Jv} yields one complex
-    eigenvector z = v_top + i v_bottom.  Returns (mu, U_re, U_im) with
-    H U = U diag(mu) in complex arithmetic and U unitary.
+    Returns (mu, U_re, U_im) with H U = U diag(mu) in complex arithmetic and
+    U unitary.
     """
-    n = H.n
-    if n == 1:
-        return H.real[0, :1].copy(), np.ones((1, 1)), np.zeros((1, 1))
-    S = embed(H)
-    w, V = jacobi_eigh(S)
-    J = complex_structure(n)
-    mus = []
-    basis = []   # selected real unit vectors, one per J-plane
-    jbasis = []
-    for k in range(2 * n):
-        v = V[:, k].copy()
-        for b, jb in zip(basis, jbasis):
-            v -= (b @ v) * b
-            v -= (jb @ v) * jb
-        nv = float(np.linalg.norm(v))
-        if nv < 0.5:
-            continue
-        v /= nv
-        basis.append(v)
-        jbasis.append(J @ v)
-        mus.append(w[k])
-        if len(basis) == n:
-            break
-    if len(basis) != n:
-        raise NoConvergence("failed to split the embedded spectrum into J-planes")
-    U = np.column_stack(basis)
-    return np.array(mus), U[:n, :], U[n:, :]
+    mu, U = np.linalg.eigh(H.real + 1j * H.imag)
+    return mu, np.ascontiguousarray(U.real), np.ascontiguousarray(U.imag)
 
 
 def herm_eigenvalues(H: HermitianMatrix) -> np.ndarray:
@@ -222,9 +164,26 @@ def herm_eigenvalues(H: HermitianMatrix) -> np.ndarray:
     return herm_eigensystem(H)[0]
 
 
+def hermitian_blocks(S: np.ndarray) -> np.ndarray:
+    """extract(proj(S)) as the complex stack A + iB, shape (..., n, n).
+
+    S must already be symmetric (see symmetric_stack); the result is then
+    exactly Hermitian.
+    """
+    n = S.shape[-1] // 2
+    A = (S[..., :n, :n] + S[..., n:, n:]) / 2.0
+    B = (S[..., n:, :n] - S[..., :n, n:]) / 2.0
+    return A + 1j * B
+
+
+def hermitian_eigs_stack(m) -> np.ndarray:
+    """Eigenvalues (ascending) of extract(proj(M)) for a stack, shape (N, n)."""
+    return np.linalg.eigvalsh(hermitian_blocks(symmetric_stack(m)))
+
+
 def hermitian_eigs_of(M) -> np.ndarray:
     """Eigenvalues (ascending) of the Hermitian part extract(proj(M))."""
-    return herm_eigenvalues(extract(project(M)))
+    return hermitian_eigs_stack(as_symmetric(M)[np.newaxis])[0]
 
 
 def geometric_mean(x) -> float:
@@ -274,5 +233,4 @@ def trace_inner(A, B) -> float:
 
 def spectral_norm(A) -> float:
     """Largest absolute eigenvalue of a real symmetric matrix."""
-    w, _ = jacobi_eigh(as_symmetric(A))
-    return float(np.max(np.abs(w)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(as_symmetric(A)))))

@@ -10,14 +10,15 @@ freezing the policy leaves the linear uniformly elliptic equation
 
 solved with Dirichlet data by a direct sparse factorization (or optionally
 Gauss-Seidel); the two steps alternate until the max-norm residual of the
-nonlinear equation meets the tolerance.  Second derivatives use centered
-differences (cross terms by the standard 4-point stencil), exact for
-quadratics.
+nonlinear equation meets the tolerance.  All certificates of one iterate come
+from a single `envelope_batch` call on the stacked Hessians, whose values are
+also the residual, so each Hessian is evaluated once.  Second derivatives use
+centered differences (cross terms by the standard 4-point stencil), exact for
+quadratics; coefficients that vanish are not stored in the sparse matrix.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -27,8 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import matrixcore as mc
-from ._parallel import ordered_map
-from .envelope import ThetaBox, envelope_eval, envelope_value
+from .envelope import ThetaBox, envelope_batch
 from .errors import LinearSolveFailure
 
 
@@ -135,6 +135,7 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
     wall_time_s: float = 0.0
     linear_solver: str = "direct"
+    residual: ScalarField | None = None   # Ftilde(D^2 u) - g of the returned u
 
 
 def transfinite_interpolation(boundary: ScalarField) -> np.ndarray:
@@ -230,32 +231,20 @@ def hessian_stack(u: ScalarField) -> np.ndarray:
     return H
 
 
+def _residual_of(u: ScalarField, g: ScalarField, values: np.ndarray) -> ScalarField:
+    """Envelope values at the interior points minus g; zero on the boundary."""
+    out = np.zeros(u.grid.shape)
+    out[u.interior()] = values.reshape(tuple(s - 2 for s in u.grid.shape)) \
+        - g.values[g.interior()]
+    return ScalarField(u.grid, out)
+
+
 def residual_field(u: ScalarField, g: ScalarField, box: ThetaBox) -> ScalarField:
     """Ftilde(D^2 u) - g at interior points; zero on the boundary layer."""
     if u.grid != g.grid:
         raise ValueError("u and g live on different grids")
-    H = hessian_stack(u)
     d = u.grid.dim
-    flat = H.reshape(-1, d, d)
-    vals = np.array([envelope_value(Hi, box) for Hi in flat])
-    out = np.zeros(u.grid.shape)
-    out[u.interior()] = vals.reshape(H.shape[:-2]) - g.values[g.interior()]
-    return ScalarField(u.grid, out)
-
-
-def _certificate_parts(box: ThetaBox, H: np.ndarray):
-    cert = envelope_eval(H, box)
-    return cert.slope_matrix, cert.intercept, cert.slope_eigs, cert.value
-
-
-def _improve_policy(box: ThetaBox, H_flat: np.ndarray,
-                    workers: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    parts = ordered_map(functools.partial(_certificate_parts, box), list(H_flat), workers)
-    slopes = np.stack([p[0] for p in parts])
-    cs = np.array([p[1] for p in parts])
-    eigs = np.stack([p[2] for p in parts])
-    vals = np.array([p[3] for p in parts])
-    return slopes, cs, eigs, vals
+    return _residual_of(u, g, envelope_batch(hessian_stack(u).reshape(-1, d, d), box).value)
 
 
 def _stencil_offsets(d: int) -> list[tuple]:
@@ -308,9 +297,10 @@ def _assemble(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
         nbr = int_idx + np.array(off)
         nbr_flat = index[tuple(nbr.T)]
         inside = nbr_flat >= 0
-        rows.append(np.nonzero(inside)[0])
-        cols.append(nbr_flat[inside])
-        vals.append(coef[inside])
+        stored = inside & (coef != 0.0)   # no explicit zeros in the matrix
+        rows.append(np.nonzero(stored)[0])
+        cols.append(nbr_flat[stored])
+        vals.append(coef[stored])
         out = ~inside
         if np.any(out):
             b[out] -= coef[out] * boundary_values[tuple(nbr[out].T)]
@@ -323,22 +313,19 @@ def _assemble(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
 
 def _gauss_seidel(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
                   tol: float = 1e-12, max_sweeps: int = 100_000) -> np.ndarray:
-    """Lexicographic Gauss-Seidel (relaxation 1.0) on the CSR system."""
+    """Lexicographic Gauss-Seidel (relaxation 1.0) on the CSR system.
+
+    One sweep solves (D + L) x_new = b - U x_old by forward substitution,
+    which updates the unknowns in index order exactly as the pointwise sweep.
+    """
     x = x0.copy()
-    n = A.shape[0]
-    indptr, indices, data = A.indptr, A.indices, A.data
-    diag = A.diagonal()
-    if np.any(diag == 0.0):
+    if np.any(A.diagonal() == 0.0):
         raise LinearSolveFailure("zero diagonal in the frozen-policy system")
+    lower = sp.tril(A, format="csr")
+    upper = sp.triu(A, k=1, format="csr")
     scale = max(1.0, float(np.max(np.abs(b))))
     for _ in range(max_sweeps):
-        for i in range(n):
-            s = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                j = indices[k]
-                if j != i:
-                    s += data[k] * x[j]
-            x[i] = (b[i] - s) / diag[i]
+        x = spla.spsolve_triangular(lower, b - upper @ x, lower=True)
         r = float(np.max(np.abs(A @ x - b)))
         if r <= tol * scale:
             return x
@@ -354,9 +341,13 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     Alternates policy improvement (envelope certificates at every interior
     point) with policy evaluation (one linear elliptic solve for the frozen
     affine policy) until the max-norm residual of the nonlinear equation is
-    at most `tol`.  The frozen-policy coefficient matrices have spectrum in
+    at most `tol`.  One envelope_batch call per iteration certifies the new
+    Hessians: its values give the residual and its slopes and intercepts the
+    next policy.  The frozen-policy coefficient matrices have spectrum in
     [theta/2, 1/(2 theta)], so each evaluation is well posed.  On hitting
-    `max_iter` the best iterate is returned with report.converged = False.
+    `max_iter` the best iterate is returned with report.converged = False;
+    report.residual is the residual field of the returned iterate.
+    `workers` is accepted for compatibility and has no effect.
     """
     if linear_solver not in ("direct", "gauss_seidel"):
         raise ValueError(f"unknown linear solver {linear_solver!r}")
@@ -371,15 +362,13 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     core = u.interior()
     d = grid.dim
     report = SolveReport(linear_solver=linear_solver)
-    policy = None
     best = None
 
-    H = hessian_stack(u)
-    H_flat = H.reshape(-1, d, d)
+    cert = envelope_batch(hessian_stack(u).reshape(-1, d, d), box)
     for it in range(1, max_iter + 1):
-        slopes, cs, eigs, _ = _improve_policy(box, H_flat, workers)
-        rhs = g.values[core].reshape(-1) - cs
-        A, b, index = _assemble(grid, slopes, rhs, boundary.values)
+        policy = PolicyField(grid, cert.slope_matrix, cert.intercept, cert.slope_eigs)
+        rhs = g.values[core].reshape(-1) - cert.intercept
+        A, b, index = _assemble(grid, cert.slope_matrix, rhs, boundary.values)
         try:
             if linear_solver == "direct":
                 x = spla.spsolve(A.tocsc(), b)
@@ -392,20 +381,19 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
         u.values[core] = x.reshape(tuple(s - 2 for s in grid.shape))
-        policy = PolicyField(grid, slopes, cs, eigs)
 
-        H = hessian_stack(u)
-        H_flat = H.reshape(-1, d, d)
-        vals = np.array([envelope_value(Hi, box) for Hi in H_flat])
-        res = float(np.max(np.abs(vals - g.values[core].reshape(-1))))
+        cert = envelope_batch(hessian_stack(u).reshape(-1, d, d), box)
+        residual = _residual_of(u, g, cert.value)
+        res = float(np.max(np.abs(residual.values)))
         report.residual_history.append(res)
         report.iterations = it
         if best is None or res < best[0]:
-            best = (res, u.values.copy(), policy)
+            best = (res, u.values.copy(), policy, residual)
         if res <= tol:
             report.converged = True
             break
     report.final_residual = best[0]
+    report.residual = best[3]
     report.wall_time_s = time.perf_counter() - start
     u_out = ScalarField(grid, best[1])
     return u_out, best[2], report
@@ -424,14 +412,14 @@ def convergence_study(make_problem, refinements,
     """Solve at each refinement and report max errors and observed orders.
 
     `make_problem(points_per_axis)` must return a tuple
-    (grid, boundary, g, box, exact_field, solver_kwargs).
+    (grid, boundary, g, box, exact_field, solver_kwargs).  `workers` is
+    accepted for compatibility and has no effect.
     """
     rows = []
     prev = None
     for P in refinements:
         grid, boundary, g, box, exact, kwargs = make_problem(int(P))
-        u, _, report = solve_dirichlet(grid, boundary, g, box,
-                                       workers=workers, **kwargs)
+        u, _, report = solve_dirichlet(grid, boundary, g, box, **kwargs)
         err = float(np.max(np.abs(u.values - exact.values)))
         h = float(np.max(grid.spacing))
         order = None
@@ -459,20 +447,11 @@ def check_premises(u: ScalarField, lam: float, Lam: float,
     the extremal projected eigenvalues over the grid.
     """
     theta = mc.admissible_theta(lam, Lam)
-    H = hessian_stack(u)
     d = u.grid.dim
-    flat = H.reshape(-1, d, d)
-    lo = theta - tol
-    hi = 1.0 / theta + tol
-    inside = 0
-    mn, mx = np.inf, -np.inf
-    for Hi in flat:
-        mu = mc.hermitian_eigs_of(Hi)
-        mn = min(mn, float(mu[0]))
-        mx = max(mx, float(mu[-1]))
-        if mu[0] >= lo and mu[-1] <= hi:
-            inside += 1
-    return MembershipReport(theta, inside / len(flat), mn, mx)
+    mu = mc.hermitian_eigs_stack(hessian_stack(u).reshape(-1, d, d))
+    inside = (mu[:, 0] >= theta - tol) & (mu[:, -1] <= 1.0 / theta + tol)
+    return MembershipReport(theta, float(np.mean(inside)),
+                            float(np.min(mu[:, 0])), float(np.max(mu[:, -1])))
 
 
 # ---------------------------------------------------------------------------

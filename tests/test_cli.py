@@ -195,6 +195,48 @@ class TestSolve:
         assert code == 0
 
 
+class TestNumericalFailure:
+    """A failed frozen-policy solve or exact evaluation exits 5 with one
+    `error:` line, not a traceback."""
+
+    @staticmethod
+    def break_linear_solve(monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        monkeypatch.setattr(spla, "spsolve", lambda A, b: np.full(len(b), np.nan))
+
+    def test_solve_linear_failure_exits_5(self, tmp_path, capsys, monkeypatch):
+        self.break_linear_solve(monkeypatch)
+        cfg = write(tmp_path / "p.cfg", QUAD_CFG)
+        code, out, err = run_main(capsys, ["solve", "--config", cfg,
+                                           "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert err.startswith("error: LinearSolveFailure: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_convergence_linear_failure_exits_5(self, tmp_path, capsys, monkeypatch):
+        self.break_linear_solve(monkeypatch)
+        cfg = write(tmp_path / "c.cfg", QUAD_CFG.replace("g = constant:2", "g = quadratic")
+                    + "refinements = 9,17\n")
+        code, _, err = run_main(capsys, ["convergence", "--config", cfg,
+                                         "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert err.startswith("error: LinearSolveFailure: ")
+        assert err.count("\n") == 1
+
+    def test_no_convergence_exits_5(self, tmp_path, capsys, monkeypatch):
+        from envma import envelope
+
+        monkeypatch.setattr(envelope, "_rail_states", lambda box, k_lo, k_hi: iter(()))
+        cfg = write(tmp_path / "p.cfg", QUAD_CFG)
+        code, _, err = run_main(capsys, ["solve", "--config", cfg,
+                                         "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert err.startswith("error: NoConvergence: ")
+        assert err.count("\n") == 1
+
+
 class TestConvergence:
     def test_quartic_orders(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", """\

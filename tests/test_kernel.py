@@ -1,0 +1,244 @@
+"""Tests for the batched eigen-coordinate envelope kernel `envelope_batch`:
+agreement with its one-matrix wrappers and the grid oracle, the certificate
+identities on every row, and independence from the eigenbasis LAPACK picks
+inside a repeated eigenvalue."""
+
+import numpy as np
+import pytest
+
+from envma import matrixcore as mc
+from envma.envelope import (
+    ThetaBox,
+    conjugate_maximizer,
+    envelope_batch,
+    envelope_eval,
+    envelope_eval_bruteforce,
+    envelope_value,
+    sample_in_box,
+    sample_symmetric,
+    sample_unitary_blocks,
+    unitary_rotation,
+)
+from envma.errors import NoConvergence
+
+THETAS = (1e-8, 0.3, 1.0)
+
+
+def herm_matrix(mu, Ure, Uim):
+    """Embedded U diag(mu) U^H for a unitary U = Ure + i Uim."""
+    U = Ure + 1j * Uim
+    H = (U * np.asarray(mu, dtype=float)) @ U.conj().T
+    return mc.embed(mc.HermitianMatrix((H.real + H.real.T) / 2, (H.imag - H.imag.T) / 2))
+
+
+def anticommuting_part(rng, n):
+    S = sample_symmetric(rng, 2 * n)
+    return S - mc.project(S)
+
+
+def mixed_stack(rng, box):
+    """Random, in-box, huge-norm (~1e8), repeated-eigenvalue and scalar
+    matrices, each with a J-anticommuting component."""
+    n = box.n
+    out = []
+    for _ in range(6):
+        out.append(sample_symmetric(rng, 2 * n, float(rng.uniform(0.0, 3.0))))
+        out.append(sample_in_box(rng, box))
+        out.append(1e8 * sample_symmetric(rng, 2 * n, 0.5))
+        mu = np.repeat(rng.uniform(-1.0, 4.0, size=n), 2)[:n]
+        out.append(herm_matrix(mu, *sample_unitary_blocks(rng, n))
+                   + anticommuting_part(rng, n))
+    out += [np.eye(2 * n), np.zeros((2 * n, 2 * n)), box.theta * np.eye(2 * n),
+            box.hi * np.eye(2 * n)]
+    return np.array(out)
+
+
+def det_root_stack(X):
+    return np.exp(np.mean(np.log(mc.hermitian_eigs_stack(X)), axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("theta", THETAS)
+def test_batch_rows_match_single_matrix_wrapper(n, theta):
+    rng = np.random.default_rng(1000 * n + int(1 / theta) % 997)
+    box = ThetaBox(theta, n)
+    M = mixed_stack(rng, box)
+    batch = envelope_batch(M, box)
+    for i, Mi in enumerate(M):
+        cert = envelope_eval(Mi, box)
+        scale = max(1.0, abs(cert.value))
+        assert abs(batch.value[i] - cert.value) <= 1e-14 * scale
+        assert abs(batch.intercept[i] - cert.intercept) <= 1e-14 * max(1.0, abs(cert.intercept))
+        assert np.array_equal(batch.slope_eigs[i], cert.slope_eigs)
+        assert np.array_equal(batch.mu[i], cert.mu)
+        assert np.max(np.abs(batch.slope_matrix[i] - cert.slope_matrix)) <= 1e-14 * box.hi
+        assert envelope_value(Mi, box) == cert.value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("theta", THETAS)
+def test_certificate_identities_on_every_row(n, theta):
+    rng = np.random.default_rng(2000 * n + int(1 / theta) % 991)
+    box = ThetaBox(theta, n)
+    M = mixed_stack(rng, box)
+    b = envelope_batch(M, box)
+
+    # value == tr(S M) + c, up to rounding of the pairing's terms
+    pairing = np.einsum("kij,kji->k", b.slope_matrix, M)
+    size = np.einsum("kij,kji->k", np.abs(b.slope_matrix), np.abs(M)) + np.abs(b.intercept)
+    assert np.all(np.abs(pairing + b.intercept - b.value) <= 1e-13 * np.maximum(1.0, size))
+
+    # slopes in the box, descending against ascending mu
+    assert np.all((b.slope_eigs >= box.theta) & (b.slope_eigs <= box.hi))
+    assert np.all(np.diff(b.slope_eigs, axis=1) <= 0.0)
+
+    # optimality: by weak duality any box point x bounds the envelope below,
+    # Ftilde(mu) >= (prod x)^(1/n) + sum_i min_p p (mu_i - x_i); at the inner
+    # maximizer the bound meets the value, so (p, x) is a saddle
+    x = b.inner_max
+    assert np.all((x >= box.theta) & (x <= box.hi))
+    d = b.mu - x
+    lower = np.exp(np.mean(np.log(x), axis=1)) + np.sum(np.minimum(box.theta * d, box.hi * d),
+                                                        axis=1)
+    size = np.sum(np.abs(b.slope_eigs * b.mu), axis=1) + np.abs(b.intercept)
+    assert np.all(np.abs(b.value - lower) <= 1e-13 * np.maximum(1.0, size))
+
+    # the intercept is the minimal feasible one for its slope
+    for p, c in zip(b.slope_eigs, b.intercept):
+        g, _ = conjugate_maximizer(p, box)
+        assert abs(g - c) <= 1e-13 * max(1.0, box.hi, abs(g))
+
+    # the affine majorant dominates F on sampled box points
+    X = np.array([sample_in_box(rng, box) for _ in range(40)])
+    F = det_root_stack(X)
+    maj = np.einsum("kij,lji->kl", b.slope_matrix, X) + b.intercept[:, np.newaxis]
+    size = (np.einsum("kij,lji->kl", np.abs(b.slope_matrix), np.abs(X))
+            + np.abs(b.intercept[:, np.newaxis]))
+    assert np.all(maj >= F[np.newaxis, :] - 1e-12 * np.maximum(1.0, size))
+
+
+@pytest.mark.parametrize("n, res", [(1, 1024), (2, 96)])
+def test_batch_matches_grid_oracle(n, res):
+    rng = np.random.default_rng(31 + n)
+    for theta in (0.3, 0.9):
+        box = ThetaBox(theta, n)
+        M = np.array([sample_symmetric(rng, 2 * n, float(rng.uniform(0.0, 3.0)) if k % 2 else 0.0)
+                      for k in range(24)])
+        vals = envelope_batch(M, box).value
+        oracle = np.array([envelope_eval_bruteforce(Mi, box, res) for Mi in M])
+        assert np.all(np.abs(vals - oracle) <= 5.0 / res)
+
+
+def test_tiny_theta_n1_closed_form():
+    # Ftilde = mu on the box and the two linear branches outside it, even
+    # where the t-regimes are as narrow as n*theta^2
+    for theta in (1e-8, 1e-6, 0.3):
+        box = ThetaBox(theta, 1)
+        mu = np.concatenate([np.geomspace(1e-12, 1e12, 49), -np.geomspace(1e-6, 1e6, 13),
+                             [0.0, theta, box.hi]])
+        M = np.zeros((len(mu), 2, 2))
+        M[:, 0, 0] = M[:, 1, 1] = mu
+        want = np.where(mu < theta, mu / theta + theta - 1.0,
+                        np.where(mu > box.hi, theta * mu + box.hi - 1.0, mu))
+        got = envelope_batch(M, box).value
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("theta, mus", [
+    (0.4, [(0.1, 0.1, 2.0), (1.0, 1.0, 2.0), (1.0, 1.0, 1.0), (5.0, 5.0, 0.2), (0.4, 0.4, 2.5)]),
+    (1e-8, [(1.0, 1.0, 3.0), (1e-9, 1e-9, 1.0)]),
+])
+def test_slope_matrix_independent_of_eigenbasis(theta, mus):
+    # R acts as a unitary inside the repeated eigenspace, so it fixes
+    # proj(M) while moving the J-anticommuting part; LAPACK may return any
+    # basis of that eigenspace, and the policy must not depend on it
+    rng = np.random.default_rng(57)
+    box = ThetaBox(theta, 3)
+    for mu in mus:
+        U0re, U0im = sample_unitary_blocks(rng, 3)
+        U0 = U0re + 1j * U0im
+        Wre, Wim = sample_unitary_blocks(rng, 2)
+        W = np.eye(3, dtype=complex)
+        W[:2, :2] = Wre + 1j * Wim
+        V = U0 @ W @ U0.conj().T
+        R = unitary_rotation(np.ascontiguousarray(V.real), np.ascontiguousarray(V.imag))
+        M = herm_matrix(mu, U0re, U0im) + anticommuting_part(rng, 3)
+        RM = R @ M @ R.T
+        assert np.max(np.abs(mc.project(RM) - mc.project(M))) <= 1e-13 * max(mu)
+        assert np.max(np.abs(RM - M)) > 1e-3
+        b = envelope_batch(np.array([M, (RM + RM.T) / 2]), box)
+        S = b.slope_matrix
+        assert np.max(np.abs(S[0] - S[1])) <= 1e-12 * max(1.0, np.max(np.abs(S[0])))
+        # equal eigenvalues, equal slopes; the certificate stays exact
+        k = 0 if b.mu[0][1] - b.mu[0][0] < b.mu[0][2] - b.mu[0][1] else 1
+        assert b.slope_eigs[0][k] == b.slope_eigs[0][k + 1]
+        for i in range(2):
+            g, _ = conjugate_maximizer(b.slope_eigs[i], box)
+            assert abs(g - b.intercept[i]) <= 1e-12 * max(1.0, box.hi * max(mu))
+            pairing = float(b.slope_eigs[i] @ b.mu[i]) + b.intercept[i]
+            assert abs(pairing - b.value[i]) <= 1e-12 * max(1.0, box.hi * max(mu))
+
+
+def test_scalar_hessian_gets_a_scalar_slope():
+    # H proportional to I: every basis is an eigenbasis
+    for n in (2, 3):
+        box = ThetaBox(0.4, n)
+        for c in (0.1, 1.0, 7.0):
+            cert = envelope_eval(c * np.eye(2 * n), box)
+            p = cert.slope_eigs[0]
+            assert np.allclose(cert.slope_eigs, p, rtol=0.0, atol=1e-14)
+            assert np.max(np.abs(cert.slope_matrix - 0.5 * p * np.eye(2 * n))) <= 1e-14
+
+
+def test_batch_validates_like_as_symmetric():
+    box = ThetaBox(0.5, 1)
+    with pytest.raises(ValueError):
+        envelope_batch(np.eye(2), box)                     # not a stack
+    with pytest.raises(ValueError):
+        envelope_batch(np.zeros((2, 3, 3)), box)           # odd dimension
+    with pytest.raises(ValueError):
+        envelope_batch(np.zeros((1, 18, 18)), ThetaBox(0.5, 9))  # above MAX_DIM
+    bad = np.zeros((2, 2, 2))
+    bad[1, 0, 1] = 1e-6
+    with pytest.raises(ValueError):
+        envelope_batch(bad, box)                           # asymmetric
+    bad[1, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        envelope_batch(bad, box)                           # not finite
+    with pytest.raises(ValueError):
+        envelope_batch(np.zeros((2, 4, 4)), box)           # box dimension
+    assert envelope_batch(np.zeros((0, 2, 2)), box).value.shape == (0,)
+
+
+def test_no_structure_raises_no_convergence(monkeypatch):
+    from envma import envelope
+
+    monkeypatch.setattr(envelope, "_rail_states", lambda box, k_lo, k_hi: iter(()))
+    with pytest.raises(NoConvergence):
+        envelope_batch(np.array([np.eye(2), 2 * np.eye(2)]), ThetaBox(0.5, 1))
+
+
+def test_verify_report_does_not_depend_on_block_size(monkeypatch):
+    from envma import envelope
+
+    draw = envelope.draw_verify_sample
+
+    def draw_with_bad_rotation(rng, box, idx):
+        sample = draw(rng, box, idx)
+        if idx == 19:
+            sample["R"] = 2.0 * sample["R"]   # not orthogonal: rotation fails
+        return sample
+
+    monkeypatch.setattr(envelope, "draw_verify_sample", draw_with_bad_rotation)
+    box = ThetaBox(0.5, 2)
+    reports = []
+    for block in (7, 128):
+        monkeypatch.setattr(envelope, "_VERIFY_BLOCK", block)
+        reports.append(envelope.verify_envelope(box, samples=30, seed=4))
+    a, b = reports
+    assert a.format() == b.format()
+    assert a.failed["rotation"] == 1 and not a.all_pass
+    assert a.first_failure.keys() == b.first_failure.keys() == {"rotation"}
+    idx_a, m_a = a.first_failure["rotation"]
+    idx_b, m_b = b.first_failure["rotation"]
+    assert idx_a == idx_b == 19 and np.array_equal(m_a, m_b)

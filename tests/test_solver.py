@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from envma import matrixcore as mc
-from envma.envelope import ThetaBox
+from envma import solver
+from envma.envelope import ThetaBox, envelope_batch
 from envma.solver import (
     GridSpec,
     ScalarField,
@@ -316,3 +317,71 @@ class TestCheckPremises:
         u = ScalarField.constant(grid, 0.0)
         with pytest.raises(ValueError):
             check_premises(u, 3.0, 1.0)
+
+
+class TestHowardLoop:
+    def test_one_kernel_call_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counted(H, box):
+            calls.append(len(H))
+            return envelope_batch(H, box)
+
+        monkeypatch.setattr(solver, "envelope_batch", counted)
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
+        u_fn, g_fn = builtin_solution("quartic_radial", 2)
+        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+                                       ThetaBox(0.4, 2))
+        assert report.converged and report.iterations >= 2
+        # the initial policy, then one certificate per iteration
+        assert calls == [5 ** 4] * (report.iterations + 1)
+
+    def test_report_carries_residual_of_returned_iterate(self):
+        grid = make_grid_1(17)
+        boundary = ScalarField.constant(grid, 0.0)
+        g = ScalarField.constant(grid, 1.0)
+        box = ThetaBox(0.5, 1)
+        for max_iter in (1, 100):
+            u, _, report = solve_dirichlet(grid, boundary, g, box, max_iter=max_iter)
+            assert np.array_equal(report.residual.values, residual_field(u, g, box).values)
+            assert np.max(np.abs(report.residual.values)) == report.final_residual
+
+    def test_residual_is_of_best_not_last_iterate(self, monkeypatch):
+        # spoil the second policy evaluation, so the last iterate is worse
+        import scipy.sparse.linalg as spla
+
+        exact = spla.spsolve
+        calls = []
+
+        def spoiled(A, b):
+            calls.append(1)
+            x = exact(A, b)
+            return x + 0.1 if len(calls) == 2 else x
+
+        monkeypatch.setattr(spla, "spsolve", spoiled)
+        grid = make_grid_1(9)
+        g = ScalarField.constant(grid, 1.0)
+        box = ThetaBox(0.5, 1)
+        u, _, report = solve_dirichlet(grid, ScalarField.constant(grid, 0.0), g, box, max_iter=2)
+        first, last = report.residual_history
+        assert last > first == report.final_residual
+        assert np.array_equal(report.residual.values, residual_field(u, g, box).values)
+
+
+class TestAssembly:
+    def test_no_explicit_zeros(self):
+        # n = 1 policies are multiples of I, so every cross-stencil
+        # coefficient is zero; n = 2 mixes zero and nonzero ones
+        for n, P in ((1, 9), (2, 5)):
+            grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
+            u_fn, g_fn = builtin_solution("quartic_radial", n)
+            u = field_of(grid, u_fn)
+            cert = envelope_batch(hessian_stack(u).reshape(-1, 2 * n, 2 * n), ThetaBox(0.4, n))
+            rhs = field_of(grid, g_fn).values[u.interior()].reshape(-1) - cert.intercept
+            A, b, _ = solver._assemble(grid, cert.slope_matrix, rhs, u.values)
+            assert (A.data == 0).sum() == 0
+            # the operator is unchanged: A u + b-correction reproduces tr(S D^2 u)
+            x = u.values[u.interior()].reshape(-1)
+            lin = np.einsum("kij,kji->k", cert.slope_matrix,
+                            hessian_stack(u).reshape(-1, 2 * n, 2 * n))
+            assert np.max(np.abs(A @ x - (b - rhs) - lin)) <= 1e-9 * max(1.0, np.max(np.abs(lin)))
