@@ -229,7 +229,11 @@ def cmd_convergence(args) -> int:
                 sv.ScalarField.from_function(g2, g_fn), box,
                 sv.ScalarField.from_function(g2, u_fn), kwargs)
 
-    rows = sv.convergence_study(make_problem, refinements)
+    try:
+        rows = sv.convergence_study(make_problem, refinements)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     text = matio.convergence_csv(rows)
     os.makedirs(args.out, exist_ok=True)
     _write(args.out, "convergence.csv", text)

@@ -9,6 +9,8 @@ significant digits so repeated runs are byte-comparable.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ParseError
@@ -186,12 +188,11 @@ def field_csv(field) -> str:
     grid = field.grid
     d = grid.dim
     header = ",".join([f"x{a}" for a in range(d)] + ["value"])
-    lines = [header]
-    axes = [grid.axis_coords(a) for a in range(d)]
-    for idx in np.ndindex(grid.shape):
-        coords = [axes[a][i] for a, i in enumerate(idx)]
-        lines.append(",".join(fmt(c) for c in coords) + "," + fmt(field.values[idx]))
-    return "\n".join(lines) + "\n"
+    # each coordinate is formatted once per axis, each value once
+    axes = [[fmt(c) + "," for c in grid.axis_coords(a)] for a in range(d)]
+    prefixes = map("".join, itertools.product(*axes))
+    values = map(fmt, field.values.reshape(-1).tolist())
+    return "\n".join([header, *map(str.__add__, prefixes, values)]) + "\n"
 
 
 def report_text(report) -> str:

@@ -201,9 +201,10 @@ class TestNumericalFailure:
 
     @staticmethod
     def break_linear_solve(monkeypatch):
-        import scipy.sparse.linalg as spla
+        from envma import solver
 
-        monkeypatch.setattr(spla, "spsolve", lambda A, b: np.full(len(b), np.nan))
+        monkeypatch.setattr(solver._PolicyEvaluator, "solve",
+                            lambda self, A, b, x0: np.full(len(b), np.nan))
 
     def test_solve_linear_failure_exits_5(self, tmp_path, capsys, monkeypatch):
         self.break_linear_solve(monkeypatch)
@@ -263,6 +264,25 @@ refinements = 9,17,33
                                          "--out", str(tmp_path / "o")])
         assert code == 2
         assert "built-in" in err
+
+    def test_bad_linear_solver_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", QUAD_CFG.replace("g = constant:2", "g = quadratic")
+                    + "linearSolver = funky\nrefinements = 9,17\n")
+        code, out, err = run_main(capsys, ["convergence", "--config", cfg,
+                                           "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert err.startswith("config error: ") and "funky" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_too_coarse_refinement_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", QUAD_CFG.replace("g = constant:2", "g = quadratic")
+                    + "refinements = 3,9\n")
+        code, _, err = run_main(capsys, ["convergence", "--config", cfg,
+                                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert err.startswith("config error: ") and "pointsPerAxis" in err
+        assert not (tmp_path / "o").exists()
 
 
 def run_cli(args, workers):

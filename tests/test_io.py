@@ -117,6 +117,29 @@ class TestCsvAndReport:
         x0, x1, v = (float(tok) for tok in lines[7].split(","))
         assert v == f.values[1, 1]
 
+    def test_field_csv_matches_per_point_formatting(self):
+        def per_point(field):
+            grid = field.grid
+            axes = [grid.axis_coords(a) for a in range(grid.dim)]
+            lines = [",".join([f"x{a}" for a in range(grid.dim)] + ["value"])]
+            for idx in np.ndindex(grid.shape):
+                coords = [matio.fmt(axes[a][i]) for a, i in enumerate(idx)]
+                lines.append(",".join(coords) + "," + matio.fmt(field.values[idx]))
+            return "\n".join(lines) + "\n"
+
+        rng = np.random.default_rng(11)
+        special = [-0.0, 1e-300, 1e17, -1e17, -2.5, -1e-300, 1.0 / 3.0]
+        for n, lo, hi, P in ((1, (-1.0, 0.1), (2.0, 0.7), 6),
+                             (2, (-1.0,) * 4, (1.0, 3.0, 1e-3, 1.0), 5)):
+            grid = GridSpec(n, lo, hi, P)
+            values = rng.uniform(-1e3, 1e3, grid.shape)
+            values.reshape(-1)[:len(special)] = special
+            values.reshape(-1)[-1] = -0.0
+            field = ScalarField(grid, values)
+            text = matio.field_csv(field)
+            assert text.encode() == per_point(field).encode()
+            assert ",-0\n" in text and "1e-300" in text and "1e+17" in text
+
     def test_fmt_round_trips(self):
         for v in (1.0 / 3.0, 2.0, -1.7e-12, 3.9999999999999996):
             assert float(matio.fmt(v)) == v

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from envma import matrixcore as mc
 from envma import solver
 from envma.envelope import ThetaBox, envelope_batch
+from envma.errors import LinearSolveFailure
 from envma.solver import (
     GridSpec,
     ScalarField,
@@ -348,17 +351,15 @@ class TestHowardLoop:
 
     def test_residual_is_of_best_not_last_iterate(self, monkeypatch):
         # spoil the second policy evaluation, so the last iterate is worse
-        import scipy.sparse.linalg as spla
-
-        exact = spla.spsolve
+        exact = solver._PolicyEvaluator.solve
         calls = []
 
-        def spoiled(A, b):
+        def spoiled(self, A, b, x0):
             calls.append(1)
-            x = exact(A, b)
+            x = exact(self, A, b, x0)
             return x + 0.1 if len(calls) == 2 else x
 
-        monkeypatch.setattr(spla, "spsolve", spoiled)
+        monkeypatch.setattr(solver._PolicyEvaluator, "solve", spoiled)
         grid = make_grid_1(9)
         g = ScalarField.constant(grid, 1.0)
         box = ThetaBox(0.5, 1)
@@ -366,6 +367,96 @@ class TestHowardLoop:
         first, last = report.residual_history
         assert last > first == report.final_residual
         assert np.array_equal(report.residual.values, residual_field(u, g, box).values)
+
+
+def frozen_system(theta, seed=0, n=2, P=7):
+    """Frozen-policy system of the certificates of a random grid function."""
+    grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
+    u = ScalarField(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
+    cert = envelope_batch(hessian_stack(u).reshape(-1, 2 * n, 2 * n), ThetaBox(theta, n))
+    A, b, _ = solver._assemble(grid, cert.slope_matrix, -cert.intercept, u.values)
+    return A, b
+
+
+class TestPolicyEvaluation:
+    """One sparse LU per solve, reused as the GMRES preconditioner while the
+    answer meets 1e-2 * tol, refactored otherwise."""
+
+    @staticmethod
+    def count_splu(monkeypatch):
+        exact = spla.splu
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        return calls
+
+    def test_one_factorization_per_solve(self, monkeypatch):
+        calls = self.count_splu(monkeypatch)
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
+        u_fn, g_fn = builtin_solution("quartic_radial", 2)
+        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+                                       ThetaBox(0.4, 2))
+        assert report.converged and report.iterations >= 2
+        assert len(calls) == 1
+
+    def test_close_stale_factor_is_reused(self, monkeypatch):
+        A_stale, _ = frozen_system(0.401)
+        A, b = frozen_system(0.4)
+        evaluator = solver._PolicyEvaluator(1e-10)
+        stale = evaluator.lu = spla.splu(A_stale.tocsc())
+        calls = self.count_splu(monkeypatch)
+        x = evaluator.solve(A, b, np.zeros(len(b)))
+        assert calls == [] and evaluator.lu is stale
+        assert np.max(np.abs(A @ x - b)) <= 1e-12
+
+    def test_useless_stale_factor_is_replaced(self, monkeypatch):
+        A_stale, _ = frozen_system(0.5)
+        A, b = frozen_system(0.05)
+        fresh = spla.splu(A.tocsc()).solve(b)
+        evaluator = solver._PolicyEvaluator(1e-10)
+        stale = evaluator.lu = spla.splu(A_stale.tocsc())
+        calls = self.count_splu(monkeypatch)
+        x = evaluator.solve(A, b, np.zeros(len(b)))
+        assert len(calls) == 1 and evaluator.lu is not stale
+        assert np.max(np.abs(x - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+    def test_tol_below_roundoff_refactors_every_iteration(self, monkeypatch):
+        exact_splu = spla.splu
+        exact_solve = solver._PolicyEvaluator.solve
+        evaluations = []
+
+        def recorded(self, A, b, x0):
+            x = exact_solve(self, A, b, x0)
+            evaluations.append((A, b, x))
+            return x
+
+        monkeypatch.setattr(solver._PolicyEvaluator, "solve", recorded)
+        calls = self.count_splu(monkeypatch)
+        grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 17)
+        u_fn, g_fn = builtin_solution("quartic_radial", 1)
+        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+                                       ThetaBox(0.0625, 1), max_iter=3, tol=1e-30)
+        assert not report.converged and report.iterations == 3
+        assert len(calls) == len(evaluations) == 3
+        for A, b, x in evaluations:
+            fresh = exact_splu(A.tocsc()).solve(b)
+            assert np.max(np.abs(x - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+    def test_singular_matrix_raises(self):
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        b = np.array([1.0, 0.0])
+        with pytest.raises(LinearSolveFailure, match="singular"):
+            solver._PolicyEvaluator(1e-10).solve(A, b, np.zeros(2))
+        # with a stale factor: the Krylov answer fails, the refactor raises
+        evaluator = solver._PolicyEvaluator(1e-10)
+        evaluator.lu = spla.splu(sp.identity(2, format="csc"))
+        with pytest.raises(LinearSolveFailure, match="singular"):
+            evaluator.solve(A, b, np.zeros(2))
+        assert evaluator.lu is None
 
 
 class TestAssembly:
