@@ -70,14 +70,38 @@ class TestDiscreteHessian:
         with pytest.raises(ValueError):
             discrete_hessian(u, (0, 3))
 
+    @staticmethod
+    def pointwise_hessian(u, idx):
+        """Independent reference: the centered cross stencil at one point."""
+        d = u.grid.dim
+        h = u.grid.spacing
+        H = np.zeros((d, d))
+
+        def at(offset):
+            return u.values[tuple(i + o for i, o in zip(idx, offset))]
+
+        for a in range(d):
+            ea = np.eye(d, dtype=int)[a]
+            H[a, a] = (at(ea) - 2.0 * at(0 * ea) + at(-ea)) / h[a] ** 2
+            for b in range(a + 1, d):
+                eb = np.eye(d, dtype=int)[b]
+                H[a, b] = H[b, a] = (at(ea + eb) - at(ea - eb) - at(-ea + eb)
+                                     + at(-ea - eb)) / (4.0 * h[a] * h[b])
+        return H
+
     def test_stack_matches_pointwise(self):
+        # random (non-polynomial) data and unequal spacings, so a transposed
+        # or shifted interior layout or a misplaced h would show
         rng = np.random.default_rng(5)
-        grid = make_grid_1(7)
-        u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
-        H = hessian_stack(u)
-        for i in range(1, 6):
-            for j in range(1, 6):
-                assert np.allclose(H[i - 1, j - 1], discrete_hessian(u, (i, j)), atol=1e-12)
+        for grid in (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
+                     GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5)):
+            u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
+            H = hessian_stack(u)
+            for idx in np.ndindex(*(s - 2 for s in grid.shape)):
+                point = tuple(i + 1 for i in idx)
+                ref = self.pointwise_hessian(u, point)
+                assert np.allclose(H[idx], ref, rtol=1e-12, atol=1e-12)
+                assert np.allclose(discrete_hessian(u, point), ref, rtol=1e-12, atol=1e-12)
 
     def test_quartic_second_order_accuracy(self):
         u_fn, _ = builtin_solution("quartic_radial", 1)
@@ -394,6 +418,18 @@ class TestPolicyEvaluation:
         monkeypatch.setattr(spla, "splu", counted)
         return calls
 
+    @staticmethod
+    def count_gmres(monkeypatch):
+        exact = spla.gmres
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "gmres", counted)
+        return calls
+
     def test_one_factorization_per_solve(self, monkeypatch):
         calls = self.count_splu(monkeypatch)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
@@ -436,27 +472,44 @@ class TestPolicyEvaluation:
 
         monkeypatch.setattr(solver._PolicyEvaluator, "solve", recorded)
         calls = self.count_splu(monkeypatch)
+        krylov = self.count_gmres(monkeypatch)
         grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 17)
         u_fn, g_fn = builtin_solution("quartic_radial", 1)
         _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
                                        ThetaBox(0.0625, 1), max_iter=3, tol=1e-30)
         assert not report.converged and report.iterations == 3
         assert len(calls) == len(evaluations) == 3
+        # each direct solve already misses the target, so no Krylov cycle is tried
+        assert krylov == []
         for A, b, x in evaluations:
             fresh = exact_splu(A.tocsc()).solve(b)
             assert np.max(np.abs(x - fresh)) <= 1e-13 * np.max(np.abs(fresh))
 
-    def test_singular_matrix_raises(self):
+    def test_singular_matrix_raises(self, monkeypatch):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         b = np.array([1.0, 0.0])
-        with pytest.raises(LinearSolveFailure, match="singular"):
+        with pytest.raises(RuntimeError, match="singular"):
             solver._PolicyEvaluator(1e-10).solve(A, b, np.zeros(2))
         # with a stale factor: the Krylov answer fails, the refactor raises
         evaluator = solver._PolicyEvaluator(1e-10)
         evaluator.lu = spla.splu(sp.identity(2, format="csc"))
-        with pytest.raises(LinearSolveFailure, match="singular"):
+        with pytest.raises(RuntimeError, match="singular"):
             evaluator.solve(A, b, np.zeros(2))
         assert evaluator.lu is None
+        # solve_dirichlet maps SuperLU's error to LinearSolveFailure
+        assemble = solver._assemble
+
+        def singular(*args):
+            A, b, index = assemble(*args)
+            A = A.tolil()
+            A[0, :] = 0.0
+            return A.tocsr(), b, index
+
+        monkeypatch.setattr(solver, "_assemble", singular)
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 5)
+        u_fn, g_fn = builtin_solution("quartic_radial", 2)
+        with pytest.raises(LinearSolveFailure, match="singular"):
+            solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
 
 
 class TestAssembly:
