@@ -676,15 +676,13 @@ def _check_samples(box: ThetaBox, bundle: list) -> dict:
     return out
 
 
-def verify_envelope(box: ThetaBox, samples: int, seed: int,
-                    workers: int | None = None) -> PropertyReport:
+def verify_envelope(box: ThetaBox, samples: int, seed: int) -> PropertyReport:
     """Randomized verification of the envelope's structural properties.
 
     Draws `samples` deterministic sample bundles and checks midpoint
     concavity, domination/agreement on the box, the two-sided ellipticity
     bounds, projection factorization and rotation invariance.  Samples are
     drawn and checked in blocks of _VERIFY_BLOCK, so memory stays bounded.
-    `workers` is accepted for compatibility and has no effect.
     """
     report = PropertyReport(box=box, samples=samples, seed=seed)
     for name in PROPERTY_NAMES:

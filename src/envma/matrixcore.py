@@ -111,8 +111,7 @@ def embed_complex(Z: np.ndarray) -> np.ndarray:
 
 def embed(H: HermitianMatrix) -> np.ndarray:
     """iota(H): the 2n x 2n block matrix [[A, -B], [B, A]]; commutes with J."""
-    A, B = H.real, H.imag
-    return np.block([[A, -B], [B, A]])
+    return embed_complex(H.real + 1j * H.imag)
 
 
 def extract(M, tol: float | None = None) -> HermitianMatrix:
@@ -129,9 +128,8 @@ def extract(M, tol: float | None = None) -> HermitianMatrix:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(M))))
     if comm > tol:
         raise NotJCommuting(f"commutator norm {comm:g} exceeds tolerance {tol:g}")
-    A = (M[:n, :n] + M[n:, n:]) / 2.0
-    B = (M[n:, :n] - M[:n, n:]) / 2.0
-    return HermitianMatrix((A + A.T) / 2.0, (B - B.T) / 2.0)
+    Z = hermitian_blocks(M)
+    return HermitianMatrix(Z.real, Z.imag)
 
 
 def project(M) -> np.ndarray:

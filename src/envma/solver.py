@@ -13,13 +13,19 @@ preconditioner while it meets the tolerance (or optionally by Gauss-Seidel);
 the two steps alternate until the max-norm residual of the nonlinear equation
 meets the tolerance.  All certificates of one iterate come from a single
 `envelope_batch` call on the stacked Hessians, whose values are also the
-residual, so each Hessian is evaluated once.  Second derivatives use centered
-differences (cross terms by the standard 4-point stencil), exact for
-quadratics; coefficients that vanish are not stored in the sparse matrix.
+residual, so each Hessian is evaluated once.
+
+The discrete Hessian D^2_h is written down once, as a sparse difference
+operator per grid (`_hessian_operator`): centered second differences on the
+diagonal, products of centered first differences (the 4-point cross
+stencil) off it, exact for quadratics.  The Hessians are that operator
+applied to the grid values, and the frozen-policy matrix is the slope-
+weighted sum of its rows; coefficients that vanish are not stored.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -72,9 +78,6 @@ class GridSpec:
 
     def axis_coords(self, a: int) -> np.ndarray:
         return np.linspace(self.lo[a], self.hi[a], self.points_per_axis)
-
-    def point(self, idx) -> np.ndarray:
-        return np.array([self.axis_coords(a)[i] for a, i in enumerate(idx)])
 
     def mesh(self) -> list[np.ndarray]:
         axes = [self.axis_coords(a) for a in range(self.dim)]
@@ -176,42 +179,73 @@ def discrete_hessian(u: ScalarField, idx) -> np.ndarray:
 
 
 def hessian_stack(u: ScalarField) -> np.ndarray:
-    """Discrete Hessians at all interior points, vectorized.
+    """Discrete Hessians at all interior points: `_hessian_operator` applied
+    to the grid values.
 
     Returns an array of shape interior_shape + (d, d) in lexicographic
     interior order.
     """
     grid = u.grid
     d = grid.dim
-    h = grid.spacing
-    v = u.values
-    core = tuple(slice(1, -1) for _ in range(d))
-    ishape = tuple(s - 2 for s in grid.shape)
-    H = np.zeros(ishape + (d, d))
+    op_int, op_bnd = _hessian_operator(grid)
+    inside = _interior_mask(grid)
+    v = u.values.reshape(-1)
+    upper = (op_int @ v[inside] + op_bnd @ v[~inside]).reshape(-1, op_int.shape[1])
+    H = np.empty((op_int.shape[1], d, d))
+    a, b = np.triu_indices(d)
+    H[:, a, b] = H[:, b, a] = upper.T
+    return H.reshape(tuple(s - 2 for s in grid.shape) + (d, d))
 
-    def shifted(offset):
-        sl = tuple(slice(1 + o, (s - 1) + o) for o, s in zip(offset, grid.shape))
-        return v[sl]
 
-    center = v[core]
-    for a in range(d):
-        ea = [0] * d
-        ea[a] = 1
-        ea = tuple(ea)
-        nea = tuple(-x for x in ea)
-        H[..., a, a] = (shifted(ea) - 2.0 * center + shifted(nea)) / h[a] ** 2
-        for b in range(a + 1, d):
-            eb = [0] * d
-            eb[b] = 1
-            pp = tuple(x + y for x, y in zip(ea, eb))
-            pm = tuple(x - y for x, y in zip(ea, eb))
-            mp = tuple(-x for x in pm)
-            mm = tuple(-x for x in pp)
-            cross = (shifted(pp) - shifted(pm) - shifted(mp) + shifted(mm)) \
-                / (4.0 * h[a] * h[b])
-            H[..., a, b] = cross
-            H[..., b, a] = cross
-    return H
+def _interior_mask(grid: GridSpec) -> np.ndarray:
+    """Flat (lexicographic) mask of the interior points of the grid."""
+    inside = np.zeros(grid.shape, dtype=bool)
+    inside[tuple(slice(1, -1) for _ in range(grid.dim))] = True
+    return inside.reshape(-1)
+
+
+@functools.lru_cache(maxsize=8)
+def _hessian_operator(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The discrete Hessian D^2_h as one sparse map, split by columns.
+
+    Row e * N + k holds the upper-triangle entry (a, b) = triu_indices(d)[e]
+    of D^2_h u at interior point k (N interior points, lexicographic).
+    Diagonal entries are centered second differences; off-diagonal entries
+    are products of centered first differences, the 4-point cross stencil.
+    Both are exact for quadratics.  Returns (op_int, op_bnd), whose columns
+    are the interior values and the boundary values of u, each in
+    lexicographic order, so D^2_h u = op_int @ u[inside] + op_bnd @ u[~inside].
+    """
+    d, h = grid.dim, grid.spacing
+    inside = _interior_mask(grid)
+    points = np.flatnonzero(inside)
+    N = len(points)
+    column = np.empty(inside.size, dtype=np.int64)
+    column[inside] = np.arange(N)
+    column[~inside] = np.arange(inside.size - N)
+    strides = [grid.points_per_axis ** (d - 1 - a) for a in range(d)]
+    second = ((-1, 1.0), (0, -2.0), (1, 1.0))
+    first = ((-1, -0.5), (1, 0.5))
+    rows, targets, vals = [], [], []
+    for e, (a, b) in enumerate(zip(*np.triu_indices(d))):
+        if a == b:
+            terms = [(s * strides[a], w / h[a] ** 2) for s, w in second]
+        else:
+            terms = [(sa * strides[a] + sb * strides[b], (wa / h[a]) * (wb / h[b]))
+                     for sa, wa in first for sb, wb in first]
+        for shift, w in terms:
+            rows.append(np.arange(e * N, (e + 1) * N))
+            targets.append(points + shift)
+            vals.append(np.full(N, w))
+    rows, targets, vals = (np.concatenate(x) for x in (rows, targets, vals))
+    n_rows = d * (d + 1) // 2 * N
+    to_inside = inside[targets]
+
+    def part(keep, n_cols):
+        return sp.csr_matrix((vals[keep], (rows[keep], column[targets[keep]])),
+                             shape=(n_rows, n_cols))
+
+    return part(to_inside, N), part(~to_inside, inside.size - N)
 
 
 def _residual_of(u: ScalarField, g: ScalarField, values: np.ndarray) -> ScalarField:
@@ -230,68 +264,26 @@ def residual_field(u: ScalarField, g: ScalarField, box: ThetaBox) -> ScalarField
     return _residual_of(u, g, envelope_batch(hessian_stack(u).reshape(-1, d, d), box).value)
 
 
-def _stencil_offsets(d: int) -> list[tuple]:
-    offs = [(0,) * d]
-    for a in range(d):
-        for s in (1, -1):
-            o = [0] * d
-            o[a] = s
-            offs.append(tuple(o))
-    for a in range(d):
-        for b in range(a + 1, d):
-            for sa, sb in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                o = [0] * d
-                o[a], o[b] = sa, sb
-                offs.append(tuple(o))
-    return offs
-
-
-def _offset_coeff(offset: tuple, slopes: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Coefficient of u(x + offset*h) in tr(S D^2_h u) for every point."""
-    nz = [a for a, o in enumerate(offset) if o != 0]
-    if not nz:
-        d = len(offset)
-        return -2.0 * sum(slopes[:, a, a] / h[a] ** 2 for a in range(d))
-    if len(nz) == 1:
-        a = nz[0]
-        return slopes[:, a, a] / h[a] ** 2
-    a, b = nz
-    sign = offset[a] * offset[b]
-    # off-diagonal pair contributes 2*S_ab * u_ab with the 4-point stencil
-    return sign * slopes[:, a, b] / (2.0 * h[a] * h[b])
-
-
 def _assemble(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
-              boundary_values: np.ndarray):
-    """Sparse system for tr(S(x) D^2_h u) = rhs(x) with Dirichlet data."""
-    d = grid.dim
-    shape = grid.shape
-    h = grid.spacing
-    index = np.full(shape, -1, dtype=np.int64)
-    core = tuple(slice(1, -1) for _ in range(d))
-    n_int = int(np.prod([s - 2 for s in shape]))
-    index[core] = np.arange(n_int).reshape(tuple(s - 2 for s in shape))
-    int_idx = np.array(np.nonzero(index >= 0)).T  # (n_int, d) lexicographic
+              boundary_values: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Sparse system A x = b for tr(S(x) D^2_h u) = rhs(x) with Dirichlet data.
 
-    rows, cols, vals = [], [], []
-    b = rhs.copy()
-    for off in _stencil_offsets(d):
-        coef = _offset_coeff(off, slopes, h)
-        nbr = int_idx + np.array(off)
-        nbr_flat = index[tuple(nbr.T)]
-        inside = nbr_flat >= 0
-        stored = inside & (coef != 0.0)   # no explicit zeros in the matrix
-        rows.append(np.nonzero(stored)[0])
-        cols.append(nbr_flat[stored])
-        vals.append(coef[stored])
-        out = ~inside
-        if np.any(out):
-            b[out] -= coef[out] * boundary_values[tuple(nbr[out].T)]
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_int, n_int),
-    )
-    return A, b, index
+    tr(S H) = sum over a <= b of w_ab S_ab H_ab, with w = 1 on the diagonal
+    and 2 off it.  W places diag(w_ab S_ab) side by side, one block per row
+    block of the Hessian operator, so tr(S D^2_h u) = W @ (op_int @ x +
+    op_bnd @ boundary): A = W @ op_int and the boundary term moves to b.
+    """
+    op_int, op_bnd = _hessian_operator(grid)
+    n_int = op_int.shape[1]
+    a, b = np.triu_indices(grid.dim)
+    weights = np.where(a == b, 1.0, 2.0) * slopes[:, a, b]
+    columns = np.arange(n_int)[:, None] + n_int * np.arange(len(a))
+    W = sp.csr_matrix((weights.ravel(), columns.ravel(), np.arange(0, weights.size + 1, len(a))),
+                      shape=(n_int, op_int.shape[0]))
+    A = W @ op_int
+    A.eliminate_zeros()   # vanishing slope entries store no coefficient
+    boundary = boundary_values.reshape(-1)[~_interior_mask(grid)]
+    return A, rhs - W @ (op_bnd @ boundary)
 
 
 def _gauss_seidel(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
@@ -354,8 +346,7 @@ class _PolicyEvaluator:
 
 def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
                     box: ThetaBox, max_iter: int = 100, tol: float = 1e-10,
-                    linear_solver: str = "direct",
-                    workers: int | None = None) -> tuple[ScalarField, PolicyField, SolveReport]:
+                    linear_solver: str = "direct") -> tuple[ScalarField, PolicyField, SolveReport]:
     """Policy iteration for Ftilde(D^2 u) = g with Dirichlet data.
 
     Alternates policy improvement (envelope certificates at every interior
@@ -367,7 +358,6 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     [theta/2, 1/(2 theta)], so each evaluation is well posed.  On hitting
     `max_iter` the best iterate is returned with report.converged = False;
     report.residual is the residual field of the returned iterate.
-    `workers` is accepted for compatibility and has no effect.
     """
     if linear_solver not in ("direct", "gauss_seidel"):
         raise ValueError(f"unknown linear solver {linear_solver!r}")
@@ -389,7 +379,7 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     for it in range(1, max_iter + 1):
         policy = PolicyField(grid, cert.slope_matrix, cert.intercept, cert.slope_eigs)
         rhs = g.values[core].reshape(-1) - cert.intercept
-        A, b, index = _assemble(grid, cert.slope_matrix, rhs, boundary.values)
+        A, b = _assemble(grid, cert.slope_matrix, rhs, boundary.values)
         x0 = u.values[core].reshape(-1)
         try:
             if linear_solver == "direct":
@@ -429,13 +419,11 @@ class ConvergenceRow:
     observed_order: float | None
 
 
-def convergence_study(make_problem, refinements,
-                      workers: int | None = None) -> list[ConvergenceRow]:
+def convergence_study(make_problem, refinements) -> list[ConvergenceRow]:
     """Solve at each refinement and report max errors and observed orders.
 
     `make_problem(points_per_axis)` must return a tuple
-    (grid, boundary, g, box, exact_field, solver_kwargs).  `workers` is
-    accepted for compatibility and has no effect.
+    (grid, boundary, g, box, exact_field, solver_kwargs).
     """
     rows = []
     prev = None

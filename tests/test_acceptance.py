@@ -163,7 +163,7 @@ def test_criterion_6_quadratic_exactness():
     grid = GridSpec(1, (-1.0, -1.0), (1.0, 1.0), 17)
     u_fn, g_fn = builtin_solution("quadratic", 1)
     u, _, rep = solve_dirichlet(grid, ScalarField.from_function(grid, u_fn),
-                                ScalarField.from_function(grid, g_fn), box, workers=1)
+                                ScalarField.from_function(grid, g_fn), box)
     err1 = float(np.max(np.abs(u.values - ScalarField.from_function(grid, u_fn).values)))
     assert rep.converged and err1 <= 1e-9
 
@@ -172,7 +172,7 @@ def test_criterion_6_quadratic_exactness():
     grid2 = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 9)
     u_fn2, g_fn2 = builtin_solution("quadratic", 2)
     u2, _, rep2 = solve_dirichlet(grid2, ScalarField.from_function(grid2, u_fn2),
-                                  ScalarField.from_function(grid2, g_fn2), box2, workers=1)
+                                  ScalarField.from_function(grid2, g_fn2), box2)
     err2 = float(np.max(np.abs(u2.values - ScalarField.from_function(grid2, u_fn2).values)))
     elapsed = time.perf_counter() - t0
     assert rep2.converged and err2 <= 1e-9
@@ -190,7 +190,7 @@ def test_criterion_7_convergence_order():
         bnd = ScalarField.from_function(grid, u_fn)
         return grid, bnd, ScalarField.from_function(grid, g_fn), box, bnd, {}
 
-    rows = convergence_study(make_problem, [17, 33, 65], workers=1)
+    rows = convergence_study(make_problem, [17, 33, 65])
     orders = [r.observed_order for r in rows[1:]]
     for o in orders:
         assert o is not None and o >= 1.8, orders

@@ -170,7 +170,7 @@ class TestSolveQuadratic:
         grid = GridSpec(1, (-1.0, -1.0), (1.0, 1.0), 17)
         u_fn, g_fn = builtin_solution("quadratic", 1)
         u, policy, report = solve_dirichlet(
-            grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 1), workers=1)
+            grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 1))
         err = np.max(np.abs(u.values - field_of(grid, u_fn).values))
         assert err <= 1e-9
         assert report.converged
@@ -180,7 +180,7 @@ class TestSolveQuadratic:
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u_fn, g_fn = builtin_solution("quadratic", 2)
         u, policy, report = solve_dirichlet(
-            grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2), workers=1)
+            grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
         err = np.max(np.abs(u.values - field_of(grid, u_fn).values))
         assert err <= 1e-9
         assert report.converged
@@ -190,7 +190,7 @@ class TestSolveQuadratic:
         grid = GridSpec(1, (0.0, -2.0), (1.0, 1.0), 9)
         u_fn, g_fn = builtin_solution("quadratic", 1)
         u, _, report = solve_dirichlet(
-            grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 1), workers=1)
+            grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 1))
         assert np.max(np.abs(u.values - field_of(grid, u_fn).values)) <= 1e-9
 
 
@@ -200,7 +200,7 @@ class TestSolveQuartic:
         box = ThetaBox(1.0 / 16.0, 1)
         grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 17)
         u, _, report = solve_dirichlet(
-            grid, field_of(grid, u_fn), field_of(grid, g_fn), box, workers=1)
+            grid, field_of(grid, u_fn), field_of(grid, g_fn), box)
         err = np.max(np.abs(u.values - field_of(grid, u_fn).values))
         assert report.converged
         assert err < 5e-4
@@ -214,7 +214,7 @@ class TestSolveQuartic:
             return (grid, field_of(grid, u_fn), field_of(grid, g_fn), box,
                     field_of(grid, u_fn), {})
 
-        rows = convergence_study(make_problem, [9, 17, 33], workers=1)
+        rows = convergence_study(make_problem, [9, 17, 33])
         assert rows[0].observed_order is None
         assert len(rows) == 3
         for row in rows[1:]:
@@ -229,7 +229,7 @@ class TestSolveQuartic:
             return (grid, field_of(grid, u_fn), field_of(grid, g_fn), box,
                     field_of(grid, u_fn), {})
 
-        rows = convergence_study(make_problem, [9], workers=1)
+        rows = convergence_study(make_problem, [9])
         assert len(rows) == 1 and rows[0].observed_order is None
 
     def test_quadratic_study_errors_at_rounding_level(self):
@@ -241,7 +241,7 @@ class TestSolveQuartic:
             return (grid, field_of(grid, u_fn), field_of(grid, g_fn), box,
                     field_of(grid, u_fn), {})
 
-        rows = convergence_study(make_problem, [9, 17, 33], workers=1)
+        rows = convergence_study(make_problem, [9, 17, 33])
         for row in rows:
             assert row.max_error <= 1e-12
 
@@ -251,7 +251,7 @@ class TestPolicyIteration:
         grid = make_grid_1(17)
         boundary = ScalarField.constant(grid, 0.0)
         g = ScalarField.constant(grid, 1.0)
-        u, policy, report = solve_dirichlet(grid, boundary, g, ThetaBox(0.5, 1), workers=1)
+        u, policy, report = solve_dirichlet(grid, boundary, g, ThetaBox(0.5, 1))
         assert report.converged
         assert report.iterations >= 2
         hist = report.residual_history
@@ -265,7 +265,7 @@ class TestPolicyIteration:
         g = ScalarField.constant(grid, 1.0)
         box = ThetaBox(0.5, 1)
         tol = 1e-10
-        u, policy, report = solve_dirichlet(grid, boundary, g, box, tol=tol, workers=1)
+        u, policy, report = solve_dirichlet(grid, boundary, g, box, tol=tol)
         assert report.converged
         res = residual_field(u, g, box)
         assert np.max(np.abs(res.values)) <= tol
@@ -281,9 +281,9 @@ class TestPolicyIteration:
         boundary = ScalarField.constant(grid, 0.0)
         box = ThetaBox(0.5, 1)
         u1, _, _ = solve_dirichlet(grid, boundary, ScalarField.constant(grid, 1.5),
-                                   box, workers=1)
+                                   box)
         u2, _, _ = solve_dirichlet(grid, boundary, ScalarField.constant(grid, 1.0),
-                                   box, workers=1)
+                                   box)
         assert np.all(u1.values <= u2.values + 1e-8)
 
     def test_max_iter_returns_best_iterate(self):
@@ -291,7 +291,7 @@ class TestPolicyIteration:
         boundary = ScalarField.constant(grid, 0.0)
         g = ScalarField.constant(grid, 1.0)
         u, policy, report = solve_dirichlet(grid, boundary, g, ThetaBox(0.5, 1),
-                                            max_iter=1, workers=1)
+                                            max_iter=1)
         assert not report.converged
         assert report.iterations == 1
         assert np.isfinite(report.final_residual)
@@ -302,9 +302,9 @@ class TestPolicyIteration:
         boundary = ScalarField.constant(grid, 0.0)
         g = ScalarField.constant(grid, 1.0)
         box = ThetaBox(0.5, 1)
-        ud, _, _ = solve_dirichlet(grid, boundary, g, box, workers=1)
+        ud, _, _ = solve_dirichlet(grid, boundary, g, box)
         ug, _, rep = solve_dirichlet(grid, boundary, g, box,
-                                     linear_solver="gauss_seidel", workers=1)
+                                     linear_solver="gauss_seidel")
         assert rep.converged
         assert np.max(np.abs(ud.values - ug.values)) < 1e-9
 
@@ -398,8 +398,7 @@ def frozen_system(theta, seed=0, n=2, P=7):
     grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
     u = ScalarField(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
     cert = envelope_batch(hessian_stack(u).reshape(-1, 2 * n, 2 * n), ThetaBox(theta, n))
-    A, b, _ = solver._assemble(grid, cert.slope_matrix, -cert.intercept, u.values)
-    return A, b
+    return solver._assemble(grid, cert.slope_matrix, -cert.intercept, u.values)
 
 
 class TestPolicyEvaluation:
@@ -500,10 +499,10 @@ class TestPolicyEvaluation:
         assemble = solver._assemble
 
         def singular(*args):
-            A, b, index = assemble(*args)
+            A, b = assemble(*args)
             A = A.tolil()
             A[0, :] = 0.0
-            return A.tocsr(), b, index
+            return A.tocsr(), b
 
         monkeypatch.setattr(solver, "_assemble", singular)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 5)
@@ -522,10 +521,26 @@ class TestAssembly:
             u = field_of(grid, u_fn)
             cert = envelope_batch(hessian_stack(u).reshape(-1, 2 * n, 2 * n), ThetaBox(0.4, n))
             rhs = field_of(grid, g_fn).values[u.interior()].reshape(-1) - cert.intercept
-            A, b, _ = solver._assemble(grid, cert.slope_matrix, rhs, u.values)
+            A, _ = solver._assemble(grid, cert.slope_matrix, rhs, u.values)
             assert (A.data == 0).sum() == 0
-            # the operator is unchanged: A u + b-correction reproduces tr(S D^2 u)
-            x = u.values[u.interior()].reshape(-1)
-            lin = np.einsum("kij,kji->k", cert.slope_matrix,
-                            hessian_stack(u).reshape(-1, 2 * n, 2 * n))
-            assert np.max(np.abs(A @ x - (b - rhs) - lin)) <= 1e-9 * max(1.0, np.max(np.abs(lin)))
+
+    def test_operator_is_slope_trace_of_pointwise_stencil(self):
+        # A x + (boundary part moved into b) must be tr(S D^2_h u) at every
+        # interior point, with D^2_h the independent pointwise stencil; random
+        # data, unequal spacings and slopes with nonzero off-diagonals make a
+        # wrong cross weight, a misplaced h or a transposed layout show
+        rng = np.random.default_rng(11)
+        for grid in (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
+                     GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5)):
+            d = grid.dim
+            u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
+            ishape = tuple(s - 2 for s in grid.shape)
+            G = rng.uniform(-1, 1, ishape + (d, d))
+            slopes = G + G.swapaxes(-1, -2)
+            rhs = rng.uniform(-1, 1, int(np.prod(ishape)))
+            A, b = solver._assemble(grid, slopes.reshape(-1, d, d), rhs, u.values)
+            lin = (A @ u.values[u.interior()].reshape(-1) - (b - rhs)).reshape(ishape)
+            for idx in np.ndindex(*ishape):
+                H = TestDiscreteHessian.pointwise_hessian(u, tuple(i + 1 for i in idx))
+                ref = np.sum(slopes[idx] * H)
+                assert abs(lin[idx] - ref) <= 1e-12 * max(1.0, np.sum(np.abs(slopes[idx] * H)))
