@@ -7,7 +7,8 @@ still written); 5 numerical failure (a frozen-policy linear solve failed or
 an exact evaluation found no solution), reported as one `error:` line.  All
 floating-point output uses 17 significant digits so fixed seeds give
 byte-identical output.  Everything runs in one process; ENVMA_THREADS is
-accepted and has no effect.
+accepted and has no effect.  Only solve and convergence import the solver
+and with it scipy; eval, conjugate and verify need numpy alone.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import matio
 from . import matrixcore as mc
-from . import solver as sv
 from .envelope import (
     ThetaBox,
     conjugate_maximizer,
@@ -28,6 +29,9 @@ from .envelope import (
     verify_envelope,
 )
 from .errors import LinearSolveFailure, NoConvergence, NotPositiveDefinite, ParseError
+
+if TYPE_CHECKING:
+    from . import solver as sv
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -133,6 +137,7 @@ _CONFIG_KEYS = {
 
 def _field_from_spec(spec: str, grid: sv.GridSpec, role: str) -> sv.ScalarField:
     """Field from a config value: built-in name, constant:<v>, or file:<path>."""
+    from . import solver as sv
     if spec.startswith("constant:"):
         try:
             return sv.ScalarField.constant(grid, float(spec.split(":", 1)[1]))
@@ -152,6 +157,7 @@ def _field_from_spec(spec: str, grid: sv.GridSpec, role: str) -> sv.ScalarField:
 
 
 def _load_problem(path: str):
+    from . import solver as sv
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = matio.ConfigView(matio.parse_config(fh.read()), _CONFIG_KEYS)
@@ -189,6 +195,7 @@ def _load_problem(path: str):
 
 
 def cmd_solve(args) -> int:
+    from . import solver as sv
     try:
         _, grid, box, boundary, g, kwargs, _ = _load_problem(args.config)
     except ParseError as exc:
@@ -212,6 +219,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    from . import solver as sv
     try:
         cfg, grid, box, _, _, kwargs, bnd_spec = _load_problem(args.config)
         refinements = cfg.get_ints("refinements")

@@ -33,6 +33,13 @@ of matrices at once: one LAPACK `eigh` on the stacked Hermitian parts, then
 one pass over all matrices per saddle structure.  `envelope_value`,
 `envelope_eval` and `_saddle` are its one-matrix forms, and the randomized
 property checks stack every sample's matrices into one call.
+
+The random samples of those checks are drawn in blocks as well
+(`draw_verify_block`): the random numbers are taken sample by sample, in a
+fixed order, and the whole block is then shaped into matrices at once (one
+stacked QR for the unitaries, one stacked product per sample kind).  The
+one-sample generators `sample_in_box`, `sample_unitary_blocks` and
+`sample_psd` are the same shaping applied to a stack of one.
 """
 
 from __future__ import annotations
@@ -415,22 +422,36 @@ def envelope_eval(M, box: ThetaBox) -> EnvelopeCertificate:
     return envelope_batch(mc.as_symmetric(M)[np.newaxis], box).certificate(0)
 
 
+def _max_minus_pairing(T: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """out[k, m] = max over j of T[m, j] - axis[k] * axis[j], in chunks of k
+    whose temporaries stay below 2^22 entries."""
+    out = np.empty((len(axis), T.shape[0]))
+    px = np.outer(axis, axis)
+    step = max(1, (1 << 22) // T.size)
+    for lo in range(0, len(axis), step):
+        hi = min(lo + step, len(axis))
+        out[lo:hi] = np.max(T[np.newaxis] - px[lo:hi, np.newaxis, :], axis=2)
+    return out
+
+
 @functools.lru_cache(maxsize=8)
 def _brute_grids(theta: float, n: int, resolution: int):
-    """Slope grid and its exact discrete conjugate, cached per configuration."""
+    """Slope grid and its exact discrete conjugate, cached per configuration.
+
+    The discrete conjugate g(p) = max over the grid points x of
+    (prod x)^{1/n} - p.x covers the whole product grid.  For n = 2 the
+    maximum is taken one coordinate at a time,
+    max_{x1} [max_{x2} (sqrt(x1 x2) - p2 x2) - p1 x1],
+    which costs resolution^3 instead of resolution^4 operations.
+    """
     axis = np.linspace(theta, 1.0 / theta, resolution)
     if n == 1:
-        pts = axis[:, np.newaxis]
-    else:
-        a, b = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([a.ravel(), b.ravel()])
-    fx = np.prod(pts, axis=1) ** (1.0 / n)
-    g = np.empty(len(pts))
-    step = max(1, (1 << 22) // len(pts))
-    for lo in range(0, len(pts), step):
-        hi = min(lo + step, len(pts))
-        g[lo:hi] = np.max(fx[np.newaxis, :] - pts[lo:hi] @ pts.T, axis=1)
-    return pts, g
+        return axis[:, np.newaxis], _max_minus_pairing(axis[np.newaxis], axis).ravel()
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    fx = np.outer(axis, axis) ** 0.5            # fx[i, j] = sqrt(x1_i x2_j)
+    inner = _max_minus_pairing(fx, axis)         # inner[k2, i]: max over x2
+    g = _max_minus_pairing(inner, axis)          # g[k1, k2]: then over x1
+    return np.column_stack([a.ravel(), b.ravel()]), g.ravel()
 
 
 def envelope_eval_bruteforce(M, box: ThetaBox, resolution: int) -> float:
@@ -541,51 +562,96 @@ class PropertyReport:
         return "\n".join(lines) + "\n"
 
 
+def _symmetrized(S: np.ndarray, shift) -> np.ndarray:
+    """(S + S^T)/2 + shift*I for a stack S of shape (..., d, d) and shifts of
+    shape (...)."""
+    shift = np.asarray(shift)[..., np.newaxis, np.newaxis]
+    return (S + S.swapaxes(-1, -2)) / 2.0 + shift * np.eye(S.shape[-1])
+
+
 def sample_symmetric(rng, d: int, shift: float = 0.0) -> np.ndarray:
     """Symmetric matrix with iid uniform [-1, 1] entries, shifted by shift*I."""
-    S = rng.uniform(-1.0, 1.0, size=(d, d))
-    return (S + S.T) / 2.0 + shift * np.eye(d)
+    return _symmetrized(rng.uniform(-1.0, 1.0, size=(d, d)), shift)
+
+
+def _complex_gaussian(rng, n: int) -> np.ndarray:
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _unitary_blocks(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitaries from a stack of complex Gaussians (..., n, n): the Q of the
+    QR decomposition with the phases of diag(R) moved into Q, as real blocks."""
+    Q, R = np.linalg.qr(Z)
+    ph = np.diagonal(R, axis1=-2, axis2=-1).copy()
+    ph = ph / np.abs(ph)
+    Q = Q * ph[..., np.newaxis, :].conj()
+    return np.ascontiguousarray(Q.real), np.ascontiguousarray(Q.imag)
 
 
 def sample_unitary_blocks(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Haar-ish random unitary as real blocks (QR of a complex Gaussian)."""
-    Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(Z)
-    ph = np.diag(R).copy()
-    ph = ph / np.abs(ph)
-    Q = Q * ph[np.newaxis, :].conj()
-    return np.ascontiguousarray(Q.real), np.ascontiguousarray(Q.imag)
+    Ure, Uim = _unitary_blocks(_complex_gaussian(rng, n)[np.newaxis])
+    return Ure[0], Uim[0]
+
+
+def _embed_hermitian_part(Hre: np.ndarray, Him: np.ndarray) -> np.ndarray:
+    """embed of the Hermitian part of a stack of complex matrices Hre + i Him."""
+    return mc.embed_complex((Hre + Hre.swapaxes(-1, -2)) / 2
+                            + 1j * ((Him - Him.swapaxes(-1, -2)) / 2))
+
+
+def _draw_in_box(rng, box: ThetaBox) -> tuple:
+    n = box.n
+    mu = rng.uniform(box.theta, box.hi, size=n)
+    return mu, _complex_gaussian(rng, n), rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+
+
+def _in_box(mu: np.ndarray, Z: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Stacked in-box matrices from the draws of `_draw_in_box`: the embedded
+    U diag(mu) U^H plus the J-anticommuting part of a symmetric matrix."""
+    Ure, Uim = _unitary_blocks(Z)
+    mu = mu[..., np.newaxis, :]
+    UreT, UimT = Ure.swapaxes(-1, -2), Uim.swapaxes(-1, -2)
+    core = _embed_hermitian_part((Ure * mu) @ UreT + (Uim * mu) @ UimT,
+                                 (Uim * mu) @ UreT - (Ure * mu) @ UimT)
+    S = _symmetrized(S, 0.0)
+    return core + (S - mc.embed_complex(mc.hermitian_blocks(S)))
 
 
 def sample_in_box(rng, box: ThetaBox) -> np.ndarray:
     """Matrix whose projection has spectrum uniform in the box, plus a random
     J-anticommuting component (which the envelope must ignore)."""
-    n = box.n
-    mu = rng.uniform(box.theta, box.hi, size=n)
-    Ure, Uim = sample_unitary_blocks(rng, n)
-    Qre = (Ure * mu) @ Ure.T + (Uim * mu) @ Uim.T
-    Qim = (Uim * mu) @ Ure.T - (Ure * mu) @ Uim.T
-    core = mc.embed(mc.HermitianMatrix((Qre + Qre.T) / 2, (Qim - Qim.T) / 2))
-    S = sample_symmetric(rng, 2 * n)
-    return core + (S - mc.project(S))
+    return _in_box(*(x[np.newaxis] for x in _draw_in_box(rng, box)))[0]
+
+
+def _draw_psd(rng, d: int, kind: str):
+    if kind == "gram":
+        return rng.uniform(-1.0, 1.0, size=(d, d))
+    if kind == "embedded":
+        return _complex_gaussian(rng, d // 2)
+    if kind == "rank1":
+        return rng.normal(size=d)
+    if kind == "scalar":
+        return rng.uniform(0.1, 2.0)
+    raise ValueError(f"unknown psd kind {kind!r}")
+
+
+def _psd(kind: str, raw: np.ndarray, d: int) -> np.ndarray:
+    """Stacked PSD perturbations of one kind from a stack of `_draw_psd` draws."""
+    if kind == "gram":
+        return (raw @ raw.swapaxes(-1, -2)) / d
+    if kind == "embedded":
+        Hm = (raw @ raw.conj().swapaxes(-1, -2)) / (d // 2)
+        return _embed_hermitian_part(Hm.real, Hm.imag)
+    if kind == "rank1":
+        row, col = raw[..., np.newaxis, :], raw[..., :, np.newaxis]
+        return (col * row) / (row @ col)
+    return raw[..., np.newaxis, np.newaxis] * np.eye(d)
 
 
 def sample_psd(rng, d: int, kind: str) -> np.ndarray:
     """PSD perturbation of the requested kind."""
-    if kind == "gram":
-        G = rng.uniform(-1.0, 1.0, size=(d, d))
-        return (G @ G.T) / d
-    if kind == "embedded":
-        n = d // 2
-        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Hm = (Z @ Z.conj().T) / n
-        return mc.embed(mc.HermitianMatrix(Hm.real, Hm.imag))
-    if kind == "rank1":
-        v = rng.normal(size=d)
-        return np.outer(v, v) / float(v @ v)
-    if kind == "scalar":
-        return float(rng.uniform(0.1, 2.0)) * np.eye(d)
-    raise ValueError(f"unknown psd kind {kind!r}")
+    return _psd(kind, np.asarray(_draw_psd(rng, d, kind))[np.newaxis], d)[0]
 
 
 def tangent_slope(mu) -> np.ndarray:
@@ -602,47 +668,70 @@ def tangent_in_box(mu, box: ThetaBox, tol: float = 1e-12):
     return np.all((p >= box.theta - tol) & (p <= box.hi + tol), axis=-1)
 
 
-def draw_verify_sample(rng, box: ThetaBox, idx: int) -> dict:
-    """One deterministic sample bundle for the property checks."""
-    d = 2 * box.n
-    shift = float(rng.uniform(0.0, 3.0)) if idx % 2 == 0 else 0.0
-    m1 = sample_symmetric(rng, d, shift)
-    m2 = sample_symmetric(rng, d, float(rng.uniform(0.0, 3.0)) if idx % 3 == 0 else 0.0)
-    m_in = sample_in_box(rng, box)
-    kind = _PSD_KINDS[idx % len(_PSD_KINDS)]
-    P = sample_psd(rng, d, kind)
-    Ure, Uim = sample_unitary_blocks(rng, box.n)
-    R = unitary_rotation(Ure, Uim)
-    return {"m1": m1, "m2": m2, "m_in": m_in, "P": P, "P_kind": kind, "R": R}
-
-
 def unitary_rotation(Ure: np.ndarray, Uim: np.ndarray) -> np.ndarray:
-    """The J-commuting orthogonal matrix [[X, -Y], [Y, X]] of a unitary X+iY."""
-    n = Ure.shape[0]
-    R = np.zeros((2 * n, 2 * n))
-    R[:n, :n] = Ure
-    R[n:, n:] = Ure
-    R[:n, n:] = -Uim
-    R[n:, :n] = Uim
+    """The J-commuting orthogonal matrix [[X, -Y], [Y, X]] of a unitary X+iY
+    (stacks of unitaries give stacks of rotations)."""
+    n = Ure.shape[-1]
+    R = np.zeros(Ure.shape[:-2] + (2 * n, 2 * n))
+    R[..., :n, :n] = Ure
+    R[..., n:, n:] = Ure
+    R[..., :n, n:] = -Uim
+    R[..., n:, :n] = Uim
     return R
 
 
-def _check_samples(box: ThetaBox, bundle: list) -> dict:
-    """Property checks of a list of sample bundles, vectorized over samples.
+def draw_verify_block(rng, box: ThetaBox, start: int, stop: int) -> dict:
+    """Samples start..stop-1 of a verify run, as stacks along a leading axis.
+
+    Sample idx consists of m1 and m2 (symmetric; m1 shifted by a random
+    multiple of I when idx is even, m2 when idx is divisible by 3), an in-box
+    matrix m_in, a PSD perturbation P of kind _PSD_KINDS[idx % 4] (its name
+    in P_kind) and a J-commuting rotation R.  The random numbers are drawn
+    sample by sample in that order, so a sample does not depend on the block
+    it falls in; the draws are then shaped into matrices a whole block at a
+    time.
+    """
+    n, d = box.n, 2 * box.n
+    kinds = tuple(_PSD_KINDS[idx % len(_PSD_KINDS)] for idx in range(start, stop))
+    raw = []
+    for idx, kind in zip(range(start, stop), kinds):
+        shift1 = rng.uniform(0.0, 3.0) if idx % 2 == 0 else 0.0
+        S1 = rng.uniform(-1.0, 1.0, size=(d, d))
+        shift2 = rng.uniform(0.0, 3.0) if idx % 3 == 0 else 0.0
+        S2 = rng.uniform(-1.0, 1.0, size=(d, d))
+        in_box = _draw_in_box(rng, box)
+        psd = _draw_psd(rng, d, kind)
+        raw.append((shift1, S1, shift2, S2, *in_box, psd, _complex_gaussian(rng, n)))
+    shift1, S1, shift2, S2, mu, Z, S, psd, Z_rot = zip(*raw)
+    P = np.empty((len(raw), d, d))
+    for k, kind in enumerate(_PSD_KINDS):
+        rows = slice((k - start) % len(_PSD_KINDS), len(raw), len(_PSD_KINDS))
+        if psd[rows]:
+            P[rows] = _psd(kind, np.array(psd[rows]), d)
+    return {
+        "m1": _symmetrized(np.array(S1), np.array(shift1)),
+        "m2": _symmetrized(np.array(S2), np.array(shift2)),
+        "m_in": _in_box(np.array(mu), np.array(Z), np.array(S)),
+        "P": P,
+        "P_kind": kinds,
+        "R": unitary_rotation(*_unitary_blocks(np.array(Z_rot))),
+    }
+
+
+def _check_samples(box: ThetaBox, block: dict) -> dict:
+    """Property checks of a block of samples (see draw_verify_block),
+    vectorized over samples.
 
     Returns, per property name, a boolean array of passes and an array of
     flags saying where the property makes a claim, plus "gap_ratio" (NaN
     where ||P|| = 0).  One envelope_batch call covers all seven matrices of
     every sample.
     """
-    def stack(key):
-        return np.stack([b[key] for b in bundle])
-
-    N = len(bundle)
+    m1, m2, m_in, R = block["m1"], block["m2"], block["m_in"], block["R"]
+    N = len(m1)
     th, n = box.theta, box.n
-    m1, m2, m_in, R = stack("m1"), stack("m2"), stack("m_in"), stack("R")
-    P = mc.symmetric_stack(stack("P"))
-    jc = np.array([b["P_kind"] in ("embedded", "scalar") for b in bundle], dtype=bool)
+    P = mc.symmetric_stack(block["P"])
+    jc = np.array([kind in ("embedded", "scalar") for kind in block["P_kind"]], dtype=bool)
     batch = envelope_batch(np.concatenate([
         m1, m2, (m1 + m2) / 2.0, m_in, m1 + P,
         mc.embed_complex(mc.hermitian_blocks(m1)), R @ m1 @ R.swapaxes(1, 2),
@@ -679,11 +768,18 @@ def _check_samples(box: ThetaBox, bundle: list) -> dict:
 def verify_envelope(box: ThetaBox, samples: int, seed: int) -> PropertyReport:
     """Randomized verification of the envelope's structural properties.
 
-    Draws `samples` deterministic sample bundles and checks midpoint
-    concavity, domination/agreement on the box, the two-sided ellipticity
-    bounds, projection factorization and rotation invariance.  Samples are
-    drawn and checked in blocks of _VERIFY_BLOCK, so memory stays bounded.
+    Draws `samples` deterministic samples and checks midpoint concavity,
+    domination/agreement on the box, the two-sided ellipticity bounds,
+    projection factorization and rotation invariance.  Samples are drawn as
+    stacks and checked in blocks of _VERIFY_BLOCK (`draw_verify_block`), so
+    memory stays bounded and the report does not depend on the block size.
+    Raises ValueError, before drawing anything, when box.n exceeds
+    MAX_DIM // 2 or seed is negative.
     """
+    if box.n > mc.MAX_DIM // 2:
+        raise ValueError(f"n={box.n} exceeds the supported maximum {mc.MAX_DIM // 2}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     report = PropertyReport(box=box, samples=samples, seed=seed)
     for name in PROPERTY_NAMES:
         report.passed[name] = 0
@@ -691,16 +787,15 @@ def verify_envelope(box: ThetaBox, samples: int, seed: int) -> PropertyReport:
     rng = np.random.default_rng(seed)
     ratios = []
     for start in range(0, max(samples, 0), _VERIFY_BLOCK):
-        stop = min(start + _VERIFY_BLOCK, samples)
-        bundle = [draw_verify_sample(rng, box, i) for i in range(start, stop)]
-        res = _check_samples(box, bundle)
+        block = draw_verify_block(rng, box, start, min(start + _VERIFY_BLOCK, samples))
+        res = _check_samples(box, block)
         for name in PROPERTY_NAMES:
             ok, claims = res[name]
             report.passed[name] += int(np.sum(ok & claims))
             fails = np.flatnonzero(~ok & claims)
             report.failed[name] += len(fails)
             if len(fails) and name not in report.first_failure:
-                report.first_failure[name] = (start + int(fails[0]), bundle[fails[0]]["m1"])
+                report.first_failure[name] = (start + int(fails[0]), block["m1"][fails[0]])
         ratios.append(res["gap_ratio"][np.isfinite(res["gap_ratio"])])
     ratios = np.concatenate(ratios) if ratios else np.empty(0)
     if ratios.size:

@@ -38,6 +38,11 @@ from . import matrixcore as mc
 from .envelope import ThetaBox, envelope_batch
 from .errors import LinearSolveFailure
 
+# a slope entry at most this times the largest |S_ab| of its point is
+# round-off of the certificate's eigenbasis (up to ~6e-15 relative on railed
+# n=2 policies, where genuine entries are 6e-3 relative and more)
+_SLOPE_ROUNDOFF = 64 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -272,11 +277,17 @@ def _assemble(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
     and 2 off it.  W places diag(w_ab S_ab) side by side, one block per row
     block of the Hessian operator, so tr(S D^2_h u) = W @ (op_int @ x +
     op_bnd @ boundary): A = W @ op_int and the boundary term moves to b.
+    A slope entry of round-off size next to the largest entry of its point
+    (see _SLOPE_ROUNDOFF) counts as zero, so it stores no coefficient and
+    the sparsity pattern follows the policy, not round-off.
     """
     op_int, op_bnd = _hessian_operator(grid)
     n_int = op_int.shape[1]
     a, b = np.triu_indices(grid.dim)
-    weights = np.where(a == b, 1.0, 2.0) * slopes[:, a, b]
+    entries = slopes[:, a, b]
+    scale = np.max(np.abs(slopes), axis=(1, 2))[:, np.newaxis]
+    entries = np.where(np.abs(entries) <= _SLOPE_ROUNDOFF * scale, 0.0, entries)
+    weights = np.where(a == b, 1.0, 2.0) * entries
     columns = np.arange(n_int)[:, None] + n_int * np.arange(len(a))
     W = sp.csr_matrix((weights.ravel(), columns.ravel(), np.arange(0, weights.size + 1, len(a))),
                       shape=(n_int, op_int.shape[0]))

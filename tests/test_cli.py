@@ -3,8 +3,10 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
+import pytest
 
 from envma.cli import main
 
@@ -139,6 +141,26 @@ class TestVerify:
                                          "--samples", "5", "--seed", "1"])
         assert code == 0
         assert "notice: theta normalized to 0.66666666666666663" in out
+
+    def test_n_above_maximum_exits_3(self, capsys):
+        code, out, err = run_main(capsys, ["verify", "--theta", "0.5", "--n", "9",
+                                           "--samples", "10", "--seed", "1"])
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: n=9 exceeds the supported maximum 8"]
+
+    def test_huge_n_exits_3_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_main(capsys, ["verify", "--theta", "0.5", "--n", "100000",
+                                         "--samples", "1000", "--seed", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert err.splitlines() == ["error: n=100000 exceeds the supported maximum 8"]
+
+    def test_negative_seed_exits_3(self, capsys):
+        code, out, err = run_main(capsys, ["verify", "--theta", "0.5", "--n", "2",
+                                           "--samples", "10", "--seed", "-1"])
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
 
 
 class TestSolve:
@@ -317,3 +339,44 @@ class TestDeterminism:
             blobs.append(tuple((out / f).read_bytes()
                                for f in ("solution.csv", "residual.csv", "report.txt")))
         assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+
+
+LOADED_SCIPY = """\
+import sys
+from envma.cli import main
+code = main(sys.argv[1:])
+print("scipy:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+import envma
+envma.solve_dirichlet
+print("scipy after solve_dirichlet:", "scipy.sparse.linalg" in sys.modules)
+sys.exit(code)
+"""
+
+
+class TestImports:
+    """eval, conjugate and verify need numpy alone; the solver, and with it
+    scipy, is imported on first use of a solver name."""
+
+    def run_fresh(self, args):
+        proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-2:]
+
+    def test_eval_conjugate_verify_import_no_scipy(self, tmp_path):
+        mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")
+        for args in (["eval", "--matrix", mat, "--theta", "0.5"],
+                     ["conjugate", "--p", "1,1", "--theta", "0.5"],
+                     ["verify", "--theta", "0.5", "--n", "2", "--samples", "20", "--seed", "3"]):
+            assert self.run_fresh(args) == ["scipy: []", "scipy after solve_dirichlet: True"]
+
+    def test_solver_names_resolve_from_package(self):
+        import envma
+        from envma import solve_dirichlet
+        from envma import solver
+
+        assert solve_dirichlet is solver.solve_dirichlet is envma.solve_dirichlet
+        assert set(envma._SOLVER_NAMES) <= set(dir(envma)) & set(envma.__all__)
+        assert all(getattr(envma, name) is getattr(solver, name) for name in envma._SOLVER_NAMES)
+        with pytest.raises(AttributeError):
+            envma.no_such_name

@@ -2,9 +2,12 @@
 against the grid oracle, certificates, ellipticity, and the randomized
 property checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from envma import envelope
 from envma import matrixcore as mc
 from envma.envelope import (
     ThetaBox,
@@ -163,6 +166,18 @@ class TestOracleEquivalence:
         assert abs(envelope_eval_bruteforce(mu_matrix([4.0]), BOX1, 4096) - 3.0) <= 1e-3
         assert abs(envelope_eval_bruteforce(mu_matrix([1.0]), BOX1, 4096) - 1.0) <= 1e-3
         assert abs(envelope_eval_bruteforce(mu_matrix([1.0, 1.0]), BOX2, 256) - 1.0) <= 1e-2
+
+    def test_brute_grids_match_direct_max(self):
+        # the n = 2 conjugate is taken one coordinate at a time; it must equal
+        # the maximum over the whole product grid of inner points
+        for theta, n, res in ((0.5, 2, 24), (0.3, 2, 24), (0.1, 2, 17), (0.3, 1, 64)):
+            axis = np.linspace(theta, 1.0 / theta, res)
+            pts = np.array(list(itertools.product(axis, repeat=n)))
+            fx = np.prod(pts, axis=1) ** (1.0 / n)
+            direct = np.max(fx[np.newaxis, :] - pts @ pts.T, axis=1)
+            grid_pts, g = envelope._brute_grids(theta, n, res)
+            assert np.array_equal(grid_pts, pts)
+            assert np.max(np.abs(g - direct)) <= 1e-15
 
     def test_brute_validation(self):
         with pytest.raises(ResolutionTooCoarse):

@@ -218,18 +218,83 @@ def test_no_structure_raises_no_convergence(monkeypatch):
         envelope_batch(np.array([np.eye(2), 2 * np.eye(2)]), ThetaBox(0.5, 1))
 
 
+def reference_draw(rng, box, idx):
+    """Verify sample idx drawn and shaped one matrix at a time."""
+    n, d = box.n, 2 * box.n
+
+    def symmetric(shift):
+        S = rng.uniform(-1.0, 1.0, size=(d, d))
+        return (S + S.T) / 2.0 + shift * np.eye(d)
+
+    def gaussian():
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    def unitary():
+        Q, R = np.linalg.qr(gaussian())
+        ph = np.diag(R).copy()
+        ph = ph / np.abs(ph)
+        Q = Q * ph[np.newaxis, :].conj()
+        return np.ascontiguousarray(Q.real), np.ascontiguousarray(Q.imag)
+
+    m1 = symmetric(float(rng.uniform(0.0, 3.0)) if idx % 2 == 0 else 0.0)
+    m2 = symmetric(float(rng.uniform(0.0, 3.0)) if idx % 3 == 0 else 0.0)
+    mu = rng.uniform(box.theta, box.hi, size=n)
+    Ure, Uim = unitary()
+    Qre = (Ure * mu) @ Ure.T + (Uim * mu) @ Uim.T
+    Qim = (Uim * mu) @ Ure.T - (Ure * mu) @ Uim.T
+    core = mc.embed(mc.HermitianMatrix((Qre + Qre.T) / 2, (Qim - Qim.T) / 2))
+    S = symmetric(0.0)
+    m_in = core + (S - mc.project(S))
+    kind = ("gram", "embedded", "rank1", "scalar")[idx % 4]
+    if kind == "gram":
+        G = rng.uniform(-1.0, 1.0, size=(d, d))
+        P = (G @ G.T) / d
+    elif kind == "embedded":
+        Z = gaussian()
+        Hm = (Z @ Z.conj().T) / n
+        P = mc.embed(mc.HermitianMatrix(Hm.real, Hm.imag))
+    elif kind == "rank1":
+        v = rng.normal(size=d)
+        P = np.outer(v, v) / float(v @ v)
+    else:
+        P = float(rng.uniform(0.1, 2.0)) * np.eye(d)
+    Ure, Uim = unitary()
+    R = np.block([[Ure, -Uim], [Uim, Ure]])
+    return {"m1": m1, "m2": m2, "m_in": m_in, "P": P, "P_kind": kind, "R": R}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_draws_equal_pointwise_draws(n):
+    # blocks of uneven sizes starting at every residue of the PSD kind cycle
+    from envma import envelope
+
+    box = ThetaBox(0.3, n)
+    bounds = (0, 7, 9, 22, 23, 41)
+    rng_block, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = envelope.draw_verify_block(rng_block, box, start, stop)
+        assert len(block["P_kind"]) == stop - start
+        for j, idx in enumerate(range(start, stop)):
+            ref = reference_draw(rng_ref, box, idx)
+            assert block["P_kind"][j] == ref["P_kind"]
+            for key in ("m1", "m2", "m_in", "P", "R"):
+                assert block[key].dtype == ref[key].dtype
+                assert block[key][j].tobytes() == ref[key].tobytes(), (idx, key)
+    assert rng_block.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_verify_report_does_not_depend_on_block_size(monkeypatch):
     from envma import envelope
 
-    draw = envelope.draw_verify_sample
+    draw = envelope.draw_verify_block
 
-    def draw_with_bad_rotation(rng, box, idx):
-        sample = draw(rng, box, idx)
-        if idx == 19:
-            sample["R"] = 2.0 * sample["R"]   # not orthogonal: rotation fails
-        return sample
+    def draw_with_bad_rotation(rng, box, start, stop):
+        block = draw(rng, box, start, stop)
+        if start <= 19 < stop:
+            block["R"][19 - start] *= 2.0   # not orthogonal: rotation fails
+        return block
 
-    monkeypatch.setattr(envelope, "draw_verify_sample", draw_with_bad_rotation)
+    monkeypatch.setattr(envelope, "draw_verify_block", draw_with_bad_rotation)
     box = ThetaBox(0.5, 2)
     reports = []
     for block in (7, 128):
@@ -242,3 +307,16 @@ def test_verify_report_does_not_depend_on_block_size(monkeypatch):
     idx_a, m_a = a.first_failure["rotation"]
     idx_b, m_b = b.first_failure["rotation"]
     assert idx_a == idx_b == 19 and np.array_equal(m_a, m_b)
+
+
+def test_verify_rejects_bad_input_before_drawing(monkeypatch):
+    from envma import envelope
+
+    def no_draw(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(envelope, "draw_verify_block", no_draw)
+    with pytest.raises(ValueError, match="exceeds the supported maximum 8"):
+        envelope.verify_envelope(ThetaBox(0.5, 9), samples=10, seed=1)
+    with pytest.raises(ValueError, match="non-negative"):
+        envelope.verify_envelope(ThetaBox(0.5, 2), samples=10, seed=-1)

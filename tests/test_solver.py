@@ -524,6 +524,29 @@ class TestAssembly:
             A, _ = solver._assemble(grid, cert.slope_matrix, rhs, u.values)
             assert (A.data == 0).sum() == 0
 
+    def test_roundoff_slope_entries_store_no_coefficient(self):
+        # slopes whose off-diagonals are zero at some points and not at
+        # others; noise of round-off size on the zero ones must leave the
+        # stored pattern as it is
+        rng = np.random.default_rng(3)
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 5)
+        u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
+        N = int(np.prod([s - 2 for s in grid.shape]))
+        G = rng.uniform(-1, 1, (N, 4, 4))
+        slopes = G + G.swapaxes(1, 2) + 4 * np.eye(4)
+        zero = np.triu(rng.uniform(size=(N, 4, 4)) < 0.5, 1)
+        zero = zero | zero.swapaxes(1, 2)
+        slopes[zero] = 0.0
+        scale = np.max(np.abs(slopes), axis=(1, 2))[:, np.newaxis, np.newaxis]
+        E = np.triu(rng.uniform(-1, 1, (N, 4, 4)), 1)
+        E = 16 * np.finfo(float).eps * scale * (E + E.swapaxes(1, 2)) * zero
+        rhs = rng.uniform(-1, 1, N)
+        A, b = solver._assemble(grid, slopes, rhs, u.values)
+        A_noisy, b_noisy = solver._assemble(grid, slopes + E, rhs, u.values)
+        assert np.array_equal(A.indptr, A_noisy.indptr)
+        assert np.array_equal(A.indices, A_noisy.indices)
+        assert np.array_equal(A.data, A_noisy.data) and np.array_equal(b, b_noisy)
+
     def test_operator_is_slope_trace_of_pointwise_stencil(self):
         # A x + (boundary part moved into b) must be tr(S D^2_h u) at every
         # interior point, with D^2_h the independent pointwise stencil; random
