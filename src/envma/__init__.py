@@ -26,10 +26,7 @@ from .matrixcore import (
     det_root,
     embed,
     extract,
-    herm_eigenvalues,
-    herm_eigensystem,
     in_theta_box,
-    jacobi_eigh,
     project,
     spectral_norm,
     trace_inner,
@@ -86,10 +83,7 @@ __all__ = [
     "det_root",
     "embed",
     "extract",
-    "herm_eigenvalues",
-    "herm_eigensystem",
     "in_theta_box",
-    "jacobi_eigh",
     "project",
     "spectral_norm",
     "trace_inner",

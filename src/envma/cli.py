@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
 
 _CONFIG_KEYS = {
     "n", "lo", "hi", "pointsPerAxis", "theta", "lambda", "Lambda",
-    "boundary", "g", "maxIter", "tol", "linearSolver", "seed", "refinements",
+    "boundary", "g", "maxIter", "tol", "seed", "refinements",
 }
 
 
@@ -189,7 +189,6 @@ def _load_problem(path: str):
     kwargs = {
         "max_iter": cfg.get_int("maxIter", 100),
         "tol": cfg.get_float("tol", 1e-10),
-        "linear_solver": cfg.get_str("linearSolver", "direct"),
     }
     return cfg, grid, box, boundary, g, kwargs, bnd_spec
 

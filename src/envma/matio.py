@@ -203,7 +203,6 @@ def report_text(report) -> str:
         f"converged = {'true' if report.converged else 'false'}",
         f"final_residual = {fmt(report.final_residual)}",
         "residual_history = " + ",".join(fmt(r) for r in report.residual_history),
-        f"linear_solver = {report.linear_solver}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -137,31 +137,6 @@ def project(M) -> np.ndarray:
     return embed_complex(hermitian_blocks(as_symmetric(M)))
 
 
-def jacobi_eigh(S) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a real symmetric matrix (LAPACK `eigh`).
-
-    Returns (w, V) with eigenvalues ascending and orthonormal columns,
-    S @ V = V @ diag(w).  The name survives from an earlier cyclic-Jacobi
-    implementation.
-    """
-    return np.linalg.eigh(np.asarray(S, dtype=float))
-
-
-def herm_eigensystem(H: HermitianMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and a unitary eigenbasis of H as real blocks.
-
-    Returns (mu, U_re, U_im) with H U = U diag(mu) in complex arithmetic and
-    U unitary.
-    """
-    mu, U = np.linalg.eigh(H.real + 1j * H.imag)
-    return mu, np.ascontiguousarray(U.real), np.ascontiguousarray(U.imag)
-
-
-def herm_eigenvalues(H: HermitianMatrix) -> np.ndarray:
-    """The n real eigenvalues of H, ascending."""
-    return herm_eigensystem(H)[0]
-
-
 def hermitian_blocks(S: np.ndarray) -> np.ndarray:
     """extract(proj(S)) as the complex stack A + iB, shape (..., n, n).
 

@@ -1,4 +1,4 @@
-"""Dirichlet solver for Ftilde(D^2 u) = g on rectangles in R^{2n}, n in {1, 2}.
+"""Dirichlet solver for Ftilde(D^2 u) = g on rectangles in R^{2n}, n in {1, 2, 3}.
 
 The envelope is an infimum of affine functions of the Hessian, so the
 equation has Bellman form and is solved by policy iteration (Howard's
@@ -8,10 +8,10 @@ freezing the policy leaves the linear uniformly elliptic equation
 
     tr(S(x) D^2 u(x)) + c(x) = g(x),
 
-solved with Dirichlet data by one sparse LU per solve, reused as a GMRES
-preconditioner while it meets the tolerance (or optionally by Gauss-Seidel);
-the two steps alternate until the max-norm residual of the nonlinear equation
-meets the tolerance.  All certificates of one iterate come from a single
+solved with Dirichlet data by GMRES, preconditioned by the exact inverse of
+an axis-weighted Laplacian applied in the tensor sine basis; the two steps
+alternate until the max-norm residual of the nonlinear equation meets the
+tolerance.  All certificates of one iterate come from a single
 `envelope_batch` call on the stacked Hessians, whose values are also the
 residual, so each Hessian is evaluated once.
 
@@ -143,7 +143,6 @@ class SolveReport:
     final_residual: float = float("inf")
     residual_history: list = field(default_factory=list)
     wall_time_s: float = 0.0
-    linear_solver: str = "direct"
     residual: ScalarField | None = None   # Ftilde(D^2 u) - g of the returned u
 
 
@@ -297,67 +296,89 @@ def _assemble(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
     return A, rhs - W @ (op_bnd @ boundary)
 
 
-def _gauss_seidel(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
-                  tol: float = 1e-12, max_sweeps: int = 100_000) -> np.ndarray:
-    """Lexicographic Gauss-Seidel (relaxation 1.0) on the CSR system.
+# one GMRES cycle is this many steps; an evaluation that has not met its
+# target after _MAX_GMRES_CYCLES cycles is a LinearSolveFailure
+_GMRES_RESTART = 20
+_MAX_GMRES_CYCLES = 50
 
-    One sweep solves (D + L) x_new = b - U x_old by forward substitution,
-    which updates the unknowns in index order exactly as the pointwise sweep.
+
+@functools.lru_cache(maxsize=8)
+def _sine_basis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues of the Dirichlet second difference.
+
+    With m = P - 2 interior points per axis, Phi[j, k] = sqrt(2/(m+1))
+    sin(pi j k/(m+1)) is symmetric and orthogonal and diagonalizes the
+    centered second difference on every axis; eigs[a, k] is its eigenvalue
+    -4/h_a^2 sin^2(pi k/(2(m+1))) on axis a.
     """
-    x = x0.copy()
-    if np.any(A.diagonal() == 0.0):
-        raise LinearSolveFailure("zero diagonal in the frozen-policy system")
-    lower = sp.tril(A, format="csr")
-    upper = sp.triu(A, k=1, format="csr")
-    scale = max(1.0, float(np.max(np.abs(b))))
-    for _ in range(max_sweeps):
-        x = spla.spsolve_triangular(lower, b - upper @ x, lower=True)
-        r = float(np.max(np.abs(A @ x - b)))
-        if r <= tol * scale:
+    m = grid.points_per_axis - 2
+    k = np.arange(1, m + 1)
+    phi = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    eigs = -4.0 * np.sin(np.pi * k / (2 * (m + 1))) ** 2 / grid.spacing[:, np.newaxis] ** 2
+    return phi, eigs
+
+
+def _laplacian_inverse(grid: GridSpec, weights: np.ndarray) -> spla.LinearOperator:
+    """Exact inverse of the Dirichlet operator sum_a weights[a] * D^2_{h,a}.
+
+    The operator is diagonal in the tensor sine basis, with eigenvalues
+    Lambda(k) = sum_a weights[a] * eigs[a, k_a], so its inverse is
+    Phi^{(x)d} [(Phi^{(x)d} r) / Lambda]: d small matrix products per
+    transform, on interior values in lexicographic order.
+    """
+    phi, eigs = _sine_basis(grid)
+    d, m = eigs.shape
+    lam = np.zeros((m,) * d)
+    for a in range(d):
+        lam += weights[a] * eigs[a].reshape((m,) + (1,) * (d - 1 - a))
+
+    def transform(v):
+        for _ in range(d):   # each product contracts the last axis and puts its result first
+            v = np.tensordot(phi, v, axes=(1, -1))
+        return v
+
+    def apply(r):
+        return transform(transform(r.reshape(lam.shape)) / lam).reshape(-1)
+
+    return spla.LinearOperator((lam.size, lam.size), matvec=apply, dtype=float)
+
+
+def _evaluate_policy(grid: GridSpec, A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
+                     slopes: np.ndarray, tol: float) -> np.ndarray:
+    """Solve the frozen-policy system A x = b by preconditioned GMRES.
+
+    Every slope has eigenvalues in [theta/2, 1/(2 theta)], so tr(S D^2_h u)
+    is a bounded distortion of a constant-coefficient Laplacian; GMRES is
+    preconditioned by the exact inverse of the Laplacian whose weight on
+    axis a is the mean of S_aa over the interior points.  Cycles of _GMRES_RESTART
+    steps, warm-started at x0, run until the true residual max|A x - b| is
+    at most max(1e-2 * tol, 8 eps max(|A| |x| + |b|)).  The second term is
+    the round-off of the terms summed in A x - b, below which no answer can
+    be checked; it grows like |S| / h^2 and is recomputed at each cycle's x.
+    """
+    M = _laplacian_inverse(grid, np.mean(np.diagonal(slopes, axis1=1, axis2=2), axis=0))
+    abs_A, abs_b = abs(A), np.abs(b)
+
+    def target_at(x):
+        return max(1e-2 * tol, 8.0 * np.finfo(float).eps * float(np.max(abs_A @ np.abs(x) + abs_b)))
+
+    x = x0
+    target = target_at(x)
+    for _ in range(_MAX_GMRES_CYCLES):
+        x, _ = spla.gmres(A, b, x0=x, rtol=0.0, atol=target,
+                          restart=_GMRES_RESTART, maxiter=1, M=M)
+        residual = float(np.max(np.abs(A @ x - b)))
+        target = target_at(x)
+        if residual <= target:
             return x
-    raise LinearSolveFailure(f"Gauss-Seidel did not reach {tol:g} in {max_sweeps} sweeps")
-
-
-class _PolicyEvaluator:
-    """Frozen-policy solves of one Howard run: one sparse LU, reused.
-
-    The first solve factors A with a minimum-degree ordering of A^T + A (the
-    cross stencil is nearly symmetric, so this stores less fill than the
-    default COLAMD).  A later solve runs one restart cycle of GMRES on the
-    new matrix, warm-started at x0 and preconditioned by the cached factor,
-    and accepts its answer only if the true residual max|A x - b| is at most
-    1e-2 * tol; otherwise the stale factor is dropped and the new A factored
-    and solved directly.  A factor whose own direct solve misses 1e-2 * tol
-    is not kept, since the target then lies below round-off.
-    """
-
-    restart = 20
-
-    def __init__(self, tol: float):
-        self.target = 1e-2 * tol
-        self.lu = None
-
-    def solve(self, A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        if self.lu is not None:
-            M = spla.LinearOperator(A.shape, matvec=self.lu.solve, dtype=float)
-            x, _ = spla.gmres(A, b, x0=x0, rtol=0.0, atol=self.target,
-                              restart=self.restart, maxiter=1, M=M)
-            if np.max(np.abs(A @ x - b)) <= self.target:
-                return x
-            self.lu = M = None   # never hold two factors at once
-        self.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                            options={"SymmetricMode": True})
-        x = self.lu.solve(b)
-        if not np.max(np.abs(A @ x - b)) <= self.target:
-            # the target is below this system's round-off floor: no Krylov
-            # answer will meet it either, so later solves refactor directly
-            self.lu = None
-        return x
+        if not np.isfinite(residual):
+            break
+    raise LinearSolveFailure(f"GMRES left max|Ax - b| = {residual:.3g} above {target:.3g}")
 
 
 def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
-                    box: ThetaBox, max_iter: int = 100, tol: float = 1e-10,
-                    linear_solver: str = "direct") -> tuple[ScalarField, PolicyField, SolveReport]:
+                    box: ThetaBox, max_iter: int = 100,
+                    tol: float = 1e-10) -> tuple[ScalarField, PolicyField, SolveReport]:
     """Policy iteration for Ftilde(D^2 u) = g with Dirichlet data.
 
     Alternates policy improvement (envelope certificates at every interior
@@ -370,8 +391,6 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     `max_iter` the best iterate is returned with report.converged = False;
     report.residual is the residual field of the returned iterate.
     """
-    if linear_solver not in ("direct", "gauss_seidel"):
-        raise ValueError(f"unknown linear solver {linear_solver!r}")
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
@@ -382,25 +401,15 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     u = ScalarField(grid, transfinite_interpolation(boundary))
     core = u.interior()
     d = grid.dim
-    report = SolveReport(linear_solver=linear_solver)
+    report = SolveReport()
     best = None
-    evaluator = _PolicyEvaluator(tol)
 
     cert = envelope_batch(hessian_stack(u).reshape(-1, d, d), box)
     for it in range(1, max_iter + 1):
         policy = PolicyField(grid, cert.slope_matrix, cert.intercept, cert.slope_eigs)
         rhs = g.values[core].reshape(-1) - cert.intercept
         A, b = _assemble(grid, cert.slope_matrix, rhs, boundary.values)
-        x0 = u.values[core].reshape(-1)
-        try:
-            if linear_solver == "direct":
-                x = evaluator.solve(A, b, x0)
-            else:
-                x = _gauss_seidel(A, b, x0)
-        except LinearSolveFailure:
-            raise
-        except Exception as exc:  # any other failure inside the linear algebra
-            raise LinearSolveFailure(str(exc)) from exc
+        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), cert.slope_matrix, tol)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
         u.values[core] = x.reshape(tuple(s - 2 for s in grid.shape))
@@ -483,8 +492,19 @@ def builtin_solution(name: str, n: int):
     """Named manufactured solution: returns (u_exact, rhs) callables on the
     2n real coordinates.
 
-    * quadratic:       u = sum x_i^2,     Ftilde(D^2 u) = 2
-    * quartic_radial:  u = |x|^4 / 4,     Ftilde(D^2 u) = 2^{1/n} |x|^2
+    * quadratic:       u = sum x_i^2,     rhs = 2
+    * quartic_radial:  u = |x|^4 / 4,     rhs = 2^{1/n} |x|^2
+
+    Each rhs is F(D^2 u).  It equals Ftilde(D^2 u), so that u solves the
+    Ftilde equation, only in the tangency region: where the Hermitian
+    eigenvalues of D^2 u and those of the tangent slope of F there all lie
+    in [theta, 1/theta].
+    * quadratic: the eigenvalues are 2 and 1/n (each n times), so this
+      holds everywhere iff theta <= min(1/2, 1/n).
+    * quartic_radial: they are 2|x|^2 and 2^{1/n}/(2n) (once each) and
+      |x|^2 and 2^{1/n}/n (n - 1 times each), so it holds at no point of
+      [-1, 1]^4 at n = 2, theta = 0.4 (every certificate rails) and
+      everywhere on [1, 2]^2 at n = 1, theta = 1/16.
     """
     if name == "quadratic":
         def u_fn(*xs):

@@ -174,11 +174,21 @@ def test_criterion_6_quadratic_exactness():
     u2, _, rep2 = solve_dirichlet(grid2, ScalarField.from_function(grid2, u_fn2),
                                   ScalarField.from_function(grid2, g_fn2), box2)
     err2 = float(np.max(np.abs(u2.values - ScalarField.from_function(grid2, u_fn2).values)))
-    elapsed = time.perf_counter() - t0
     assert rep2.converged and err2 <= 1e-9
+
+    # the quadratic solves the Ftilde equation iff theta <= min(1/2, 1/n)
+    box3 = ThetaBox(0.25, 3)
+    grid3 = GridSpec(3, (-1.0,) * 6, (1.0,) * 6, 7)
+    u_fn3, g_fn3 = builtin_solution("quadratic", 3)
+    u3, _, rep3 = solve_dirichlet(grid3, ScalarField.from_function(grid3, u_fn3),
+                                  ScalarField.from_function(grid3, g_fn3), box3)
+    err3 = float(np.max(np.abs(u3.values - ScalarField.from_function(grid3, u_fn3).values)))
+    elapsed = time.perf_counter() - t0
+    assert rep3.converged and err3 <= 1e-9
     ok = elapsed <= 60.0
     assert report(ok, "criterion 6: quadratic exactness",
-                  f"n=1 err {err1:.1e}, n=2 9^4 err {err2:.1e} in {elapsed:.1f}s")
+                  f"n=1 err {err1:.1e}, n=2 9^4 err {err2:.1e}, n=3 7^6 err {err3:.1e} "
+                  f"in {elapsed:.1f}s")
 
 
 def test_criterion_7_convergence_order():

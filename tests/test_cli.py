@@ -225,8 +225,8 @@ class TestNumericalFailure:
     def break_linear_solve(monkeypatch):
         from envma import solver
 
-        monkeypatch.setattr(solver._PolicyEvaluator, "solve",
-                            lambda self, A, b, x0: np.full(len(b), np.nan))
+        monkeypatch.setattr(solver, "_evaluate_policy",
+                            lambda grid, A, b, *args: np.full(len(b), np.nan))
 
     def test_solve_linear_failure_exits_5(self, tmp_path, capsys, monkeypatch):
         self.break_linear_solve(monkeypatch)
@@ -287,15 +287,16 @@ refinements = 9,17,33
         assert code == 2
         assert "built-in" in err
 
-    def test_bad_linear_solver_is_config_error(self, tmp_path, capsys):
-        cfg = write(tmp_path / "c.cfg", QUAD_CFG.replace("g = constant:2", "g = quadratic")
-                    + "linearSolver = funky\nrefinements = 9,17\n")
-        code, out, err = run_main(capsys, ["convergence", "--config", cfg,
-                                           "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert err.startswith("config error: ") and "funky" in err
-        assert "Traceback" not in err
-        assert out == ""
+    def test_linear_solver_key_is_config_error(self, tmp_path, capsys):
+        # the frozen-policy solve has one path; the key that chose one is gone
+        for value in ("direct", "gauss_seidel"):
+            cfg = write(tmp_path / "c.cfg", QUAD_CFG.replace("g = constant:2", "g = quadratic")
+                        + f"linearSolver = {value}\nrefinements = 9,17\n")
+            code, out, err = run_main(capsys, ["convergence", "--config", cfg,
+                                               "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert err == "config error: unknown config keys: linearSolver\n"
+            assert out == ""
 
     def test_too_coarse_refinement_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", QUAD_CFG.replace("g = constant:2", "g = quadratic")

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from envma import matrixcore as mc
@@ -297,25 +296,12 @@ class TestPolicyIteration:
         assert np.isfinite(report.final_residual)
         assert policy is not None
 
-    def test_gauss_seidel_matches_direct(self):
-        grid = make_grid_1(9)
-        boundary = ScalarField.constant(grid, 0.0)
-        g = ScalarField.constant(grid, 1.0)
-        box = ThetaBox(0.5, 1)
-        ud, _, _ = solve_dirichlet(grid, boundary, g, box)
-        ug, _, rep = solve_dirichlet(grid, boundary, g, box,
-                                     linear_solver="gauss_seidel")
-        assert rep.converged
-        assert np.max(np.abs(ud.values - ug.values)) < 1e-9
-
     def test_input_validation(self):
         grid = make_grid_1(9)
         boundary = ScalarField.constant(grid, 0.0)
         g = ScalarField.constant(grid, 1.0)
         with pytest.raises(ValueError):
             solve_dirichlet(grid, boundary, g, ThetaBox(0.5, 1), tol=0.0)
-        with pytest.raises(ValueError):
-            solve_dirichlet(grid, boundary, g, ThetaBox(0.5, 1), linear_solver="funky")
         bad = ScalarField.constant(grid, np.nan)
         with pytest.raises(ValueError):
             solve_dirichlet(grid, bad, g, ThetaBox(0.5, 1))
@@ -375,15 +361,15 @@ class TestHowardLoop:
 
     def test_residual_is_of_best_not_last_iterate(self, monkeypatch):
         # spoil the second policy evaluation, so the last iterate is worse
-        exact = solver._PolicyEvaluator.solve
+        exact = solver._evaluate_policy
         calls = []
 
-        def spoiled(self, A, b, x0):
+        def spoiled(*args):
             calls.append(1)
-            x = exact(self, A, b, x0)
+            x = exact(*args)
             return x + 0.1 if len(calls) == 2 else x
 
-        monkeypatch.setattr(solver._PolicyEvaluator, "solve", spoiled)
+        monkeypatch.setattr(solver, "_evaluate_policy", spoiled)
         grid = make_grid_1(9)
         g = ScalarField.constant(grid, 1.0)
         box = ThetaBox(0.5, 1)
@@ -394,108 +380,70 @@ class TestHowardLoop:
 
 
 def frozen_system(theta, seed=0, n=2, P=7):
-    """Frozen-policy system of the certificates of a random grid function."""
+    """Frozen-policy system of the certificates of a random grid function:
+    (grid, slopes, A, b)."""
     grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
     u = ScalarField(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
     cert = envelope_batch(hessian_stack(u).reshape(-1, 2 * n, 2 * n), ThetaBox(theta, n))
-    return solver._assemble(grid, cert.slope_matrix, -cert.intercept, u.values)
+    A, b = solver._assemble(grid, cert.slope_matrix, -cert.intercept, u.values)
+    return grid, cert.slope_matrix, A, b
 
 
 class TestPolicyEvaluation:
-    """One sparse LU per solve, reused as the GMRES preconditioner while the
-    answer meets 1e-2 * tol, refactored otherwise."""
+    """GMRES preconditioned by the sine-basis inverse of the axis-weighted
+    Laplacian, run until max|A x - b| meets max(1e-2 tol, 8 eps max(|A||x| + |b|))."""
+
+    def test_preconditioner_inverts_constant_diagonal_operator(self):
+        # unequal spans and weights per axis: a spacing or weight paired
+        # with the wrong axis leaves the product far from the identity
+        rng = np.random.default_rng(5)
+        for grid in (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
+                     GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 6)):
+            d = grid.dim
+            N = (grid.points_per_axis - 2) ** d
+            c = rng.uniform(0.5, 2.0, d)
+            slopes = np.broadcast_to(np.diag(c), (N, d, d))
+            A, _ = solver._assemble(grid, slopes, np.zeros(N), np.zeros(grid.shape))
+            x = rng.uniform(-1.0, 1.0, N)
+            y = solver._laplacian_inverse(grid, c) @ (A @ x)
+            assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
 
     @staticmethod
-    def count_splu(monkeypatch):
-        exact = spla.splu
-        calls = []
+    def check_matches_direct_solve(theta):
+        tol = 1e-10
+        grid, slopes, A, b = frozen_system(theta)
+        x = solver._evaluate_policy(grid, A, b, np.zeros(len(b)), slopes, tol)
+        ref = spla.spsolve(A.tocsc(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        floor = 8 * np.finfo(float).eps * np.max(abs(A) @ np.abs(x) + np.abs(b))
+        assert np.max(np.abs(A @ x - b)) <= max(1e-2 * tol, floor)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return exact(*args, **kwargs)
+    def test_matches_direct_solve_near_laplacian(self):
+        # small theta: the frozen operator is close to the preconditioner's
+        self.check_matches_direct_solve(0.05)
 
-        monkeypatch.setattr(spla, "splu", counted)
-        return calls
+    def test_matches_direct_solve_far_from_laplacian(self):
+        # large theta: strongly anisotropic policies with cross terms
+        self.check_matches_direct_solve(0.4)
 
-    @staticmethod
-    def count_gmres(monkeypatch):
-        exact = spla.gmres
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return exact(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "gmres", counted)
-        return calls
-
-    def test_one_factorization_per_solve(self, monkeypatch):
-        calls = self.count_splu(monkeypatch)
-        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
-        u_fn, g_fn = builtin_solution("quartic_radial", 2)
-        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
-                                       ThetaBox(0.4, 2))
-        assert report.converged and report.iterations >= 2
-        assert len(calls) == 1
-
-    def test_close_stale_factor_is_reused(self, monkeypatch):
-        A_stale, _ = frozen_system(0.401)
-        A, b = frozen_system(0.4)
-        evaluator = solver._PolicyEvaluator(1e-10)
-        stale = evaluator.lu = spla.splu(A_stale.tocsc())
-        calls = self.count_splu(monkeypatch)
-        x = evaluator.solve(A, b, np.zeros(len(b)))
-        assert calls == [] and evaluator.lu is stale
-        assert np.max(np.abs(A @ x - b)) <= 1e-12
-
-    def test_useless_stale_factor_is_replaced(self, monkeypatch):
-        A_stale, _ = frozen_system(0.5)
-        A, b = frozen_system(0.05)
-        fresh = spla.splu(A.tocsc()).solve(b)
-        evaluator = solver._PolicyEvaluator(1e-10)
-        stale = evaluator.lu = spla.splu(A_stale.tocsc())
-        calls = self.count_splu(monkeypatch)
-        x = evaluator.solve(A, b, np.zeros(len(b)))
-        assert len(calls) == 1 and evaluator.lu is not stale
-        assert np.max(np.abs(x - fresh)) <= 1e-12 * np.max(np.abs(fresh))
-
-    def test_tol_below_roundoff_refactors_every_iteration(self, monkeypatch):
-        exact_splu = spla.splu
-        exact_solve = solver._PolicyEvaluator.solve
-        evaluations = []
-
-        def recorded(self, A, b, x0):
-            x = exact_solve(self, A, b, x0)
-            evaluations.append((A, b, x))
-            return x
-
-        monkeypatch.setattr(solver._PolicyEvaluator, "solve", recorded)
-        calls = self.count_splu(monkeypatch)
-        krylov = self.count_gmres(monkeypatch)
-        grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 17)
+    def test_tol_below_roundoff_ends_at_max_iter(self):
+        # 1e-2 * tol lies far below round-off; each evaluation stops at the
+        # round-off floor of A x - b instead of failing, so Howard runs to max_iter
+        grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 33)
         u_fn, g_fn = builtin_solution("quartic_radial", 1)
         _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
                                        ThetaBox(0.0625, 1), max_iter=3, tol=1e-30)
         assert not report.converged and report.iterations == 3
-        assert len(calls) == len(evaluations) == 3
-        # each direct solve already misses the target, so no Krylov cycle is tried
-        assert krylov == []
-        for A, b, x in evaluations:
-            fresh = exact_splu(A.tocsc()).solve(b)
-            assert np.max(np.abs(x - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+    def test_zero_boundary_fine_grid_converges(self):
+        # with zero boundary data b is small, while the round-off of A x - b
+        # grows like |S| / h^2; a floor taken from |b| alone lies below it
+        grid = make_grid_1(129)
+        _, _, report = solve_dirichlet(grid, ScalarField.constant(grid, 0.0),
+                                       ScalarField.constant(grid, 2.0), ThetaBox(0.5, 1))
+        assert report.converged
 
     def test_singular_matrix_raises(self, monkeypatch):
-        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        b = np.array([1.0, 0.0])
-        with pytest.raises(RuntimeError, match="singular"):
-            solver._PolicyEvaluator(1e-10).solve(A, b, np.zeros(2))
-        # with a stale factor: the Krylov answer fails, the refactor raises
-        evaluator = solver._PolicyEvaluator(1e-10)
-        evaluator.lu = spla.splu(sp.identity(2, format="csc"))
-        with pytest.raises(RuntimeError, match="singular"):
-            evaluator.solve(A, b, np.zeros(2))
-        assert evaluator.lu is None
-        # solve_dirichlet maps SuperLU's error to LinearSolveFailure
         assemble = solver._assemble
 
         def singular(*args):
@@ -507,7 +455,7 @@ class TestPolicyEvaluation:
         monkeypatch.setattr(solver, "_assemble", singular)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 5)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
-        with pytest.raises(LinearSolveFailure, match="singular"):
+        with pytest.raises(LinearSolveFailure, match="GMRES"):
             solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
 
 
