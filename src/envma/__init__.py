@@ -31,35 +31,20 @@ from .matrixcore import (
     spectral_norm,
     trace_inner,
 )
-
-# The solver needs scipy.  Its names resolve on first use (PEP 562), so
-# evaluating and verifying the envelope never imports scipy.
-_SOLVER_NAMES = (
-    "ConvergenceRow",
-    "GridSpec",
-    "MembershipReport",
-    "PolicyField",
-    "ScalarField",
-    "SolveReport",
-    "builtin_solution",
-    "check_premises",
-    "convergence_study",
-    "discrete_hessian",
-    "residual_field",
-    "solve_dirichlet",
+from .solver import (
+    ConvergenceRow,
+    GridSpec,
+    MembershipReport,
+    PolicyField,
+    ScalarField,
+    SolveReport,
+    builtin_solution,
+    check_premises,
+    convergence_study,
+    discrete_hessian,
+    residual_field,
+    solve_dirichlet,
 )
-
-
-def __getattr__(name):
-    if name in _SOLVER_NAMES:
-        from . import solver
-        return getattr(solver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SOLVER_NAMES))
-
 
 __version__ = "0.1.0"
 
@@ -87,6 +72,17 @@ __all__ = [
     "project",
     "spectral_norm",
     "trace_inner",
-    *_SOLVER_NAMES,
+    "ConvergenceRow",
+    "GridSpec",
+    "MembershipReport",
+    "PolicyField",
+    "ScalarField",
+    "SolveReport",
+    "builtin_solution",
+    "check_premises",
+    "convergence_study",
+    "discrete_hessian",
+    "residual_field",
+    "solve_dirichlet",
     "__version__",
 ]

@@ -6,9 +6,7 @@ validation failure; 4 policy iteration hit its iteration cap (artifacts are
 still written); 5 numerical failure (a frozen-policy linear solve failed or
 an exact evaluation found no solution), reported as one `error:` line.  All
 floating-point output uses 17 significant digits so fixed seeds give
-byte-identical output.  Everything runs in one process; ENVMA_THREADS is
-accepted and has no effect.  Only solve and convergence import the solver
-and with it scipy; eval, conjugate and verify need numpy alone.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,12 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import matio
 from . import matrixcore as mc
+from . import solver as sv
 from .envelope import (
     ThetaBox,
     conjugate_maximizer,
@@ -29,9 +27,6 @@ from .envelope import (
     verify_envelope,
 )
 from .errors import LinearSolveFailure, NoConvergence, NotPositiveDefinite, ParseError
-
-if TYPE_CHECKING:
-    from . import solver as sv
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -137,7 +132,6 @@ _CONFIG_KEYS = {
 
 def _field_from_spec(spec: str, grid: sv.GridSpec, role: str) -> sv.ScalarField:
     """Field from a config value: built-in name, constant:<v>, or file:<path>."""
-    from . import solver as sv
     if spec.startswith("constant:"):
         try:
             return sv.ScalarField.constant(grid, float(spec.split(":", 1)[1]))
@@ -157,7 +151,6 @@ def _field_from_spec(spec: str, grid: sv.GridSpec, role: str) -> sv.ScalarField:
 
 
 def _load_problem(path: str):
-    from . import solver as sv
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = matio.ConfigView(matio.parse_config(fh.read()), _CONFIG_KEYS)
@@ -194,7 +187,6 @@ def _load_problem(path: str):
 
 
 def cmd_solve(args) -> int:
-    from . import solver as sv
     try:
         _, grid, box, boundary, g, kwargs, _ = _load_problem(args.config)
     except ParseError as exc:
@@ -218,7 +210,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    from . import solver as sv
     try:
         cfg, grid, box, _, _, kwargs, bnd_spec = _load_problem(args.config)
         refinements = cfg.get_ints("refinements")
@@ -232,9 +223,13 @@ def cmd_convergence(args) -> int:
     def make_problem(P):
         g2 = sv.GridSpec(grid.n, grid.lo, grid.hi, P)
         u_fn, g_fn = sv.builtin_solution(bnd_spec, grid.n)
-        return (g2, sv.ScalarField.from_function(g2, u_fn),
-                sv.ScalarField.from_function(g2, g_fn), box,
-                sv.ScalarField.from_function(g2, u_fn), kwargs)
+        exact = sv.ScalarField.from_function(g2, u_fn)
+        outside = sv.check_premises(exact, box.theta, box.hi).outside_tangency
+        if outside:
+            print(f"warning: refinement {P}: the exact u leaves the tangency region at {outside} "
+                  f"of {(P - 2) ** g2.dim} interior points, where g is not Ftilde(D^2 u)",
+                  file=sys.stderr)
+        return (g2, exact, sv.ScalarField.from_function(g2, g_fn), box, exact, kwargs)
 
     try:
         rows = sv.convergence_study(make_problem, refinements)

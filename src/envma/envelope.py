@@ -111,14 +111,6 @@ class EnvelopeCertificate:
     inner_max: np.ndarray
 
 
-def _geomean(vals) -> float:
-    return mc.geometric_mean(vals)
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(max(v, lo), hi)
-
-
 def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
     """Minimal feasible intercept g(p) and the box point attaining it.
 
@@ -161,13 +153,13 @@ def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
             t = float(np.exp(logC / (n - f)))
             if not (a * (1.0 - _REL_TOL) <= t <= b * (1.0 + _REL_TOL)):
                 continue
-        sol_t = _clamp(t, a, b)
+        sol_t = min(max(t, a), b)
         break
     if sol_t is None:
         # the monotone fixed point always exists; not reaching it is a bug
         raise NoConvergence(f"no conjugate fixed point for p={p}, theta={th}")
     x = np.clip(sol_t / (n * p), th, hi)
-    t = _geomean(x)
+    t = mc.geometric_mean(x)
     g = t - float(p @ x)
     # exact stationarity/rail check; concavity makes it sufficient
     grad = t / (n * x) - p

@@ -8,19 +8,20 @@ freezing the policy leaves the linear uniformly elliptic equation
 
     tr(S(x) D^2 u(x)) + c(x) = g(x),
 
-solved with Dirichlet data by GMRES, preconditioned by the exact inverse of
-an axis-weighted Laplacian applied in the tensor sine basis; the two steps
-alternate until the max-norm residual of the nonlinear equation meets the
-tolerance.  All certificates of one iterate come from a single
+solved with Dirichlet data by restarted GMRES, preconditioned by the exact
+inverse of an axis-weighted Laplacian applied in the tensor sine basis; the
+two steps alternate until the max-norm residual of the nonlinear equation
+meets the tolerance.  All certificates of one iterate come from a single
 `envelope_batch` call on the stacked Hessians, whose values are also the
 residual, so each Hessian is evaluated once.
 
-The discrete Hessian D^2_h is written down once, as a sparse difference
-operator per grid (`_hessian_operator`): centered second differences on the
-diagonal, products of centered first differences (the 4-point cross
-stencil) off it, exact for quadratics.  The Hessians are that operator
-applied to the grid values, and the frozen-policy matrix is the slope-
-weighted sum of its rows; coefficients that vanish are not stored.
+The discrete Hessian D^2_h is written down once, as symmetric (shift, weight)
+stencil terms per Hessian entry (`_hessian_stencil`): centered second
+differences on the diagonal, products of centered first differences (the
+4-point cross stencil) off it, exact for quadratics.  The Hessians are those
+terms applied to shifted slices of the grid values, and the frozen-policy
+operator folds them, weighted by the slopes, into one coefficient field per
+distinct shift, applied matrix-free (`_StencilOperator`).  Everything is numpy.
 """
 
 from __future__ import annotations
@@ -31,18 +32,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import matrixcore as mc
-from .envelope import ThetaBox, envelope_batch
+from .envelope import ThetaBox, envelope_batch, tangent_in_box
 from .errors import LinearSolveFailure
-
-# a slope entry at most this times the largest |S_ab| of its point is
-# round-off of the certificate's eigenbasis (up to ~6e-15 relative on railed
-# n=2 policies, where genuine entries are 6e-3 relative and more)
-_SLOPE_ROUNDOFF = 64 * np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -112,10 +105,7 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(value)))
 
     def interior(self) -> tuple:
-        return tuple(slice(1, -1) for _ in range(self.grid.dim))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
+        return (slice(1, -1),) * self.grid.dim
 
 
 @dataclass
@@ -183,73 +173,46 @@ def discrete_hessian(u: ScalarField, idx) -> np.ndarray:
 
 
 def hessian_stack(u: ScalarField) -> np.ndarray:
-    """Discrete Hessians at all interior points: `_hessian_operator` applied
-    to the grid values.
+    """Discrete Hessians at all interior points: each entry's terms of
+    `_hessian_stencil` applied to the grid values.
 
     Returns an array of shape interior_shape + (d, d) in lexicographic
     interior order.
     """
-    grid = u.grid
-    d = grid.dim
-    op_int, op_bnd = _hessian_operator(grid)
-    inside = _interior_mask(grid)
-    v = u.values.reshape(-1)
-    upper = (op_int @ v[inside] + op_bnd @ v[~inside]).reshape(-1, op_int.shape[1])
-    H = np.empty((op_int.shape[1], d, d))
-    a, b = np.triu_indices(d)
-    H[:, a, b] = H[:, b, a] = upper.T
-    return H.reshape(tuple(s - 2 for s in grid.shape) + (d, d))
+    d = u.grid.dim
+    H = np.empty((u.values[u.interior()].size, d, d))
+    for (a, b), terms in _hessian_stencil(u.grid).items():
+        H[:, a, b] = H[:, b, a] = _StencilOperator(u.grid, *zip(*terms)).apply(u.values)
+    return H.reshape(tuple(s - 2 for s in u.grid.shape) + (d, d))
 
 
-def _interior_mask(grid: GridSpec) -> np.ndarray:
-    """Flat (lexicographic) mask of the interior points of the grid."""
-    inside = np.zeros(grid.shape, dtype=bool)
-    inside[tuple(slice(1, -1) for _ in range(grid.dim))] = True
-    return inside.reshape(-1)
+def _hessian_stencil(grid: GridSpec) -> dict:
+    """The discrete Hessian D^2_h as (shift, weight) terms per entry.
 
-
-@functools.lru_cache(maxsize=8)
-def _hessian_operator(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The discrete Hessian D^2_h as one sparse map, split by columns.
-
-    Row e * N + k holds the upper-triangle entry (a, b) = triu_indices(d)[e]
-    of D^2_h u at interior point k (N interior points, lexicographic).
-    Diagonal entries are centered second differences; off-diagonal entries
-    are products of centered first differences, the 4-point cross stencil.
-    Both are exact for quadratics.  Returns (op_int, op_bnd), whose columns
-    are the interior values and the boundary values of u, each in
-    lexicographic order, so D^2_h u = op_int @ u[inside] + op_bnd @ u[~inside].
+    Entry (a, b), a <= b, of D^2_h u at an interior point is the sum of
+    weight * (u[+shift] + u[-shift]) over terms[a, b], u[+-shift] lying
+    shift places after and before the point in the flat grid array: centered
+    second differences on the diagonal, products of centered first
+    differences (the 4-point cross stencil) off it, exact for quadratics.
     """
     d, h = grid.dim, grid.spacing
-    inside = _interior_mask(grid)
-    points = np.flatnonzero(inside)
-    N = len(points)
-    column = np.empty(inside.size, dtype=np.int64)
-    column[inside] = np.arange(N)
-    column[~inside] = np.arange(inside.size - N)
     strides = [grid.points_per_axis ** (d - 1 - a) for a in range(d)]
-    second = ((-1, 1.0), (0, -2.0), (1, 1.0))
-    first = ((-1, -0.5), (1, 0.5))
-    rows, targets, vals = [], [], []
-    for e, (a, b) in enumerate(zip(*np.triu_indices(d))):
+    terms = {}
+    for a, b in zip(*np.triu_indices(d)):
         if a == b:
-            terms = [(s * strides[a], w / h[a] ** 2) for s, w in second]
+            terms[a, b] = [(0, -1.0 / h[a] ** 2), (strides[a], 1.0 / h[a] ** 2)]
         else:
-            terms = [(sa * strides[a] + sb * strides[b], (wa / h[a]) * (wb / h[b]))
-                     for sa, wa in first for sb, wb in first]
-        for shift, w in terms:
-            rows.append(np.arange(e * N, (e + 1) * N))
-            targets.append(points + shift)
-            vals.append(np.full(N, w))
-    rows, targets, vals = (np.concatenate(x) for x in (rows, targets, vals))
-    n_rows = d * (d + 1) // 2 * N
-    to_inside = inside[targets]
+            terms[a, b] = [(strides[a] + sb * strides[b], (0.5 / h[a]) * (sb * 0.5 / h[b]))
+                           for sb in (1, -1)]
+    return terms
 
-    def part(keep, n_cols):
-        return sp.csr_matrix((vals[keep], (rows[keep], column[targets[keep]])),
-                             shape=(n_rows, n_cols))
 
-    return part(to_inside, N), part(~to_inside, inside.size - N)
+def _span(grid: GridSpec) -> tuple[int, int]:
+    """Flat indices [lo, hi) from the first interior point to the last: a
+    stencil shift keeps them all on the grid, so each stencil term is one
+    product of contiguous slices (results at boundary points are dropped)."""
+    lo = sum(grid.points_per_axis ** a for a in range(grid.dim))
+    return lo, grid.points_per_axis ** grid.dim - lo
 
 
 def _residual_of(u: ScalarField, g: ScalarField, values: np.ndarray) -> ScalarField:
@@ -268,32 +231,59 @@ def residual_field(u: ScalarField, g: ScalarField, box: ThetaBox) -> ScalarField
     return _residual_of(u, g, envelope_batch(hessian_stack(u).reshape(-1, d, d), box).value)
 
 
-def _assemble(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
-              boundary_values: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sparse system A x = b for tr(S(x) D^2_h u) = rhs(x) with Dirichlet data.
+@dataclass(frozen=True)
+class _StencilOperator:
+    """Matrix-free x -> sum_k coeffs[k] * (x^[+shifts[k]] + x^[-shifts[k]])
+    at the interior points (shifts as in `_hessian_stencil`), where x^ is x
+    padded with a zero boundary layer and coeffs[k] runs over the span of
+    the grid (see `_span`)."""
+
+    grid: GridSpec
+    shifts: tuple
+    coeffs: np.ndarray   # (len(shifts), hi - lo), or one number per shift
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """The operator on a full grid array, boundary layer included."""
+        lo, hi = _span(self.grid)
+        values = values.reshape(-1)
+        out = np.zeros(self.grid.shape)
+        span = out.reshape(-1)[lo:hi]
+        for shift, c in zip(self.shifts, self.coeffs):
+            span += c * (values[lo + shift:hi + shift] + values[lo - shift:hi - shift])
+        return out[(slice(1, -1),) * self.grid.dim].reshape(-1)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        padded = np.zeros(self.grid.shape)
+        padded[(slice(1, -1),) * self.grid.dim] = x.reshape(tuple(s - 2 for s in self.grid.shape))
+        return self.apply(padded)
+
+    def __abs__(self) -> "_StencilOperator":
+        return _StencilOperator(self.grid, self.shifts, np.abs(self.coeffs))
+
+
+def _frozen_policy(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
+                   boundary_values: np.ndarray) -> tuple[_StencilOperator, np.ndarray]:
+    """System A x = b for tr(S(x) D^2_h u) = rhs(x) with Dirichlet data.
 
     tr(S H) = sum over a <= b of w_ab S_ab H_ab, with w = 1 on the diagonal
-    and 2 off it.  W places diag(w_ab S_ab) side by side, one block per row
-    block of the Hessian operator, so tr(S D^2_h u) = W @ (op_int @ x +
-    op_bnd @ boundary): A = W @ op_int and the boundary term moves to b.
-    A slope entry of round-off size next to the largest entry of its point
-    (see _SLOPE_ROUNDOFF) counts as zero, so it stores no coefficient and
-    the sparsity pattern follows the policy, not round-off.
+    and 2 off it, so each term (shift, weight) of entry (a, b) of
+    `_hessian_stencil` adds w_ab S_ab * weight to the field of its shift (17
+    distinct shifts at d = 4).  A applies them to the interior values; the
+    same sum over the boundary values moves to b.  Each entry of A is one field
+    at one point (twice it at shift 0), so |A| is the fields' absolute values.
     """
-    op_int, op_bnd = _hessian_operator(grid)
-    n_int = op_int.shape[1]
-    a, b = np.triu_indices(grid.dim)
-    entries = slopes[:, a, b]
-    scale = np.max(np.abs(slopes), axis=(1, 2))[:, np.newaxis]
-    entries = np.where(np.abs(entries) <= _SLOPE_ROUNDOFF * scale, 0.0, entries)
-    weights = np.where(a == b, 1.0, 2.0) * entries
-    columns = np.arange(n_int)[:, None] + n_int * np.arange(len(a))
-    W = sp.csr_matrix((weights.ravel(), columns.ravel(), np.arange(0, weights.size + 1, len(a))),
-                      shape=(n_int, op_int.shape[0]))
-    A = W @ op_int
-    A.eliminate_zeros()   # vanishing slope entries store no coefficient
-    boundary = boundary_values.reshape(-1)[~_interior_mask(grid)]
-    return A, rhs - W @ (op_bnd @ boundary)
+    S = slopes.reshape(tuple(s - 2 for s in grid.shape) + slopes.shape[1:])
+    fields = {}
+    for (a, b), terms in _hessian_stencil(grid).items():
+        for shift, weight in terms:
+            c = (1.0 if a == b else 2.0) * S[..., a, b] * weight
+            fields[shift] = fields[shift] + c if shift in fields else c
+    coeffs = np.pad(np.stack(list(fields.values())), [(0, 0)] + [(1, 1)] * grid.dim)
+    lo, hi = _span(grid)
+    A = _StencilOperator(grid, tuple(fields), coeffs.reshape(len(fields), -1)[:, lo:hi])
+    boundary = boundary_values.copy()
+    boundary[(slice(1, -1),) * grid.dim] = 0.0
+    return A, rhs - A.apply(boundary)
 
 
 # one GMRES cycle is this many steps; an evaluation that has not met its
@@ -318,7 +308,7 @@ def _sine_basis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return phi, eigs
 
 
-def _laplacian_inverse(grid: GridSpec, weights: np.ndarray) -> spla.LinearOperator:
+def _laplacian_inverse(grid: GridSpec, weights: np.ndarray):
     """Exact inverse of the Dirichlet operator sum_a weights[a] * D^2_{h,a}.
 
     The operator is diagonal in the tensor sine basis, with eigenvalues
@@ -337,13 +327,35 @@ def _laplacian_inverse(grid: GridSpec, weights: np.ndarray) -> spla.LinearOperat
             v = np.tensordot(phi, v, axes=(1, -1))
         return v
 
-    def apply(r):
-        return transform(transform(r.reshape(lam.shape)) / lam).reshape(-1)
-
-    return spla.LinearOperator((lam.size, lam.size), matvec=apply, dtype=float)
+    return lambda r: transform(transform(r.reshape(lam.shape)) / lam).reshape(-1)
 
 
-def _evaluate_policy(grid: GridSpec, A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
+def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, precondition) -> np.ndarray:
+    """One cycle of left-preconditioned GMRES(_GMRES_RESTART) from x (Saad
+    and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): modified Gram-Schmidt
+    Arnoldi on M A from M (b - A x), then x + V y minimizing |M (b - A .)|
+    over the Krylov space; it ends early if that space is invariant."""
+    r = precondition(b - A @ x)
+    beta = np.linalg.norm(r)
+    if not beta > 0.0:   # exact already, or non-finite: left to the caller's check
+        return x
+    V = np.empty((_GMRES_RESTART + 1, len(b)))
+    H = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART))
+    V[0] = r / beta
+    for k in range(1, _GMRES_RESTART + 1):   # k basis vectors in use
+        w = precondition(A @ V[k - 1])
+        for i in range(k):
+            H[i, k - 1] = V[i] @ w
+            w -= H[i, k - 1] * V[i]
+        H[k, k - 1] = np.linalg.norm(w)
+        if H[k, k - 1] <= np.finfo(float).eps * np.linalg.norm(H[:k + 1, k - 1]):   # |w| before
+            break
+        V[k] = w / H[k, k - 1]
+    y = np.linalg.lstsq(H[:k + 1, :k], beta * np.eye(k + 1)[0], rcond=None)[0]
+    return x + y @ V[:k]
+
+
+def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.ndarray,
                      slopes: np.ndarray, tol: float) -> np.ndarray:
     """Solve the frozen-policy system A x = b by preconditioned GMRES.
 
@@ -363,10 +375,8 @@ def _evaluate_policy(grid: GridSpec, A: sp.csr_matrix, b: np.ndarray, x0: np.nda
         return max(1e-2 * tol, 8.0 * np.finfo(float).eps * float(np.max(abs_A @ np.abs(x) + abs_b)))
 
     x = x0
-    target = target_at(x)
     for _ in range(_MAX_GMRES_CYCLES):
-        x, _ = spla.gmres(A, b, x0=x, rtol=0.0, atol=target,
-                          restart=_GMRES_RESTART, maxiter=1, M=M)
+        x = _gmres_cycle(A, b, x, M)
         residual = float(np.max(np.abs(A @ x - b)))
         target = target_at(x)
         if residual <= target:
@@ -408,7 +418,7 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     for it in range(1, max_iter + 1):
         policy = PolicyField(grid, cert.slope_matrix, cert.intercept, cert.slope_eigs)
         rhs = g.values[core].reshape(-1) - cert.intercept
-        A, b = _assemble(grid, cert.slope_matrix, rhs, boundary.values)
+        A, b = _frozen_policy(grid, cert.slope_matrix, rhs, boundary.values)
         x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), cert.slope_matrix, tol)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
@@ -466,6 +476,7 @@ class MembershipReport:
     fraction_in_box: float
     min_eig: float
     max_eig: float
+    outside_tangency: int
 
 
 def check_premises(u: ScalarField, lam: float, Lam: float,
@@ -473,15 +484,19 @@ def check_premises(u: ScalarField, lam: float, Lam: float,
     """Box membership of the discrete Hessian field.
 
     For theta = min(lambda, 1/Lambda), reports the fraction of interior
-    points whose Hessian projection has spectrum in [theta, 1/theta], and
-    the extremal projected eigenvalues over the grid.
+    points whose Hessian projection has spectrum in [theta, 1/theta], the
+    extremal projected eigenvalues over the grid, and the number of points
+    outside the tangency region, where that spectrum or the tangent slope of
+    F leaves the box, so that F(D^2_h u) need not be Ftilde(D^2_h u).
     """
     theta = mc.admissible_theta(lam, Lam)
     d = u.grid.dim
     mu = mc.hermitian_eigs_stack(hessian_stack(u).reshape(-1, d, d))
     inside = (mu[:, 0] >= theta - tol) & (mu[:, -1] <= 1.0 / theta + tol)
-    return MembershipReport(theta, float(np.mean(inside)),
-                            float(np.min(mu[:, 0])), float(np.max(mu[:, -1])))
+    tangent = inside.copy()
+    tangent[inside] = tangent_in_box(mu[inside], ThetaBox(theta, u.grid.n))
+    return MembershipReport(theta, float(np.mean(inside)), float(np.min(mu[:, 0])),
+                            float(np.max(mu[:, -1])), int(np.sum(~tangent)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
+import envma
+from envma import envelope, solver
 from envma.cli import main
 
 QUAD_CFG = """\
@@ -223,8 +224,6 @@ class TestNumericalFailure:
 
     @staticmethod
     def break_linear_solve(monkeypatch):
-        from envma import solver
-
         monkeypatch.setattr(solver, "_evaluate_policy",
                             lambda grid, A, b, *args: np.full(len(b), np.nan))
 
@@ -249,8 +248,6 @@ class TestNumericalFailure:
         assert err.count("\n") == 1
 
     def test_no_convergence_exits_5(self, tmp_path, capsys, monkeypatch):
-        from envma import envelope
-
         monkeypatch.setattr(envelope, "_rail_states", lambda box, k_lo, k_hi: iter(()))
         cfg = write(tmp_path / "p.cfg", QUAD_CFG)
         code, _, err = run_main(capsys, ["solve", "--config", cfg,
@@ -279,6 +276,47 @@ refinements = 9,17,33
         assert len(lines) == 4
         orders = [float(ln.split(",")[3]) for ln in lines[2:]]
         assert all(o >= 1.8 for o in orders)
+
+    def test_warns_outside_tangency_region(self, tmp_path, capsys):
+        # n = 2 on [1, 2]^4 at theta = 1/16: D^2 u leaves the box where
+        # |x|^2 > 8, so the study warns per refinement and still writes its table
+        cfg = write(tmp_path / "c.cfg", """\
+n = 2
+lo = 1,1,1,1
+hi = 2,2,2,2
+pointsPerAxis = 5
+theta = 0.0625
+boundary = quartic_radial
+g = quartic_radial
+refinements = 5,7
+""")
+        code, out, err = run_main(capsys, ["convergence", "--config", cfg,
+                                           "--out", str(tmp_path / "o")])
+        assert code == 0 and len(out.splitlines()) == 3
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line, (P, m) in zip(lines, ((5, 3), (7, 5))):
+            assert line.startswith(f"warning: refinement {P}: the exact u leaves the tangency")
+            assert f" of {m ** 4} interior points" in line
+
+    def test_no_warning_inside_tangency_region(self, tmp_path, capsys):
+        # the n = 1 study on [1, 2]^2 at theta = 1/16 stays in the region
+        cfg = write(tmp_path / "c.cfg", """\
+n = 1
+lo = 1,1
+hi = 2,2
+pointsPerAxis = 17
+theta = 0.0625
+boundary = quartic_radial
+g = quartic_radial
+maxIter = 100
+tol = 1e-10
+refinements = 17,33,65
+""")
+        code, out, err = run_main(capsys, ["convergence", "--config", cfg,
+                                           "--out", str(tmp_path / "o")])
+        assert code == 0 and len(out.splitlines()) == 4
+        assert err == ""
 
     def test_requires_builtin(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", ITER_CFG + "refinements = 9,17\n")
@@ -342,42 +380,35 @@ class TestDeterminism:
         assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
 
-LOADED_SCIPY = """\
+BLOCKED_SCIPY = """\
 import sys
+sys.modules["scipy"] = None   # every import of scipy now raises ImportError
 from envma.cli import main
 code = main(sys.argv[1:])
-print("scipy:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-import envma
-envma.solve_dirichlet
-print("scipy after solve_dirichlet:", "scipy.sparse.linalg" in sys.modules)
+print("scipy:", sorted(m for m, mod in sys.modules.items()
+                       if m.split(".")[0] == "scipy" and mod is not None))
 sys.exit(code)
 """
 
 
 class TestImports:
-    """eval, conjugate and verify need numpy alone; the solver, and with it
-    scipy, is imported on first use of a solver name."""
+    """envma needs numpy alone."""
 
-    def run_fresh(self, args):
-        proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, *args],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-2:]
-
-    def test_eval_conjugate_verify_import_no_scipy(self, tmp_path):
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
         mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")
+        cfg = write(tmp_path / "p.cfg", QUAD_CFG)
+        study = write(tmp_path / "c.cfg", QUAD_CFG.replace("g = constant:2", "g = quadratic")
+                      + "refinements = 9,17\n")
         for args in (["eval", "--matrix", mat, "--theta", "0.5"],
                      ["conjugate", "--p", "1,1", "--theta", "0.5"],
-                     ["verify", "--theta", "0.5", "--n", "2", "--samples", "20", "--seed", "3"]):
-            assert self.run_fresh(args) == ["scipy: []", "scipy after solve_dirichlet: True"]
+                     ["verify", "--theta", "0.5", "--n", "2", "--samples", "20", "--seed", "3"],
+                     ["solve", "--config", cfg, "--out", str(tmp_path / "s")],
+                     ["convergence", "--config", study, "--out", str(tmp_path / "c")]):
+            proc = subprocess.run([sys.executable, "-c", BLOCKED_SCIPY, *args],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "scipy: []"
 
-    def test_solver_names_resolve_from_package(self):
-        import envma
-        from envma import solve_dirichlet
-        from envma import solver
-
-        assert solve_dirichlet is solver.solve_dirichlet is envma.solve_dirichlet
-        assert set(envma._SOLVER_NAMES) <= set(dir(envma)) & set(envma.__all__)
-        assert all(getattr(envma, name) is getattr(solver, name) for name in envma._SOLVER_NAMES)
-        with pytest.raises(AttributeError):
-            envma.no_such_name
+    def test_all_names_resolve(self):
+        assert all(hasattr(envma, name) for name in envma.__all__)
+        assert envma.solve_dirichlet is solver.solve_dirichlet

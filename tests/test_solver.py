@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from envma import matrixcore as mc
 from envma import solver
@@ -318,12 +317,23 @@ class TestCheckPremises:
             assert rep.fraction_in_box == 1.0
             assert abs(rep.min_eig - 2.0) < 1e-10
             assert abs(rep.max_eig - 2.0) < 1e-10
+            assert rep.outside_tangency == 0
 
     def test_zero_field_outside(self):
         grid = make_grid_1(7)
         u = ScalarField.constant(grid, 0.0)
         rep = check_premises(u, 0.5, 2.0)
         assert rep.fraction_in_box == 0.0
+        assert rep.outside_tangency == 5 ** 2
+
+    def test_tangent_slope_outside_box(self):
+        # Hermitian eigenvalues 1/4 and 4 lie in the box [1/4, 4], but the
+        # tangent slope of F there, (2, 1/8), does not
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
+        u = field_of(grid, lambda x1, x2, y1, y2: (x1**2 + y1**2) / 8.0 + 2.0 * (x2**2 + y2**2))
+        rep = check_premises(u, 0.25, 4.0)
+        assert rep.fraction_in_box == 1.0
+        assert rep.outside_tangency == 5 ** 4
 
     def test_inconsistent_bounds(self):
         grid = make_grid_1(7)
@@ -385,8 +395,14 @@ def frozen_system(theta, seed=0, n=2, P=7):
     grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
     u = ScalarField(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
     cert = envelope_batch(hessian_stack(u).reshape(-1, 2 * n, 2 * n), ThetaBox(theta, n))
-    A, b = solver._assemble(grid, cert.slope_matrix, -cert.intercept, u.values)
+    A, b = solver._frozen_policy(grid, cert.slope_matrix, -cert.intercept, u.values)
     return grid, cert.slope_matrix, A, b
+
+
+def materialized(A):
+    """The matrix of the matrix-free operator A, column by column."""
+    N = int(np.prod([s - 2 for s in A.grid.shape]))
+    return np.column_stack([A @ e for e in np.eye(N)])
 
 
 class TestPolicyEvaluation:
@@ -403,9 +419,9 @@ class TestPolicyEvaluation:
             N = (grid.points_per_axis - 2) ** d
             c = rng.uniform(0.5, 2.0, d)
             slopes = np.broadcast_to(np.diag(c), (N, d, d))
-            A, _ = solver._assemble(grid, slopes, np.zeros(N), np.zeros(grid.shape))
+            A, _ = solver._frozen_policy(grid, slopes, np.zeros(N), np.zeros(grid.shape))
             x = rng.uniform(-1.0, 1.0, N)
-            y = solver._laplacian_inverse(grid, c) @ (A @ x)
+            y = solver._laplacian_inverse(grid, c)(A @ x)
             assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
 
     @staticmethod
@@ -413,7 +429,7 @@ class TestPolicyEvaluation:
         tol = 1e-10
         grid, slopes, A, b = frozen_system(theta)
         x = solver._evaluate_policy(grid, A, b, np.zeros(len(b)), slopes, tol)
-        ref = spla.spsolve(A.tocsc(), b)
+        ref = np.linalg.solve(materialized(A), b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
         floor = 8 * np.finfo(float).eps * np.max(abs(A) @ np.abs(x) + np.abs(b))
         assert np.max(np.abs(A @ x - b)) <= max(1e-2 * tol, floor)
@@ -444,15 +460,15 @@ class TestPolicyEvaluation:
         assert report.converged
 
     def test_singular_matrix_raises(self, monkeypatch):
-        assemble = solver._assemble
+        frozen_policy = solver._frozen_policy
 
         def singular(*args):
-            A, b = assemble(*args)
-            A = A.tolil()
-            A[0, :] = 0.0
-            return A.tocsr(), b
+            A, b = frozen_policy(*args)
+            coeffs = A.coeffs.copy()
+            coeffs[:, 0] = 0.0   # the span starts at interior point 0: row 0 of A
+            return solver._StencilOperator(A.grid, A.shifts, coeffs), b
 
-        monkeypatch.setattr(solver, "_assemble", singular)
+        monkeypatch.setattr(solver, "_frozen_policy", singular)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 5)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         with pytest.raises(LinearSolveFailure, match="GMRES"):
@@ -460,41 +476,6 @@ class TestPolicyEvaluation:
 
 
 class TestAssembly:
-    def test_no_explicit_zeros(self):
-        # n = 1 policies are multiples of I, so every cross-stencil
-        # coefficient is zero; n = 2 mixes zero and nonzero ones
-        for n, P in ((1, 9), (2, 5)):
-            grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
-            u_fn, g_fn = builtin_solution("quartic_radial", n)
-            u = field_of(grid, u_fn)
-            cert = envelope_batch(hessian_stack(u).reshape(-1, 2 * n, 2 * n), ThetaBox(0.4, n))
-            rhs = field_of(grid, g_fn).values[u.interior()].reshape(-1) - cert.intercept
-            A, _ = solver._assemble(grid, cert.slope_matrix, rhs, u.values)
-            assert (A.data == 0).sum() == 0
-
-    def test_roundoff_slope_entries_store_no_coefficient(self):
-        # slopes whose off-diagonals are zero at some points and not at
-        # others; noise of round-off size on the zero ones must leave the
-        # stored pattern as it is
-        rng = np.random.default_rng(3)
-        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 5)
-        u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
-        N = int(np.prod([s - 2 for s in grid.shape]))
-        G = rng.uniform(-1, 1, (N, 4, 4))
-        slopes = G + G.swapaxes(1, 2) + 4 * np.eye(4)
-        zero = np.triu(rng.uniform(size=(N, 4, 4)) < 0.5, 1)
-        zero = zero | zero.swapaxes(1, 2)
-        slopes[zero] = 0.0
-        scale = np.max(np.abs(slopes), axis=(1, 2))[:, np.newaxis, np.newaxis]
-        E = np.triu(rng.uniform(-1, 1, (N, 4, 4)), 1)
-        E = 16 * np.finfo(float).eps * scale * (E + E.swapaxes(1, 2)) * zero
-        rhs = rng.uniform(-1, 1, N)
-        A, b = solver._assemble(grid, slopes, rhs, u.values)
-        A_noisy, b_noisy = solver._assemble(grid, slopes + E, rhs, u.values)
-        assert np.array_equal(A.indptr, A_noisy.indptr)
-        assert np.array_equal(A.indices, A_noisy.indices)
-        assert np.array_equal(A.data, A_noisy.data) and np.array_equal(b, b_noisy)
-
     def test_operator_is_slope_trace_of_pointwise_stencil(self):
         # A x + (boundary part moved into b) must be tr(S D^2_h u) at every
         # interior point, with D^2_h the independent pointwise stencil; random
@@ -509,9 +490,23 @@ class TestAssembly:
             G = rng.uniform(-1, 1, ishape + (d, d))
             slopes = G + G.swapaxes(-1, -2)
             rhs = rng.uniform(-1, 1, int(np.prod(ishape)))
-            A, b = solver._assemble(grid, slopes.reshape(-1, d, d), rhs, u.values)
+            A, b = solver._frozen_policy(grid, slopes.reshape(-1, d, d), rhs, u.values)
             lin = (A @ u.values[u.interior()].reshape(-1) - (b - rhs)).reshape(ishape)
             for idx in np.ndindex(*ishape):
                 H = TestDiscreteHessian.pointwise_hessian(u, tuple(i + 1 for i in idx))
                 ref = np.sum(slopes[idx] * H)
                 assert abs(lin[idx] - ref) <= 1e-12 * max(1.0, np.sum(np.abs(slopes[idx] * H)))
+
+    def test_absolute_operator_is_absolute_matrix(self):
+        # |A| |x| sets the round-off floor of the GMRES stop, so it must be
+        # the product with the entrywise absolute matrix; slopes with
+        # diagonals of both signs make the centre coefficient a sum of terms
+        # of both signs, so summing absolute stencil terms would show
+        rng = np.random.default_rng(2)
+        grid = GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 6)
+        N = 4 ** 4
+        G = rng.uniform(-1, 1, (N, 4, 4))
+        A, _ = solver._frozen_policy(grid, G + G.swapaxes(1, 2), np.zeros(N), np.zeros(grid.shape))
+        x = rng.uniform(-1.0, 1.0, N)
+        ref = np.abs(materialized(A)) @ np.abs(x)
+        assert np.max(np.abs(abs(A) @ np.abs(x) - ref)) <= 1e-14 * np.max(ref)
