@@ -1,10 +1,20 @@
 """Command-line entry point.
 
-Subcommands: eval, conjugate, verify, solve, convergence.  Exit codes:
-0 success; 1 verify property failure; 2 parse error; 3 dimension/theta
-validation failure; 4 policy iteration hit its iteration cap (artifacts are
-still written); 5 numerical failure (a frozen-policy linear solve failed or
-an exact evaluation found no solution), reported as one `error:` line.  All
+Subcommands: eval, conjugate, verify, solve, convergence.  Commands raise;
+`main` alone maps a failure to its exit code and one stderr line:
+
+    0  success
+    1  verify found a property failure (the first counterexample is printed)
+    2  ParseError: malformed input, printed as `parse error:` (eval,
+       conjugate) or `config error:` (solve, convergence)
+    3  any other ValueError, or an OSError, printed as `error:`: dimension,
+       theta or range validation, an unusable --matrix or --out path
+    4  policy iteration hit its iteration cap (artifacts are still written)
+    5  LinearSolveFailure or NoConvergence, printed as `error: <Kind>:`: a
+       frozen-policy linear solve failed or an exact evaluation found no
+       solution
+
+A config is checked in full before anything is solved or written.  All
 floating-point output uses 17 significant digits so fixed seeds give
 byte-identical output.
 """
@@ -37,16 +47,14 @@ EXIT_NUMERICAL = 5
 
 
 def _resolve_theta(theta, lam, Lam) -> float:
-    given_theta = theta is not None
-    given_pair = lam is not None or Lam is not None
-    if given_theta == given_pair:
-        raise ValueError("supply exactly one of --theta or (--lam and --Lam)")
-    if given_theta:
-        if theta <= 0:
-            raise ValueError(f"theta must be positive, got {theta}")
+    """theta as given, or min(lambda, 1/Lambda) from the eigenvalue bounds
+    (the --lam/--Lam flags, the lambda/Lambda config keys)."""
+    if (theta is None) == (lam is None and Lam is None):
+        raise ValueError("supply exactly one of theta or the eigenvalue bounds lambda and Lambda")
+    if theta is not None:
         return float(theta)
     if lam is None or Lam is None:
-        raise ValueError("both --lam and --Lam are required together")
+        raise ValueError("the eigenvalue bounds lambda and Lambda go together")
     return mc.admissible_theta(lam, Lam)
 
 
@@ -58,21 +66,10 @@ def _box_with_notice(theta: float, n: int, out) -> ThetaBox:
 
 
 def cmd_eval(args) -> int:
-    try:
-        M = matio.load_matrix(args.matrix)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        theta = _resolve_theta(args.theta, args.lam, args.Lam)
-        box = _box_with_notice(theta, M.shape[0] // 2, sys.stdout)
-        cert = envelope_eval(M, box)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    M = matio.load_matrix(args.matrix)
+    theta = _resolve_theta(args.theta, args.lam, args.Lam)
+    box = _box_with_notice(theta, M.shape[0] // 2, sys.stdout)
+    cert = envelope_eval(M, box)
     try:
         f_val = matio.fmt(mc.det_root(M))
     except NotPositiveDefinite:
@@ -87,32 +84,20 @@ def cmd_eval(args) -> int:
 
 def cmd_conjugate(args) -> int:
     try:
-        p = [float(tok) for tok in args.p.split(",")]
+        p = np.array([float(tok) for tok in args.p.split(",")])
     except ValueError:
-        print(f"parse error: bad slope list {args.p!r}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        theta = _resolve_theta(args.theta, args.lam, args.Lam)
-        box = _box_with_notice(theta, len(p), sys.stdout)
-        g, x = conjugate_maximizer(np.array(p), box)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ParseError(f"bad slope list {args.p!r}") from None
+    theta = _resolve_theta(args.theta, args.lam, args.Lam)
+    g, x = conjugate_maximizer(p, _box_with_notice(theta, len(p), sys.stdout))
     print(f"g = {matio.fmt(g)}")
     print("maximizer = " + ",".join(matio.fmt(v) for v in x))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        theta = _resolve_theta(args.theta, args.lam, args.Lam)
-        if args.samples < 0:
-            raise ValueError("samples must be >= 0")
-        box = _box_with_notice(theta, args.n, sys.stdout)
-        report = verify_envelope(box, args.samples, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    theta = _resolve_theta(args.theta, args.lam, args.Lam)
+    box = _box_with_notice(theta, args.n, sys.stdout)
+    report = verify_envelope(box, args.samples, args.seed)
     sys.stdout.write(report.format())
     if not report.all_pass:
         name = next(k for k in sorted(report.first_failure))
@@ -134,73 +119,73 @@ def _field_from_spec(spec: str, grid: sv.GridSpec, role: str) -> sv.ScalarField:
     """Field from a config value: built-in name, constant:<v>, or file:<path>."""
     if spec.startswith("constant:"):
         try:
-            return sv.ScalarField.constant(grid, float(spec.split(":", 1)[1]))
+            return sv.ScalarField.constant(grid, matio.parse_finite(spec.split(":", 1)[1]))
         except ValueError:
-            raise ParseError(f"bad constant field spec {spec!r}")
+            raise ParseError(f"bad constant field spec {spec!r}") from None
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 vals = matio.parse_grid_values(fh.read(), int(np.prod(grid.shape)))
         except OSError as exc:
-            raise ParseError(f"cannot read grid data {path!r}: {exc}")
+            raise ParseError(f"cannot read grid data {path!r}: {exc}") from None
         return sv.ScalarField(grid, vals.reshape(grid.shape))
     u_fn, g_fn = sv.builtin_solution(spec, grid.n)
     fn = u_fn if role == "boundary" else g_fn
     return sv.ScalarField.from_function(grid, fn)
 
 
-def _load_problem(path: str):
+def _load_problem(path: str, study: bool = False):
+    """The checked problem of a solve (or, with `study`, convergence) config.
+
+    The one place a config is checked: theta, the grid, the boundary and g
+    fields, maxIter, tol and, for a study, a built-in boundary and distinct
+    refinements, each with its grid.  Any ValueError becomes a ParseError,
+    so nothing is solved or written for a bad config.  Returns (grids, box,
+    boundary, g, solver_kwargs, boundary_spec); grids holds the
+    pointsPerAxis grid, or for a study the grid of each refinement.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = matio.ConfigView(matio.parse_config(fh.read()), _CONFIG_KEYS)
+            text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read config {path!r}: {exc}")
-    n = cfg.get_int("n")
-    lo = cfg.get_floats("lo")
-    hi = cfg.get_floats("hi")
-    ppa = cfg.get_int("pointsPerAxis")
-    has_theta = cfg.has("theta")
-    has_pair = cfg.has("lambda") or cfg.has("Lambda")
-    if has_theta == has_pair:
-        raise ParseError("config must supply exactly one of 'theta' or ('lambda', 'Lambda')")
-    if has_theta:
-        theta = cfg.get_float("theta")
-        if theta <= 0:
-            raise ParseError("config key 'theta': must be positive")
-    else:
-        theta = mc.admissible_theta(cfg.get_float("lambda"), cfg.get_float("Lambda"))
-    grid = sv.GridSpec(n, tuple(lo), tuple(hi), ppa)
-    box = ThetaBox(theta, n)
-    bnd_spec = cfg.get_str("boundary")
-    g_spec = cfg.get_str("g")
+        raise ParseError(f"cannot read config {path!r}: {exc}") from None
     try:
-        boundary = _field_from_spec(bnd_spec, grid, "boundary")
-        g = _field_from_spec(g_spec, grid, "g")
+        cfg = matio.ConfigView(matio.parse_config(text), _CONFIG_KEYS)
+        n = cfg.get_int("n")
+        theta, lam, Lam = (cfg.get_float(key) if cfg.has(key) else None
+                           for key in ("theta", "lambda", "Lambda"))
+        box = ThetaBox(_resolve_theta(theta, lam, Lam), n)
+        lo, hi = cfg.get_floats("lo"), cfg.get_floats("hi")
+        grids = [sv.GridSpec(n, lo, hi, cfg.get_int("pointsPerAxis"))]
+        bnd_spec = cfg.get_str("boundary")
+        boundary = _field_from_spec(bnd_spec, grids[0], "boundary")
+        g = _field_from_spec(cfg.get_str("g"), grids[0], "g")
+        kwargs = {"max_iter": cfg.get_int("maxIter", 100), "tol": cfg.get_float("tol", 1e-10)}
+        if not kwargs["tol"] > 0.0:
+            raise ValueError(f"config key 'tol': must be positive, got {kwargs['tol']}")
+        if kwargs["max_iter"] < 1:
+            raise ValueError(f"config key 'maxIter': must be >= 1, got {kwargs['max_iter']}")
+        if study:
+            if bnd_spec not in ("quadratic", "quartic_radial"):
+                raise ValueError("convergence requires a built-in manufactured solution "
+                                 "(boundary = quadratic | quartic_radial)")
+            refinements = cfg.get_ints("refinements")
+            if len(set(refinements)) != len(refinements):
+                raise ValueError(f"config key 'refinements': must be distinct, "
+                                 f"got {cfg.get_str('refinements')!r}")
+            grids = [sv.GridSpec(n, lo, hi, P) for P in refinements]
     except ValueError as exc:
-        raise ParseError(str(exc))
-    kwargs = {
-        "max_iter": cfg.get_int("maxIter", 100),
-        "tol": cfg.get_float("tol", 1e-10),
-    }
-    return cfg, grid, box, boundary, g, kwargs, bnd_spec
+        raise ParseError(str(exc)) from None
+    return grids, box, boundary, g, kwargs, bnd_spec
 
 
 def cmd_solve(args) -> int:
-    try:
-        _, grid, box, boundary, g, kwargs, _ = _load_problem(args.config)
-    except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        u, policy, report = sv.solve_dirichlet(grid, boundary, g, box, **kwargs)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    os.makedirs(args.out, exist_ok=True)
-    _write(args.out, "solution.csv", matio.field_csv(u))
-    _write(args.out, "residual.csv", matio.field_csv(report.residual))
-    _write(args.out, "report.txt", matio.report_text(report))
+    (grid,), box, boundary, g, kwargs, _ = _load_problem(args.config)
+    u, _, report = sv.solve_dirichlet(grid, boundary, g, box, **kwargs)
+    _write(args.out, {"solution.csv": matio.field_csv(u),
+                      "residual.csv": matio.field_csv(report.residual),
+                      "report.txt": matio.report_text(report)})
     print(f"wall_time_s = {report.wall_time_s:.3f}", file=sys.stderr)
     if not report.converged:
         print(f"error: policy iteration hit maxIter with residual "
@@ -210,42 +195,31 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    try:
-        cfg, grid, box, _, _, kwargs, bnd_spec = _load_problem(args.config)
-        refinements = cfg.get_ints("refinements")
-        if bnd_spec not in ("quadratic", "quartic_radial"):
-            raise ParseError("convergence requires a built-in manufactured solution "
-                             "(boundary = quadratic | quartic_radial)")
-    except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    grids, box, _, _, kwargs, bnd_spec = _load_problem(args.config, study=True)
+    grids = {grid.points_per_axis: grid for grid in grids}
+    u_fn, g_fn = sv.builtin_solution(bnd_spec, box.n)
 
     def make_problem(P):
-        g2 = sv.GridSpec(grid.n, grid.lo, grid.hi, P)
-        u_fn, g_fn = sv.builtin_solution(bnd_spec, grid.n)
-        exact = sv.ScalarField.from_function(g2, u_fn)
+        grid = grids[P]
+        exact = sv.ScalarField.from_function(grid, u_fn)
         outside = sv.check_premises(exact, box.theta, box.hi).outside_tangency
         if outside:
             print(f"warning: refinement {P}: the exact u leaves the tangency region at {outside} "
-                  f"of {(P - 2) ** g2.dim} interior points, where g is not Ftilde(D^2 u)",
+                  f"of {(P - 2) ** grid.dim} interior points, where g is not Ftilde(D^2 u)",
                   file=sys.stderr)
-        return (g2, exact, sv.ScalarField.from_function(g2, g_fn), box, exact, kwargs)
+        return (grid, exact, sv.ScalarField.from_function(grid, g_fn), box, exact, kwargs)
 
-    try:
-        rows = sv.convergence_study(make_problem, refinements)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    text = matio.convergence_csv(rows)
-    os.makedirs(args.out, exist_ok=True)
-    _write(args.out, "convergence.csv", text)
+    text = matio.convergence_csv(sv.convergence_study(make_problem, list(grids)))
+    _write(args.out, {"convergence.csv": text})
     sys.stdout.write(text)
     return EXIT_OK
 
 
-def _write(outdir: str, name: str, text: str) -> None:
-    with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write(outdir: str, files: dict) -> None:
+    os.makedirs(outdir, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _add_theta_flags(p: argparse.ArgumentParser) -> None:
@@ -294,12 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit-code table of the module docstring lives
+    here and nowhere else."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ParseError as exc:
+        label = "config error" if args.command in ("solve", "convergence") else "parse error"
+        return _fail(EXIT_PARSE, f"{label}: {exc}")
+    except (ValueError, OSError) as exc:
+        return _fail(EXIT_VALIDATION, f"error: {exc}")
     except (LinearSolveFailure, NoConvergence) as exc:
-        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail(EXIT_NUMERICAL, f"error: {type(exc).__name__}: {exc}")
+
+
+def _fail(code: int, message: str) -> int:
+    print(" ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -126,7 +126,7 @@ def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
     if p.shape != (n,):
         raise ValueError(f"expected a slope vector of length {n}, got shape {p.shape}")
     tol = 1e-12 * hi
-    if np.any(p < th - tol) or np.any(p > hi + tol):
+    if np.any(~((p >= th - tol) & (p <= hi + tol))):
         raise ValueError(f"slope {p} outside the box [{th:g}, {hi:g}]")
     p = np.clip(p, th, hi)
     if hi - th <= tol:
@@ -766,10 +766,12 @@ def verify_envelope(box: ThetaBox, samples: int, seed: int) -> PropertyReport:
     stacks and checked in blocks of _VERIFY_BLOCK (`draw_verify_block`), so
     memory stays bounded and the report does not depend on the block size.
     Raises ValueError, before drawing anything, when box.n exceeds
-    MAX_DIM // 2 or seed is negative.
+    MAX_DIM // 2 or samples or seed is negative.
     """
     if box.n > mc.MAX_DIM // 2:
         raise ValueError(f"n={box.n} exceeds the supported maximum {mc.MAX_DIM // 2}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     report = PropertyReport(box=box, samples=samples, seed=seed)
@@ -778,7 +780,7 @@ def verify_envelope(box: ThetaBox, samples: int, seed: int) -> PropertyReport:
         report.failed[name] = 0
     rng = np.random.default_rng(seed)
     ratios = []
-    for start in range(0, max(samples, 0), _VERIFY_BLOCK):
+    for start in range(0, samples, _VERIFY_BLOCK):
         block = draw_verify_block(rng, box, start, min(start + _VERIFY_BLOCK, samples))
         res = _check_samples(box, block)
         for name in PROPERTY_NAMES:

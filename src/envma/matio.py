@@ -10,6 +10,7 @@ significant digits so repeated runs are byte-comparable.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -93,17 +94,25 @@ def format_matrix_text(M) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_finite(tok: str) -> float:
+    """float(tok), with ValueError for a malformed or non-finite number."""
+    x = float(tok)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {tok!r}")
+    return x
+
+
 def parse_grid_values(text: str, expected: int) -> np.ndarray:
-    """Grid-data file: one value per line, lexicographic point order."""
+    """Grid-data file: one finite value per line, lexicographic point order."""
     vals = []
     for i, raw in enumerate(text.splitlines(), start=1):
         ln = raw.strip()
         if not ln or ln.startswith("#"):
             continue
         try:
-            vals.append(float(ln))
+            vals.append(parse_finite(ln))
         except ValueError:
-            raise ParseError(f"line {i}: bad number {ln!r}")
+            raise ParseError(f"line {i}: bad or non-finite number {ln!r}")
     if len(vals) != expected:
         raise ParseError(f"expected {expected} grid values, got {len(vals)}")
     return np.array(vals)
@@ -163,16 +172,16 @@ class ConfigView:
             return default
         tok = self.get_str(key)
         try:
-            return float(tok)
+            return parse_finite(tok)
         except ValueError:
-            raise ParseError(f"config key {key!r}: bad number {tok!r}")
+            raise ParseError(f"config key {key!r}: bad or non-finite number {tok!r}")
 
     def get_floats(self, key: str) -> list:
         tok = self.get_str(key)
         try:
-            return [float(p) for p in tok.split(",")]
+            return [parse_finite(p) for p in tok.split(",")]
         except ValueError:
-            raise ParseError(f"config key {key!r}: bad number list {tok!r}")
+            raise ParseError(f"config key {key!r}: bad or non-finite number list {tok!r}")
 
     def get_ints(self, key: str) -> list:
         tok = self.get_str(key)

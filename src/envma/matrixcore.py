@@ -188,7 +188,7 @@ def in_theta_box(M, theta: float, tol: float = 1e-9) -> bool:
 def admissible_theta(lam: float, Lam: float) -> float:
     """The box parameter min{lambda, 1/Lambda} induced by two-sided
     eigenvalue bounds lambda*I <= proj(D^2 u) <= Lambda*I."""
-    if lam <= 0.0 or Lam <= 0.0:
+    if not (lam > 0.0 and Lam > 0.0):
         raise ValueError("eigenvalue bounds must be positive")
     if lam > Lam:
         raise ValueError(f"inconsistent bounds: lambda={lam} > Lambda={Lam}")

@@ -27,7 +27,6 @@ distinct shift, applied matrix-free (`_StencilOperator`).  Everything is numpy.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -56,7 +55,7 @@ class GridSpec:
         d = 2 * self.n
         if len(lo) != d or len(hi) != d:
             raise ValueError(f"domain corners must have length {d}")
-        if any(h <= l for l, h in zip(lo, hi)):
+        if any(not l < h for l, h in zip(lo, hi)):
             raise ValueError("domain corners must satisfy lo < hi per axis")
         if self.points_per_axis < 5:
             raise ValueError("pointsPerAxis must be >= 5 (3 interior points per axis)")
@@ -137,30 +136,23 @@ class SolveReport:
 
 
 def transfinite_interpolation(boundary: ScalarField) -> np.ndarray:
-    """Multilinear blend of the boundary faces (inclusion-exclusion over
-    axis subsets); used as the initial iterate."""
+    """Multilinear blend of the boundary faces; used as the initial iterate.
+
+    The Boolean sum f - prod_a (I - P_a) f, where f is the boundary data
+    with the interior set to 0 and P_a blends linearly between the two
+    faces normal to axis a: one pass per axis instead of the 3^d - 1
+    inclusion-exclusion terms it expands to.
+    """
     grid = boundary.grid
-    d = grid.dim
-    P = grid.points_per_axis
-    xi = np.linspace(0.0, 1.0, P)
-    vals = np.zeros(grid.shape)
-    data = boundary.values
-    for r in range(1, d + 1):
-        sign = (-1.0) ** (r + 1)
-        for axes in itertools.combinations(range(d), r):
-            for sides in itertools.product((0, -1), repeat=r):
-                w = np.ones(grid.shape)
-                index = [slice(None)] * d
-                for a, s in zip(axes, sides):
-                    shape = [1] * d
-                    shape[a] = P
-                    wa = xi if s == -1 else 1.0 - xi
-                    w = w * wa.reshape(shape)
-                    index[a] = s
-                face = data[tuple(index)]
-                expanded = np.expand_dims(face, axis=axes)
-                vals = vals + sign * w * expanded
-    return vals
+    xi = np.linspace(0.0, 1.0, grid.points_per_axis)
+    f = boundary.values.copy()
+    f[boundary.interior()] = 0.0
+    rest = f
+    for a in range(grid.dim):
+        w = xi.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+        first, last = np.take(rest, [0], axis=a), np.take(rest, [-1], axis=a)
+        rest = rest - ((1.0 - w) * first + w * last)
+    return f - rest
 
 
 def discrete_hessian(u: ScalarField, idx) -> np.ndarray:
@@ -401,7 +393,7 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     `max_iter` the best iterate is returned with report.converged = False;
     report.residual is the residual field of the returned iterate.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"maxIter must be >= 1, got {max_iter}")

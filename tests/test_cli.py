@@ -1,11 +1,11 @@
-"""Command-line interface tests: outputs, exit codes, determinism."""
+"""Command-line interface tests: outputs and exit codes."""
 
-import os
 import subprocess
 import sys
 import time
 
 import numpy as np
+import pytest
 
 import envma
 from envma import envelope, solver
@@ -257,6 +257,59 @@ class TestNumericalFailure:
         assert err.count("\n") == 1
 
 
+# (argv, config text, exit code, text the one stderr line contains); CFG is
+# the config path, OUT a fresh output path, FILE an existing regular file
+FAILURES = {
+    "points-per-axis-3": (["solve", "CFG", "OUT"],
+                          QUAD_CFG.replace("pointsPerAxis = 9", "pointsPerAxis = 3"),
+                          2, "pointsPerAxis"),
+    "n-0": (["solve", "CFG", "OUT"], QUAD_CFG.replace("n = 1", "n = 0"), 2, "n must be"),
+    "hi-below-lo": (["solve", "CFG", "OUT"], QUAD_CFG.replace("hi = 1,1", "hi = 1,-2"),
+                    2, "lo < hi"),
+    "lambda-above-Lambda": (["solve", "CFG", "OUT"],
+                            QUAD_CFG.replace("theta = 0.4", "lambda = 2\nLambda = 1"),
+                            2, "inconsistent bounds"),
+    "theta-inf": (["solve", "CFG", "OUT"], QUAD_CFG.replace("theta = 0.4", "theta = inf"),
+                  2, "'theta'"),
+    "tol-nan": (["solve", "CFG", "OUT"], QUAD_CFG + "tol = nan\n", 2, "'tol'"),
+    "lo-nan": (["solve", "CFG", "OUT"], QUAD_CFG.replace("lo = -1,-1", "lo = nan,-1"),
+               2, "'lo'"),
+    "max-iter-0": (["solve", "CFG", "OUT"], QUAD_CFG + "maxIter = 0\n", 2, "'maxIter'"),
+    "constant-inf": (["solve", "CFG", "OUT"],
+                     QUAD_CFG.replace("constant:2", "constant:inf"), 2, "constant:inf"),
+    "repeated-refinement": (["convergence", "CFG", "OUT"],
+                            QUAD_CFG.replace("g = constant:2", "g = quadratic")
+                            + "refinements = 17,17\n", 2, "'refinements'"),
+    "out-is-a-file": (["solve", "CFG", "FILE"], QUAD_CFG, 3, "File exists"),
+    "nan-slope": (["conjugate", "--p", "1,nan", "--theta", "0.5"], None, 3, "outside the box"),
+    "nan-Lambda": (["conjugate", "--p", "1", "--lam", "1", "--Lam", "nan"], None, 3,
+                   "eigenvalue bounds"),
+}
+
+
+class TestFailures:
+    """Every failure exits with its documented code and one stderr line;
+    exits 2 and 3 leave no output directory behind."""
+
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_one_line_and_exit_code(self, case, tmp_path, capsys):
+        argv, cfg_text, expected, needle = FAILURES[case]
+        existing = tmp_path / "existing"
+        existing.write_text("")
+        paths = {"CFG": ["--config", str(tmp_path / "p.cfg")],
+                 "OUT": ["--out", str(tmp_path / "o")],
+                 "FILE": ["--out", str(existing)]}
+        if cfg_text is not None:
+            write(tmp_path / "p.cfg", cfg_text)
+        code, _, err = run_main(capsys, [a for tok in argv for a in paths.get(tok, [tok])])
+        assert code == expected
+        assert err.startswith({2: "config error: ", 3: "error: "}[expected])
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert needle in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+        assert existing.read_text() == ""
+
+
 class TestConvergence:
     def test_quartic_orders(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", """\
@@ -344,40 +397,6 @@ refinements = 17,33,65
         assert code == 2
         assert err.startswith("config error: ") and "pointsPerAxis" in err
         assert not (tmp_path / "o").exists()
-
-
-def run_cli(args, workers):
-    env = dict(os.environ)
-    env["ENVMA_THREADS"] = str(workers)
-    proc = subprocess.run([sys.executable, "-m", "envma", *args],
-                          capture_output=True, env=env)
-    return proc
-
-
-class TestDeterminism:
-    def test_verify_bytes_identical_across_workers(self):
-        outs = []
-        for workers in (1, 2, 4):
-            proc = run_cli(["verify", "--theta", "0.5", "--n", "1",
-                            "--samples", "60", "--seed", "42"], workers)
-            assert proc.returncode == 0, proc.stderr.decode()
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1] == outs[2]
-        proc = run_cli(["verify", "--theta", "0.5", "--n", "1",
-                        "--samples", "60", "--seed", "42"], 2)
-        assert proc.stdout == outs[0]
-
-    def test_solve_bytes_identical_across_workers(self, tmp_path):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(QUAD_CFG)
-        blobs = []
-        for tag, workers in (("a", 1), ("b", 2), ("c", 4), ("d", 1)):
-            out = tmp_path / tag
-            proc = run_cli(["solve", "--config", str(cfg), "--out", str(out)], workers)
-            assert proc.returncode == 0, proc.stderr.decode()
-            blobs.append(tuple((out / f).read_bytes()
-                               for f in ("solution.csv", "residual.csv", "report.txt")))
-        assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
 
 BLOCKED_SCIPY = """\

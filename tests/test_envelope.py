@@ -93,6 +93,10 @@ class TestConjugateIntercept:
         with pytest.raises(ValueError):
             conjugate_intercept(np.array([1.0, 3.0]), BOX2)
 
+    def test_rejects_nan_slope(self):
+        with pytest.raises(ValueError, match="outside the box"):
+            conjugate_maximizer(np.array([1.0, np.nan]), BOX2)
+
     def test_degenerate_theta_one(self):
         box = ThetaBox(1.0, 2)
         g = conjugate_intercept(np.array([1.0, 1.0]), box)
@@ -412,6 +416,10 @@ class TestVerifyEnvelope:
         assert report.samples == 0
         assert report.all_pass
         assert all(v == 0 for v in report.passed.values())
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            verify_envelope(BOX1, samples=-1, seed=7)
 
     def test_theta_one_degenerate(self):
         report = verify_envelope(ThetaBox(1.0, 1), samples=50, seed=11)

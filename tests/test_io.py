@@ -66,6 +66,11 @@ class TestGridValues:
         with pytest.raises(ParseError, match="line 2"):
             matio.parse_grid_values("1\nxyz\n", 2)
 
+    def test_non_finite_line(self):
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ParseError, match="line 3"):
+                matio.parse_grid_values(f"1\n# c\n{bad}\n", 2)
+
 
 class TestConfig:
     def test_parse_with_comments(self):
@@ -103,6 +108,14 @@ class TestConfig:
         view = matio.ConfigView({"tol": "abc"}, {"tol"})
         with pytest.raises(ParseError, match="tol"):
             view.get_float("tol")
+
+    def test_non_finite_numbers_rejected(self):
+        view = matio.ConfigView({"tol": "nan", "theta": "inf", "lo": "nan,-1"},
+                                {"tol", "theta", "lo"})
+        for key, get in (("tol", view.get_float), ("theta", view.get_float),
+                         ("lo", view.get_floats)):
+            with pytest.raises(ParseError, match=f"'{key}'"):
+                get(key)
 
 
 class TestCsvAndReport:

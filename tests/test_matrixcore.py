@@ -232,6 +232,9 @@ class TestBoxAndNorms:
             mc.admissible_theta(3.0, 2.0)
         with pytest.raises(ValueError):
             mc.admissible_theta(-1.0, 2.0)
+        for lam, Lam in ((np.nan, 2.0), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                mc.admissible_theta(lam, Lam)
 
     def test_trace_inner(self):
         assert mc.trace_inner(np.eye(4), np.eye(4)) == 4.0

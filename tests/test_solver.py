@@ -1,5 +1,7 @@
 """Tests for the policy-iteration Dirichlet solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,10 @@ class TestGridSpec:
             GridSpec(1, (0.0, 0.0), (0.0, 1.0), 9)
         with pytest.raises(ValueError):
             GridSpec(1, (0.0,), (1.0,), 9)
+
+    def test_rejects_nan_corner(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            GridSpec(1, (np.nan, -1.0), (1.0, 1.0), 9)
 
 
 class TestDiscreteHessian:
@@ -116,6 +122,33 @@ class TestDiscreteHessian:
 
 
 class TestTransfinite:
+    @staticmethod
+    def inclusion_exclusion(boundary):
+        """Reference: the 3^d - 1 signed face blends the Boolean sum expands
+        to, one full-grid product per (axis subset, sides) choice."""
+        grid = boundary.grid
+        d, xi = grid.dim, np.linspace(0.0, 1.0, grid.points_per_axis)
+        vals = np.zeros(grid.shape)
+        for sides in itertools.product((None, 0, -1), repeat=d):
+            axes = tuple(a for a, s in enumerate(sides) if s is not None)
+            if not axes:
+                continue
+            index = tuple(slice(None) if s is None else s for s in sides)
+            term = np.expand_dims(boundary.values[index], axis=axes)
+            for a in axes:
+                w = xi if sides[a] == -1 else 1.0 - xi
+                term = term * w.reshape([-1 if b == a else 1 for b in range(d)])
+            vals += (-1.0) ** (len(axes) + 1) * term
+        return vals
+
+    def test_matches_inclusion_exclusion(self):
+        rng = np.random.default_rng(4)
+        for n, points in ((1, 7), (2, 6), (3, 5)):
+            grid = GridSpec(n, (-1.0,) * (2 * n), (0.5,) * (2 * n), points)
+            u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
+            ref = self.inclusion_exclusion(u)
+            assert np.max(np.abs(transfinite_interpolation(u) - ref)) <= 5e-14
+
     def test_exact_for_additive_separable(self):
         grid = make_grid_1(9)
         u = field_of(grid, lambda x, y: x**2 - 3.0 * y**2 + x + y)
@@ -130,6 +163,20 @@ class TestTransfinite:
         mask = np.zeros(grid.shape, dtype=bool)
         mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = True
         assert np.max(np.abs(init[mask] - u.values[mask])) < 1e-12
+
+    def test_exact_when_each_term_is_affine_in_some_coordinate(self):
+        # (I - P_a) annihilates a term affine in x_a, so the Boolean sum
+        # reproduces every such sum of terms at the interior points too
+        cases = (
+            (2, 7, lambda x0, x1, x2, x3: x0**3 * x1 + np.sin(x2) * x3 + x0 * x1 * x2 * x3),
+            (3, 5, lambda x0, x1, x2, x3, x4, x5:
+                x0**2 * x1 + np.exp(x2) * np.sin(x3) * x4 + x5 * np.cos(x0) * x3**2),
+        )
+        for n, points, fn in cases:
+            grid = GridSpec(n, (-1.0, 0.5) * n, (0.5, 2.0) * n, points)
+            u = field_of(grid, fn)
+            init = transfinite_interpolation(u)
+            assert np.max(np.abs(init - u.values)) < 1e-13
 
 
 class TestResidual:
@@ -304,6 +351,14 @@ class TestPolicyIteration:
         bad = ScalarField.constant(grid, np.nan)
         with pytest.raises(ValueError):
             solve_dirichlet(grid, bad, g, ThetaBox(0.5, 1))
+
+    def test_rejects_nan_tol(self, monkeypatch):
+        # a NaN tol is refused up front, before any policy evaluation
+        monkeypatch.setattr(solver, "_evaluate_policy", None)
+        grid = make_grid_1(9)
+        boundary = ScalarField.constant(grid, 0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_dirichlet(grid, boundary, boundary, ThetaBox(0.5, 1), tol=np.nan)
 
 
 class TestCheckPremises:
