@@ -6,7 +6,8 @@ Subcommands: eval, conjugate, verify, solve, convergence.  Commands raise;
     0  success
     1  verify found a property failure (the first counterexample is printed)
     2  ParseError: malformed input, printed as `parse error:` (eval,
-       conjugate) or `config error:` (solve, convergence)
+       conjugate) or `config error:` (solve, convergence); or a command
+       line argparse rejects, printed as `usage error:`
     3  any other ValueError, or an OSError, printed as `error:`: dimension,
        theta or range validation, an unusable --matrix or --out path
     4  policy iteration hit its iteration cap (artifacts are still written)
@@ -14,14 +15,15 @@ Subcommands: eval, conjugate, verify, solve, convergence.  Commands raise;
        frozen-policy linear solve failed or an exact evaluation found no
        solution
 
-A config is checked in full before anything is solved or written.  All
-floating-point output uses 17 significant digits so fixed seeds give
-byte-identical output.
+A config, and that --out is not an existing file, are checked before
+anything is solved or written.  All floating-point output uses 17
+significant digits so fixed seeds give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -111,7 +113,7 @@ def cmd_verify(args) -> int:
 
 _CONFIG_KEYS = {
     "n", "lo", "hi", "pointsPerAxis", "theta", "lambda", "Lambda",
-    "boundary", "g", "maxIter", "tol", "seed", "refinements",
+    "boundary", "g", "maxIter", "tol", "refinements",
 }
 
 
@@ -138,12 +140,14 @@ def _field_from_spec(spec: str, grid: sv.GridSpec, role: str) -> sv.ScalarField:
 def _load_problem(path: str, study: bool = False):
     """The checked problem of a solve (or, with `study`, convergence) config.
 
-    The one place a config is checked: theta, the grid, the boundary and g
-    fields, maxIter, tol and, for a study, a built-in boundary and distinct
-    refinements, each with its grid.  Any ValueError becomes a ParseError,
-    so nothing is solved or written for a bad config.  Returns (grids, box,
-    boundary, g, solver_kwargs, boundary_spec); grids holds the
-    pointsPerAxis grid, or for a study the grid of each refinement.
+    The one place a config is checked: theta, maxIter, tol and, for a solve,
+    the pointsPerAxis grid with its boundary and g fields or, for a study, a
+    built-in boundary, a g of the same name and distinct refinements, each
+    with its grid; a study does not read pointsPerAxis.  Any ValueError
+    becomes a ParseError, so nothing is solved or written for a bad config.
+    Returns (grids, box, boundary, g, solver_kwargs, boundary_spec); grids
+    holds the pointsPerAxis grid, or for a study the grid of each refinement,
+    whose fields are built from boundary_spec (boundary and g are None).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -157,10 +161,7 @@ def _load_problem(path: str, study: bool = False):
                            for key in ("theta", "lambda", "Lambda"))
         box = ThetaBox(_resolve_theta(theta, lam, Lam), n)
         lo, hi = cfg.get_floats("lo"), cfg.get_floats("hi")
-        grids = [sv.GridSpec(n, lo, hi, cfg.get_int("pointsPerAxis"))]
-        bnd_spec = cfg.get_str("boundary")
-        boundary = _field_from_spec(bnd_spec, grids[0], "boundary")
-        g = _field_from_spec(cfg.get_str("g"), grids[0], "g")
+        bnd_spec, g_spec = cfg.get_str("boundary"), cfg.get_str("g")
         kwargs = {"max_iter": cfg.get_int("maxIter", 100), "tol": cfg.get_float("tol", 1e-10)}
         if not kwargs["tol"] > 0.0:
             raise ValueError(f"config key 'tol': must be positive, got {kwargs['tol']}")
@@ -170,18 +171,34 @@ def _load_problem(path: str, study: bool = False):
             if bnd_spec not in ("quadratic", "quartic_radial"):
                 raise ValueError("convergence requires a built-in manufactured solution "
                                  "(boundary = quadratic | quartic_radial)")
+            if g_spec != bnd_spec:
+                raise ValueError(f"config key 'g': must name the study's built-in solution "
+                                 f"{bnd_spec!r}, got {g_spec!r}")
             refinements = cfg.get_ints("refinements")
             if len(set(refinements)) != len(refinements):
                 raise ValueError(f"config key 'refinements': must be distinct, "
                                  f"got {cfg.get_str('refinements')!r}")
             grids = [sv.GridSpec(n, lo, hi, P) for P in refinements]
+            boundary = g = None
+        else:
+            grids = [sv.GridSpec(n, lo, hi, cfg.get_int("pointsPerAxis"))]
+            boundary = _field_from_spec(bnd_spec, grids[0], "boundary")
+            g = _field_from_spec(g_spec, grids[0], "g")
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return grids, box, boundary, g, kwargs, bnd_spec
 
 
+def _check_out(outdir: str) -> None:
+    """Raise, before anything is solved, the error `_write` would raise for
+    an --out naming an existing non-directory; creates nothing."""
+    if os.path.lexists(outdir) and not os.path.isdir(outdir):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), outdir)
+
+
 def cmd_solve(args) -> int:
     (grid,), box, boundary, g, kwargs, _ = _load_problem(args.config)
+    _check_out(args.out)
     u, _, report = sv.solve_dirichlet(grid, boundary, g, box, **kwargs)
     _write(args.out, {"solution.csv": matio.field_csv(u),
                       "residual.csv": matio.field_csv(report.residual),
@@ -196,6 +213,7 @@ def cmd_solve(args) -> int:
 
 def cmd_convergence(args) -> int:
     grids, box, _, _, kwargs, bnd_spec = _load_problem(args.config, study=True)
+    _check_out(args.out)
     grids = {grid.points_per_axis: grid for grid in grids}
     u_fn, g_fn = sv.builtin_solution(bnd_spec, box.n)
 
@@ -231,11 +249,23 @@ def _add_theta_flags(p: argparse.ArgumentParser) -> None:
                    help="upper eigenvalue bound (with --lam)")
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print the usage and exit;
+    its subparsers are of this class too."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="envma",
-                                 description="Concave slope-box extension of the "
-                                             "projected-determinant operator and its "
-                                             "Bellman-form Dirichlet solver.")
+    ap = _Parser(prog="envma",
+                 description="Concave slope-box extension of the "
+                             "projected-determinant operator and its "
+                             "Bellman-form Dirichlet solver.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate the envelope on a matrix file")
@@ -270,9 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; the exit-code table of the module docstring lives
     here and nowhere else."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except _UsageError as exc:
+        return _fail(EXIT_PARSE, f"usage error: {exc}")
     except ParseError as exc:
         label = "config error" if args.command in ("solve", "convergence") else "parse error"
         return _fail(EXIT_PARSE, f"{label}: {exc}")

@@ -16,12 +16,12 @@ meets the tolerance.  All certificates of one iterate come from a single
 residual, so each Hessian is evaluated once.
 
 The discrete Hessian D^2_h is written down once, as symmetric (shift, weight)
-stencil terms per Hessian entry (`_hessian_stencil`): centered second
-differences on the diagonal, products of centered first differences (the
-4-point cross stencil) off it, exact for quadratics.  The Hessians are those
-terms applied to shifted slices of the grid values, and the frozen-policy
-operator folds them, weighted by the slopes, into one coefficient field per
-distinct shift, applied matrix-free (`_StencilOperator`).  Everything is numpy.
+stencil terms per Hessian entry (`_hessian_stencil`), a shift being a tuple of
+per-axis offsets; a term reads the grid values on the interior block moved by
++shift and by -shift, so only interior points are computed.  The Hessians are
+those terms applied to the grid values; the frozen-policy operator folds them,
+weighted by the slopes, into one interior-shaped coefficient field per distinct
+shift, applied matrix-free (`_StencilOperator`).  Everything is numpy.
 """
 
 from __future__ import annotations
@@ -68,6 +68,16 @@ class GridSpec:
     def shape(self) -> tuple:
         return (self.points_per_axis,) * self.dim
 
+    def interior(self, shift=None) -> tuple:
+        """Index of the interior block in a grid array, moved by `shift`
+        (per-axis offsets in {-1, 0, 1}) if one is given."""
+        P = self.points_per_axis
+        return tuple(slice(1 + o, P - 1 + o) for o in shift or (0,) * self.dim)
+
+    @property
+    def interior_shape(self) -> tuple:
+        return (self.points_per_axis - 2,) * self.dim
+
     @property
     def spacing(self) -> np.ndarray:
         P = self.points_per_axis
@@ -102,9 +112,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
-
-    def interior(self) -> tuple:
-        return (slice(1, -1),) * self.grid.dim
 
 
 @dataclass
@@ -146,7 +153,7 @@ def transfinite_interpolation(boundary: ScalarField) -> np.ndarray:
     grid = boundary.grid
     xi = np.linspace(0.0, 1.0, grid.points_per_axis)
     f = boundary.values.copy()
-    f[boundary.interior()] = 0.0
+    f[grid.interior()] = 0.0
     rest = f
     for a in range(grid.dim):
         w = xi.reshape([-1 if b == a else 1 for b in range(grid.dim)])
@@ -165,54 +172,45 @@ def discrete_hessian(u: ScalarField, idx) -> np.ndarray:
 
 
 def hessian_stack(u: ScalarField) -> np.ndarray:
-    """Discrete Hessians at all interior points: each entry's terms of
-    `_hessian_stencil` applied to the grid values.
-
-    Returns an array of shape interior_shape + (d, d) in lexicographic
-    interior order.
-    """
-    d = u.grid.dim
-    H = np.empty((u.values[u.interior()].size, d, d))
-    for (a, b), terms in _hessian_stencil(u.grid).items():
-        H[:, a, b] = H[:, b, a] = _StencilOperator(u.grid, *zip(*terms)).apply(u.values)
-    return H.reshape(tuple(s - 2 for s in u.grid.shape) + (d, d))
+    """Discrete Hessians at all interior points, each entry of `_hessian_stencil`
+    applied to the grid values: an array of shape interior_shape + (d, d) in
+    lexicographic interior order."""
+    grid, d = u.grid, u.grid.dim
+    H = np.empty(grid.interior_shape + (d, d))
+    for (a, b), entry in _hessian_stencil(grid):
+        H[..., a, b] = H[..., b, a] = entry.apply(u.values).reshape(grid.interior_shape)
+    return H
 
 
-def _hessian_stencil(grid: GridSpec) -> dict:
-    """The discrete Hessian D^2_h as (shift, weight) terms per entry.
+@functools.lru_cache(maxsize=8)
+def _hessian_stencil(grid: GridSpec) -> tuple:
+    """The discrete Hessian D^2_h as pairs ((a, b), `_StencilOperator`).
 
     Entry (a, b), a <= b, of D^2_h u at an interior point is the sum of
-    weight * (u[+shift] + u[-shift]) over terms[a, b], u[+-shift] lying
-    shift places after and before the point in the flat grid array: centered
-    second differences on the diagonal, products of centered first
+    weight * (u[+shift] + u[-shift]) over the (shift, weight) pairs of its
+    operator, a shift being a tuple of per-axis offsets in {-1, 0, 1}:
+    centered second differences on the diagonal, products of centered first
     differences (the 4-point cross stencil) off it, exact for quadratics.
     """
     d, h = grid.dim, grid.spacing
-    strides = [grid.points_per_axis ** (d - 1 - a) for a in range(d)]
+    unit = [tuple(int(a == b) for b in range(d)) for a in range(d)]
     terms = {}
     for a, b in zip(*np.triu_indices(d)):
         if a == b:
-            terms[a, b] = [(0, -1.0 / h[a] ** 2), (strides[a], 1.0 / h[a] ** 2)]
+            terms[a, b] = [((0,) * d, -1.0 / h[a] ** 2), (unit[a], 1.0 / h[a] ** 2)]
         else:
-            terms[a, b] = [(strides[a] + sb * strides[b], (0.5 / h[a]) * (sb * 0.5 / h[b]))
+            terms[a, b] = [(tuple(i + sb * j for i, j in zip(unit[a], unit[b])),
+                            (0.5 / h[a]) * (sb * 0.5 / h[b]))
                            for sb in (1, -1)]
-    return terms
-
-
-def _span(grid: GridSpec) -> tuple[int, int]:
-    """Flat indices [lo, hi) from the first interior point to the last: a
-    stencil shift keeps them all on the grid, so each stencil term is one
-    product of contiguous slices (results at boundary points are dropped)."""
-    lo = sum(grid.points_per_axis ** a for a in range(grid.dim))
-    return lo, grid.points_per_axis ** grid.dim - lo
+    return tuple((ab, _StencilOperator(grid, *zip(*pairs))) for ab, pairs in terms.items())
 
 
 def _residual_of(u: ScalarField, g: ScalarField, values: np.ndarray) -> ScalarField:
     """Envelope values at the interior points minus g; zero on the boundary."""
-    out = np.zeros(u.grid.shape)
-    out[u.interior()] = values.reshape(tuple(s - 2 for s in u.grid.shape)) \
-        - g.values[g.interior()]
-    return ScalarField(u.grid, out)
+    grid = u.grid
+    out = np.zeros(grid.shape)
+    out[grid.interior()] = values.reshape(grid.interior_shape) - g.values[grid.interior()]
+    return ScalarField(grid, out)
 
 
 def residual_field(u: ScalarField, g: ScalarField, box: ThetaBox) -> ScalarField:
@@ -227,26 +225,29 @@ def residual_field(u: ScalarField, g: ScalarField, box: ThetaBox) -> ScalarField
 class _StencilOperator:
     """Matrix-free x -> sum_k coeffs[k] * (x^[+shifts[k]] + x^[-shifts[k]])
     at the interior points (shifts as in `_hessian_stencil`), where x^ is x
-    padded with a zero boundary layer and coeffs[k] runs over the span of
-    the grid (see `_span`)."""
+    padded with a zero boundary layer."""
 
     grid: GridSpec
     shifts: tuple
-    coeffs: np.ndarray   # (len(shifts), hi - lo), or one number per shift
+    coeffs: np.ndarray   # (len(shifts),) + grid.interior_shape, or one number per shift
+
+    @functools.cached_property
+    def neighbours(self) -> tuple:
+        """Per shift, the interior block moved by +shift and by -shift."""
+        return tuple((self.grid.interior(s), self.grid.interior([-o for o in s]))
+                     for s in self.shifts)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The operator on a full grid array, boundary layer included."""
-        lo, hi = _span(self.grid)
-        values = values.reshape(-1)
-        out = np.zeros(self.grid.shape)
-        span = out.reshape(-1)[lo:hi]
-        for shift, c in zip(self.shifts, self.coeffs):
-            span += c * (values[lo + shift:hi + shift] + values[lo - shift:hi - shift])
-        return out[(slice(1, -1),) * self.grid.dim].reshape(-1)
+        out = np.zeros(self.grid.interior_shape)
+        term = np.empty_like(out)
+        for (plus, minus), c in zip(self.neighbours, self.coeffs):
+            out += np.multiply(c, np.add(values[plus], values[minus], out=term), out=term)
+        return out.reshape(-1)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         padded = np.zeros(self.grid.shape)
-        padded[(slice(1, -1),) * self.grid.dim] = x.reshape(tuple(s - 2 for s in self.grid.shape))
+        padded[self.grid.interior()] = x.reshape(self.grid.interior_shape)
         return self.apply(padded)
 
     def __abs__(self) -> "_StencilOperator":
@@ -264,17 +265,15 @@ def _frozen_policy(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
     same sum over the boundary values moves to b.  Each entry of A is one field
     at one point (twice it at shift 0), so |A| is the fields' absolute values.
     """
-    S = slopes.reshape(tuple(s - 2 for s in grid.shape) + slopes.shape[1:])
+    S = slopes.reshape(grid.interior_shape + slopes.shape[1:])
     fields = {}
-    for (a, b), terms in _hessian_stencil(grid).items():
-        for shift, weight in terms:
+    for (a, b), entry in _hessian_stencil(grid):
+        for shift, weight in zip(entry.shifts, entry.coeffs):
             c = (1.0 if a == b else 2.0) * S[..., a, b] * weight
             fields[shift] = fields[shift] + c if shift in fields else c
-    coeffs = np.pad(np.stack(list(fields.values())), [(0, 0)] + [(1, 1)] * grid.dim)
-    lo, hi = _span(grid)
-    A = _StencilOperator(grid, tuple(fields), coeffs.reshape(len(fields), -1)[:, lo:hi])
+    A = _StencilOperator(grid, tuple(fields), np.stack(list(fields.values())))
     boundary = boundary_values.copy()
-    boundary[(slice(1, -1),) * grid.dim] = 0.0
+    boundary[grid.interior()] = 0.0
     return A, rhs - A.apply(boundary)
 
 
@@ -401,7 +400,7 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         raise ValueError("boundary and right-hand side must be finite")
     start = time.perf_counter()
     u = ScalarField(grid, transfinite_interpolation(boundary))
-    core = u.interior()
+    core = grid.interior()
     d = grid.dim
     report = SolveReport()
     best = None
@@ -414,7 +413,7 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), cert.slope_matrix, tol)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
-        u.values[core] = x.reshape(tuple(s - 2 for s in grid.shape))
+        u.values[core] = x.reshape(grid.interior_shape)
 
         cert = envelope_batch(hessian_stack(u).reshape(-1, d, d), box)
         residual = _residual_of(u, g, cert.value)
@@ -429,8 +428,7 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     report.final_residual = best[0]
     report.residual = best[3]
     report.wall_time_s = time.perf_counter() - start
-    u_out = ScalarField(grid, best[1])
-    return u_out, best[2], report
+    return ScalarField(grid, best[1]), best[2], report
 
 
 @dataclass(frozen=True)

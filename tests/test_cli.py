@@ -257,8 +257,11 @@ class TestNumericalFailure:
         assert err.count("\n") == 1
 
 
+STUDY_CFG = QUAD_CFG.replace("g = constant:2", "g = quadratic") + "refinements = 9,17\n"
+
 # (argv, config text, exit code, text the one stderr line contains); CFG is
-# the config path, OUT a fresh output path, FILE an existing regular file
+# the config path, OUT a fresh output path, FILE an existing regular file;
+# the usage-* cases are command lines the parser rejects
 FAILURES = {
     "points-per-axis-3": (["solve", "CFG", "OUT"],
                           QUAD_CFG.replace("pointsPerAxis = 9", "pointsPerAxis = 3"),
@@ -280,7 +283,15 @@ FAILURES = {
     "repeated-refinement": (["convergence", "CFG", "OUT"],
                             QUAD_CFG.replace("g = constant:2", "g = quadratic")
                             + "refinements = 17,17\n", 2, "'refinements'"),
+    "seed-key": (["solve", "CFG", "OUT"], QUAD_CFG + "seed = 12345\n", 2,
+                 "unknown config keys: seed"),
+    "study-g-not-builtin": (["convergence", "CFG", "OUT"], QUAD_CFG + "refinements = 9,17\n",
+                            2, "'g'"),
     "out-is-a-file": (["solve", "CFG", "FILE"], QUAD_CFG, 3, "File exists"),
+    "convergence-out-is-a-file": (["convergence", "CFG", "FILE"], STUDY_CFG, 3, "File exists"),
+    "usage-bad-int": (["verify", "--theta", "0.5", "--n", "abc", "--samples", "1", "--seed", "1"],
+                      None, 2, "invalid int value: 'abc'"),
+    "usage-no-command": ([], None, 2, "required: command"),
     "nan-slope": (["conjugate", "--p", "1,nan", "--theta", "0.5"], None, 3, "outside the box"),
     "nan-Lambda": (["conjugate", "--p", "1", "--lam", "1", "--Lam", "nan"], None, 3,
                    "eigenvalue bounds"),
@@ -288,11 +299,16 @@ FAILURES = {
 
 
 class TestFailures:
-    """Every failure exits with its documented code and one stderr line;
-    exits 2 and 3 leave no output directory behind."""
+    """Every failure exits with its documented code and one stderr line,
+    before anything is solved; exits 2 and 3 leave no output directory
+    behind."""
 
     @pytest.mark.parametrize("case", sorted(FAILURES))
-    def test_one_line_and_exit_code(self, case, tmp_path, capsys):
+    def test_one_line_and_exit_code(self, case, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            pytest.fail("solve_dirichlet was called")
+
+        monkeypatch.setattr(solver, "solve_dirichlet", no_solve)
         argv, cfg_text, expected, needle = FAILURES[case]
         existing = tmp_path / "existing"
         existing.write_text("")
@@ -303,7 +319,9 @@ class TestFailures:
             write(tmp_path / "p.cfg", cfg_text)
         code, _, err = run_main(capsys, [a for tok in argv for a in paths.get(tok, [tok])])
         assert code == expected
-        assert err.startswith({2: "config error: ", 3: "error: "}[expected])
+        prefix = "usage error: " if case.startswith("usage-") else \
+            {2: "config error: ", 3: "error: "}[expected]
+        assert err.startswith(prefix)
         assert len(err.splitlines()) == 1 and err.endswith("\n")
         assert needle in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
@@ -377,6 +395,13 @@ refinements = 17,33,65
                                          "--out", str(tmp_path / "o")])
         assert code == 2
         assert "built-in" in err
+
+    def test_study_does_not_read_points_per_axis(self, tmp_path, capsys):
+        # each refinement has its own grid; a pointsPerAxis is not needed
+        cfg = write(tmp_path / "c.cfg", STUDY_CFG.replace("pointsPerAxis = 9\n", ""))
+        code, out, err = run_main(capsys, ["convergence", "--config", cfg,
+                                           "--out", str(tmp_path / "o")])
+        assert code == 0 and len(out.splitlines()) == 3 and err == ""
 
     def test_linear_solver_key_is_config_error(self, tmp_path, capsys):
         # the frozen-policy solve has one path; the key that chose one is gone

@@ -31,6 +31,11 @@ def field_of(grid, fn):
     return ScalarField.from_function(grid, fn)
 
 
+def unequal_grid_3():
+    """n = 3 (d = 6) grid with a different spacing on every axis."""
+    return GridSpec(3, (-1.0, 0.0, -2.0, 0.5, 0.0, -0.5), (1.0, 3.0, 0.0, 1.0, 0.5, 1.5), 5)
+
+
 class TestGridSpec:
     def test_spacing(self):
         grid = GridSpec(1, (0.0, 0.0), (1.0, 2.0), 5)
@@ -98,10 +103,11 @@ class TestDiscreteHessian:
         # or shifted interior layout or a misplaced h would show
         rng = np.random.default_rng(5)
         for grid in (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
-                     GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5)):
+                     GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5),
+                     unequal_grid_3()):
             u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
             H = hessian_stack(u)
-            for idx in np.ndindex(*(s - 2 for s in grid.shape)):
+            for idx in np.ndindex(*grid.interior_shape):
                 point = tuple(i + 1 for i in idx)
                 ref = self.pointwise_hessian(u, point)
                 assert np.allclose(H[idx], ref, rtol=1e-12, atol=1e-12)
@@ -520,7 +526,8 @@ class TestPolicyEvaluation:
         def singular(*args):
             A, b = frozen_policy(*args)
             coeffs = A.coeffs.copy()
-            coeffs[:, 0] = 0.0   # the span starts at interior point 0: row 0 of A
+            # every field at interior point 0 is 0: row 0 of A
+            coeffs[(slice(None),) + (0,) * A.grid.dim] = 0.0
             return solver._StencilOperator(A.grid, A.shifts, coeffs), b
 
         monkeypatch.setattr(solver, "_frozen_policy", singular)
@@ -538,15 +545,16 @@ class TestAssembly:
         # wrong cross weight, a misplaced h or a transposed layout show
         rng = np.random.default_rng(11)
         for grid in (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
-                     GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5)):
+                     GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5),
+                     unequal_grid_3()):
             d = grid.dim
             u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
-            ishape = tuple(s - 2 for s in grid.shape)
+            ishape = grid.interior_shape
             G = rng.uniform(-1, 1, ishape + (d, d))
             slopes = G + G.swapaxes(-1, -2)
             rhs = rng.uniform(-1, 1, int(np.prod(ishape)))
             A, b = solver._frozen_policy(grid, slopes.reshape(-1, d, d), rhs, u.values)
-            lin = (A @ u.values[u.interior()].reshape(-1) - (b - rhs)).reshape(ishape)
+            lin = (A @ u.values[grid.interior()].reshape(-1) - (b - rhs)).reshape(ishape)
             for idx in np.ndindex(*ishape):
                 H = TestDiscreteHessian.pointwise_hessian(u, tuple(i + 1 for i in idx))
                 ref = np.sum(slopes[idx] * H)
