@@ -191,9 +191,17 @@ def _load_problem(path: str, study: bool = False):
 
 def _check_out(outdir: str) -> None:
     """Raise, before anything is solved, the error `_write` would raise for
-    an --out naming an existing non-directory; creates nothing."""
+    an --out naming an existing non-directory or a path below one; creates
+    nothing."""
     if os.path.lexists(outdir) and not os.path.isdir(outdir):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), outdir)
+    # os.makedirs fails at the first missing level below the nearest
+    # existing ancestor when that ancestor is not a directory
+    missing = outdir
+    while (head := os.path.dirname(missing)) and not os.path.exists(head):
+        missing = head
+    if head and not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
 
 
 def cmd_solve(args) -> int:

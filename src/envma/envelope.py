@@ -18,19 +18,17 @@ with p descending against mu ascending.  Ftilde is finite, concave and
 uniformly elliptic on all of Sym(2n), and the minimizing (p, g(p)) doubles as
 a Bellman policy for the PDE solver.
 
-Evaluation is exact, not iterative.  The inner maximizer has the closed form
-x_i = clamp(t / (n p_i)) with t = (prod x_i)^{1/n}, a monotone scalar fixed
-point solved per clamp regime.  The outer minimum is found by enumerating the
-finitely many rail/tangency structures of the saddle point: coordinates with
-small mu rail at slope 1/theta, large mu at slope theta, and the middle block
-is tangent (x_i = mu_i, p_i = t/(n mu_i)).  Each structure reduces to the same
-scalar fixed point; every consistent structure is a saddle, so the minimum
-over them is the envelope value.  A grid-discretized evaluator with no such
-reduction is provided as an independent oracle.
+Evaluation is exact, not iterative.  By the minimax theorem Ftilde is also
+the primal maximum over box points x of
+(prod x)^{1/n} + sum_i min(theta (mu_i - x_i), (mu_i - x_i)/theta), attained
+at x_i(t) = clamp(median(t theta/n, mu_i, t/(n theta))) where t solves one
+monotone scalar equation t = (prod x(t))^{1/n}, in closed form between its
+breakpoints; the saddle slopes are read off x.  A grid-discretized evaluator
+with no such reduction is provided as an independent oracle.
 
 All evaluation goes through `envelope_batch`, which certifies a whole stack
 of matrices at once: one LAPACK `eigh` on the stacked Hermitian parts, then
-one pass over all matrices per saddle structure.  `envelope_value`,
+one pass over all matrices per breakpoint of that equation.  `envelope_value`,
 `envelope_eval` and `_saddle` are its one-matrix forms, and the randomized
 property checks stack every sample's matrices into one call.
 
@@ -45,6 +43,7 @@ one-sample generators `sample_in_box`, `sample_unitary_blocks` and
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,7 @@ from . import matrixcore as mc
 from .errors import NoConvergence, NotPSD, ResolutionTooCoarse
 
 _KKT_TOL = 1e-11
-# relative slack of the saddle-structure tests
+# relative slack of the clamp-regime tests of conjugate_maximizer
 _REL_TOL = 1e-12
 # eigenvalues closer than this times the largest |eigenvalue| count as equal
 _RUN_TOL = 1e-13
@@ -180,154 +179,95 @@ def conjugate_intercept(p, box: ThetaBox) -> float:
     return conjugate_maximizer(p, box)[0]
 
 
-def _rail_states(box: ThetaBox, k_lo: int, k_hi: int):
-    """The clamp regimes of one saddle structure (k_lo, k_hi).
+def _inner_max(t: np.ndarray, m: np.ndarray, box: ThetaBox) -> np.ndarray:
+    """x_i(t) = clamp(median(t theta/n, mu_i, t/(n theta))) for m (N, n) and t (N,):
+    the maximizer of the primal form.  An eigenvalue below the tangency range
+    rails at slope 1/theta, one above it at slope theta, and one inside it is
+    tangent (x_i = mu_i)."""
+    t, n = t[:, np.newaxis], m.shape[1]
+    x = np.maximum(m, t * box.theta / n)
+    return np.clip(np.minimum(x, t / (n * box.theta), out=x), box.theta, box.hi, out=x)
 
-    Yields (lo_t, hi_t, pre, suf, e): the t-interval of the regime, the
-    log-constants the railed prefix and suffix add to log C, and the number
-    e of railed coordinates whose inner value is free (proportional to t).
-    Regimes with an empty t-interval are skipped.
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=1), column by column: the same order for n < 8, but faster."""
+    return functools.reduce(np.add, a.T, 0)
+
+
+def _fixed_point(m: np.ndarray, box: ThetaBox) -> np.ndarray:
+    """The root t of h(t) = mean log x(t) - log t for each row of m (N, n).
+
+    h is continuous and nonincreasing, h(theta) >= 0 >= h(1/theta), and h is
+    affine in log t between the breakpoints n theta mu_i, n mu_i/theta,
+    n theta^2, n and n/theta^2.  One pass per breakpoint brackets the root
+    between the largest with h >= 0 and the smallest with h < 0; there
+    t = exp(log C/(n - e)), e the number of x_i(t) proportional to t.
     """
-    n = box.n
+    N, n = m.shape
     th, hi = box.theta, box.hi
-    n_pre, n_suf = k_lo, n - k_hi
-    for b_state in ("lo", "free", "hi"):
-        for t_state in ("lo", "free", "hi"):
-            lo_t, hi_t = th, hi
-            if b_state == "lo":
-                hi_t = min(hi_t, n)
-            elif b_state == "free":
-                lo_t, hi_t = max(lo_t, n), min(hi_t, n / th**2)
-            else:
-                lo_t = max(lo_t, n / th**2)
-            if t_state == "lo":
-                hi_t = min(hi_t, n * th**2)
-            elif t_state == "free":
-                lo_t, hi_t = max(lo_t, n * th**2), min(hi_t, n)
-            else:
-                lo_t = max(lo_t, n)
-            if lo_t > hi_t * (1.0 + _REL_TOL):
-                continue
-            e = 0
-            if b_state == "lo":
-                pre = n_pre * np.log(th)
-            elif b_state == "hi":
-                pre = n_pre * np.log(hi)
-            else:
-                pre = n_pre * np.log(th / n)
-                e += n_pre
-            if t_state == "lo":
-                suf = n_suf * np.log(th)
-            elif t_state == "hi":
-                suf = n_suf * np.log(hi)
-            else:
-                suf = -(n_suf * np.log(n * th))
-                e += n_suf
-            yield lo_t, hi_t, pre, suf, e
+    lo, up = np.full(N, th), np.full(N, hi)
+    for b in itertools.chain((n * th * mu for mu in m.T), (n * mu / th for mu in m.T),
+                             (np.full(N, c) for c in (n * th**2, n, n / th**2, th, hi))):
+        b = np.clip(b, th, hi)
+        above = _row_sum(np.log(_inner_max(b, m, box))) / n >= np.log(b)   # h(b) >= 0
+        # b > 0 raises lo where h(b) >= 0, lowers up elsewhere (np.where is slower)
+        lo, up = np.maximum(lo, b * above), np.minimum(up, b + above * hi)
+
+    # the clamp regime inside the bracket: railed coordinates share one inner
+    # value each side, proportional to t where it is inside the box
+    t_mid = np.sqrt(lo * up)
+    x_mid = _inner_max(t_mid, m, box)
+    pre, suf = x_mid > m, x_mid < m
+    n_pre, n_suf = _row_sum(pre), _row_sum(suf)
+    x_B, x_T = t_mid * th / n, t_mid / (n * th)
+    B_free, T_free = (th < x_B) & (x_B < hi), (th < x_T) & (x_T < hi)
+    log_B = np.where(B_free, np.log(th / n), np.log(np.clip(x_B, th, hi)))
+    log_T = np.where(T_free, -np.log(n * th), np.log(np.clip(x_T, th, hi)))
+    logC = _row_sum(np.where(pre | suf, 0.0, np.log(m))) + n_pre * log_B + n_suf * log_T
+    e = n_pre * B_free + n_suf * T_free
+    # e = n: h is constant on the bracket, a ray of inner optima
+    return np.clip(np.where(e < n, np.exp(logC / np.maximum(n - e, 1)), t_mid), lo, up)
 
 
 def _saddle_batch(m: np.ndarray, box: ThetaBox):
     """Exact envelope evaluation in eigenvalue coordinates for a stack.
 
-    m has shape (N, n), each row ascending.  Returns (value, p, x, t) as
-    arrays of shapes (N,), (N, n), (N, n), (N,): slope eigenvalues p
-    (descending, paired with m), the inner maximizer x, and
-    t = (prod x)^{1/n}.
-
-    Enumerates saddle structures (k_lo, k_hi): coordinates below k_lo rail at
-    slope 1/theta with inner value x_B = clamp(t*theta/n), coordinates from
-    k_hi on rail at slope theta with x_T = clamp(t/(n*theta)), and the middle
-    block is tangent (x_i = mu_i, p_i = t/(n*mu_i)).  Consistency of
-    t = (prod x)^{1/n} is a scalar equation solved per clamp regime; rail
-    optimality and slope-ordering conditions select the valid structures.
-    Each structure is one pass over all N rows; a row keeps the first
-    structure (in enumeration order) whose value beats its best by 1e-15.
+    m (N, n) has ascending rows.  Returns value (N,), the slopes p (N, n),
+    descending, x = x(t) (N, n) of `_inner_max` and t (N,) of `_fixed_point`:
+    p_i = theta where x_i < mu_i, 1/theta where x_i > mu_i and t/(n mu_i)
+    where equal; value = t + sum_i min(theta d_i, d_i/theta) with d = mu - x.
     """
-    N, n = m.shape
+    n = m.shape[1]
     th, hi = box.theta, box.hi
-    # t, slopes and inner values are positive and compared with relative
-    # slack, so a tiny theta (t-regimes as narrow as n*theta^2) is resolved;
-    # rail optimality compares eigenvalues with inner values, with slack
-    # scaled by both, so huge-norm inputs do not wash out the box conditions
-    lo_ok, hi_ok = 1.0 - _REL_TOL, 1.0 + _REL_TOL
-    m_abs = np.max(np.abs(m), axis=1, initial=0.0)
-    best_val = np.full(N, np.inf)
-    best_t = np.zeros(N)
-    best_lo = np.zeros(N, dtype=np.int64)
-    best_hi = np.zeros(N, dtype=np.int64)
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_m = np.log(m)
-        for k_lo in range(n + 1):
-            for k_hi in range(k_lo, n + 1):
-                n_pre, n_suf = k_lo, n - k_hi
-                ok_mid = np.ones(N, dtype=bool)
-                log_mid = np.zeros(N)
-                if k_hi > k_lo:
-                    ok_mid = (m[:, k_lo] > th * lo_ok) & (m[:, k_hi - 1] <= hi * hi_ok)
-                    if not ok_mid.any():
-                        continue
-                    log_mid = np.sum(log_m[:, k_lo:k_hi], axis=1)
-                for lo_t, hi_t, pre, suf, e in _rail_states(box, k_lo, k_hi):
-                    logC = log_mid + pre + suf
-                    if e == n:
-                        # t cancels: a ray of inner optima, value t-independent
-                        ok = ok_mid & (np.abs(logC) <= 1e-12)
-                        t = np.full(N, 0.5 * (lo_t + hi_t))
-                    else:
-                        t = np.exp(logC / (n - e))
-                        ok = ok_mid & (lo_t * lo_ok <= t) & (t <= hi_t * hi_ok)
-                        t = np.clip(t, lo_t, hi_t)
-                    x_B = np.clip(t * th / n, th, hi)
-                    x_T = np.clip(t / (n * th), th, hi)
-                    if k_hi > k_lo:
-                        # middle slopes t/(n*mu) must stay inside the box
-                        ok &= t / (n * m[:, k_hi - 1]) >= th * lo_ok
-                        ok &= t / (n * m[:, k_lo]) <= hi * hi_ok
-                    # rail optimality: railed slopes must not want to move
-                    if n_pre:
-                        ok &= m[:, k_lo - 1] <= x_B + _REL_TOL * np.maximum(m_abs, x_B)
-                    if n_suf:
-                        ok &= m[:, k_hi] >= x_T - _REL_TOL * np.maximum(m_abs, x_T)
-                    if not ok.any():
-                        continue
-                    val = (hi * np.sum(m[:, :k_lo] - x_B[:, np.newaxis], axis=1)
-                           + th * np.sum(m[:, k_hi:] - x_T[:, np.newaxis], axis=1) + t)
-                    win = ok & (val < best_val - 1e-15)
-                    best_val[win] = val[win]
-                    best_t[win] = t[win]
-                    best_lo[win] = k_lo
-                    best_hi[win] = k_hi
-
-        missing = ~np.isfinite(best_val)
-        if missing.any():
-            # every mu admits a consistent rail split; reaching here is a bug
-            i = int(np.argmax(missing))
-            raise NoConvergence(f"no saddle structure for mu={m[i]}, theta={th}")
-        col = np.arange(n)
-        pre = col < best_lo[:, np.newaxis]
-        suf = col >= best_hi[:, np.newaxis]
-        t = best_t[:, np.newaxis]
-        p = np.where(pre, hi, np.where(suf, th, t / (n * m)))
-        x_B = np.clip(t * th / n, th, hi)
-        x_T = np.clip(t / (n * th), th, hi)
-        x = np.where(pre, x_B, np.where(suf, x_T, m))
-    return best_val, _average_equal_runs(np.clip(p, th, hi), m, m_abs), x, best_t
+        t = _fixed_point(m, box)
+        x = _inner_max(t, m, box)
+        resid = np.abs(_row_sum(np.log(x)) / n - np.log(t))  # not finite where t is not
+        if not np.all(resid <= 1e-12):
+            # the monotone fixed point always exists; missing it is a bug
+            i = int(np.argmin(resid <= 1e-12))
+            raise NoConvergence(f"fixed point residual {resid[i]:g} at t={t[i]:g} "
+                                f"for mu={m[i]}, theta={th}")
+        d = m - x
+        p = np.where(d > 0.0, th, np.where(d < 0.0, hi, t[:, np.newaxis] / (n * m)))
+    value = hi * _row_sum(np.minimum(d, 0.0)) + th * _row_sum(np.maximum(d, 0.0)) + t
+    return value, _average_equal_runs(np.clip(p, th, hi, out=p), m), x, t
 
 
-def _average_equal_runs(p: np.ndarray, m: np.ndarray, m_abs: np.ndarray) -> np.ndarray:
-    """Give equal eigenvalues equal slopes: average p over each run of
-    eigenvalues of m (rows ascending) that agree to rounding.
-
-    A run can straddle two structures only at a kink of the envelope, where
-    its inner values all equal the eigenvalue; the saddle set is convex and
-    symmetric under permuting the run, so the averaged slope with the same
-    inner maximizer is still a saddle.  Without this, which copy of a
-    repeated eigenvalue gets which slope would follow round-off, and the
-    slope matrix U diag(p) U^H would depend on the eigenbasis LAPACK picks.
-    """
+def _average_equal_runs(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Average p over each run of eigenvalues of m (rows ascending) that agree
+    to rounding, so that U diag(p) U^H does not depend on the eigenbasis LAPACK
+    picks inside a repeated eigenvalue.  A run straddles two slope regimes only
+    at a kink, where the saddle set is convex and symmetric under permuting the
+    run, so the averaged slope is still a saddle.  Joining neighbours moves p.mu
+    by up to their slope jump times their gap, so they are joined only where
+    that is below rounding of the value too (at theta = 1e-8 next to 1/theta,
+    the eigenvalues 0 and theta agree to rounding, their slopes do not)."""
     N, n = m.shape
-    same = np.diff(m, axis=1) <= _RUN_TOL * m_abs[:, np.newaxis]
+    gap = np.diff(m, axis=1)
+    m_abs = np.maximum(-m[:, :1], m[:, -1:])
+    scale = np.maximum(1.0, _row_sum(np.abs(p * m)))[:, np.newaxis]
+    same = (gap <= _RUN_TOL * m_abs) & (-np.diff(p, axis=1) * gap <= _RUN_TOL * scale)
     if not same.any():
         return p
     run = np.concatenate([np.zeros((N, 1), dtype=np.int64),
@@ -380,7 +320,7 @@ def envelope_batch(H_stack, box: ThetaBox) -> CertificateBatch:
     Both F and the slope box are unitarily invariant, so each certificate
     depends on its matrix only through the Hermitian eigensystem of
     extract(proj(M)) = A + iB: one LAPACK `eigh` on the complex stack, one
-    structure enumeration over all rows, and slope matrices
+    scalar fixed point per row, solved for all rows at once, and slope matrices
     (1/2) embed(U diag(p) U^H), halved so that the plain trace pairing
     reproduces the eigenvalue pairing exactly.  The slope matrix does not
     depend on the eigenbasis LAPACK picks inside a repeated eigenvalue,

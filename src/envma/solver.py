@@ -264,14 +264,23 @@ def _frozen_policy(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
     distinct shifts at d = 4).  A applies them to the interior values; the
     same sum over the boundary values moves to b.  Each entry of A is one field
     at one point (twice it at shift 0), so |A| is the fields' absolute values.
+    The fields are summed in place in one array, shifts in first-appearance order.
     """
     S = slopes.reshape(grid.interior_shape + slopes.shape[1:])
-    fields = {}
-    for (a, b), entry in _hessian_stencil(grid):
+    stencil = _hessian_stencil(grid)
+    shifts = tuple(dict.fromkeys(shift for _, entry in stencil for shift in entry.shifts))
+    fields = np.empty((len(shifts),) + grid.interior_shape)
+    written = set()
+    for (a, b), entry in stencil:
         for shift, weight in zip(entry.shifts, entry.coeffs):
             c = (1.0 if a == b else 2.0) * S[..., a, b] * weight
-            fields[shift] = fields[shift] + c if shift in fields else c
-    A = _StencilOperator(grid, tuple(fields), np.stack(list(fields.values())))
+            k = shifts.index(shift)
+            if shift in written:
+                fields[k] += c
+            else:
+                fields[k] = c
+                written.add(shift)
+    A = _StencilOperator(grid, shifts, fields)
     boundary = boundary_values.copy()
     boundary[grid.interior()] = 0.0
     return A, rhs - A.apply(boundary)

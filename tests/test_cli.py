@@ -248,7 +248,9 @@ class TestNumericalFailure:
         assert err.count("\n") == 1
 
     def test_no_convergence_exits_5(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(envelope, "_rail_states", lambda box, k_lo, k_hi: iter(()))
+        # x(t) = 2t misses the fixed point t = (prod x(t))^(1/n) everywhere
+        monkeypatch.setattr(envelope, "_inner_max",
+                            lambda t, m, box: 2.0 * t[:, np.newaxis] + 0.0 * m)
         cfg = write(tmp_path / "p.cfg", QUAD_CFG)
         code, _, err = run_main(capsys, ["solve", "--config", cfg,
                                          "--out", str(tmp_path / "o")])
@@ -260,8 +262,9 @@ class TestNumericalFailure:
 STUDY_CFG = QUAD_CFG.replace("g = constant:2", "g = quadratic") + "refinements = 9,17\n"
 
 # (argv, config text, exit code, text the one stderr line contains); CFG is
-# the config path, OUT a fresh output path, FILE an existing regular file;
-# the usage-* cases are command lines the parser rejects
+# the config path, OUT a fresh output path, FILE an existing regular file,
+# BELOW a path below that file; the usage-* cases are command lines the
+# parser rejects
 FAILURES = {
     "points-per-axis-3": (["solve", "CFG", "OUT"],
                           QUAD_CFG.replace("pointsPerAxis = 9", "pointsPerAxis = 3"),
@@ -289,6 +292,9 @@ FAILURES = {
                             2, "'g'"),
     "out-is-a-file": (["solve", "CFG", "FILE"], QUAD_CFG, 3, "File exists"),
     "convergence-out-is-a-file": (["convergence", "CFG", "FILE"], STUDY_CFG, 3, "File exists"),
+    "out-below-a-file": (["solve", "CFG", "BELOW"], QUAD_CFG, 3, "Not a directory"),
+    "convergence-out-below-a-file": (["convergence", "CFG", "BELOW"], STUDY_CFG, 3,
+                                     "Not a directory"),
     "usage-bad-int": (["verify", "--theta", "0.5", "--n", "abc", "--samples", "1", "--seed", "1"],
                       None, 2, "invalid int value: 'abc'"),
     "usage-no-command": ([], None, 2, "required: command"),
@@ -314,7 +320,8 @@ class TestFailures:
         existing.write_text("")
         paths = {"CFG": ["--config", str(tmp_path / "p.cfg")],
                  "OUT": ["--out", str(tmp_path / "o")],
-                 "FILE": ["--out", str(existing)]}
+                 "FILE": ["--out", str(existing)],
+                 "BELOW": ["--out", str(existing / "sub")]}
         if cfg_text is not None:
             write(tmp_path / "p.cfg", cfg_text)
         code, _, err = run_main(capsys, [a for tok in argv for a in paths.get(tok, [tok])])

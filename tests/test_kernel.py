@@ -36,9 +36,24 @@ def anticommuting_part(rng, n):
     return S - mc.project(S)
 
 
+def kink_spectra(box):
+    """Spectra on the kinks of the envelope: eigenvalues exactly theta,
+    1/theta, 0, n*theta and theta/n, alone and repeated, and pairs one
+    rounding apart that straddle theta and 1/theta."""
+    n, th = box.n, box.theta
+    kinks = [th, box.hi, 0.0, n * th, th / n]
+    out = [np.full(n, v) for v in kinks]
+    out += [np.resize(np.roll(kinks, -k), n) for k in range(len(kinks))]
+    for v in (th, box.hi):
+        below, above = np.nextafter(v, 0.0), np.nextafter(v, np.inf)
+        out += [np.resize([below, above], n), np.resize([above, below], n)]
+    return out
+
+
 def mixed_stack(rng, box):
     """Random, in-box, huge-norm (~1e8), repeated-eigenvalue and scalar
-    matrices, each with a J-anticommuting component."""
+    matrices, each with a J-anticommuting component, and diagonal matrices
+    with the exact eigenvalues of `kink_spectra`."""
     n = box.n
     out = []
     for _ in range(6):
@@ -50,6 +65,7 @@ def mixed_stack(rng, box):
                    + anticommuting_part(rng, n))
     out += [np.eye(2 * n), np.zeros((2 * n, 2 * n)), box.theta * np.eye(2 * n),
             box.hi * np.eye(2 * n)]
+    out += [herm_matrix(mu, np.eye(n), np.zeros((n, n))) for mu in kink_spectra(box)]
     return np.array(out)
 
 
@@ -210,10 +226,11 @@ def test_batch_validates_like_as_symmetric():
     assert envelope_batch(np.zeros((0, 2, 2)), box).value.shape == (0,)
 
 
-def test_no_structure_raises_no_convergence(monkeypatch):
+def test_broken_fixed_point_raises_no_convergence(monkeypatch):
     from envma import envelope
 
-    monkeypatch.setattr(envelope, "_rail_states", lambda box, k_lo, k_hi: iter(()))
+    # a wrong inner maximizer, x(t) = 2t, misses t = (prod x(t))^(1/n) everywhere
+    monkeypatch.setattr(envelope, "_inner_max", lambda t, m, box: 2.0 * t[:, np.newaxis] + 0.0 * m)
     with pytest.raises(NoConvergence):
         envelope_batch(np.array([np.eye(2), 2 * np.eye(2)]), ThetaBox(0.5, 1))
 
