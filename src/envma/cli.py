@@ -325,7 +325,3 @@ def main(argv=None) -> int:
 def _fail(code: int, message: str) -> int:
     print(" ".join(message.splitlines()), file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

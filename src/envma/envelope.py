@@ -33,11 +33,13 @@ one pass over all matrices per breakpoint of that equation.  `envelope_value`,
 property checks stack every sample's matrices into one call.
 
 The random samples of those checks are drawn in blocks as well
-(`draw_verify_block`): the random numbers are taken sample by sample, in a
-fixed order, and the whole block is then shaped into matrices at once (one
-stacked QR for the unitaries, one stacked product per sample kind).  The
-one-sample generators `sample_in_box`, `sample_unitary_blocks` and
-`sample_psd` are the same shaping applied to a stack of one.
+(`draw_verify_block`): every drawn field of a sample (a shift, a symmetric
+matrix, the eigenvalues, a complex Gaussian, a PSD kind) has its own
+generator spawned from the seed, one call draws a field for the whole block,
+and the block is shaped into matrices at once (one stacked QR for the
+unitaries, one stacked product per sample kind).  The one-sample generators
+`sample_in_box`, `sample_unitary_blocks` and `sample_psd` are the same
+helpers applied to a stack of one, drawing every field from one generator.
 """
 
 from __future__ import annotations
@@ -506,8 +508,12 @@ def sample_symmetric(rng, d: int, shift: float = 0.0) -> np.ndarray:
     return _symmetrized(rng.uniform(-1.0, 1.0, size=(d, d)), shift)
 
 
-def _complex_gaussian(rng, n: int) -> np.ndarray:
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def _complex_gaussian(rng, m: int, n: int) -> np.ndarray:
+    """m complex Gaussian n x n matrices from one draw, the real and then the
+    imaginary part of each matrix in turn, so a matrix does not depend on how
+    many are drawn with it."""
+    g = rng.normal(size=(m, 2, n, n))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def _unitary_blocks(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -522,7 +528,7 @@ def _unitary_blocks(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_unitary_blocks(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Haar-ish random unitary as real blocks (QR of a complex Gaussian)."""
-    Ure, Uim = _unitary_blocks(_complex_gaussian(rng, n)[np.newaxis])
+    Ure, Uim = _unitary_blocks(_complex_gaussian(rng, 1, n))
     return Ure[0], Uim[0]
 
 
@@ -532,10 +538,13 @@ def _embed_hermitian_part(Hre: np.ndarray, Him: np.ndarray) -> np.ndarray:
                             + 1j * ((Him - Him.swapaxes(-1, -2)) / 2))
 
 
-def _draw_in_box(rng, box: ThetaBox) -> tuple:
+def _draw_in_box(rngs: tuple, box: ThetaBox, m: int) -> tuple:
+    """Draws of m in-box matrices: eigenvalues, eigenbasis Gaussians and
+    symmetric parts, from the three generators of rngs in turn."""
+    rng_mu, rng_Z, rng_S = rngs
     n = box.n
-    mu = rng.uniform(box.theta, box.hi, size=n)
-    return mu, _complex_gaussian(rng, n), rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+    return (rng_mu.uniform(box.theta, box.hi, size=(m, n)), _complex_gaussian(rng_Z, m, n),
+            rng_S.uniform(-1.0, 1.0, size=(m, 2 * n, 2 * n)))
 
 
 def _in_box(mu: np.ndarray, Z: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -553,18 +562,19 @@ def _in_box(mu: np.ndarray, Z: np.ndarray, S: np.ndarray) -> np.ndarray:
 def sample_in_box(rng, box: ThetaBox) -> np.ndarray:
     """Matrix whose projection has spectrum uniform in the box, plus a random
     J-anticommuting component (which the envelope must ignore)."""
-    return _in_box(*(x[np.newaxis] for x in _draw_in_box(rng, box)))[0]
+    return _in_box(*_draw_in_box((rng, rng, rng), box, 1))[0]
 
 
-def _draw_psd(rng, d: int, kind: str):
+def _draw_psd(rng, d: int, kind: str, m: int) -> np.ndarray:
+    """Draws of m PSD perturbations of one kind, stacked along a leading axis."""
     if kind == "gram":
-        return rng.uniform(-1.0, 1.0, size=(d, d))
+        return rng.uniform(-1.0, 1.0, size=(m, d, d))
     if kind == "embedded":
-        return _complex_gaussian(rng, d // 2)
+        return _complex_gaussian(rng, m, d // 2)
     if kind == "rank1":
-        return rng.normal(size=d)
+        return rng.normal(size=(m, d))
     if kind == "scalar":
-        return rng.uniform(0.1, 2.0)
+        return rng.uniform(0.1, 2.0, size=m)
     raise ValueError(f"unknown psd kind {kind!r}")
 
 
@@ -583,7 +593,7 @@ def _psd(kind: str, raw: np.ndarray, d: int) -> np.ndarray:
 
 def sample_psd(rng, d: int, kind: str) -> np.ndarray:
     """PSD perturbation of the requested kind."""
-    return _psd(kind, np.asarray(_draw_psd(rng, d, kind))[np.newaxis], d)[0]
+    return _psd(kind, _draw_psd(rng, d, kind, 1), d)[0]
 
 
 def tangent_slope(mu) -> np.ndarray:
@@ -612,41 +622,46 @@ def unitary_rotation(Ure: np.ndarray, Uim: np.ndarray) -> np.ndarray:
     return R
 
 
-def draw_verify_block(rng, box: ThetaBox, start: int, stop: int) -> dict:
+# the drawn fields of a verify sample, one generator each (verify_streams)
+_VERIFY_FIELDS = ("shift1", "S1", "shift2", "S2", "mu", "Z", "S", "Z_rot") + _PSD_KINDS
+
+
+def verify_streams(seed: int) -> dict:
+    """One generator per field of _VERIFY_FIELDS, spawned from SeedSequence(seed)."""
+    children = np.random.SeedSequence(seed).spawn(len(_VERIFY_FIELDS))
+    return {name: np.random.default_rng(c) for name, c in zip(_VERIFY_FIELDS, children)}
+
+
+def draw_verify_block(streams: dict, box: ThetaBox, start: int, stop: int) -> dict:
     """Samples start..stop-1 of a verify run, as stacks along a leading axis.
 
     Sample idx consists of m1 and m2 (symmetric; m1 shifted by a random
     multiple of I when idx is even, m2 when idx is divisible by 3), an in-box
     matrix m_in, a PSD perturbation P of kind _PSD_KINDS[idx % 4] (its name
-    in P_kind) and a J-commuting rotation R.  The random numbers are drawn
-    sample by sample in that order, so a sample does not depend on the block
-    it falls in; the draws are then shaped into matrices a whole block at a
-    time.
+    in P_kind) and a J-commuting rotation R.  Each drawn field has its own
+    generator in `streams` (see verify_streams), and one call draws it for
+    the whole block: the shifts for every sample, then masked, and each PSD
+    kind over its own rows.  Every generator is read in sample order, so a
+    sample does not depend on the block it falls in.
     """
-    n, d = box.n, 2 * box.n
-    kinds = tuple(_PSD_KINDS[idx % len(_PSD_KINDS)] for idx in range(start, stop))
-    raw = []
-    for idx, kind in zip(range(start, stop), kinds):
-        shift1 = rng.uniform(0.0, 3.0) if idx % 2 == 0 else 0.0
-        S1 = rng.uniform(-1.0, 1.0, size=(d, d))
-        shift2 = rng.uniform(0.0, 3.0) if idx % 3 == 0 else 0.0
-        S2 = rng.uniform(-1.0, 1.0, size=(d, d))
-        in_box = _draw_in_box(rng, box)
-        psd = _draw_psd(rng, d, kind)
-        raw.append((shift1, S1, shift2, S2, *in_box, psd, _complex_gaussian(rng, n)))
-    shift1, S1, shift2, S2, mu, Z, S, psd, Z_rot = zip(*raw)
-    P = np.empty((len(raw), d, d))
+    n, d, m = box.n, 2 * box.n, stop - start
+    idx = np.arange(start, stop)
+    shift1 = np.where(idx % 2 == 0, streams["shift1"].uniform(0.0, 3.0, size=m), 0.0)
+    m1 = _symmetrized(streams["S1"].uniform(-1.0, 1.0, size=(m, d, d)), shift1)
+    shift2 = np.where(idx % 3 == 0, streams["shift2"].uniform(0.0, 3.0, size=m), 0.0)
+    m2 = _symmetrized(streams["S2"].uniform(-1.0, 1.0, size=(m, d, d)), shift2)
+    P = np.empty((m, d, d))
     for k, kind in enumerate(_PSD_KINDS):
-        rows = slice((k - start) % len(_PSD_KINDS), len(raw), len(_PSD_KINDS))
-        if psd[rows]:
-            P[rows] = _psd(kind, np.array(psd[rows]), d)
+        rows = np.flatnonzero(idx % len(_PSD_KINDS) == k)
+        if rows.size:
+            P[rows] = _psd(kind, _draw_psd(streams[kind], d, kind, rows.size), d)
     return {
-        "m1": _symmetrized(np.array(S1), np.array(shift1)),
-        "m2": _symmetrized(np.array(S2), np.array(shift2)),
-        "m_in": _in_box(np.array(mu), np.array(Z), np.array(S)),
+        "m1": m1,
+        "m2": m2,
+        "m_in": _in_box(*_draw_in_box((streams["mu"], streams["Z"], streams["S"]), box, m)),
         "P": P,
-        "P_kind": kinds,
-        "R": unitary_rotation(*_unitary_blocks(np.array(Z_rot))),
+        "P_kind": tuple(_PSD_KINDS[i % len(_PSD_KINDS)] for i in range(start, stop)),
+        "R": unitary_rotation(*_unitary_blocks(_complex_gaussian(streams["Z_rot"], m, n))),
     }
 
 
@@ -718,10 +733,10 @@ def verify_envelope(box: ThetaBox, samples: int, seed: int) -> PropertyReport:
     for name in PROPERTY_NAMES:
         report.passed[name] = 0
         report.failed[name] = 0
-    rng = np.random.default_rng(seed)
+    streams = verify_streams(seed)
     ratios = []
     for start in range(0, samples, _VERIFY_BLOCK):
-        block = draw_verify_block(rng, box, start, min(start + _VERIFY_BLOCK, samples))
+        block = draw_verify_block(streams, box, start, min(start + _VERIFY_BLOCK, samples))
         res = _check_samples(box, block)
         for name in PROPERTY_NAMES:
             ok, claims = res[name]

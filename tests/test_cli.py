@@ -1,8 +1,10 @@
 """Command-line interface tests: outputs and exit codes."""
 
+import gc
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +164,28 @@ class TestVerify:
                                            "--samples", "10", "--seed", "-1"])
         assert code == 3 and out == ""
         assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+
+
+class TestEntry:
+    """`python -m envma` and the console script share one process entry,
+    which freezes the import-time objects; `main` itself freezes nothing."""
+
+    VERIFY = ["verify", "--theta", "0.5", "--n", "2", "--samples", "50", "--seed", "3"]
+
+    def test_module_run_prints_what_main_prints(self, capsys):
+        frozen = gc.get_freeze_count()
+        code, out, _ = run_main(capsys, self.VERIFY)
+        assert code == 0 and gc.get_freeze_count() == frozen
+        proc = subprocess.run([sys.executable, "-m", "envma", *self.VERIFY], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.encode()
+
+    def test_console_script_is_the_module_entry(self):
+        from envma.__main__ import entry
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text().split("[project.scripts]")[1].split("[")[0]
+        assert scripts.split() == ["envma", "=", f'"{entry.__module__}:{entry.__name__}"']
 
 
 class TestSolve:

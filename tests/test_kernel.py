@@ -235,39 +235,44 @@ def test_broken_fixed_point_raises_no_convergence(monkeypatch):
         envelope_batch(np.array([np.eye(2), 2 * np.eye(2)]), ThetaBox(0.5, 1))
 
 
-def reference_draw(rng, box, idx):
-    """Verify sample idx drawn and shaped one matrix at a time."""
+def reference_draw(streams, box, idx):
+    """Verify sample idx drawn and shaped one matrix at a time, each field
+    from its own generator of `streams`."""
     n, d = box.n, 2 * box.n
 
-    def symmetric(shift):
+    def symmetric(rng, shift):
         S = rng.uniform(-1.0, 1.0, size=(d, d))
         return (S + S.T) / 2.0 + shift * np.eye(d)
 
-    def gaussian():
+    def gaussian(rng):
         return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
-    def unitary():
-        Q, R = np.linalg.qr(gaussian())
+    def unitary(rng):
+        Q, R = np.linalg.qr(gaussian(rng))
         ph = np.diag(R).copy()
         ph = ph / np.abs(ph)
         Q = Q * ph[np.newaxis, :].conj()
         return np.ascontiguousarray(Q.real), np.ascontiguousarray(Q.imag)
 
-    m1 = symmetric(float(rng.uniform(0.0, 3.0)) if idx % 2 == 0 else 0.0)
-    m2 = symmetric(float(rng.uniform(0.0, 3.0)) if idx % 3 == 0 else 0.0)
-    mu = rng.uniform(box.theta, box.hi, size=n)
-    Ure, Uim = unitary()
+    # a shift is drawn for every sample and used where idx says so
+    shift1 = float(streams["shift1"].uniform(0.0, 3.0))
+    m1 = symmetric(streams["S1"], shift1 if idx % 2 == 0 else 0.0)
+    shift2 = float(streams["shift2"].uniform(0.0, 3.0))
+    m2 = symmetric(streams["S2"], shift2 if idx % 3 == 0 else 0.0)
+    mu = streams["mu"].uniform(box.theta, box.hi, size=n)
+    Ure, Uim = unitary(streams["Z"])
     Qre = (Ure * mu) @ Ure.T + (Uim * mu) @ Uim.T
     Qim = (Uim * mu) @ Ure.T - (Ure * mu) @ Uim.T
     core = mc.embed(mc.HermitianMatrix((Qre + Qre.T) / 2, (Qim - Qim.T) / 2))
-    S = symmetric(0.0)
+    S = symmetric(streams["S"], 0.0)
     m_in = core + (S - mc.project(S))
     kind = ("gram", "embedded", "rank1", "scalar")[idx % 4]
+    rng = streams[kind]
     if kind == "gram":
         G = rng.uniform(-1.0, 1.0, size=(d, d))
         P = (G @ G.T) / d
     elif kind == "embedded":
-        Z = gaussian()
+        Z = gaussian(rng)
         Hm = (Z @ Z.conj().T) / n
         P = mc.embed(mc.HermitianMatrix(Hm.real, Hm.imag))
     elif kind == "rank1":
@@ -275,7 +280,7 @@ def reference_draw(rng, box, idx):
         P = np.outer(v, v) / float(v @ v)
     else:
         P = float(rng.uniform(0.1, 2.0)) * np.eye(d)
-    Ure, Uim = unitary()
+    Ure, Uim = unitary(streams["Z_rot"])
     R = np.block([[Ure, -Uim], [Uim, Ure]])
     return {"m1": m1, "m2": m2, "m_in": m_in, "P": P, "P_kind": kind, "R": R}
 
@@ -287,17 +292,19 @@ def test_block_draws_equal_pointwise_draws(n):
 
     box = ThetaBox(0.3, n)
     bounds = (0, 7, 9, 22, 23, 41)
-    rng_block, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    streams_block, streams_ref = envelope.verify_streams(5), envelope.verify_streams(5)
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        block = envelope.draw_verify_block(rng_block, box, start, stop)
+        block = envelope.draw_verify_block(streams_block, box, start, stop)
         assert len(block["P_kind"]) == stop - start
         for j, idx in enumerate(range(start, stop)):
-            ref = reference_draw(rng_ref, box, idx)
+            ref = reference_draw(streams_ref, box, idx)
             assert block["P_kind"][j] == ref["P_kind"]
             for key in ("m1", "m2", "m_in", "P", "R"):
                 assert block[key].dtype == ref[key].dtype
                 assert block[key][j].tobytes() == ref[key].tobytes(), (idx, key)
-    assert rng_block.bit_generator.state == rng_ref.bit_generator.state
+    assert streams_block.keys() == streams_ref.keys()
+    for name in streams_ref:
+        assert streams_block[name].bit_generator.state == streams_ref[name].bit_generator.state, name
 
 
 def test_verify_report_does_not_depend_on_block_size(monkeypatch):
@@ -305,8 +312,8 @@ def test_verify_report_does_not_depend_on_block_size(monkeypatch):
 
     draw = envelope.draw_verify_block
 
-    def draw_with_bad_rotation(rng, box, start, stop):
-        block = draw(rng, box, start, stop)
+    def draw_with_bad_rotation(streams, box, start, stop):
+        block = draw(streams, box, start, stop)
         if start <= 19 < stop:
             block["R"][19 - start] *= 2.0   # not orthogonal: rotation fails
         return block
@@ -314,16 +321,18 @@ def test_verify_report_does_not_depend_on_block_size(monkeypatch):
     monkeypatch.setattr(envelope, "draw_verify_block", draw_with_bad_rotation)
     box = ThetaBox(0.5, 2)
     reports = []
-    for block in (7, 128):
+    for block in (1, 7, 128, 1000):
         monkeypatch.setattr(envelope, "_VERIFY_BLOCK", block)
         reports.append(envelope.verify_envelope(box, samples=30, seed=4))
-    a, b = reports
-    assert a.format() == b.format()
+    a = reports[0]
     assert a.failed["rotation"] == 1 and not a.all_pass
-    assert a.first_failure.keys() == b.first_failure.keys() == {"rotation"}
     idx_a, m_a = a.first_failure["rotation"]
-    idx_b, m_b = b.first_failure["rotation"]
-    assert idx_a == idx_b == 19 and np.array_equal(m_a, m_b)
+    assert idx_a == 19
+    for b in reports[1:]:
+        assert a.format() == b.format()
+        assert a.first_failure.keys() == b.first_failure.keys() == {"rotation"}
+        idx_b, m_b = b.first_failure["rotation"]
+        assert idx_b == 19 and np.array_equal(m_a, m_b)
 
 
 def test_verify_rejects_bad_input_before_drawing(monkeypatch):
