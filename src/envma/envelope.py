@@ -181,14 +181,19 @@ def conjugate_intercept(p, box: ThetaBox) -> float:
     return conjugate_maximizer(p, box)[0]
 
 
-def _inner_max(t: np.ndarray, m: np.ndarray, box: ThetaBox) -> np.ndarray:
-    """x_i(t) = clamp(median(t theta/n, mu_i, t/(n theta))) for m (N, n) and t (N,):
-    the maximizer of the primal form.  An eigenvalue below the tangency range
-    rails at slope 1/theta, one above it at slope theta, and one inside it is
-    tangent (x_i = mu_i)."""
-    t, n = t[:, np.newaxis], m.shape[1]
+def _clamped_median(t: np.ndarray, m: np.ndarray, box: ThetaBox) -> np.ndarray:
+    """clamp(median(t theta/n, mu_i, t/(n theta))) for eigenvalues m and t
+    that broadcast against them: the maximizer x(t) of the primal form.  An
+    eigenvalue below the tangency range rails at slope 1/theta, one above it
+    at slope theta, and one inside it is tangent (x_i = mu_i)."""
+    n = box.n
     x = np.maximum(m, t * box.theta / n)
     return np.clip(np.minimum(x, t / (n * box.theta), out=x), box.theta, box.hi, out=x)
+
+
+def _inner_max(t: np.ndarray, m: np.ndarray, box: ThetaBox) -> np.ndarray:
+    """x(t) of `_clamped_median` for m (N, n) and t (N,)."""
+    return _clamped_median(t[:, np.newaxis], m, box)
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -204,28 +209,32 @@ def _fixed_point(m: np.ndarray, box: ThetaBox) -> np.ndarray:
     n theta^2, n and n/theta^2.  One pass per breakpoint brackets the root
     between the largest with h >= 0 and the smallest with h < 0; there
     t = exp(log C/(n - e)), e the number of x_i(t) proportional to t.
+    The eigenvalues are held as n contiguous rows of length N, so t (N,)
+    broadcasts along each row, and `sum` adds the rows in `_row_sum`'s order.
     """
     N, n = m.shape
     th, hi = box.theta, box.hi
+    m = np.ascontiguousarray(m.T)
     lo, up = np.full(N, th), np.full(N, hi)
-    for b in itertools.chain((n * th * mu for mu in m.T), (n * mu / th for mu in m.T),
+    for b in itertools.chain((n * th * mu for mu in m), (n * mu / th for mu in m),
                              (np.full(N, c) for c in (n * th**2, n, n / th**2, th, hi))):
         b = np.clip(b, th, hi)
-        above = _row_sum(np.log(_inner_max(b, m, box))) / n >= np.log(b)   # h(b) >= 0
+        above = sum(np.log(_clamped_median(b, m, box))) / n >= np.log(b)   # h(b) >= 0
         # b > 0 raises lo where h(b) >= 0, lowers up elsewhere (np.where is slower)
         lo, up = np.maximum(lo, b * above), np.minimum(up, b + above * hi)
 
     # the clamp regime inside the bracket: railed coordinates share one inner
     # value each side, proportional to t where it is inside the box
     t_mid = np.sqrt(lo * up)
-    x_mid = _inner_max(t_mid, m, box)
+    x_mid = _clamped_median(t_mid, m, box)
     pre, suf = x_mid > m, x_mid < m
-    n_pre, n_suf = _row_sum(pre), _row_sum(suf)
+    del x_mid   # freed before the temporaries below, so the copy of m adds no peak
+    n_pre, n_suf = sum(pre), sum(suf)
     x_B, x_T = t_mid * th / n, t_mid / (n * th)
     B_free, T_free = (th < x_B) & (x_B < hi), (th < x_T) & (x_T < hi)
     log_B = np.where(B_free, np.log(th / n), np.log(np.clip(x_B, th, hi)))
     log_T = np.where(T_free, -np.log(n * th), np.log(np.clip(x_T, th, hi)))
-    logC = _row_sum(np.where(pre | suf, 0.0, np.log(m))) + n_pre * log_B + n_suf * log_T
+    logC = sum(np.where(pre | suf, 0.0, np.log(m))) + n_pre * log_B + n_suf * log_T
     e = n_pre * B_free + n_suf * T_free
     # e = n: h is constant on the bracket, a ray of inner optima
     return np.clip(np.where(e < n, np.exp(logC / np.maximum(n - e, 1)), t_mid), lo, up)

@@ -212,6 +212,7 @@ def report_text(report) -> str:
         f"converged = {'true' if report.converged else 'false'}",
         f"final_residual = {fmt(report.final_residual)}",
         "residual_history = " + ",".join(fmt(r) for r in report.residual_history),
+        "krylov_steps = " + ",".join(str(k) for k in report.krylov_steps),
     ]
     return "\n".join(lines) + "\n"
 

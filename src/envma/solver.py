@@ -9,9 +9,10 @@ freezing the policy leaves the linear uniformly elliptic equation
     tr(S(x) D^2 u(x)) + c(x) = g(x),
 
 solved with Dirichlet data by restarted GMRES, preconditioned by the exact
-inverse of an axis-weighted Laplacian applied in the tensor sine basis; the
-two steps alternate until the max-norm residual of the nonlinear equation
-meets the tolerance.  All certificates of one iterate come from a single
+inverse of an axis-weighted Laplacian applied in the tensor sine basis, and
+stopped at the first Krylov step that passes a true max-norm check; the two
+steps alternate until the max-norm residual of the nonlinear equation meets
+the tolerance.  All certificates of one iterate come from a single
 `envelope_batch` call on the stacked Hessians, whose values are also the
 residual, so each Hessian is evaluated once.
 
@@ -138,6 +139,7 @@ class SolveReport:
     converged: bool = False
     final_residual: float = float("inf")
     residual_history: list = field(default_factory=list)
+    krylov_steps: list = field(default_factory=list)   # per Howard iteration, over its cycles
     wall_time_s: float = 0.0
     residual: ScalarField | None = None   # Ftilde(D^2 u) - g of the returned u
 
@@ -321,69 +323,118 @@ def _laplacian_inverse(grid: GridSpec, weights: np.ndarray):
     lam = np.zeros((m,) * d)
     for a in range(d):
         lam += weights[a] * eigs[a].reshape((m,) + (1,) * (d - 1 - a))
+    lam = lam.reshape(-1)
 
     def transform(v):
         for _ in range(d):   # each product contracts the last axis and puts its result first
-            v = np.tensordot(phi, v, axes=(1, -1))
-        return v
+            v = phi @ v.reshape(-1, m).T
+        return v.reshape(-1)
 
-    return lambda r: transform(transform(r.reshape(lam.shape)) / lam).reshape(-1)
+    return lambda r: transform(transform(r) / lam)
 
 
-def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, precondition) -> np.ndarray:
-    """One cycle of left-preconditioned GMRES(_GMRES_RESTART) from x (Saad
-    and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): modified Gram-Schmidt
-    Arnoldi on M A from M (b - A x), then x + V y minimizing |M (b - A .)|
-    over the Krylov space; it ends early if that space is invariant."""
-    r = precondition(b - A @ x)
-    beta = np.linalg.norm(r)
-    if not beta > 0.0:   # exact already, or non-finite: left to the caller's check
-        return x
+class _Target:
+    """max(1e-2 tol, 8 eps max(|A| |x| + |b|)), the bound on max|A x - b| that
+    ends a policy evaluation; the second term, the round-off of the terms
+    summed in A x - b, grows like |S| / h^2.  `value` is the bound at the last
+    x checked (at x0 before).  An estimate of max|A x - b| earns a check when
+    `slack` times it meets `value`; each failed check multiplies `slack` by 10."""
+
+    def __init__(self, A: _StencilOperator, b: np.ndarray, tol: float, x0: np.ndarray):
+        self.abs_A, self.abs_b, self.tol = abs(A), np.abs(b), tol
+        self.value, self.slack = self.at(x0), 1.0
+
+    def at(self, x: np.ndarray) -> float:
+        floor = 8.0 * np.finfo(float).eps * float(np.max(self.abs_A @ np.abs(x) + self.abs_b))
+        return max(1e-2 * self.tol, floor)
+
+    def predicted_by(self, estimate: float) -> bool:
+        return self.slack * estimate <= self.value
+
+    def met_at(self, x: np.ndarray, r: np.ndarray) -> bool:
+        """The true check of x, r = b - A x, against the bound at x."""
+        self.value = self.at(x)
+        if float(np.max(np.abs(r))) <= self.value:
+            return True
+        self.slack *= 10.0
+        return False
+
+
+def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, r: np.ndarray,
+                 precondition, target: _Target) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """One cycle of left-preconditioned GMRES(_GMRES_RESTART) from x, r = b - A x
+    (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): modified Gram-Schmidt
+    Arnoldi on M A from M r.  Givens rotations keep the Hessenberg matrix
+    triangular, so step k gives |g_k| = min |M (b - A .)| over the Krylov space
+    for free, and |g_k| max|r| / |M r| estimates max|b - A x_k|; x_k is formed
+    and checked only where that predicts `target`.  Returns (x, b - A x, steps,
+    passed) at the first x_k that passes, after _GMRES_RESTART steps, or when
+    the space is invariant."""
+    z = precondition(r)
+    beta = np.linalg.norm(z)
+    if not beta > 0.0:   # exact already, or non-finite: one true check decides
+        return x, r, 0, target.met_at(x, r)
+    scale = float(np.max(np.abs(r))) / beta
     V = np.empty((_GMRES_RESTART + 1, len(b)))
-    H = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART))
-    V[0] = r / beta
+    R = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART))   # the rotated Hessenberg matrix
+    g = np.zeros(_GMRES_RESTART + 1)
+    g[0], V[0] = beta, z / beta
+    rotations = []
     for k in range(1, _GMRES_RESTART + 1):   # k basis vectors in use
         w = precondition(A @ V[k - 1])
+        h = R[:k + 1, k - 1]
         for i in range(k):
-            H[i, k - 1] = V[i] @ w
-            w -= H[i, k - 1] * V[i]
-        H[k, k - 1] = np.linalg.norm(w)
-        if H[k, k - 1] <= np.finfo(float).eps * np.linalg.norm(H[:k + 1, k - 1]):   # |w| before
-            break
-        V[k] = w / H[k, k - 1]
-    y = np.linalg.lstsq(H[:k + 1, :k], beta * np.eye(k + 1)[0], rcond=None)[0]
-    return x + y @ V[:k]
+            h[i] = V[i] @ w
+            w -= h[i] * V[i]
+        h[k] = np.linalg.norm(w)
+        invariant = h[k] <= np.finfo(float).eps * np.linalg.norm(h)   # |w| before
+        if not invariant:
+            V[k] = w / h[k]
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = np.hypot(h[k - 1], h[k])
+        c, s = (h[k - 1] / rho, h[k] / rho) if rho > 0.0 else (1.0, 0.0)
+        rotations.append((c, s))
+        h[k - 1], h[k] = rho, 0.0
+        g[k], g[k - 1] = -s * g[k - 1], c * g[k - 1]
+        predicted = target.predicted_by(abs(g[k]) * scale)
+        if predicted or invariant or k == _GMRES_RESTART:
+            # the rank cutoff keeps a singular A from sending x_k to infinity
+            y = np.linalg.lstsq(R[:k, :k], g[:k], rcond=None)[0]
+            x_k = x + y @ V[:k]
+            r_k = b - A @ x_k
+            if predicted and target.met_at(x_k, r_k):
+                return x_k, r_k, k, True
+            if invariant or k == _GMRES_RESTART:
+                return x_k, r_k, k, False
 
 
 def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.ndarray,
-                     slopes: np.ndarray, tol: float) -> np.ndarray:
+                     slopes: np.ndarray, tol: float, steps: list | None = None) -> np.ndarray:
     """Solve the frozen-policy system A x = b by preconditioned GMRES.
 
     Every slope has eigenvalues in [theta/2, 1/(2 theta)], so tr(S D^2_h u)
     is a bounded distortion of a constant-coefficient Laplacian; GMRES is
     preconditioned by the exact inverse of the Laplacian whose weight on
-    axis a is the mean of S_aa over the interior points.  Cycles of _GMRES_RESTART
-    steps, warm-started at x0, run until the true residual max|A x - b| is
-    at most max(1e-2 * tol, 8 eps max(|A| |x| + |b|)).  The second term is
-    the round-off of the terms summed in A x - b, below which no answer can
-    be checked; it grows like |S| / h^2 and is recomputed at each cycle's x.
+    axis a is the mean of S_aa over the interior points.  Cycles, warm-started
+    at x0, run until one returns an x that passed the true check against
+    `_Target`.  The Krylov steps of all cycles, summed, are appended to
+    `steps` if it is a list.
     """
     M = _laplacian_inverse(grid, np.mean(np.diagonal(slopes, axis1=1, axis2=2), axis=0))
-    abs_A, abs_b = abs(A), np.abs(b)
-
-    def target_at(x):
-        return max(1e-2 * tol, 8.0 * np.finfo(float).eps * float(np.max(abs_A @ np.abs(x) + abs_b)))
-
-    x = x0
+    target = _Target(A, b, tol, x0)
+    x, r, taken = x0, b - A @ x0, 0
     for _ in range(_MAX_GMRES_CYCLES):
-        x = _gmres_cycle(A, b, x, M)
-        residual = float(np.max(np.abs(A @ x - b)))
-        target = target_at(x)
-        if residual <= target:
+        x, r, k, passed = _gmres_cycle(A, b, x, r, M, target)
+        taken += k
+        if passed:
+            if steps is not None:
+                steps.append(taken)
             return x
-        if not np.isfinite(residual):
+        if k == 0:   # M r is zero or non-finite, and x failed its check
             break
-    raise LinearSolveFailure(f"GMRES left max|Ax - b| = {residual:.3g} above {target:.3g}")
+    raise LinearSolveFailure(f"GMRES left max|Ax - b| = {float(np.max(np.abs(r))):.3g} "
+                             f"above {target.value:.3g}")
 
 
 def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
@@ -419,7 +470,8 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         policy = PolicyField(grid, cert.slope_matrix, cert.intercept, cert.slope_eigs)
         rhs = g.values[core].reshape(-1) - cert.intercept
         A, b = _frozen_policy(grid, cert.slope_matrix, rhs, boundary.values)
-        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), cert.slope_matrix, tol)
+        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), cert.slope_matrix, tol,
+                             report.krylov_steps)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
         u.values[core] = x.reshape(grid.interior_shape)

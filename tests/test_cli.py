@@ -196,6 +196,9 @@ class TestSolve:
         assert code == 0
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "converged = true" in report
+        iterations = int(report.split("iterations = ")[1].split("\n")[0])
+        steps = report.split("krylov_steps = ")[1].split("\n")[0].split(",")
+        assert len(steps) == iterations and all(int(k) >= 0 for k in steps)
         final = float(report.split("final_residual = ")[1].split("\n")[0])
         assert final <= 1e-9
         res = np.loadtxt(tmp_path / "out" / "residual.csv", delimiter=",", skiprows=1)

@@ -475,7 +475,8 @@ class TestPolicyEvaluation:
         # with the wrong axis leaves the product far from the identity
         rng = np.random.default_rng(5)
         for grid in (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
-                     GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 6)):
+                     GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 6),
+                     unequal_grid_3()):
             d = grid.dim
             N = (grid.points_per_axis - 2) ** d
             c = rng.uniform(0.5, 2.0, d)
@@ -535,6 +536,58 @@ class TestPolicyEvaluation:
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         with pytest.raises(LinearSolveFailure, match="GMRES"):
             solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
+
+
+class TestKrylovStop:
+    """Each GMRES cycle stops at the first Krylov step whose iterate passes
+    the true check, and checks only iterates its Givens estimate predicts."""
+
+    def test_n1_quartic_takes_one_step_per_evaluation(self):
+        # the convergence-n1 problem: the sine-basis preconditioner is
+        # nearly exact, so one step meets the target at every refinement
+        u_fn, g_fn = builtin_solution("quartic_radial", 1)
+        for P in (17, 33, 65):
+            grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), P)
+            _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+                                           ThetaBox(0.0625, 1))
+            assert report.converged
+            assert report.krylov_steps == [1] * report.iterations
+
+    def test_n2_railed_stops_inside_the_first_cycle(self):
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 9)
+        u_fn, g_fn = builtin_solution("quartic_radial", 2)
+        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+                                       ThetaBox(0.4, 2))
+        assert report.converged and report.iterations == 3
+        assert len(report.krylov_steps) == 3
+        assert all(0 < k < solver._GMRES_RESTART for k in report.krylov_steps)
+
+    def test_exact_start_returns_after_one_check(self, monkeypatch):
+        # b - A x0 == 0: no Krylov step, one true check, x0 itself returned
+        checks = []
+        met_at = solver._Target.met_at
+
+        def counted(self, x, r):
+            checks.append(1)
+            return met_at(self, x, r)
+
+        monkeypatch.setattr(solver._Target, "met_at", counted)
+        grid, slopes, A, _ = frozen_system(0.4)
+        x0 = np.random.default_rng(3).uniform(-1.0, 1.0, A.coeffs[0].size)
+        b = A @ x0
+        steps = []
+        x = solver._evaluate_policy(grid, A, b, x0, slopes, 1e-10, steps)
+        assert x is x0 and steps == [0] and len(checks) == 1
+
+    def test_failed_check_tightens_prediction(self):
+        grid, _, A, b = frozen_system(0.4)
+        x = np.zeros(len(b))
+        target = solver._Target(A, b, 1e-10, x)
+        r = b - A @ x
+        assert not target.met_at(x, r) and target.slack == 10.0
+        estimate = target.value / 5.0
+        assert not target.predicted_by(estimate)
+        assert solver._Target(A, b, 1e-10, x).predicted_by(estimate)
 
 
 class TestAssembly:
