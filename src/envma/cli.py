@@ -16,8 +16,9 @@ Subcommands: eval, conjugate, verify, solve, convergence.  Commands raise;
        solution
 
 A config, and that --out is not an existing file, are checked before
-anything is solved or written.  All floating-point output uses 17
-significant digits so fixed seeds give byte-identical output.
+anything is solved or written.  Only solve and convergence import the
+solver, inside the functions that run them.  All floating-point output uses
+17 significant digits so fixed seeds give byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import matio
 from . import matrixcore as mc
-from . import solver as sv
 from .envelope import (
     ThetaBox,
     conjugate_maximizer,
@@ -86,9 +86,9 @@ def cmd_eval(args) -> int:
 
 def cmd_conjugate(args) -> int:
     try:
-        p = np.array([float(tok) for tok in args.p.split(",")])
+        p = np.array([matio.parse_finite(tok) for tok in args.p.split(",")])
     except ValueError:
-        raise ParseError(f"bad slope list {args.p!r}") from None
+        raise ParseError(f"bad or non-finite slope list {args.p!r}") from None
     theta = _resolve_theta(args.theta, args.lam, args.Lam)
     g, x = conjugate_maximizer(p, _box_with_notice(theta, len(p), sys.stdout))
     print(f"g = {matio.fmt(g)}")
@@ -117,8 +117,11 @@ _CONFIG_KEYS = {
 }
 
 
-def _field_from_spec(spec: str, grid: sv.GridSpec, role: str) -> sv.ScalarField:
-    """Field from a config value: built-in name, constant:<v>, or file:<path>."""
+def _field_from_spec(spec: str, grid, role: str):
+    """ScalarField on a solver.GridSpec from a config value: built-in name,
+    constant:<v>, or file:<path>."""
+    from . import solver as sv
+
     if spec.startswith("constant:"):
         try:
             return sv.ScalarField.constant(grid, matio.parse_finite(spec.split(":", 1)[1]))
@@ -149,6 +152,8 @@ def _load_problem(path: str, study: bool = False):
     holds the pointsPerAxis grid, or for a study the grid of each refinement,
     whose fields are built from boundary_spec (boundary and g are None).
     """
+    from . import solver as sv
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -205,6 +210,8 @@ def _check_out(outdir: str) -> None:
 
 
 def cmd_solve(args) -> int:
+    from . import solver as sv
+
     (grid,), box, boundary, g, kwargs, _ = _load_problem(args.config)
     _check_out(args.out)
     u, _, report = sv.solve_dirichlet(grid, boundary, g, box, **kwargs)
@@ -220,6 +227,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    from . import solver as sv
+
     grids, box, _, _, kwargs, bnd_spec = _load_problem(args.config, study=True)
     _check_out(args.out)
     grids = {grid.points_per_axis: grid for grid in grids}

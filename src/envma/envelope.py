@@ -26,11 +26,13 @@ monotone scalar equation t = (prod x(t))^{1/n}, in closed form between its
 breakpoints; the saddle slopes are read off x.  A grid-discretized evaluator
 with no such reduction is provided as an independent oracle.
 
-All evaluation goes through `envelope_batch`, which certifies a whole stack
+Certification goes through `envelope_batch`, which certifies a whole stack
 of matrices at once: one LAPACK `eigh` on the stacked Hermitian parts, then
 one pass over all matrices per breakpoint of that equation.  `envelope_value`,
-`envelope_eval` and `_saddle` are its one-matrix forms, and the randomized
-property checks stack every sample's matrices into one call.
+`envelope_eval` and `_saddle` are its one-matrix forms.  The randomized
+property checks and `ellipticity_gap` read values only: they stack their
+matrices into one `_envelope_values` call, which runs `eigvalsh` and the
+value part of the same kernel, without the slopes.
 
 The random samples of those checks are drawn in blocks as well
 (`draw_verify_block`): every drawn field of a sample (a shift, a symmetric
@@ -240,13 +242,13 @@ def _fixed_point(m: np.ndarray, box: ThetaBox) -> np.ndarray:
     return np.clip(np.where(e < n, np.exp(logC / np.maximum(n - e, 1)), t_mid), lo, up)
 
 
-def _saddle_batch(m: np.ndarray, box: ThetaBox):
-    """Exact envelope evaluation in eigenvalue coordinates for a stack.
+def _saddle_values(m: np.ndarray, box: ThetaBox):
+    """Exact envelope values in eigenvalue coordinates for a stack.
 
-    m (N, n) has ascending rows.  Returns value (N,), the slopes p (N, n),
-    descending, x = x(t) (N, n) of `_inner_max` and t (N,) of `_fixed_point`:
-    p_i = theta where x_i < mu_i, 1/theta where x_i > mu_i and t/(n mu_i)
-    where equal; value = t + sum_i min(theta d_i, d_i/theta) with d = mu - x.
+    m (N, n) has ascending rows.  Returns value (N,), x = x(t) (N, n) of
+    `_inner_max` and t (N,) of `_fixed_point`, where
+    value = t + sum_i min(theta d_i, d_i/theta) with d = mu - x.  Raises
+    NoConvergence where t misses the fixed point t = (prod x(t))^{1/n}.
     """
     n = m.shape[1]
     th, hi = box.theta, box.hi
@@ -254,15 +256,25 @@ def _saddle_batch(m: np.ndarray, box: ThetaBox):
         t = _fixed_point(m, box)
         x = _inner_max(t, m, box)
         resid = np.abs(_row_sum(np.log(x)) / n - np.log(t))  # not finite where t is not
-        if not np.all(resid <= 1e-12):
-            # the monotone fixed point always exists; missing it is a bug
-            i = int(np.argmin(resid <= 1e-12))
-            raise NoConvergence(f"fixed point residual {resid[i]:g} at t={t[i]:g} "
-                                f"for mu={m[i]}, theta={th}")
-        d = m - x
-        p = np.where(d > 0.0, th, np.where(d < 0.0, hi, t[:, np.newaxis] / (n * m)))
+    if not np.all(resid <= 1e-12):
+        # the monotone fixed point always exists; missing it is a bug
+        i = int(np.argmin(resid <= 1e-12))
+        raise NoConvergence(f"fixed point residual {resid[i]:g} at t={t[i]:g} "
+                            f"for mu={m[i]}, theta={th}")
+    d = m - x
     value = hi * _row_sum(np.minimum(d, 0.0)) + th * _row_sum(np.maximum(d, 0.0)) + t
-    return value, _average_equal_runs(np.clip(p, th, hi, out=p), m), x, t
+    return value, x, t
+
+
+def _saddle_slopes(m: np.ndarray, x: np.ndarray, t: np.ndarray, box: ThetaBox) -> np.ndarray:
+    """The saddle slopes p (N, n), descending, of `_saddle_values`' x and t:
+    p_i = theta where x_i < mu_i, 1/theta where x_i > mu_i and t/(n mu_i)
+    where equal, averaged over runs of equal eigenvalues."""
+    th, hi = box.theta, box.hi
+    d = m - x
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = np.where(d > 0.0, th, np.where(d < 0.0, hi, t[:, np.newaxis] / (m.shape[1] * m)))
+    return _average_equal_runs(np.clip(p, th, hi, out=p), m)
 
 
 def _average_equal_runs(p: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -289,14 +301,14 @@ def _average_equal_runs(p: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _saddle(mu, box: ThetaBox) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """One-point form of `_saddle_batch`; mu may be any real vector (sorted
-    ascending internally).  Returns (value, p, x, t)."""
+    """One-point form of `_saddle_values` and `_saddle_slopes`; mu may be any
+    real vector (sorted ascending internally).  Returns (value, p, x, t)."""
     mu_in = np.asarray(mu, dtype=float)
     if mu_in.shape != (box.n,):
         raise ValueError(f"expected {box.n} eigenvalues, got shape {mu_in.shape}")
     m = np.sort(mu_in, kind="stable")[np.newaxis]
-    value, p, x, t = _saddle_batch(m, box)
-    return float(value[0]), p[0], x[0], float(t[0])
+    value, x, t = _saddle_values(m, box)
+    return float(value[0]), _saddle_slopes(m, x, t, box)[0], x[0], float(t[0])
 
 
 @dataclass(frozen=True)
@@ -325,6 +337,25 @@ class CertificateBatch:
         )
 
 
+def _hermitian_parts(H_stack, box: ThetaBox) -> np.ndarray:
+    """extract(proj(M)) of every matrix M of a (N, 2n, 2n) stack, validated by
+    `symmetric_stack` and against the box dimension."""
+    S = mc.symmetric_stack(H_stack)
+    n = S.shape[1] // 2
+    if n != box.n:
+        raise ValueError(f"matrix has n={n} but the box has n={box.n}")
+    return mc.hermitian_blocks(S)
+
+
+def _envelope_values(H_stack, box: ThetaBox) -> tuple[np.ndarray, np.ndarray]:
+    """(value, mu) of `envelope_batch` with no slopes: `eigvalsh` instead of
+    `eigh`, and the value core of the saddle alone.  The eigenvalues, and so
+    the values, are those of `envelope_batch` for n <= 2 and agree with them
+    to rounding for larger n."""
+    mu = np.linalg.eigvalsh(_hermitian_parts(H_stack, box))
+    return _saddle_values(mu, box)[0], mu
+
+
 def envelope_batch(H_stack, box: ThetaBox) -> CertificateBatch:
     """Ftilde and its certificate for every matrix of a (N, 2n, 2n) stack.
 
@@ -337,12 +368,9 @@ def envelope_batch(H_stack, box: ThetaBox) -> CertificateBatch:
     depend on the eigenbasis LAPACK picks inside a repeated eigenvalue,
     because equal eigenvalues get equal slopes.
     """
-    S = mc.symmetric_stack(H_stack)
-    n = S.shape[1] // 2
-    if n != box.n:
-        raise ValueError(f"matrix has n={n} but the box has n={box.n}")
-    mu, U = np.linalg.eigh(mc.hermitian_blocks(S))
-    value, p, x, t = _saddle_batch(mu, box)
+    mu, U = np.linalg.eigh(_hermitian_parts(H_stack, box))
+    value, x, t = _saddle_values(mu, box)
+    p = _saddle_slopes(mu, x, t, box)
     Q = (U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2)
     Q = (Q + Q.conj().swapaxes(1, 2)) / 2.0
     return CertificateBatch(
@@ -445,7 +473,7 @@ def ellipticity_gap(M, P, box: ThetaBox) -> tuple[float, float, float]:
     M = mc.as_symmetric(M)
     P = mc.as_symmetric(P)
     lower, upper, _ = _gap_bounds(P[np.newaxis], box)
-    f = envelope_batch(np.stack([M + P, M]), box).value
+    f, _ = _envelope_values(np.stack([M + P, M]), box)
     return float(lower[0]), float(f[0] - f[1]), float(upper[0])
 
 
@@ -680,24 +708,24 @@ def _check_samples(box: ThetaBox, block: dict) -> dict:
 
     Returns, per property name, a boolean array of passes and an array of
     flags saying where the property makes a claim, plus "gap_ratio" (NaN
-    where ||P|| = 0).  One envelope_batch call covers all seven matrices of
-    every sample.
+    where ||P|| = 0).  One `_envelope_values` call covers all seven matrices
+    of every sample: the checks read values and eigenvalues, no slopes.
     """
     m1, m2, m_in, R = block["m1"], block["m2"], block["m_in"], block["R"]
     N = len(m1)
     th, n = box.theta, box.n
     P = mc.symmetric_stack(block["P"])
     jc = np.array([kind in ("embedded", "scalar") for kind in block["P_kind"]], dtype=bool)
-    batch = envelope_batch(np.concatenate([
+    value, mu = _envelope_values(np.concatenate([
         m1, m2, (m1 + m2) / 2.0, m_in, m1 + P,
         mc.embed_complex(mc.hermitian_blocks(m1)), R @ m1 @ R.swapaxes(1, 2),
     ]), box)
-    f1, f2, fmid, ften, f1p, fp, fr = batch.value.reshape(7, N)
+    f1, f2, fmid, ften, f1p, fp, fr = value.reshape(7, N)
     claims = np.ones(N, dtype=bool)
     out = {}
     out["concavity"] = (fmid >= (f1 + f2) / 2.0 - 1e-9, claims)
 
-    mu = batch.mu[3 * N:4 * N]
+    mu = mu[3 * N:4 * N]
     pos = mu[:, 0] > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         fval = np.exp(np.mean(np.log(np.maximum(mu, 1e-300)), axis=1))

@@ -26,7 +26,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
     """Parse a matrix file into the 2n x 2n symmetric representation.
 
     Hermitian input is embedded.  Raises ParseError with a row diagnostic on
-    malformed content and ValueError on dimension/shape validation failures.
+    malformed content (a non-finite number included) and ValueError on
+    dimension/shape validation failures.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -55,9 +56,9 @@ def parse_matrix_text(text: str) -> np.ndarray:
                 raise ParseError(f"row {r}: expected {size} entries")
             for c, tok in enumerate(parts):
                 try:
-                    M[r - 1, c] = float(tok)
+                    M[r - 1, c] = parse_finite(tok)
                 except ValueError:
-                    raise ParseError(f"row {r}, column {c + 1}: bad number {tok!r}")
+                    raise ParseError(f"row {r}, column {c + 1}: bad or non-finite number {tok!r}")
         return as_symmetric(M)
     # herm
     if 2 * size > MAX_DIM:
@@ -73,10 +74,10 @@ def parse_matrix_text(text: str) -> np.ndarray:
             if len(pieces) != 2:
                 raise ParseError(f"row {r}, column {c + 1}: expected 're,im', got {tok!r}")
             try:
-                A[r - 1, c] = float(pieces[0])
-                B[r - 1, c] = float(pieces[1])
+                A[r - 1, c] = parse_finite(pieces[0])
+                B[r - 1, c] = parse_finite(pieces[1])
             except ValueError:
-                raise ParseError(f"row {r}, column {c + 1}: bad number {tok!r}")
+                raise ParseError(f"row {r}, column {c + 1}: bad or non-finite number {tok!r}")
     return embed(HermitianMatrix(A, B))
 
 

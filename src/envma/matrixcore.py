@@ -77,8 +77,8 @@ def as_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
 class HermitianMatrix:
     """n x n complex Hermitian matrix stored as real blocks H = A + iB.
 
-    A is symmetric and B antisymmetric; both are snapped exactly on
-    construction so the embedding is exact in floating point.
+    A is symmetric and B antisymmetric, with finite entries; both are snapped
+    exactly on construction so the embedding is exact in floating point.
     """
 
     real: np.ndarray
@@ -91,6 +91,8 @@ class HermitianMatrix:
             raise ValueError(f"blocks must be square and matching, got {A.shape}, {B.shape}")
         if 2 * A.shape[0] > MAX_DIM:
             raise ValueError(f"n={A.shape[0]} exceeds the supported maximum {MAX_DIM // 2}")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+            raise ValueError("block entries must be finite")
         if float(np.max(np.abs(A - A.T), initial=0.0)) > _SYM_TOL:
             raise ValueError("real block is not symmetric")
         if float(np.max(np.abs(B + B.T), initial=0.0)) > _SYM_TOL:

@@ -88,6 +88,14 @@ class TestEval:
         assert code == 2
         assert "row 2: expected 2 entries" in err
 
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys):
+        for text in ("sym 2\n1 nan\nnan 1\n", "herm 1\nnan,0\n"):
+            mat = write(tmp_path / "m.txt", text)
+            code, out, err = run_main(capsys, ["eval", "--matrix", mat, "--theta", "0.5"])
+            assert code == 2 and out == ""
+            assert err.startswith("parse error: row 1, column ")
+            assert "bad or non-finite number" in err
+
     def test_odd_dimension_exits_3(self, tmp_path, capsys):
         mat = write(tmp_path / "m.txt", "sym 3\n1 0 0\n0 1 0\n0 0 1\n")
         code, _, _ = run_main(capsys, ["eval", "--matrix", mat, "--theta", "0.5"])
@@ -325,7 +333,7 @@ FAILURES = {
     "usage-bad-int": (["verify", "--theta", "0.5", "--n", "abc", "--samples", "1", "--seed", "1"],
                       None, 2, "invalid int value: 'abc'"),
     "usage-no-command": ([], None, 2, "required: command"),
-    "nan-slope": (["conjugate", "--p", "1,nan", "--theta", "0.5"], None, 3, "outside the box"),
+    "nan-slope": (["conjugate", "--p", "1,nan", "--theta", "0.5"], None, 2, "non-finite"),
     "nan-Lambda": (["conjugate", "--p", "1", "--lam", "1", "--Lam", "nan"], None, 3,
                    "eigenvalue bounds"),
 }
@@ -353,8 +361,12 @@ class TestFailures:
             write(tmp_path / "p.cfg", cfg_text)
         code, _, err = run_main(capsys, [a for tok in argv for a in paths.get(tok, [tok])])
         assert code == expected
-        prefix = "usage error: " if case.startswith("usage-") else \
-            {2: "config error: ", 3: "error: "}[expected]
+        if case.startswith("usage-"):
+            prefix = "usage error: "
+        elif expected == 2:
+            prefix = "config error: " if argv[0] in ("solve", "convergence") else "parse error: "
+        else:
+            prefix = "error: "
         assert err.startswith(prefix)
         assert len(err.splitlines()) == 1 and err.endswith("\n")
         assert needle in err and "Traceback" not in err
@@ -458,35 +470,49 @@ refinements = 17,33,65
         assert not (tmp_path / "o").exists()
 
 
-BLOCKED_SCIPY = """\
+BLOCKED = """\
 import sys
-sys.modules["scipy"] = None   # every import of scipy now raises ImportError
+blocked = sys.argv[1]
+sys.modules[blocked] = None   # every import of it now raises ImportError
 from envma.cli import main
-code = main(sys.argv[1:])
-print("scipy:", sorted(m for m, mod in sys.modules.items()
-                       if m.split(".")[0] == "scipy" and mod is not None))
+code = main(sys.argv[2:])
+print(blocked + ":", sorted(m for m, mod in sys.modules.items()
+                            if m.split(".")[0] == blocked and mod is not None))
 sys.exit(code)
 """
 
 
 class TestImports:
-    """envma needs numpy alone."""
+    """envma needs numpy alone, and verify, eval and conjugate load no solver."""
 
     def test_commands_run_with_scipy_blocked(self, tmp_path):
         mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")
         cfg = write(tmp_path / "p.cfg", QUAD_CFG)
         study = write(tmp_path / "c.cfg", QUAD_CFG.replace("g = constant:2", "g = quadratic")
                       + "refinements = 9,17\n")
-        for args in (["eval", "--matrix", mat, "--theta", "0.5"],
+        no_solver = [["eval", "--matrix", mat, "--theta", "0.5"],
                      ["conjugate", "--p", "1,1", "--theta", "0.5"],
-                     ["verify", "--theta", "0.5", "--n", "2", "--samples", "20", "--seed", "3"],
-                     ["solve", "--config", cfg, "--out", str(tmp_path / "s")],
-                     ["convergence", "--config", study, "--out", str(tmp_path / "c")]):
-            proc = subprocess.run([sys.executable, "-c", BLOCKED_SCIPY, *args],
+                     ["verify", "--theta", "0.5", "--n", "2", "--samples", "20", "--seed", "3"]]
+        runs = [(blocked, args) for blocked in ("scipy", "envma.solver") for args in no_solver]
+        runs += [("scipy", ["solve", "--config", cfg, "--out", str(tmp_path / "s")]),
+                 ("scipy", ["convergence", "--config", study, "--out", str(tmp_path / "c")])]
+        for blocked, args in runs:
+            proc = subprocess.run([sys.executable, "-c", BLOCKED, blocked, *args],
                                   capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.splitlines()[-1] == "scipy: []"
+            assert proc.returncode == 0, (blocked, args, proc.stderr)
+            assert proc.stdout.splitlines()[-1] == f"{blocked}: []"
 
     def test_all_names_resolve(self):
         assert all(hasattr(envma, name) for name in envma.__all__)
         assert envma.solve_dirichlet is solver.solve_dirichlet
+        assert envma.envelope is envelope and envma.solver is solver
+        assert set(envma.__all__) <= set(dir(envma))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            envma.no_such_name
+        # importing the package loads no submodule; a module is loaded on use
+        proc = subprocess.run([sys.executable, "-c", "import sys, envma; "
+                               "print(sorted(m for m in sys.modules if m.startswith('envma'))); "
+                               "print(envma.solver.GridSpec.__module__)"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['envma']\nenvma.solver\n"

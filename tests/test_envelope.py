@@ -246,7 +246,7 @@ class TestCertificates:
 
     def test_value_entry_points_agree(self):
         rng = np.random.default_rng(91)
-        for box in (BOX1, BOX2):
+        for box in (BOX1, BOX2, ThetaBox(0.3, 3)):
             M = sample_symmetric(rng, 2 * box.n, 1.5)
             assert envelope_eval(M, box).value == envelope_value(M, box)
 

@@ -52,6 +52,16 @@ class TestMatrixFormat:
         with pytest.raises(ParseError, match="row 1, column 1"):
             matio.parse_matrix_text("herm 1\n1;0\n")
 
+    @pytest.mark.parametrize("text, where", [
+        ("sym 2\n1 nan\nnan 1\n", "row 1, column 2"),
+        ("sym 2\n1 0\n0 -inf\n", "row 2, column 2"),
+        ("herm 1\nnan,0\n", "row 1, column 1"),          # passes the symmetry checks
+        ("herm 2\n1,0 0,inf\n0,-inf 1,0\n", "row 1, column 2"),
+    ])
+    def test_non_finite_entry_diagnostic(self, text, where):
+        with pytest.raises(ParseError, match=f"{where}: bad or non-finite number"):
+            matio.parse_matrix_text(text)
+
 
 class TestGridValues:
     def test_parse(self):

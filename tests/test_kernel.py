@@ -9,6 +9,7 @@ import pytest
 from envma import matrixcore as mc
 from envma.envelope import (
     ThetaBox,
+    _envelope_values,
     conjugate_maximizer,
     envelope_batch,
     envelope_eval,
@@ -206,6 +207,26 @@ def test_scalar_hessian_gets_a_scalar_slope():
             assert np.max(np.abs(cert.slope_matrix - 0.5 * p * np.eye(2 * n))) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("theta", THETAS)
+def test_values_entry_matches_certificates(n, theta):
+    """The values entry (eigvalsh, no slopes) gives the values and eigenvalues
+    of envelope_batch: bit-identical for n <= 2, and above that to the
+    rounding of the eigenvalues, in which the value is 1/theta-Lipschitz."""
+    rng = np.random.default_rng(3000 * n + int(1 / theta) % 983)
+    box = ThetaBox(theta, n)
+    M = mixed_stack(rng, box)
+    batch = envelope_batch(M, box)
+    value, mu = _envelope_values(M, box)
+    if n <= 2:
+        assert np.array_equal(value, batch.value) and np.array_equal(mu, batch.mu)
+    else:
+        eps = np.finfo(float).eps
+        size = np.maximum(1.0, np.max(np.abs(batch.mu), axis=1))
+        assert np.all(np.abs(mu - batch.mu) <= 8 * eps * size[:, np.newaxis])
+        assert np.all(np.abs(value - batch.value) <= 8 * n * eps * box.hi * size)
+
+
 def test_batch_validates_like_as_symmetric():
     box = ThetaBox(0.5, 1)
     with pytest.raises(ValueError):
@@ -231,8 +252,9 @@ def test_broken_fixed_point_raises_no_convergence(monkeypatch):
 
     # a wrong inner maximizer, x(t) = 2t, misses t = (prod x(t))^(1/n) everywhere
     monkeypatch.setattr(envelope, "_inner_max", lambda t, m, box: 2.0 * t[:, np.newaxis] + 0.0 * m)
-    with pytest.raises(NoConvergence):
-        envelope_batch(np.array([np.eye(2), 2 * np.eye(2)]), ThetaBox(0.5, 1))
+    for entry in (envelope_batch, _envelope_values):
+        with pytest.raises(NoConvergence):
+            entry(np.array([np.eye(2), 2 * np.eye(2)]), ThetaBox(0.5, 1))
 
 
 def reference_draw(streams, box, idx):

@@ -79,6 +79,11 @@ class TestEmbedExtract:
             mc.HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             mc.HermitianMatrix(np.eye(2), np.eye(2))
+        # a NaN on the diagonal passes both symmetry checks
+        with pytest.raises(ValueError, match="finite"):
+            mc.HermitianMatrix(np.diag([1.0, np.nan]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            mc.HermitianMatrix(np.eye(2), np.array([[0.0, np.inf], [-np.inf, 0.0]]))
 
 
 class TestProject:
