@@ -26,22 +26,20 @@ monotone scalar equation t = (prod x(t))^{1/n}, in closed form between its
 breakpoints; the saddle slopes are read off x.  A grid-discretized evaluator
 with no such reduction is provided as an independent oracle.
 
-Certification goes through `envelope_batch`, which certifies a whole stack
-of matrices at once: one LAPACK `eigh` on the stacked Hermitian parts, then
-one pass over all matrices per breakpoint of that equation.  `envelope_value`,
-`envelope_eval` and `_saddle` are its one-matrix forms.  The randomized
-property checks and `ellipticity_gap` read values only: they stack their
-matrices into one `_envelope_values` call, which runs `eigvalsh` and the
-value part of the same kernel, without the slopes.
+One core certifies a stack of Hermitian parts A + iB: `_certify` (one LAPACK
+`eigh`, then one pass over all rows per breakpoint of that equation) gives
+the values, and `_policy` the slopes, intercepts and U diag(p) U^H.
+`envelope_batch` validates a real stack and calls both; the PDE solver builds
+A + iB from its stencil and calls them in blocks.  `envelope_value`,
+`envelope_eval` and `_saddle` are one-matrix forms.  The property checks and
+`ellipticity_gap` read values only: `_envelope_values` runs `eigvalsh` and
+the value part of the kernel.
 
-The random samples of those checks are drawn in blocks as well
-(`draw_verify_block`): every drawn field of a sample (a shift, a symmetric
-matrix, the eigenvalues, a complex Gaussian, a PSD kind) has its own
-generator spawned from the seed, one call draws a field for the whole block,
-and the block is shaped into matrices at once (one stacked QR for the
-unitaries, one stacked product per sample kind).  The one-sample generators
-`sample_in_box`, `sample_unitary_blocks` and `sample_psd` are the same
-helpers applied to a stack of one, drawing every field from one generator.
+The random samples of those checks are drawn in blocks too
+(`draw_verify_block`): each drawn field of a sample has its own generator
+spawned from the seed, and one call draws a field for the whole block.
+`sample_in_box`, `sample_unitary_blocks` and `sample_psd` apply the same
+helpers to a stack of one, drawing every field from one generator.
 """
 
 from __future__ import annotations
@@ -356,31 +354,33 @@ def _envelope_values(H_stack, box: ThetaBox) -> tuple[np.ndarray, np.ndarray]:
     return _saddle_values(mu, box)[0], mu
 
 
+def _certify(Z, box: ThetaBox):
+    """(value, x, t, mu, U) of a Hermitian stack Z (N, n, n): `eigh`, then
+    `_saddle_values` on its eigenvalues."""
+    mu, U = np.linalg.eigh(Z)
+    return (*_saddle_values(mu, box), mu, U)
+
+
+def _policy(mu, U, x, t, box: ThetaBox):
+    """(p, Q, intercept) from `_certify`: saddle slopes, the symmetrized
+    Q = U diag(p) U^H (equal eigenvalues get equal slopes, so Q is the same
+    in any eigenbasis LAPACK picks) and t - p.x."""
+    p = _saddle_slopes(mu, x, t, box)
+    Q = (U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2)
+    return p, (Q + Q.conj().swapaxes(1, 2)) / 2.0, t - np.einsum("ij,ij->i", p, x)
+
+
 def envelope_batch(H_stack, box: ThetaBox) -> CertificateBatch:
     """Ftilde and its certificate for every matrix of a (N, 2n, 2n) stack.
 
-    Both F and the slope box are unitarily invariant, so each certificate
-    depends on its matrix only through the Hermitian eigensystem of
-    extract(proj(M)) = A + iB: one LAPACK `eigh` on the complex stack, one
-    scalar fixed point per row, solved for all rows at once, and slope matrices
-    (1/2) embed(U diag(p) U^H), halved so that the plain trace pairing
-    reproduces the eigenvalue pairing exactly.  The slope matrix does not
-    depend on the eigenbasis LAPACK picks inside a repeated eigenvalue,
-    because equal eigenvalues get equal slopes.
+    F and the slope box are unitarily invariant, so a certificate depends on
+    M only through the eigensystem of extract(proj(M)); the slope matrix is
+    (1/2) embed(Q), halved so the trace pairing is the eigenvalue pairing.
     """
-    mu, U = np.linalg.eigh(_hermitian_parts(H_stack, box))
-    value, x, t = _saddle_values(mu, box)
-    p = _saddle_slopes(mu, x, t, box)
-    Q = (U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2)
-    Q = (Q + Q.conj().swapaxes(1, 2)) / 2.0
-    return CertificateBatch(
-        value=value,
-        slope_eigs=p,
-        intercept=t - np.einsum("ij,ij->i", p, x),
-        slope_matrix=0.5 * mc.embed_complex(Q),
-        mu=mu,
-        inner_max=x,
-    )
+    value, x, t, mu, U = _certify(_hermitian_parts(H_stack, box), box)
+    p, Q, intercept = _policy(mu, U, x, t, box)
+    return CertificateBatch(value=value, slope_eigs=p, intercept=intercept,
+                            slope_matrix=0.5 * mc.embed_complex(Q), mu=mu, inner_max=x)
 
 
 def envelope_value(M, box: ThetaBox) -> float:

@@ -19,7 +19,7 @@ from .matrixcore import MAX_DIM, HermitianMatrix, as_symmetric, embed
 
 
 def fmt(x) -> str:
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

@@ -12,9 +12,13 @@ solved with Dirichlet data by restarted GMRES, preconditioned by the exact
 inverse of an axis-weighted Laplacian applied in the tensor sine basis, and
 stopped at the first Krylov step that passes a true max-norm check; the two
 steps alternate until the max-norm residual of the nonlinear equation meets
-the tolerance.  All certificates of one iterate come from a single
-`envelope_batch` call on the stacked Hessians, whose values are also the
-residual, so each Hessian is evaluated once.
+the tolerance.
+
+Each iterate is certified once, in blocks of `_CERT_BLOCK` rows, on the
+Hermitian parts extract(proj(D^2_h u)) built from the stencil
+(`_hermitian_stack`): the values are the residual, and the next policy is
+formed only when another iteration follows.  A policy keeps the Hermitian
+slope Q per point; the slope entries S = embed(Q)/2 are read from it.
 
 The discrete Hessian D^2_h is written down once, as symmetric (shift, weight)
 stencil terms per Hessian entry (`_hessian_stencil`), a shift being a tuple of
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixcore as mc
-from .envelope import ThetaBox, envelope_batch, tangent_in_box
+from .envelope import ThetaBox, _certify, _policy, tangent_in_box
 from .errors import LinearSolveFailure
 
 @dataclass(frozen=True)
@@ -119,14 +123,27 @@ class ScalarField:
 class PolicyField:
     """Frozen Bellman policy: per interior point a slope matrix + intercept.
 
-    Slope eigenvalues live in the box [theta, 1/theta]; the stored pairing
-    matrices are their halved embeddings (see EnvelopeCertificate).
+    Slope eigenvalues live in the box [theta, 1/theta].  The slope is kept as
+    the Hermitian Q = U diag(p) U^H; its pairing matrix S = embed(Q)/2 (see
+    EnvelopeCertificate) is read by entry or built as `slope_matrices`.
     """
 
     grid: GridSpec
-    slope_matrices: np.ndarray   # (n_interior, 2n, 2n)
-    intercepts: np.ndarray       # (n_interior,)
-    slope_eigs: np.ndarray       # (n_interior, n)
+    hermitian_slopes: np.ndarray   # (n_interior, n, n) complex
+    intercepts: np.ndarray         # (n_interior,)
+    slope_eigs: np.ndarray         # (n_interior, n)
+
+    def slope_entry(self, a: int, b: int) -> np.ndarray:
+        """S_ab at every interior point (indices of Q taken mod n)."""
+        n = self.grid.n
+        q = self.hermitian_slopes[:, a % n, b % n]
+        if (a < n) == (b < n):
+            return 0.5 * q.real
+        return 0.5 * q.imag if a >= n else -0.5 * q.imag
+
+    @functools.cached_property
+    def slope_matrices(self) -> np.ndarray:   # (n_interior, 2n, 2n)
+        return 0.5 * mc.embed_complex(self.hermitian_slopes)
 
     def eigs_in_box(self, box: ThetaBox, tol: float = 1e-9) -> bool:
         return bool(np.all(self.slope_eigs >= box.theta - tol)
@@ -207,6 +224,63 @@ def _hessian_stencil(grid: GridSpec) -> tuple:
     return tuple((ab, _StencilOperator(grid, *zip(*pairs))) for ab, pairs in terms.items())
 
 
+def _hermitian_stack(u: ScalarField) -> np.ndarray:
+    """extract(proj(D^2_h u)) = A + iB at the interior points, (N, n, n), from
+    the stencil entries H_ab: A_ij = (H_ij + H_{n+i,n+j})/2 and
+    B_ij = (H_{j,n+i} - H_{i,n+j})/2, bit for bit as
+    hermitian_blocks(symmetric_stack(hessian_stack(u))) but with no real
+    (N, 2n, 2n) stack."""
+    grid, n = u.grid, u.grid.n
+    entry = dict(_hessian_stencil(grid))
+
+    def h(a, b):
+        return entry[a, b].apply(u.values)
+
+    Z = np.empty((int(np.prod(grid.interior_shape)), n, n), dtype=complex)
+    for i in range(n):
+        Z.real[:, i, i] = (h(i, i) + h(n + i, n + i)) / 2.0
+        Z.imag[:, i, i] = 0.0
+        for j in range(i + 1, n):
+            Z.real[:, i, j] = Z.real[:, j, i] = (h(i, j) + h(n + i, n + j)) / 2.0
+            upper, lower = h(j, n + i), h(i, n + j)
+            Z.imag[:, i, j] = (upper - lower) / 2.0
+            Z.imag[:, j, i] = (lower - upper) / 2.0
+    return Z
+
+
+# rows per envelope-core call: the per-call overhead stays small next to the
+# work, and the core's temporaries small next to its outputs
+_CERT_BLOCK = 4096
+
+
+def _blocks(N: int):
+    return (slice(lo, lo + _CERT_BLOCK) for lo in range(0, N, _CERT_BLOCK))
+
+
+def _certify_values(Z: np.ndarray, box: ThetaBox) -> tuple[np.ndarray, tuple]:
+    """(value, state) of the Hermitian stack Z, in blocks; the eigenvectors
+    overwrite Z, and state is what `_certify_policy` needs."""
+    N, n = Z.shape[:2]
+    value, t, mu, x = np.empty(N), np.empty(N), np.empty((N, n)), np.empty((N, n))
+    for rows in _blocks(N):
+        value[rows], x[rows], t[rows], mu[rows], Z[rows] = _certify(Z[rows], box)
+    return value, (Z, mu, x, t)
+
+
+def _certify_policy(grid: GridSpec, state: tuple, box: ThetaBox) -> PolicyField:
+    """The policy of `_certify_values`' state; Q overwrites the eigenvectors."""
+    Q, mu, x, t = state
+    p, c = np.empty_like(mu), np.empty_like(t)
+    for rows in _blocks(len(Q)):
+        p[rows], Q[rows], c[rows] = _policy(mu[rows], Q[rows], x[rows], t[rows], box)
+    return PolicyField(grid, Q, c, p)
+
+
+def _check_box(grid: GridSpec, box: ThetaBox) -> None:
+    if box.n != grid.n:
+        raise ValueError(f"grid has n={grid.n} but the box has n={box.n}")
+
+
 def _residual_of(u: ScalarField, g: ScalarField, values: np.ndarray) -> ScalarField:
     """Envelope values at the interior points minus g; zero on the boundary."""
     grid = u.grid
@@ -219,8 +293,8 @@ def residual_field(u: ScalarField, g: ScalarField, box: ThetaBox) -> ScalarField
     """Ftilde(D^2 u) - g at interior points; zero on the boundary layer."""
     if u.grid != g.grid:
         raise ValueError("u and g live on different grids")
-    d = u.grid.dim
-    return _residual_of(u, g, envelope_batch(hessian_stack(u).reshape(-1, d, d), box).value)
+    _check_box(u.grid, box)
+    return _residual_of(u, g, _certify_values(_hermitian_stack(u), box)[0])
 
 
 @dataclass(frozen=True)
@@ -256,9 +330,10 @@ class _StencilOperator:
         return _StencilOperator(self.grid, self.shifts, np.abs(self.coeffs))
 
 
-def _frozen_policy(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
+def _frozen_policy(grid: GridSpec, slope, rhs: np.ndarray,
                    boundary_values: np.ndarray) -> tuple[_StencilOperator, np.ndarray]:
-    """System A x = b for tr(S(x) D^2_h u) = rhs(x) with Dirichlet data.
+    """System A x = b for tr(S(x) D^2_h u) = rhs(x) with Dirichlet data, where
+    `slope(a, b)` gives S_ab at every interior point (`PolicyField.slope_entry`).
 
     tr(S H) = sum over a <= b of w_ab S_ab H_ab, with w = 1 on the diagonal
     and 2 off it, so each term (shift, weight) of entry (a, b) of
@@ -268,14 +343,14 @@ def _frozen_policy(grid: GridSpec, slopes: np.ndarray, rhs: np.ndarray,
     at one point (twice it at shift 0), so |A| is the fields' absolute values.
     The fields are summed in place in one array, shifts in first-appearance order.
     """
-    S = slopes.reshape(grid.interior_shape + slopes.shape[1:])
     stencil = _hessian_stencil(grid)
     shifts = tuple(dict.fromkeys(shift for _, entry in stencil for shift in entry.shifts))
     fields = np.empty((len(shifts),) + grid.interior_shape)
     written = set()
     for (a, b), entry in stencil:
+        w_s = (1.0 if a == b else 2.0) * slope(a, b).reshape(grid.interior_shape)
         for shift, weight in zip(entry.shifts, entry.coeffs):
-            c = (1.0 if a == b else 2.0) * S[..., a, b] * weight
+            c = w_s * weight
             k = shifts.index(shift)
             if shift in written:
                 fields[k] += c
@@ -410,18 +485,19 @@ def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, r: np.ndarra
 
 
 def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.ndarray,
-                     slopes: np.ndarray, tol: float, steps: list | None = None) -> np.ndarray:
+                     slope, tol: float, steps: list | None = None) -> np.ndarray:
     """Solve the frozen-policy system A x = b by preconditioned GMRES.
 
     Every slope has eigenvalues in [theta/2, 1/(2 theta)], so tr(S D^2_h u)
     is a bounded distortion of a constant-coefficient Laplacian; GMRES is
     preconditioned by the exact inverse of the Laplacian whose weight on
-    axis a is the mean of S_aa over the interior points.  Cycles, warm-started
-    at x0, run until one returns an x that passed the true check against
-    `_Target`.  The Krylov steps of all cycles, summed, are appended to
-    `steps` if it is a list.
+    axis a is the mean of S_aa = slope(a, a) over the interior points.
+    Cycles, warm-started at x0, run until one returns an x that passed the
+    true check against `_Target`.  The Krylov steps of all cycles, summed, are
+    appended to `steps` if it is a list.
     """
-    M = _laplacian_inverse(grid, np.mean(np.diagonal(slopes, axis1=1, axis2=2), axis=0))
+    diagonal = np.stack([slope(a, a) for a in range(grid.dim)], axis=1)
+    M = _laplacian_inverse(grid, np.mean(diagonal, axis=0))
     target = _Target(A, b, tol, x0)
     x, r, taken = x0, b - A @ x0, 0
     for _ in range(_MAX_GMRES_CYCLES):
@@ -445,10 +521,12 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     Alternates policy improvement (envelope certificates at every interior
     point) with policy evaluation (one linear elliptic solve for the frozen
     affine policy) until the max-norm residual of the nonlinear equation is
-    at most `tol`.  One envelope_batch call per iteration certifies the new
-    Hessians: its values give the residual and its slopes and intercepts the
-    next policy.  The frozen-policy coefficient matrices have spectrum in
-    [theta/2, 1/(2 theta)], so each evaluation is well posed.  On hitting
+    at most `tol`.  Each iteration certifies the new Hessians once: the
+    values give the residual and, only when another iteration follows, the
+    slopes and intercepts give the next policy.  The frozen-policy
+    coefficient matrices have spectrum in [theta/2, 1/(2 theta)], so each
+    evaluation is well posed.  Raises ValueError, before any work, when the
+    box and the grid differ in n.  On hitting
     `max_iter` the best iterate is returned with report.converged = False;
     report.residual is the residual field of the returned iterate.
     """
@@ -458,26 +536,25 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         raise ValueError(f"maxIter must be >= 1, got {max_iter}")
     if not np.all(np.isfinite(boundary.values)) or not np.all(np.isfinite(g.values)):
         raise ValueError("boundary and right-hand side must be finite")
+    _check_box(grid, box)
     start = time.perf_counter()
     u = ScalarField(grid, transfinite_interpolation(boundary))
     core = grid.interior()
-    d = grid.dim
     report = SolveReport()
     best = None
 
-    cert = envelope_batch(hessian_stack(u).reshape(-1, d, d), box)
+    policy = _certify_policy(grid, _certify_values(_hermitian_stack(u), box)[1], box)
     for it in range(1, max_iter + 1):
-        policy = PolicyField(grid, cert.slope_matrix, cert.intercept, cert.slope_eigs)
-        rhs = g.values[core].reshape(-1) - cert.intercept
-        A, b = _frozen_policy(grid, cert.slope_matrix, rhs, boundary.values)
-        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), cert.slope_matrix, tol,
+        rhs = g.values[core].reshape(-1) - policy.intercepts
+        A, b = _frozen_policy(grid, policy.slope_entry, rhs, boundary.values)
+        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), policy.slope_entry, tol,
                              report.krylov_steps)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
         u.values[core] = x.reshape(grid.interior_shape)
 
-        cert = envelope_batch(hessian_stack(u).reshape(-1, d, d), box)
-        residual = _residual_of(u, g, cert.value)
+        value, state = _certify_values(_hermitian_stack(u), box)
+        residual = _residual_of(u, g, value)
         res = float(np.max(np.abs(residual.values)))
         report.residual_history.append(res)
         report.iterations = it
@@ -486,6 +563,8 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         if res <= tol:
             report.converged = True
             break
+        if it < max_iter:
+            policy = _certify_policy(grid, state, box)
     report.final_residual = best[0]
     report.residual = best[3]
     report.wall_time_s = time.perf_counter() - start
@@ -541,8 +620,7 @@ def check_premises(u: ScalarField, lam: float, Lam: float,
     F leaves the box, so that F(D^2_h u) need not be Ftilde(D^2_h u).
     """
     theta = mc.admissible_theta(lam, Lam)
-    d = u.grid.dim
-    mu = mc.hermitian_eigs_stack(hessian_stack(u).reshape(-1, d, d))
+    mu = np.linalg.eigvalsh(_hermitian_stack(u))
     inside = (mu[:, 0] >= theta - tol) & (mu[:, -1] <= 1.0 / theta + tol)
     tangent = inside.copy()
     tangent[inside] = tangent_in_box(mu[inside], ThetaBox(theta, u.grid.n))

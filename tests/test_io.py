@@ -167,6 +167,15 @@ class TestCsvAndReport:
         for v in (1.0 / 3.0, 2.0, -1.7e-12, 3.9999999999999996):
             assert float(matio.fmt(v)) == v
 
+    def test_fmt_is_format_of_float(self):
+        # random bit patterns cover normals, subnormals, inf and nan of both signs
+        bits = np.random.default_rng(8).integers(0, 2**63, 20000, dtype=np.uint64)
+        values = [*bits.view(np.float64), *(bits[:2000] >> 52).view(np.float64),
+                  0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf, np.nan,
+                  np.float32(0.1), np.int64(-7), 3, 10**20, True]
+        for v in values:
+            assert matio.fmt(v) == format(float(v), ".17g")
+
     def test_convergence_csv(self):
         from envma.solver import ConvergenceRow
         rows = [ConvergenceRow(9, 0.25, 1e-3, None), ConvergenceRow(17, 0.125, 2.5e-4, 2.0)]

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from envma import envelope
 from envma import matrixcore as mc
 from envma import solver
 from envma.envelope import ThetaBox, envelope_batch
@@ -406,12 +407,14 @@ class TestCheckPremises:
 class TestHowardLoop:
     def test_one_kernel_call_per_iteration(self, monkeypatch):
         calls = []
+        certify = solver._certify
 
-        def counted(H, box):
-            calls.append(len(H))
-            return envelope_batch(H, box)
+        def counted(Z, box):
+            calls.append(len(Z))
+            return certify(Z, box)
 
-        monkeypatch.setattr(solver, "envelope_batch", counted)
+        monkeypatch.setattr(solver, "_certify", counted)
+        monkeypatch.setattr(solver, "_CERT_BLOCK", 5 ** 4)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
@@ -450,14 +453,126 @@ class TestHowardLoop:
         assert np.array_equal(report.residual.values, residual_field(u, g, box).values)
 
 
+def policy_of(u, box):
+    """The solver's policy for the certificates of the discrete Hessians of u."""
+    state = solver._certify_values(solver._hermitian_stack(u), box)[1]
+    return solver._certify_policy(u.grid, state, box)
+
+
+def entries(slopes):
+    """A stack of slope matrices (N, d, d) as the slope-entry reader
+    `_frozen_policy` and `_evaluate_policy` take."""
+    return lambda a, b: slopes[:, a, b]
+
+
+def unequal_grids():
+    """One grid per n = 1, 2, 3, each with a different spacing on every axis."""
+    return (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
+            GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5),
+            unequal_grid_3())
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSolverStack:
+    """The solver certifies A + iB built from its stencil, in blocks, with the
+    outputs of envelope_batch on the real Hessian stack."""
+
+    def test_hermitian_stack_is_the_validated_stack(self):
+        rng = np.random.default_rng(21)
+        for grid in unequal_grids():
+            u = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.shape))
+            d = grid.dim
+            ref = mc.hermitian_blocks(mc.symmetric_stack(hessian_stack(u).reshape(-1, d, d)))
+            assert same_bits(solver._hermitian_stack(u), ref)
+
+    def test_policy_entries_are_the_slope_matrices(self):
+        rng = np.random.default_rng(22)
+        for grid, theta in zip(unequal_grids(), (0.3, 0.4, 0.25)):
+            n, d = grid.n, grid.dim
+            box = ThetaBox(theta, n)
+            u = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.shape))
+            cert = envelope_batch(hessian_stack(u).reshape(-1, d, d), box)
+            value, state = solver._certify_values(solver._hermitian_stack(u), box)
+            policy = solver._certify_policy(grid, state, box)
+            assert same_bits(value, cert.value)
+            assert same_bits(policy.intercepts, cert.intercept)
+            assert same_bits(policy.slope_eigs, cert.slope_eigs)
+            for a, b in itertools.product(range(d), repeat=2):
+                assert same_bits(policy.slope_entry(a, b), cert.slope_matrix[:, a, b])
+            assert same_bits(policy.slope_matrices, cert.slope_matrix)
+
+    def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch):
+        grid = GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5)
+        u_fn, g_fn = builtin_solution("quartic_radial", 2)
+        args = (grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
+        outputs = []
+        for block in (1, 7, 3 ** 4):
+            monkeypatch.setattr(solver, "_CERT_BLOCK", block)
+            u, policy, report = solve_dirichlet(*args)
+            outputs.append((u.values, report.residual.values, report.residual_history,
+                            report.krylov_steps, policy.hermitian_slopes, policy.intercepts,
+                            policy.slope_eigs))
+        assert report.iterations >= 2
+        for other in outputs[1:]:
+            assert all(same_bits(a, b) for a, b in zip(outputs[0], other))
+
+    def test_solve_needs_no_real_stack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve built or validated a real (N, 2n, 2n) stack")
+
+        for module, name in ((mc, "symmetric_stack"), (mc, "embed_complex"),
+                             (mc, "hermitian_blocks"), (envelope, "envelope_batch"),
+                             (solver, "hessian_stack")):
+            monkeypatch.setattr(module, name, refuse)
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
+        u_fn, g_fn = builtin_solution("quartic_radial", 2)
+        g = field_of(grid, g_fn)
+        u, _, report = solve_dirichlet(grid, field_of(grid, u_fn), g, ThetaBox(0.4, 2))
+        assert report.converged
+        assert same_bits(report.residual.values, residual_field(u, g, ThetaBox(0.4, 2)).values)
+
+    def test_converged_iterate_forms_no_policy(self, monkeypatch):
+        # one slope pass for the initial policy and one per iteration that
+        # did not converge; none for the iterate that did
+        calls = []
+        saddle_slopes = envelope._saddle_slopes
+
+        def counted(*args):
+            calls.append(1)
+            return saddle_slopes(*args)
+
+        monkeypatch.setattr(envelope, "_saddle_slopes", counted)
+        monkeypatch.setattr(solver, "_CERT_BLOCK", 5 ** 4)
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
+        u_fn, g_fn = builtin_solution("quartic_radial", 2)
+        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+                                       ThetaBox(0.4, 2))
+        assert report.converged and report.iterations >= 2
+        assert len(calls) <= report.iterations
+
+    def test_box_dimension_is_checked_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(solver, "transfinite_interpolation", None)
+        monkeypatch.setattr(solver, "_hermitian_stack", None)
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 5)
+        zero = ScalarField.constant(grid, 0.0)
+        with pytest.raises(ValueError, match="grid has n=2 but the box has n=1"):
+            solve_dirichlet(grid, zero, zero, ThetaBox(0.4, 1))
+        with pytest.raises(ValueError, match="grid has n=2 but the box has n=3"):
+            residual_field(zero, zero, ThetaBox(0.4, 3))
+
+
 def frozen_system(theta, seed=0, n=2, P=7):
     """Frozen-policy system of the certificates of a random grid function:
-    (grid, slopes, A, b)."""
+    (grid, slope-entry reader, A, b)."""
     grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
     u = ScalarField(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
-    cert = envelope_batch(hessian_stack(u).reshape(-1, 2 * n, 2 * n), ThetaBox(theta, n))
-    A, b = solver._frozen_policy(grid, cert.slope_matrix, -cert.intercept, u.values)
-    return grid, cert.slope_matrix, A, b
+    policy = policy_of(u, ThetaBox(theta, n))
+    A, b = solver._frozen_policy(grid, policy.slope_entry, -policy.intercepts, u.values)
+    return grid, policy.slope_entry, A, b
 
 
 def materialized(A):
@@ -481,7 +596,7 @@ class TestPolicyEvaluation:
             N = (grid.points_per_axis - 2) ** d
             c = rng.uniform(0.5, 2.0, d)
             slopes = np.broadcast_to(np.diag(c), (N, d, d))
-            A, _ = solver._frozen_policy(grid, slopes, np.zeros(N), np.zeros(grid.shape))
+            A, _ = solver._frozen_policy(grid, entries(slopes), np.zeros(N), np.zeros(grid.shape))
             x = rng.uniform(-1.0, 1.0, N)
             y = solver._laplacian_inverse(grid, c)(A @ x)
             assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
@@ -606,7 +721,7 @@ class TestAssembly:
             G = rng.uniform(-1, 1, ishape + (d, d))
             slopes = G + G.swapaxes(-1, -2)
             rhs = rng.uniform(-1, 1, int(np.prod(ishape)))
-            A, b = solver._frozen_policy(grid, slopes.reshape(-1, d, d), rhs, u.values)
+            A, b = solver._frozen_policy(grid, entries(slopes.reshape(-1, d, d)), rhs, u.values)
             lin = (A @ u.values[grid.interior()].reshape(-1) - (b - rhs)).reshape(ishape)
             for idx in np.ndindex(*ishape):
                 H = TestDiscreteHessian.pointwise_hessian(u, tuple(i + 1 for i in idx))
@@ -622,7 +737,8 @@ class TestAssembly:
         grid = GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 6)
         N = 4 ** 4
         G = rng.uniform(-1, 1, (N, 4, 4))
-        A, _ = solver._frozen_policy(grid, G + G.swapaxes(1, 2), np.zeros(N), np.zeros(grid.shape))
+        A, _ = solver._frozen_policy(grid, entries(G + G.swapaxes(1, 2)), np.zeros(N),
+                                     np.zeros(grid.shape))
         x = rng.uniform(-1.0, 1.0, N)
         ref = np.abs(materialized(A)) @ np.abs(x)
         assert np.max(np.abs(abs(A) @ np.abs(x) - ref)) <= 1e-14 * np.max(ref)
