@@ -26,14 +26,15 @@ monotone scalar equation t = (prod x(t))^{1/n}, in closed form between its
 breakpoints; the saddle slopes are read off x.  A grid-discretized evaluator
 with no such reduction is provided as an independent oracle.
 
-One core certifies a stack of Hermitian parts A + iB: `_certify` (one LAPACK
-`eigh`, then one pass over all rows per breakpoint of that equation) gives
-the values, and `_policy` the slopes, intercepts and U diag(p) U^H.
+One core certifies a stack of Hermitian parts A + iB: `_certify`
+(`herm_eigensystem`, then one pass over all rows per breakpoint of that
+equation) gives the values, and `_policy` the slopes, intercepts and
+U diag(p) U^H.
 `envelope_batch` validates a real stack and calls both; the PDE solver builds
 A + iB from its stencil and calls them in blocks.  `envelope_value`,
 `envelope_eval` and `_saddle` are one-matrix forms.  The property checks and
-`ellipticity_gap` read values only: `_envelope_values` runs `eigvalsh` and
-the value part of the kernel.
+`ellipticity_gap` read values only: `_envelope_values` runs
+`herm_eigenvalues` and the value part of the kernel.
 
 The random samples of those checks are drawn in blocks too
 (`draw_verify_block`): each drawn field of a sample has its own generator
@@ -277,13 +278,14 @@ def _saddle_slopes(m: np.ndarray, x: np.ndarray, t: np.ndarray, box: ThetaBox) -
 
 def _average_equal_runs(p: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Average p over each run of eigenvalues of m (rows ascending) that agree
-    to rounding, so that U diag(p) U^H does not depend on the eigenbasis LAPACK
-    picks inside a repeated eigenvalue.  A run straddles two slope regimes only
-    at a kink, where the saddle set is convex and symmetric under permuting the
-    run, so the averaged slope is still a saddle.  Joining neighbours moves p.mu
-    by up to their slope jump times their gap, so they are joined only where
-    that is below rounding of the value too (at theta = 1e-8 next to 1/theta,
-    the eigenvalues 0 and theta agree to rounding, their slopes do not)."""
+    to rounding, so that U diag(p) U^H does not depend on the eigenbasis the
+    eigensolver picks inside a repeated eigenvalue.  A run straddles two slope
+    regimes only at a kink, where the saddle set is convex and symmetric under
+    permuting the run, so the averaged slope is still a saddle.  Joining
+    neighbours moves p.mu by up to their slope jump times their gap, so they
+    are joined only where that is below rounding of the value too (at
+    theta = 1e-8 next to 1/theta, the eigenvalues 0 and theta agree to
+    rounding, their slopes do not)."""
     N, n = m.shape
     gap = np.diff(m, axis=1)
     m_abs = np.maximum(-m[:, :1], m[:, -1:])
@@ -346,25 +348,26 @@ def _hermitian_parts(H_stack, box: ThetaBox) -> np.ndarray:
 
 
 def _envelope_values(H_stack, box: ThetaBox) -> tuple[np.ndarray, np.ndarray]:
-    """(value, mu) of `envelope_batch` with no slopes: `eigvalsh` instead of
-    `eigh`, and the value core of the saddle alone.  The eigenvalues, and so
-    the values, are those of `envelope_batch` for n <= 2 and agree with them
-    to rounding for larger n."""
-    mu = np.linalg.eigvalsh(_hermitian_parts(H_stack, box))
+    """(value, mu) of `envelope_batch` with no slopes: `herm_eigenvalues`
+    instead of `herm_eigensystem`, and the value core of the saddle alone.
+    The eigenvalues, and so the values, are those of `envelope_batch` for
+    n <= 2 (the same closed form at n = 2) and agree with them to rounding
+    for larger n (LAPACK's `eigvalsh` against its `eigh`)."""
+    mu = mc.herm_eigenvalues(_hermitian_parts(H_stack, box))
     return _saddle_values(mu, box)[0], mu
 
 
 def _certify(Z, box: ThetaBox):
-    """(value, x, t, mu, U) of a Hermitian stack Z (N, n, n): `eigh`, then
-    `_saddle_values` on its eigenvalues."""
-    mu, U = np.linalg.eigh(Z)
+    """(value, x, t, mu, U) of a Hermitian stack Z (N, n, n):
+    `herm_eigensystem`, then `_saddle_values` on its eigenvalues."""
+    mu, U = mc.herm_eigensystem(Z)
     return (*_saddle_values(mu, box), mu, U)
 
 
 def _policy(mu, U, x, t, box: ThetaBox):
     """(p, Q, intercept) from `_certify`: saddle slopes, the symmetrized
     Q = U diag(p) U^H (equal eigenvalues get equal slopes, so Q is the same
-    in any eigenbasis LAPACK picks) and t - p.x."""
+    in any eigenbasis the eigensolver picks) and t - p.x."""
     p = _saddle_slopes(mu, x, t, box)
     Q = (U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2)
     return p, (Q + Q.conj().swapaxes(1, 2)) / 2.0, t - np.einsum("ij,ij->i", p, x)
@@ -453,7 +456,7 @@ def _gap_bounds(P: np.ndarray, box: ThetaBox) -> tuple[np.ndarray, np.ndarray, n
     bad = wP[:, 0] < -1e-12 * np.maximum(1.0, nrmP)
     if bad.any():
         raise NotPSD(f"perturbation has eigenvalue {wP[np.argmax(bad), 0]:g}")
-    nu_max = np.linalg.eigvalsh(mc.hermitian_blocks(P))[:, -1]
+    nu_max = mc.herm_eigenvalues(mc.hermitian_blocks(P))[:, -1]
     lower = box.theta * np.maximum(nu_max, 0.0)
     upper = 2 * box.n * box.hi * nrmP
     return lower, upper, nrmP

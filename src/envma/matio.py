@@ -198,11 +198,14 @@ def field_csv(field) -> str:
     grid = field.grid
     d = grid.dim
     header = ",".join([f"x{a}" for a in range(d)] + ["value"])
-    # each coordinate is formatted once per axis, each value once
+    # each coordinate is formatted once per axis; the rows, coordinate prefix
+    # then value, go through one format template (fmt's "%.17g")
     axes = [[fmt(c) + "," for c in grid.axis_coords(a)] for a in range(d)]
-    prefixes = map("".join, itertools.product(*axes))
-    values = map(fmt, field.values.reshape(-1).tolist())
-    return "\n".join([header, *map(str.__add__, prefixes, values)]) + "\n"
+    values = field.values.reshape(-1).tolist()
+    rows = [None] * (2 * len(values))
+    rows[0::2] = map("".join, itertools.product(*axes))
+    rows[1::2] = values
+    return header + "\n" + ("%s%.17g\n" * len(values)) % tuple(rows)
 
 
 def report_text(report) -> str:

@@ -1,8 +1,13 @@
 """Linear-algebra substrate: the complex structure J on R^{2n}, the embedding
 of n x n Hermitian matrices into 2n x 2n real symmetric matrices, the trace
 projection onto the J-commuting subspace, determinant-root evaluation, and
-the Hermitian eigen-reduction of stacks of symmetric matrices (one LAPACK
-`eigh` call on the complex stack A + iB, no per-matrix loop).
+the Hermitian eigen-reduction of stacks of symmetric matrices.
+
+`herm_eigensystem` and `herm_eigenvalues` are the package's one Hermitian
+eigensolver: at n = 2 one closed-form plane rotation per matrix, vectorized
+over the stack with the arithmetic of LAPACK's zlaev2/dlaev2; for every
+other n one LAPACK `eigh`/`eigvalsh` call on the complex stack A + iB.
+Neither loops over matrices.
 
 Conventions
 -----------
@@ -151,9 +156,61 @@ def hermitian_blocks(S: np.ndarray) -> np.ndarray:
     return A + 1j * B
 
 
+def herm_eigensystem(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (..., n) and unitary eigenvectors, in columns
+    (..., n, n), of a Hermitian stack Z (..., n, n), read from its lower
+    triangle as `np.linalg.eigh` reads it.  At n = 2 one plane rotation per
+    matrix in closed form (`_eig2`); `np.linalg.eigh` for every other n."""
+    if Z.shape[-1] != 2:
+        return np.linalg.eigh(Z)
+    return _eig2(Z, vectors=True)
+
+
+def herm_eigenvalues(Z: np.ndarray) -> np.ndarray:
+    """The eigenvalues of `herm_eigensystem` without eigenvectors: bit for
+    bit the same for n <= 2, `np.linalg.eigvalsh` (equal to rounding) above."""
+    if Z.shape[-1] != 2:
+        return np.linalg.eigvalsh(Z)
+    return _eig2(Z, vectors=False)
+
+
+def _eig2(Z: np.ndarray, vectors: bool):
+    """Eigensystem of 2 x 2 Hermitian matrices [[a, conj(b)], [b, c]] with
+    the arithmetic of LAPACK's zlaev2/dlaev2.  Z = D R D^H with D = diag(1, w),
+    w = b/|b|, and R the real [[a, |b|], [|b|, c]]: rt1 = (a + c +- rt)/2,
+    rt = hypot(a - c, 2|b|), is R's eigenvalue of larger magnitude, and the
+    other, det/rt1 = (acmx/rt1) acmn - (|b|/rt1) |b|, keeps its relative
+    accuracy.  R's lower eigenvector (x, y) is (-2|b|, s) if a >= c and
+    (s, -2|b|) otherwise, up to norm, with s = rt + |a - c| free of
+    cancellation; U = D [[x, -y], [y, x]]."""
+    a, c, b = Z[..., 0, 0].real, Z[..., 1, 1].real, Z[..., 1, 0]
+    ab = np.abs(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sm, df = a + c, a - c
+        rt = np.hypot(df, 2.0 * ab)
+        a_big = np.abs(a) > np.abs(c)
+        rt1 = 0.5 * np.where(sm < 0.0, sm - rt, sm + rt)
+        rt2 = np.where(sm != 0.0, (np.where(a_big, a, c) / rt1) * np.where(a_big, c, a)
+                       - (ab / rt1) * ab, -0.5 * rt)
+        # sorted, as LAPACK sorts: near a double eigenvalue rounding may swap them
+        mu = np.stack([np.minimum(rt1, rt2), np.maximum(rt1, rt2)], axis=-1)
+        if not vectors:
+            return mu
+        s, tb = rt + np.abs(df), 2.0 * ab
+        h = np.hypot(tb, s)   # 0 only for a scalar matrix, where U = I
+        x = np.where(h > 0.0, np.where(df >= 0.0, -tb, s) / h, 1.0)
+        y = np.where(h > 0.0, np.where(df >= 0.0, s, -tb) / h, 0.0)
+        w_re, w_im = np.where(ab > 0.0, b.real / ab, 1.0), np.where(ab > 0.0, b.imag / ab, 0.0)
+    U = np.zeros(Z.shape, dtype=complex)
+    U.real[..., 0, 0], U.real[..., 0, 1] = x, -y
+    U.real[..., 1, 0], U.real[..., 1, 1] = w_re * y, w_re * x
+    U.imag[..., 1, 0], U.imag[..., 1, 1] = w_im * y, w_im * x
+    return mu, U
+
+
 def hermitian_eigs_stack(m) -> np.ndarray:
     """Eigenvalues (ascending) of extract(proj(M)) for a stack, shape (N, n)."""
-    return np.linalg.eigvalsh(hermitian_blocks(symmetric_stack(m)))
+    return herm_eigenvalues(hermitian_blocks(symmetric_stack(m)))
 
 
 def hermitian_eigs_of(M) -> np.ndarray:

@@ -313,21 +313,30 @@ class _StencilOperator:
         return tuple((self.grid.interior(s), self.grid.interior([-o for o in s]))
                      for s in self.shifts)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """The operator on a full grid array, boundary layer included."""
+    def apply(self, values: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """The operator on a full grid array, boundary layer included; with
+        `absolute`, the operator |A| of the coefficients' absolute values,
+        each taken in turn into one scratch field."""
         out = np.zeros(self.grid.interior_shape)
         term = np.empty_like(out)
+        abs_c = np.empty_like(out) if absolute else None
         for (plus, minus), c in zip(self.neighbours, self.coeffs):
+            if absolute:
+                c = np.abs(c, out=abs_c)
             out += np.multiply(c, np.add(values[plus], values[minus], out=term), out=term)
         return out.reshape(-1)
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+    def _padded(self, x: np.ndarray) -> np.ndarray:
         padded = np.zeros(self.grid.shape)
         padded[self.grid.interior()] = x.reshape(self.grid.interior_shape)
-        return self.apply(padded)
+        return padded
 
-    def __abs__(self) -> "_StencilOperator":
-        return _StencilOperator(self.grid, self.shifts, np.abs(self.coeffs))
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(self._padded(x))
+
+    def abs_matmul(self, x: np.ndarray) -> np.ndarray:
+        """|A| |x|, with no copy of the coefficient fields."""
+        return self.apply(self._padded(np.abs(x)), absolute=True)
 
 
 def _frozen_policy(grid: GridSpec, slope, rhs: np.ndarray,
@@ -416,11 +425,11 @@ class _Target:
     `slack` times it meets `value`; each failed check multiplies `slack` by 10."""
 
     def __init__(self, A: _StencilOperator, b: np.ndarray, tol: float, x0: np.ndarray):
-        self.abs_A, self.abs_b, self.tol = abs(A), np.abs(b), tol
+        self.A, self.abs_b, self.tol = A, np.abs(b), tol
         self.value, self.slack = self.at(x0), 1.0
 
     def at(self, x: np.ndarray) -> float:
-        floor = 8.0 * np.finfo(float).eps * float(np.max(self.abs_A @ np.abs(x) + self.abs_b))
+        floor = 8.0 * np.finfo(float).eps * float(np.max(self.A.abs_matmul(x) + self.abs_b))
         return max(1e-2 * self.tol, floor)
 
     def predicted_by(self, estimate: float) -> bool:
@@ -620,7 +629,7 @@ def check_premises(u: ScalarField, lam: float, Lam: float,
     F leaves the box, so that F(D^2_h u) need not be Ftilde(D^2_h u).
     """
     theta = mc.admissible_theta(lam, Lam)
-    mu = np.linalg.eigvalsh(_hermitian_stack(u))
+    mu = mc.herm_eigenvalues(_hermitian_stack(u))
     inside = (mu[:, 0] >= theta - tol) & (mu[:, -1] <= 1.0 / theta + tol)
     tangent = inside.copy()
     tangent[inside] = tangent_in_box(mu[inside], ThetaBox(theta, u.grid.n))

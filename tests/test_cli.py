@@ -212,6 +212,21 @@ class TestSolve:
         res = np.loadtxt(tmp_path / "out" / "residual.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(res[:, -1])) <= 1e-9
 
+    def test_benchmark_solve_workload_meets_its_gate(self, tmp_path, capsys):
+        # the solve-n2-railed benchmark workload and its correctness gate:
+        # converged, residual within tol, the reference solution to 1e-7
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        cfg = str(bench / "workloads" / "solve-n2-railed.cfg")
+        code, _, _ = run_main(capsys, ["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "converged = true\n" in (tmp_path / "out" / "report.txt").read_text()
+        res = np.loadtxt(tmp_path / "out" / "residual.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(res[:, -1])) <= 1e-10
+        sol = np.loadtxt(tmp_path / "out" / "solution.csv", delimiter=",", skiprows=1)
+        ref = np.load(bench / "reference" / "solve-n2-railed-solution.npy")
+        assert sol.shape[0] == ref.shape[0]
+        assert np.max(np.abs(sol[:, -1] - ref)) <= 1e-7
+
     def test_missing_key_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", QUAD_CFG.replace("pointsPerAxis = 9\n", ""))
         code, _, err = run_main(capsys, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -9,7 +9,9 @@ import pytest
 from envma import matrixcore as mc
 from envma.envelope import (
     ThetaBox,
+    _certify,
     _envelope_values,
+    _policy,
     conjugate_maximizer,
     envelope_batch,
     envelope_eval,
@@ -205,6 +207,26 @@ def test_scalar_hessian_gets_a_scalar_slope():
             p = cert.slope_eigs[0]
             assert np.allclose(cert.slope_eigs, p, rtol=0.0, atol=1e-14)
             assert np.max(np.abs(cert.slope_matrix - 0.5 * p * np.eye(2 * n))) <= 1e-14
+
+
+@pytest.mark.parametrize("theta", (*THETAS, 0.05))
+def test_n2_double_eigenvalue_on_a_box_face_gets_a_scalar_slope(theta):
+    # R diag(v, v) R^H equals v I only to rounding, so the closed-form n = 2
+    # eigensystem sees two eigenvalues one rounding apart in a basis set by
+    # that rounding; the averaged slope must make Q = p I anyway
+    box = ThetaBox(theta, 2)
+    rng = np.random.default_rng(2024)
+    eps = np.finfo(float).eps
+    for v in (box.theta, box.hi):
+        Z = []
+        for _ in range(20):
+            Ure, Uim = sample_unitary_blocks(rng, 2)
+            R = Ure + 1j * Uim
+            Z.append((R * v) @ R.conj().T)
+        value, x, t, mu, U = _certify(np.array(Z), box)
+        p, Q, _ = _policy(mu, U, x, t, box)
+        assert np.array_equal(p[:, 0], p[:, 1])
+        assert np.max(np.abs(Q - p[:, :1, np.newaxis] * np.eye(2))) <= 8 * eps * np.max(p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,7 +1,11 @@
 """Tests for the linear-algebra substrate."""
 
+import decimal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envma import matrixcore as mc
 from envma.errors import NotJCommuting, NotPositiveDefinite
@@ -16,6 +20,49 @@ def rand_herm(rng, n, psd=False):
     Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     H = Z @ Z.conj().T if psd else (Z + Z.conj().T) / 2.0
     return mc.HermitianMatrix(H.real, H.imag)
+
+
+N2_KINDS = ("random", "rotated", "b=0", "a=d", "near-double", "zero", "negative-definite")
+
+
+def n2_stack(rng, kind, m=16):
+    """m Hermitian 2 x 2 matrices of one kind, entries of order 1."""
+    G = rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2))
+    Z = (G + G.conj().swapaxes(1, 2)) / 2.0
+    if kind == "rotated":
+        # U diag(mu) U^H, every other row with a double eigenvalue
+        mu = rng.uniform(-2.0, 2.0, size=(m, 2))
+        mu[::2, 1] = mu[::2, 0]
+        U = np.linalg.qr(G)[0]
+        Z = (U * mu[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2)
+    elif kind == "b=0":
+        Z[:, 0, 1] = Z[:, 1, 0] = 0.0
+    elif kind == "a=d":
+        Z[:, 1, 1] = Z[:, 0, 0]
+    elif kind == "near-double":
+        # a and d a few roundings apart, b at rounding level
+        Z[:, 1, 1] = Z[:, 0, 0] * (1.0 + rng.integers(-3, 4, size=m) * np.finfo(float).eps)
+        Z[:, 1, 0] *= np.finfo(float).eps * rng.uniform(0.0, 4.0, size=m)
+        Z[:, 0, 1] = Z[:, 1, 0].conj()
+    elif kind == "zero":
+        Z[:] = 0.0
+    elif kind == "negative-definite":
+        Z = -(G @ G.conj().swapaxes(1, 2))
+    return Z
+
+
+def exact_eigs(Z):
+    """Ascending eigenvalues of a stack of 2 x 2 Hermitian matrices, from
+    (a + d -+ sqrt((a - d)^2 + 4|b|^2))/2 in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        out = []
+        for z in Z:
+            a, d = decimal.Decimal(z[0, 0].real), decimal.Decimal(z[1, 1].real)
+            b2 = decimal.Decimal(z[1, 0].real) ** 2 + decimal.Decimal(z[1, 0].imag) ** 2
+            rt = ((a - d) ** 2 + 4 * b2).sqrt()
+            out.append([float((a + d - rt) / 2), float((a + d + rt) / 2)])
+    return np.array(out)
 
 
 class TestComplexStructure:
@@ -166,6 +213,46 @@ class TestHermitianEigen:
             scale = max(1.0, float(np.max(np.abs(w))))
             assert np.max(np.abs(w[0::2] - w[1::2])) <= 1e-12 * scale
             assert np.max(np.abs(w[0::2] - mc.hermitian_eigs_of(mc.embed(H)))) <= 1e-11 * scale
+
+
+class TestHermEigensystem:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(N2_KINDS),
+           exponent=st.sampled_from((0, 8, -8, 150, -150)))
+    def test_n2_closed_form(self, seed, kind, exponent):
+        # LAPACK's own eigenvalues stray up to ~6 eps max|Z| from the exact
+        # ones on random stacks, so the closed form is held to 4 eps max|Z|
+        # of the exact eigenvalues and to 8 eps max|Z| of LAPACK's
+        Z = n2_stack(np.random.default_rng(seed), kind) * 10.0 ** exponent
+        eps = np.finfo(float).eps
+        size = np.max(np.abs(Z), axis=(1, 2))[:, np.newaxis]
+        mu, U = mc.herm_eigensystem(Z)
+        assert np.all(np.diff(mu, axis=1) >= 0.0)
+        assert np.array_equal(mc.herm_eigenvalues(Z), mu)
+        assert np.all(np.abs(mu - exact_eigs(Z)) <= 4 * eps * size)
+        assert np.all(np.abs(mu - np.linalg.eigvalsh(Z)) <= 8 * eps * size)
+        UH = U.conj().swapaxes(1, 2)
+        assert np.max(np.abs(UH @ U - np.eye(2))) <= 1e-15
+        residual = np.abs((U * mu[:, np.newaxis, :]) @ UH - Z)
+        assert np.all(residual <= 8 * eps * size[..., np.newaxis])
+
+    def test_reads_the_lower_triangle(self):
+        Z = n2_stack(np.random.default_rng(5), "random")
+        garbled = Z.copy()
+        garbled[:, 0, 1] = 7.0 - 3.0j
+        garbled[:, 0, 0] += 2.0j
+        for want, got in zip(mc.herm_eigensystem(Z), mc.herm_eigensystem(garbled)):
+            assert np.array_equal(want, got)
+
+    def test_lapack_for_other_n(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 3, 4):
+            Hs = [rand_herm(rng, n) for _ in range(5)]
+            Z = np.array([H.real + 1j * H.imag for H in Hs])
+            mu, U = mc.herm_eigensystem(Z)
+            ref_mu, ref_U = np.linalg.eigh(Z)
+            assert np.array_equal(mu, ref_mu) and np.array_equal(U, ref_U)
+            assert np.array_equal(mc.herm_eigenvalues(Z), np.linalg.eigvalsh(Z))
 
 
 class TestDetRoot:
