@@ -22,9 +22,12 @@ Evaluation is exact, not iterative.  By the minimax theorem Ftilde is also
 the primal maximum over box points x of
 (prod x)^{1/n} + sum_i min(theta (mu_i - x_i), (mu_i - x_i)/theta), attained
 at x_i(t) = clamp(median(t theta/n, mu_i, t/(n theta))) where t solves one
-monotone scalar equation t = (prod x(t))^{1/n}, in closed form between its
-breakpoints; the saddle slopes are read off x.  A grid-discretized evaluator
-with no such reduction is provided as an independent oracle.
+monotone scalar equation t = (prod x(t))^{1/n}; the saddle slopes are read
+off x.  The conjugate g(p) is the same equation with x_i(t) = clamp(t/(n p_i)).
+`_log_affine_root` solves both: one pass over the breakpoints brackets the
+root, and there h(t) = mean log x(t) - log t, affine in log t, crosses zero
+where the line through its values at the bracket ends does.  A
+grid-discretized evaluator with no such reduction is an independent oracle.
 
 One core certifies a stack of Hermitian parts A + iB: `_certify`
 (`herm_eigensystem`, then one pass over all rows per breakpoint of that
@@ -55,8 +58,8 @@ from . import matrixcore as mc
 from .errors import NoConvergence, NotPSD, ResolutionTooCoarse
 
 _KKT_TOL = 1e-11
-# relative slack of the clamp-regime tests of conjugate_maximizer
-_REL_TOL = 1e-12
+# the smallest theta ThetaBox accepts: theta^2 underflows below it
+_THETA_MIN = float(np.sqrt(np.finfo(float).tiny))
 # eigenvalues closer than this times the largest |eigenvalue| count as equal
 _RUN_TOL = 1e-13
 
@@ -66,7 +69,8 @@ class ThetaBox:
     """The spectral box [theta, 1/theta] in complex dimension n.
 
     theta is normalized to min(theta, 1/theta) on construction so the box is
-    always nonempty; theta = 1 collapses it to the single point {I}.
+    always nonempty; theta = 1 collapses it to the single point {I}.  The
+    kernel divides by theta^2, so theta must lie in [sqrt(tiny), 1/sqrt(tiny)].
     """
 
     theta: float
@@ -77,8 +81,9 @@ class ThetaBox:
         if n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         t = float(self.theta)
-        if t <= 0.0 or not np.isfinite(t):
-            raise ValueError(f"theta must be positive and finite, got {self.theta}")
+        if not _THETA_MIN <= t <= 1.0 / _THETA_MIN:
+            raise ValueError(f"theta must lie in [{_THETA_MIN:.17g}, {1.0 / _THETA_MIN:.17g}], "
+                             f"got {self.theta}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "theta", min(t, 1.0 / t))
 
@@ -119,8 +124,10 @@ def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
     g(p) = max over x in the box of (prod x)^{1/n} - p.x, the smallest c for
     which slope p with intercept c majorizes F.  The concave maximand is
     1-homogeneous minus linear, so the maximizer satisfies
-    x_i = clamp(t/(n p_i)) with t = (prod x)^{1/n}; the scalar fixed point is
-    solved exactly per clamp regime.
+    x_i = clamp(t/(n p_i)) with t = (prod x)^{1/n}, found by `_log_affine_root`
+    over the breakpoints n p_i theta and n p_i/theta.  Where prod(n p) = 1 the
+    maximizers form a ray x = t/(n p), and the one with the largest t is
+    returned, up to rounding (x = 1e8 at theta = 1e-8, n = 1, p = 1).
     """
     p = np.asarray(p, dtype=float)
     n = box.n
@@ -136,37 +143,14 @@ def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
         x = np.full(n, th)
         return th - float(p @ x), x
 
-    brk = sorted({th, hi, *(float(b) for b in np.concatenate([n * p * th, n * p * hi])
-                            if th <= b <= hi)})
-    sol_t = None
-    for a, b in zip(brk[:-1], brk[1:]):
-        mid = 0.5 * (a + b)
-        lo_set = mid <= n * p * th
-        hi_set = mid >= n * p * hi
-        free = ~lo_set & ~hi_set
-        f = int(np.sum(free))
-        logC = (np.log(th) * np.sum(lo_set) + np.log(hi) * np.sum(hi_set)
-                - np.sum(np.log(n * p[free])))
-        if f == n:
-            if abs(logC) > 1e-12:
-                continue
-            t = mid
-        else:
-            t = float(np.exp(logC / (n - f)))
-            if not (a * (1.0 - _REL_TOL) <= t <= b * (1.0 + _REL_TOL)):
-                continue
-        sol_t = min(max(t, a), b)
-        break
-    if sol_t is None:
-        # the monotone fixed point always exists; not reaching it is a bug
-        raise NoConvergence(f"no conjugate fixed point for p={p}, theta={th}")
-    x = np.clip(sol_t / (n * p), th, hi)
+    t = float(_log_affine_root(lambda t: np.clip(t / (n * p), th, hi),
+                               itertools.chain(n * p * th, n * p / th), box))
+    x = np.clip(t / (n * p), th, hi)
     t = mc.geometric_mean(x)
     g = t - float(p @ x)
     # exact stationarity/rail check; concavity makes it sufficient
     grad = t / (n * x) - p
-    at_lo = x <= th * (1.0 + _REL_TOL)
-    at_hi = x >= hi * (1.0 - _REL_TOL)
+    at_lo, at_hi = x <= th, x >= hi
     kkt = max(
         float(np.max(np.abs(grad[~at_lo & ~at_hi]), initial=0.0)),
         float(np.max(grad[at_lo], initial=0.0)),
@@ -202,43 +186,50 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, a.T, 0)
 
 
-def _fixed_point(m: np.ndarray, box: ThetaBox) -> np.ndarray:
-    """The root t of h(t) = mean log x(t) - log t for each row of m (N, n).
+def _log_affine_root(x_of, breakpoints, box: ThetaBox):
+    """The root t in [theta, 1/theta] of h(t) = mean log x(t) - log t.
 
-    h is continuous and nonincreasing, h(theta) >= 0 >= h(1/theta), and h is
-    affine in log t between the breakpoints n theta mu_i, n mu_i/theta,
-    n theta^2, n and n/theta^2.  One pass per breakpoint brackets the root
-    between the largest with h >= 0 and the smallest with h < 0; there
-    t = exp(log C/(n - e)), e the number of x_i(t) proportional to t.
-    The eigenvalues are held as n contiguous rows of length N, so t (N,)
-    broadcasts along each row, and `sum` adds the rows in `_row_sum`'s order.
+    x_of maps t of shape S to x(t) of shape (n,) + S with entries in the box,
+    piecewise proportional to t or constant, so h is continuous, nonincreasing and
+    affine in log t between the breakpoints, with h(theta) >= 0 >= h(1/theta).
+    One pass over the breakpoints, theta and 1/theta brackets the root
+    between the largest of them with h >= 0 and the smallest with h < 0.
+    No breakpoint lies strictly inside that bracket [lo, up], so the root is
+    where the line through h(lo) and h(up) in log t crosses zero, clipped to
+    the bracket.  Where h(lo) = h(up), at theta = 1 or on a ray of roots, lo
+    is returned.
     """
-    N, n = m.shape
     th, hi = box.theta, box.hi
-    m = np.ascontiguousarray(m.T)
-    lo, up = np.full(N, th), np.full(N, hi)
-    for b in itertools.chain((n * th * mu for mu in m), (n * mu / th for mu in m),
-                             (np.full(N, c) for c in (n * th**2, n, n / th**2, th, hi))):
+
+    def h(t):
+        log_x = np.log(x_of(t))
+        return sum(log_x) / len(log_x) - np.log(t)
+
+    lo, up = th, hi
+    for b in itertools.chain(breakpoints, (th, hi)):
         b = np.clip(b, th, hi)
-        above = sum(np.log(_clamped_median(b, m, box))) / n >= np.log(b)   # h(b) >= 0
+        above = h(b) >= 0.0
         # b > 0 raises lo where h(b) >= 0, lowers up elsewhere (np.where is slower)
         lo, up = np.maximum(lo, b * above), np.minimum(up, b + above * hi)
+    h_lo, h_up = h(lo), h(up)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.exp(np.log(lo) + (np.log(up) - np.log(lo)) * (h_lo / (h_lo - h_up)))
+    return np.where(h_lo == h_up, lo, np.clip(t, lo, up))
 
-    # the clamp regime inside the bracket: railed coordinates share one inner
-    # value each side, proportional to t where it is inside the box
-    t_mid = np.sqrt(lo * up)
-    x_mid = _clamped_median(t_mid, m, box)
-    pre, suf = x_mid > m, x_mid < m
-    del x_mid   # freed before the temporaries below, so the copy of m adds no peak
-    n_pre, n_suf = sum(pre), sum(suf)
-    x_B, x_T = t_mid * th / n, t_mid / (n * th)
-    B_free, T_free = (th < x_B) & (x_B < hi), (th < x_T) & (x_T < hi)
-    log_B = np.where(B_free, np.log(th / n), np.log(np.clip(x_B, th, hi)))
-    log_T = np.where(T_free, -np.log(n * th), np.log(np.clip(x_T, th, hi)))
-    logC = sum(np.where(pre | suf, 0.0, np.log(m))) + n_pre * log_B + n_suf * log_T
-    e = n_pre * B_free + n_suf * T_free
-    # e = n: h is constant on the bracket, a ray of inner optima
-    return np.clip(np.where(e < n, np.exp(logC / np.maximum(n - e, 1)), t_mid), lo, up)
+
+def _fixed_point(m: np.ndarray, box: ThetaBox) -> np.ndarray:
+    """The root t of t = (prod x(t))^{1/n}, x(t) of `_clamped_median`, for
+    each row of m (N, n), by `_log_affine_root` over the breakpoints
+    n theta mu_i, n mu_i/theta, n theta^2, n and n/theta^2.
+    The eigenvalues are held as n contiguous rows of length N, so t (N,)
+    broadcasts along each row, and h sums the rows in `_row_sum`'s order.
+    """
+    n = m.shape[1]
+    th = box.theta
+    m = np.ascontiguousarray(m.T)
+    brk = itertools.chain((n * th * mu for mu in m), (n * mu / th for mu in m),
+                          (n * th**2, n, n / th**2))
+    return _log_affine_root(lambda t: _clamped_median(t, m, box), brk, box)
 
 
 def _saddle_values(m: np.ndarray, box: ThetaBox):
@@ -711,8 +702,9 @@ def _check_samples(box: ThetaBox, block: dict) -> dict:
 
     Returns, per property name, a boolean array of passes and an array of
     flags saying where the property makes a claim, plus "gap_ratio" (NaN
-    where ||P|| = 0).  One `_envelope_values` call covers all seven matrices
-    of every sample: the checks read values and eigenvalues, no slopes.
+    where ||P|| = 0).  Each check's slack is relative to the values it
+    compares (`_magnitude`).  One `_envelope_values` call covers all seven
+    matrices of every sample: the checks read values and eigenvalues only.
     """
     m1, m2, m_in, R = block["m1"], block["m2"], block["m_in"], block["R"]
     N = len(m1)
@@ -726,30 +718,35 @@ def _check_samples(box: ThetaBox, block: dict) -> dict:
     f1, f2, fmid, ften, f1p, fp, fr = value.reshape(7, N)
     claims = np.ones(N, dtype=bool)
     out = {}
-    out["concavity"] = (fmid >= (f1 + f2) / 2.0 - 1e-9, claims)
+    out["concavity"] = (fmid >= (f1 + f2) / 2.0 - 1e-9 * _magnitude(f1, f2, fmid), claims)
 
     mu = mu[3 * N:4 * N]
     pos = mu[:, 0] > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         fval = np.exp(np.mean(np.log(np.maximum(mu, 1e-300)), axis=1))
         tangent = pos & tangent_in_box(mu, box)
-    out["domination"] = (~pos | (ften >= fval - 1e-9), claims)
+    out["domination"] = (~pos | (ften >= fval - 1e-9 * _magnitude(ften, fval)), claims)
     # where the tangent slope leaves the box the envelope makes no claim
     out["agreement"] = (np.abs(ften - fval) <= 1e-8 * np.maximum(1.0, np.abs(fval)), tangent)
 
     lower, upper, nrm = _gap_bounds(P, box)
     gap = f1p - f1
-    ok = (lower - 1e-9 <= gap) & (gap <= upper + 1e-9)
+    slack = 1e-9 * _magnitude(f1p, f1)
+    ok = (lower - slack <= gap) & (gap <= upper + slack)
     # J-commuting perturbations enjoy the stronger theta*||P|| bound
-    ok &= ~jc | (gap >= th * nrm - 1e-9)
+    ok &= ~jc | (gap >= th * nrm - slack)
     out["ellipticity"] = (ok, claims)
     with np.errstate(invalid="ignore", divide="ignore"):
         out["gap_ratio"] = np.where(nrm > 0, gap / nrm, np.nan)
 
-    scale = np.maximum(1.0, np.abs(f1))
-    out["projection"] = (np.abs(f1 - fp) <= 1e-10 * scale, claims)
-    out["rotation"] = (np.abs(f1 - fr) <= 1e-9 * scale, claims)
+    out["projection"] = (np.abs(f1 - fp) <= 1e-10 * _magnitude(f1), claims)
+    out["rotation"] = (np.abs(f1 - fr) <= 1e-9 * _magnitude(f1), claims)
     return out
+
+
+def _magnitude(*values: np.ndarray) -> np.ndarray:
+    """max(1, |v|) over the compared values v: the scale of their rounding."""
+    return functools.reduce(np.maximum, map(np.abs, values), 1.0)
 
 
 def verify_envelope(box: ThetaBox, samples: int, seed: int) -> PropertyReport:

@@ -112,6 +112,13 @@ class TestEval:
                                        "--lam", "1", "--Lam", "2"])
         assert code == 3
 
+    def test_smallest_theta_evaluates(self, tmp_path, capsys):
+        # just above sqrt(tiny) = 1.4916681462400413e-154, the bound ThetaBox refuses below
+        mat = write(tmp_path / "m.txt", "sym 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+        code, out, err = run_main(capsys, ["eval", "--matrix", mat, "--theta", "1.5e-154"])
+        assert code == 0 and err == ""
+        assert "F_tilde = 1\n" in out and "in_theta_box = true" in out
+
     def test_lambda_pair(self, tmp_path, capsys):
         mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")
         code, out, _ = run_main(capsys, ["eval", "--matrix", mat, "--lam", "2", "--Lam", "2"])
@@ -166,6 +173,15 @@ class TestVerify:
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert err.splitlines() == ["error: n=100000 exceeds the supported maximum 8"]
+
+    @pytest.mark.parametrize("n", ["1", "2", "8"])
+    def test_passes_near_theta_zero(self, n, capsys):
+        # the checks allow rounding relative to the values they compare, which
+        # grow like 1/theta
+        code, out, _ = run_main(capsys, ["verify", "--theta", "1e-8", "--n", n,
+                                         "--samples", "300", "--seed", "1"])
+        assert code == 0
+        assert "all_pass = true" in out
 
     def test_negative_seed_exits_3(self, capsys):
         code, out, err = run_main(capsys, ["verify", "--theta", "0.5", "--n", "2",
@@ -313,8 +329,8 @@ STUDY_CFG = QUAD_CFG.replace("g = constant:2", "g = quadratic") + "refinements =
 
 # (argv, config text, exit code, text the one stderr line contains); CFG is
 # the config path, OUT a fresh output path, FILE an existing regular file,
-# BELOW a path below that file; the usage-* cases are command lines the
-# parser rejects
+# BELOW a path below that file, MAT a matrix file; the usage-* cases are
+# command lines the parser rejects
 FAILURES = {
     "points-per-axis-3": (["solve", "CFG", "OUT"],
                           QUAD_CFG.replace("pointsPerAxis = 9", "pointsPerAxis = 3"),
@@ -351,6 +367,23 @@ FAILURES = {
     "nan-slope": (["conjugate", "--p", "1,nan", "--theta", "0.5"], None, 2, "non-finite"),
     "nan-Lambda": (["conjugate", "--p", "1", "--lam", "1", "--Lam", "nan"], None, 3,
                    "eigenvalue bounds"),
+    # theta outside [sqrt(tiny), 1/sqrt(tiny)]: theta^2 underflows to 0
+    "eval-theta-1e-200": (["eval", "MAT", "--theta", "1e-200"], None, 3, "theta must lie in"),
+    "eval-theta-1e300": (["eval", "MAT", "--theta", "1e300"], None, 3, "theta must lie in"),
+    "verify-theta-1e-200": (["verify", "--theta", "1e-200", "--n", "2", "--samples", "20",
+                             "--seed", "1"], None, 3, "theta must lie in"),
+    "verify-theta-1e300": (["verify", "--theta", "1e300", "--n", "2", "--samples", "20",
+                            "--seed", "1"], None, 3, "theta must lie in"),
+    "verify-theta-1e-310": (["verify", "--theta", "1e-310", "--n", "2", "--samples", "20",
+                             "--seed", "1"], None, 3, "theta must lie in"),
+    "conjugate-theta-1e-310": (["conjugate", "--p", "1,1", "--theta", "1e-310"], None, 3,
+                               "theta must lie in"),
+    "solve-theta-1e-200": (["solve", "CFG", "OUT"],
+                           QUAD_CFG.replace("theta = 0.4", "theta = 1e-200"),
+                           2, "theta must lie in"),
+    "convergence-theta-1e300": (["convergence", "CFG", "OUT"],
+                                STUDY_CFG.replace("theta = 0.4", "theta = 1e300"),
+                                2, "theta must lie in"),
 }
 
 
@@ -371,7 +404,8 @@ class TestFailures:
         paths = {"CFG": ["--config", str(tmp_path / "p.cfg")],
                  "OUT": ["--out", str(tmp_path / "o")],
                  "FILE": ["--out", str(existing)],
-                 "BELOW": ["--out", str(existing / "sub")]}
+                 "BELOW": ["--out", str(existing / "sub")],
+                 "MAT": ["--matrix", write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")]}
         if cfg_text is not None:
             write(tmp_path / "p.cfg", cfg_text)
         code, _, err = run_main(capsys, [a for tok in argv for a in paths.get(tok, [tok])])

@@ -437,11 +437,36 @@ class TestVerifyEnvelope:
             report = verify_envelope(ThetaBox(0.3, n), samples=40, seed=5)
             assert report.all_pass, report.format()
 
+    @pytest.mark.parametrize("theta", [0.5, 1e-8])
+    def test_relative_concavity_violation_is_reported(self, theta, monkeypatch):
+        values = envelope._envelope_values
+
+        def violated_midpoints(H_stack, box):
+            # the midpoint value 1e-6 of the values' magnitude below the chord
+            value, mu = values(H_stack, box)
+            f1, f2, fmid = value.reshape(7, -1)[:3]
+            fmid[:] = (f1 + f2) / 2.0 - 1e-6 * np.maximum.reduce([np.ones_like(f1), abs(f1),
+                                                                   abs(f2), abs(fmid)])
+            return value, mu
+
+        monkeypatch.setattr(envelope, "_envelope_values", violated_midpoints)
+        report = verify_envelope(ThetaBox(theta, 2), samples=40, seed=1)
+        assert report.failed["concavity"] == 40
+        assert report.failed["domination"] == 0
+
 
 class TestThetaBox:
     def test_normalization(self):
         box = ThetaBox(1.5, 1)
         assert abs(box.theta - 2.0 / 3.0) < 1e-15
+
+    def test_representable_range(self):
+        tiny = np.sqrt(np.finfo(float).tiny)
+        assert ThetaBox(tiny, 8).theta == tiny
+        assert ThetaBox(1.5e-154, 1).theta == 1.5e-154
+        for theta in (1e-200, 1e300, 1e-310, 5e-324):
+            with pytest.raises(ValueError, match="theta must lie in"):
+                ThetaBox(theta, 1)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,23 @@
 """Tests for the batched eigen-coordinate envelope kernel `envelope_batch`:
 agreement with its one-matrix wrappers and the grid oracle, the certificate
-identities on every row, and independence from the eigenbasis LAPACK picks
-inside a repeated eigenvalue."""
+identities on every row, independence from the eigenbasis LAPACK picks
+inside a repeated eigenvalue, and properties of the root finder shared by the
+fixed point and the conjugate."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envma import matrixcore as mc
 from envma.envelope import (
     ThetaBox,
     _certify,
     _envelope_values,
+    _fixed_point,
+    _inner_max,
     _policy,
+    _saddle_values,
     conjugate_maximizer,
     envelope_batch,
     envelope_eval,
@@ -277,6 +283,75 @@ def test_broken_fixed_point_raises_no_convergence(monkeypatch):
     for entry in (envelope_batch, _envelope_values):
         with pytest.raises(NoConvergence):
             entry(np.array([np.eye(2), 2 * np.eye(2)]), ThetaBox(0.5, 1))
+
+
+def breakpoint_pool(th, n):
+    """Eigenvalues and slopes on or next to the breakpoints of the fixed
+    point at theta = th in dimension n."""
+    return [th, 1.0 / th, n * th, th / n, 1.0 / (n * th), th**2, 0.0, 1.0, float(n),
+            -th, -1.0, -1.0 / th]
+
+
+def log_uniform(th):
+    """Values of magnitude log-uniform on [th/10, 10/th], of either sign."""
+    magnitude = st.floats(np.log(th) - 2.3, 2.3 - np.log(th)).map(np.exp)
+    return st.tuples(st.sampled_from((1.0, -1.0)), magnitude).map(lambda a: a[0] * a[1])
+
+
+def box_points(rng, box, m):
+    """m points of the box, log-uniform per coordinate, and its two corners."""
+    y = np.exp(rng.uniform(np.log(box.theta), np.log(box.hi), size=(m, box.n)))
+    return np.vstack([y, np.full(box.n, box.theta), np.full(box.n, box.hi)])
+
+
+ROOT_CASE = dict(log_theta=st.floats(np.log(1e-12), 0.0), n=st.integers(1, 8),
+                 seed=st.integers(0, 2**32 - 1), data=st.data())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(**ROOT_CASE)
+def test_fixed_point_is_the_root_and_the_primal_max(log_theta, n, seed, data):
+    box = ThetaBox(np.exp(log_theta), n)
+    pool = breakpoint_pool(box.theta, n)
+    mu = data.draw(st.lists(st.sampled_from(pool) | log_uniform(box.theta),
+                            min_size=n, max_size=n))
+    m = np.sort(np.array(mu))[np.newaxis]
+    t = _fixed_point(m, box)
+    x = _inner_max(t, m, box)
+    assert box.theta <= t[0] <= box.hi
+    assert abs(np.mean(np.log(x)) - np.log(t[0])) <= 1e-12
+    # the value is the primal maximum: no box point y does better
+    value = _saddle_values(m, box)[0][0]
+    y = box_points(np.random.default_rng(seed), box, 64)
+    d = m - y
+    primal = np.exp(np.mean(np.log(y), axis=1)) + np.sum(
+        np.minimum(box.theta * d, d / box.theta), axis=1)
+    assert np.all(value >= primal - 1e-12 * np.maximum(1.0, np.maximum(abs(value), abs(primal))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(**ROOT_CASE)
+def test_conjugate_maximizer_attains_the_intercept(log_theta, n, seed, data):
+    box = ThetaBox(np.exp(log_theta), n)
+    slopes = [v for v in breakpoint_pool(box.theta, n) if box.theta <= v <= box.hi]
+    in_box = st.floats(-1.0, 1.0).map(lambda f: min(max(np.exp(f * log_theta), box.theta), box.hi))
+    p = np.array(data.draw(st.lists(st.sampled_from(slopes) | in_box, min_size=n, max_size=n)))
+    g, x = conjugate_maximizer(p, box)
+    assert np.all((box.theta <= x) & (x <= box.hi))
+    assert abs(g + p @ x - mc.geometric_mean(x)) <= 1e-12 * max(1.0, p @ x)
+    # g + p.y majorizes F on the box, up to the rounding of g = F(x) - p.x
+    y = box_points(np.random.default_rng(seed), box, 64)
+    fy = np.exp(np.mean(np.log(y), axis=1))
+    assert np.all(g + y @ p >= fy - 1e-12 * np.maximum(max(1.0, p @ x), y @ p))
+
+
+@pytest.mark.parametrize("theta", (1e-8, 0.3))
+def test_conjugate_on_a_ray_of_maximizers(theta):
+    # n = 1, p = 1: every box point x maximizes x - p x = 0; the finder
+    # returns the end of the ray with the largest t
+    for p in ([1.0], [0.5, 0.5]):   # n = 2: the same ray along the diagonal
+        g, x = conjugate_maximizer(np.array(p), ThetaBox(theta, len(p)))
+        assert abs(g) <= 1e-14 / theta and np.all(x == 1.0 / theta)
 
 
 def reference_draw(streams, box, idx):
