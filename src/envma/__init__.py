@@ -49,7 +49,6 @@ _EXPORTS = {
         "builtin_solution",
         "check_premises",
         "convergence_study",
-        "discrete_hessian",
         "residual_field",
         "solve_dirichlet",
     ),

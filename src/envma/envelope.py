@@ -238,7 +238,8 @@ def _saddle_values(m: np.ndarray, box: ThetaBox):
     m (N, n) has ascending rows.  Returns value (N,), x = x(t) (N, n) of
     `_inner_max` and t (N,) of `_fixed_point`, where
     value = t + sum_i min(theta d_i, d_i/theta) with d = mu - x.  Raises
-    NoConvergence where t misses the fixed point t = (prod x(t))^{1/n}.
+    NoConvergence where t misses the fixed point t = (prod x(t))^{1/n}, and
+    ValueError where a value leaves the float range.
     """
     n = m.shape[1]
     th, hi = box.theta, box.hi
@@ -246,13 +247,16 @@ def _saddle_values(m: np.ndarray, box: ThetaBox):
         t = _fixed_point(m, box)
         x = _inner_max(t, m, box)
         resid = np.abs(_row_sum(np.log(x)) / n - np.log(t))  # not finite where t is not
+        d = m - x
+        value = hi * _row_sum(np.minimum(d, 0.0)) + th * _row_sum(np.maximum(d, 0.0)) + t
     if not np.all(resid <= 1e-12):
         # the monotone fixed point always exists; missing it is a bug
         i = int(np.argmin(resid <= 1e-12))
         raise NoConvergence(f"fixed point residual {resid[i]:g} at t={t[i]:g} "
                             f"for mu={m[i]}, theta={th}")
-    d = m - x
-    value = hi * _row_sum(np.minimum(d, 0.0)) + th * _row_sum(np.maximum(d, 0.0)) + t
+    if not np.all(np.isfinite(value)):
+        i = int(np.argmin(np.isfinite(value)))
+        raise ValueError(f"envelope value overflows the float range for mu={m[i]}, theta={th:g}")
     return value, x, t
 
 

@@ -15,18 +15,20 @@ steps alternate until the max-norm residual of the nonlinear equation meets
 the tolerance.
 
 Each iterate is certified once, in blocks of `_CERT_BLOCK` rows, on the
-Hermitian parts extract(proj(D^2_h u)) built from the stencil
+Hermitian parts Z = extract(proj(D^2_h u)) = A + iB built from the stencil
 (`_hermitian_stack`): the values are the residual, and the next policy is
 formed only when another iteration follows.  A policy keeps the Hermitian
-slope Q per point; the slope entries S = embed(Q)/2 are read from it.
+slope Q per point, and the frozen equation reads tr(S D^2_h u) as
+Re tr(Q Z), the same pairing with S = embed(Q)/2.
 
-The discrete Hessian D^2_h is written down once, as symmetric (shift, weight)
-stencil terms per Hessian entry (`_hessian_stencil`), a shift being a tuple of
-per-axis offsets; a term reads the grid values on the interior block moved by
-+shift and by -shift, so only interior points are computed.  The Hessians are
-those terms applied to the grid values; the frozen-policy operator folds them,
-weighted by the slopes, into one interior-shaped coefficient field per distinct
-shift, applied matrix-free (`_StencilOperator`).  Everything is numpy.
+The discrete Hessian D^2_h is written down once, in Hermitian coordinates:
+the n^2 real coordinates of Z, each as symmetric (shift, weight) stencil
+terms (`_hessian_stencil`), a shift being a tuple of per-axis offsets; a
+term reads the grid values on the interior block moved by +shift and by
+-shift, so only interior points are computed.  Z is those terms applied to
+the grid values; the frozen-policy operator folds them, weighted by the
+entries of Q, into one interior-shaped coefficient field per distinct shift,
+applied matrix-free (`_StencilOperator`).  Everything is numpy.
 """
 
 from __future__ import annotations
@@ -121,33 +123,18 @@ class ScalarField:
 
 @dataclass
 class PolicyField:
-    """Frozen Bellman policy: per interior point a slope matrix + intercept.
+    """Frozen Bellman policy: per interior point a slope + intercept.
 
     Slope eigenvalues live in the box [theta, 1/theta].  The slope is kept as
-    the Hermitian Q = U diag(p) U^H; its pairing matrix S = embed(Q)/2 (see
-    EnvelopeCertificate) is read by entry or built as `slope_matrices`.
+    the Hermitian Q = U diag(p) U^H; the policy's affine map of a Hessian M is
+    Re tr(Q extract(proj M)) + intercept, the pairing tr(S M) with the
+    slope matrix S = embed(Q)/2 of EnvelopeCertificate.
     """
 
     grid: GridSpec
     hermitian_slopes: np.ndarray   # (n_interior, n, n) complex
     intercepts: np.ndarray         # (n_interior,)
     slope_eigs: np.ndarray         # (n_interior, n)
-
-    def slope_entry(self, a: int, b: int) -> np.ndarray:
-        """S_ab at every interior point (indices of Q taken mod n)."""
-        n = self.grid.n
-        q = self.hermitian_slopes[:, a % n, b % n]
-        if (a < n) == (b < n):
-            return 0.5 * q.real
-        return 0.5 * q.imag if a >= n else -0.5 * q.imag
-
-    @functools.cached_property
-    def slope_matrices(self) -> np.ndarray:   # (n_interior, 2n, 2n)
-        return 0.5 * mc.embed_complex(self.hermitian_slopes)
-
-    def eigs_in_box(self, box: ThetaBox, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.slope_eigs >= box.theta - tol)
-                    and np.all(self.slope_eigs <= box.hi + tol))
 
 
 @dataclass
@@ -181,70 +168,55 @@ def transfinite_interpolation(boundary: ScalarField) -> np.ndarray:
     return f - rest
 
 
-def discrete_hessian(u: ScalarField, idx) -> np.ndarray:
-    """Centered second differences at an interior point; exact for quadratics."""
-    grid = u.grid
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != grid.dim or any(i < 1 or i > grid.points_per_axis - 2 for i in idx):
-        raise ValueError(f"point {idx} is not interior")
-    return hessian_stack(u)[tuple(i - 1 for i in idx)]
-
-
-def hessian_stack(u: ScalarField) -> np.ndarray:
-    """Discrete Hessians at all interior points, each entry of `_hessian_stencil`
-    applied to the grid values: an array of shape interior_shape + (d, d) in
-    lexicographic interior order."""
-    grid, d = u.grid, u.grid.dim
-    H = np.empty(grid.interior_shape + (d, d))
-    for (a, b), entry in _hessian_stencil(grid):
-        H[..., a, b] = H[..., b, a] = entry.apply(u.values).reshape(grid.interior_shape)
-    return H
-
-
 @functools.lru_cache(maxsize=8)
 def _hessian_stencil(grid: GridSpec) -> tuple:
-    """The discrete Hessian D^2_h as pairs ((a, b), `_StencilOperator`).
-
-    Entry (a, b), a <= b, of D^2_h u at an interior point is the sum of
-    weight * (u[+shift] + u[-shift]) over the (shift, weight) pairs of its
-    operator, a shift being a tuple of per-axis offsets in {-1, 0, 1}:
-    centered second differences on the diagonal, products of centered first
-    differences (the 4-point cross stencil) off it, exact for quadratics.
+    """The discrete complex Hessian Z = extract(proj(D^2_h u)) = A + iB as
+    pairs ((part, i, j), `_StencilOperator`), one per real coordinate of Z:
+    A_ij = (H_ij + H_{n+i,n+j})/2 for i <= j (part 0) and
+    B_ij = (H_{j,n+i} - H_{i,n+j})/2 for i < j (part 1), H_ab being entry
+    (a, b) of the real D^2_h.  A coordinate at an interior point is the sum
+    of weight * (u[+shift] + u[-shift]) over the (shift, weight) pairs of its
+    operator, a shift being a tuple of per-axis offsets in {-1, 0, 1}.  H_ab
+    is the centered second difference on the diagonal and the product of
+    centered first differences (the 4-point cross stencil) off it, exact for
+    quadratics; its terms enter a coordinate halved, equal shifts merged.
     """
-    d, h = grid.dim, grid.spacing
+    n, d, h = grid.n, grid.dim, grid.spacing
     unit = [tuple(int(a == b) for b in range(d)) for a in range(d)]
-    terms = {}
-    for a, b in zip(*np.triu_indices(d)):
+
+    def real_entry(a, b):   # entry (a, b), a <= b, of D^2_h as {shift: weight}
         if a == b:
-            terms[a, b] = [((0,) * d, -1.0 / h[a] ** 2), (unit[a], 1.0 / h[a] ** 2)]
-        else:
-            terms[a, b] = [(tuple(i + sb * j for i, j in zip(unit[a], unit[b])),
-                            (0.5 / h[a]) * (sb * 0.5 / h[b]))
-                           for sb in (1, -1)]
-    return tuple((ab, _StencilOperator(grid, *zip(*pairs))) for ab, pairs in terms.items())
+            return {(0,) * d: -1.0 / h[a] ** 2, unit[a]: 1.0 / h[a] ** 2}
+        return {tuple(i + sb * j for i, j in zip(unit[a], unit[b])):
+                (0.5 / h[a]) * (sb * 0.5 / h[b]) for sb in (1, -1)}
+
+    def halves(*signed_entries):
+        terms = {}
+        for sign, entry in signed_entries:
+            for shift, weight in entry.items():
+                terms[shift] = terms.get(shift, 0.0) + sign * 0.5 * weight
+        return _StencilOperator(grid, tuple(terms), tuple(terms.values()))
+
+    stencil = []
+    for i in range(n):
+        for j in range(i, n):
+            stencil.append(((0, i, j), halves((1, real_entry(i, j)),
+                                              (1, real_entry(n + i, n + j)))))
+            if i < j:
+                stencil.append(((1, i, j), halves((1, real_entry(j, n + i)),
+                                                  (-1, real_entry(i, n + j)))))
+    return tuple(stencil)
 
 
 def _hermitian_stack(u: ScalarField) -> np.ndarray:
-    """extract(proj(D^2_h u)) = A + iB at the interior points, (N, n, n), from
-    the stencil entries H_ab: A_ij = (H_ij + H_{n+i,n+j})/2 and
-    B_ij = (H_{j,n+i} - H_{i,n+j})/2, bit for bit as
-    hermitian_blocks(symmetric_stack(hessian_stack(u))) but with no real
-    (N, 2n, 2n) stack."""
+    """Z = extract(proj(D^2_h u)) = A + iB at the interior points, (N, n, n):
+    each coordinate of `_hessian_stencil` applied to the grid values."""
     grid, n = u.grid, u.grid.n
-    entry = dict(_hessian_stencil(grid))
-
-    def h(a, b):
-        return entry[a, b].apply(u.values)
-
-    Z = np.empty((int(np.prod(grid.interior_shape)), n, n), dtype=complex)
-    for i in range(n):
-        Z.real[:, i, i] = (h(i, i) + h(n + i, n + i)) / 2.0
-        Z.imag[:, i, i] = 0.0
-        for j in range(i + 1, n):
-            Z.real[:, i, j] = Z.real[:, j, i] = (h(i, j) + h(n + i, n + j)) / 2.0
-            upper, lower = h(j, n + i), h(i, n + j)
-            Z.imag[:, i, j] = (upper - lower) / 2.0
-            Z.imag[:, j, i] = (lower - upper) / 2.0
+    Z = np.zeros((int(np.prod(grid.interior_shape)), n, n), dtype=complex)
+    for (part, i, j), coordinate in _hessian_stencil(grid):
+        z = (Z.real, Z.imag)[part]
+        z[:, i, j] = coordinate.apply(u.values)
+        z[:, j, i] = -z[:, i, j] if part else z[:, i, j]
     return Z
 
 
@@ -339,33 +311,28 @@ class _StencilOperator:
         return self.apply(self._padded(np.abs(x)), absolute=True)
 
 
-def _frozen_policy(grid: GridSpec, slope, rhs: np.ndarray,
+def _frozen_policy(grid: GridSpec, Q: np.ndarray, rhs: np.ndarray,
                    boundary_values: np.ndarray) -> tuple[_StencilOperator, np.ndarray]:
-    """System A x = b for tr(S(x) D^2_h u) = rhs(x) with Dirichlet data, where
-    `slope(a, b)` gives S_ab at every interior point (`PolicyField.slope_entry`).
+    """System A x = b for Re tr(Q(x) Z(x)) = rhs(x) with Dirichlet data, where
+    Q (N, n, n) is the Hermitian slope at every interior point and
+    Z = A + iB = extract(proj(D^2_h u)).
 
-    tr(S H) = sum over a <= b of w_ab S_ab H_ab, with w = 1 on the diagonal
-    and 2 off it, so each term (shift, weight) of entry (a, b) of
-    `_hessian_stencil` adds w_ab S_ab * weight to the field of its shift (17
-    distinct shifts at d = 4).  A applies them to the interior values; the
-    same sum over the boundary values moves to b.  Each entry of A is one field
-    at one point (twice it at shift 0), so |A| is the fields' absolute values.
-    The fields are summed in place in one array, shifts in first-appearance order.
+    Re tr(Q Z) = sum over i <= j of w (Re Q_ij A_ij + Im Q_ij B_ij), with
+    w = 1 on the diagonal and 2 off it, so each term (shift, weight) of
+    coordinate A_ij (B_ij) of `_hessian_stencil` adds w Re Q_ij * weight
+    (w Im Q_ij * weight) to the field of its shift (13 distinct shifts at
+    n = 2).  A applies them to the interior values; the same sum over the
+    boundary values moves to b.  Each entry of A is one field at one point
+    (twice it at shift 0), so |A| is the fields' absolute values.  The fields
+    are summed in place in one array, shifts in first-appearance order.
     """
     stencil = _hessian_stencil(grid)
-    shifts = tuple(dict.fromkeys(shift for _, entry in stencil for shift in entry.shifts))
-    fields = np.empty((len(shifts),) + grid.interior_shape)
-    written = set()
-    for (a, b), entry in stencil:
-        w_s = (1.0 if a == b else 2.0) * slope(a, b).reshape(grid.interior_shape)
-        for shift, weight in zip(entry.shifts, entry.coeffs):
-            c = w_s * weight
-            k = shifts.index(shift)
-            if shift in written:
-                fields[k] += c
-            else:
-                fields[k] = c
-                written.add(shift)
+    shifts = tuple(dict.fromkeys(shift for _, coord in stencil for shift in coord.shifts))
+    fields = np.zeros((len(shifts),) + grid.interior_shape)
+    for (part, i, j), coordinate in stencil:
+        q = (1.0 if i == j else 2.0) * (Q.real, Q.imag)[part][:, i, j].reshape(grid.interior_shape)
+        for shift, weight in zip(coordinate.shifts, coordinate.coeffs):
+            fields[shifts.index(shift)] += q * weight
     A = _StencilOperator(grid, shifts, fields)
     boundary = boundary_values.copy()
     boundary[grid.interior()] = 0.0
@@ -494,19 +461,21 @@ def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, r: np.ndarra
 
 
 def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.ndarray,
-                     slope, tol: float, steps: list | None = None) -> np.ndarray:
-    """Solve the frozen-policy system A x = b by preconditioned GMRES.
+                     Q: np.ndarray, tol: float, steps: list | None = None) -> np.ndarray:
+    """Solve the frozen-policy system A x = b of the Hermitian slopes Q by
+    preconditioned GMRES.
 
-    Every slope has eigenvalues in [theta/2, 1/(2 theta)], so tr(S D^2_h u)
-    is a bounded distortion of a constant-coefficient Laplacian; GMRES is
+    Every slope has eigenvalues in [theta, 1/theta], so Re tr(Q Z) is a
+    bounded distortion of a constant-coefficient Laplacian; GMRES is
     preconditioned by the exact inverse of the Laplacian whose weight on
-    axis a is the mean of S_aa = slope(a, a) over the interior points.
+    both real axes of complex coordinate i is the mean of Re Q_ii / 2 over
+    the interior points.
     Cycles, warm-started at x0, run until one returns an x that passed the
     true check against `_Target`.  The Krylov steps of all cycles, summed, are
     appended to `steps` if it is a list.
     """
-    diagonal = np.stack([slope(a, a) for a in range(grid.dim)], axis=1)
-    M = _laplacian_inverse(grid, np.mean(diagonal, axis=0))
+    weights = np.mean(Q.real.diagonal(axis1=1, axis2=2), axis=0) / 2.0
+    M = _laplacian_inverse(grid, np.concatenate([weights, weights]))
     target = _Target(A, b, tol, x0)
     x, r, taken = x0, b - A @ x0, 0
     for _ in range(_MAX_GMRES_CYCLES):
@@ -555,9 +524,9 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     policy = _certify_policy(grid, _certify_values(_hermitian_stack(u), box)[1], box)
     for it in range(1, max_iter + 1):
         rhs = g.values[core].reshape(-1) - policy.intercepts
-        A, b = _frozen_policy(grid, policy.slope_entry, rhs, boundary.values)
-        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), policy.slope_entry, tol,
-                             report.krylov_steps)
+        A, b = _frozen_policy(grid, policy.hermitian_slopes, rhs, boundary.values)
+        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), policy.hermitian_slopes,
+                             tol, report.krylov_steps)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
         u.values[core] = x.reshape(grid.interior_shape)

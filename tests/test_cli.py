@@ -119,6 +119,15 @@ class TestEval:
         assert code == 0 and err == ""
         assert "F_tilde = 1\n" in out and "in_theta_box = true" in out
 
+    def test_value_beyond_float_range_exits_3(self, tmp_path, capsys):
+        # Ftilde = -1e300/theta does not fit in a float: one error line, no
+        # -inf printed (filterwarnings = error would catch an overflow warning)
+        mat = write(tmp_path / "m.txt", "sym 2\n-1e300 0\n0 -1e300\n")
+        code, out, err = run_main(capsys, ["eval", "--matrix", mat, "--theta", "1e-10"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: envelope value overflows the float range")
+        assert len(err.splitlines()) == 1
+
     def test_lambda_pair(self, tmp_path, capsys):
         mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")
         code, out, _ = run_main(capsys, ["eval", "--matrix", mat, "--lam", "2", "--Lam", "2"])
@@ -182,6 +191,14 @@ class TestVerify:
                                          "--samples", "300", "--seed", "1"])
         assert code == 0
         assert "all_pass = true" in out
+
+    @pytest.mark.parametrize("seed", ["11", "4294967295"])
+    def test_benchmark_verify_workload_meets_its_gate(self, seed, capsys):
+        # the verify-n2 benchmark workload and its correctness gate: all_pass
+        code, out, _ = run_main(capsys, ["verify", "--theta", "0.5", "--n", "2",
+                                         "--samples", "1000", "--seed", seed])
+        assert code == 0
+        assert "all_pass = true\n" in out
 
     def test_negative_seed_exits_3(self, capsys):
         code, out, err = run_main(capsys, ["verify", "--theta", "0.5", "--n", "2",
@@ -442,6 +459,18 @@ refinements = 9,17,33
         assert len(lines) == 4
         orders = [float(ln.split(",")[3]) for ln in lines[2:]]
         assert all(o >= 1.8 for o in orders)
+
+    def test_benchmark_convergence_workload_meets_its_gate(self, tmp_path, capsys):
+        # the convergence-n1 benchmark workload and its correctness gate:
+        # the configured refinements, every observed order at least 1.8
+        cfg = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "convergence-n1.cfg"
+        code, _, _ = run_main(capsys, ["convergence", "--config", str(cfg),
+                                       "--out", str(tmp_path / "out")])
+        assert code == 0
+        rows = [ln.split(",") for ln in
+                (tmp_path / "out" / "convergence.csv").read_text().strip().split("\n")[1:]]
+        assert [int(r[0]) for r in rows] == [17, 33, 65]
+        assert all(float(r[3]) >= 1.8 for r in rows[1:])
 
     def test_warns_outside_tangency_region(self, tmp_path, capsys):
         # n = 2 on [1, 2]^4 at theta = 1/16: D^2 u leaves the box where

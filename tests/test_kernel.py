@@ -285,6 +285,15 @@ def test_broken_fixed_point_raises_no_convergence(monkeypatch):
             entry(np.array([np.eye(2), 2 * np.eye(2)]), ThetaBox(0.5, 1))
 
 
+def test_value_beyond_float_range_raises_value_error():
+    # Ftilde(-1e300 I) = -1e310 at theta = 1e-10 overflows; Ftilde(-1e297 I) does not
+    box = ThetaBox(1e-10, 1)
+    for entry in (envelope_batch, _envelope_values):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            entry(np.array([np.eye(2), -1e300 * np.eye(2)]), box)
+    assert envelope_batch(np.array([-1e297 * np.eye(2)]), box).value[0] == pytest.approx(-1e307)
+
+
 def breakpoint_pool(th, n):
     """Eigenvalues and slopes on or next to the breakpoints of the fixed
     point at theta = th in dimension n."""

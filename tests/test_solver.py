@@ -16,8 +16,6 @@ from envma.solver import (
     builtin_solution,
     check_premises,
     convergence_study,
-    discrete_hessian,
-    hessian_stack,
     residual_field,
     solve_dirichlet,
     transfinite_interpolation,
@@ -55,49 +53,66 @@ class TestGridSpec:
             GridSpec(1, (np.nan, -1.0), (1.0, 1.0), 9)
 
 
+def pointwise_hessian(u, idx):
+    """Independent reference: the centered cross stencil at one point."""
+    d = u.grid.dim
+    h = u.grid.spacing
+    H = np.zeros((d, d))
+
+    def at(offset):
+        return u.values[tuple(i + o for i, o in zip(idx, offset))]
+
+    for a in range(d):
+        ea = np.eye(d, dtype=int)[a]
+        H[a, a] = (at(ea) - 2.0 * at(0 * ea) + at(-ea)) / h[a] ** 2
+        for b in range(a + 1, d):
+            eb = np.eye(d, dtype=int)[b]
+            H[a, b] = H[b, a] = (at(ea + eb) - at(ea - eb) - at(-ea + eb)
+                                 + at(-ea - eb)) / (4.0 * h[a] * h[b])
+    return H
+
+
+def pointwise_stack(u):
+    """`pointwise_hessian` at every interior point, (N, d, d) in lexicographic order."""
+    return np.array([pointwise_hessian(u, tuple(i + 1 for i in idx))
+                     for idx in np.ndindex(*u.grid.interior_shape)])
+
+
+def hermitian_stack_at(u):
+    """`_hermitian_stack(u)` shaped interior_shape + (n, n), indexed by grid point."""
+    Z = solver._hermitian_stack(u).reshape(u.grid.interior_shape + (u.grid.n,) * 2)
+    return lambda point: Z[tuple(i - 1 for i in point)]
+
+
 class TestDiscreteHessian:
+    """`_hermitian_stack` is extract(proj(.)) of the independent pointwise
+    stencil, `mc.hermitian_blocks(pointwise_hessian)`."""
+
     def test_sum_of_squares(self):
         grid = make_grid_1(11)
-        u = field_of(grid, lambda x, y: x**2 + y**2)
+        Z = hermitian_stack_at(field_of(grid, lambda x, y: x**2 + y**2))
         for idx in ((1, 1), (5, 7), (9, 9)):
-            H = discrete_hessian(u, idx)
-            assert np.max(np.abs(H - 2.0 * np.eye(2))) < 1e-11
+            assert np.max(np.abs(Z(idx) - mc.hermitian_blocks(2.0 * np.eye(2)))) < 1e-11
 
     def test_cross_term(self):
-        grid = make_grid_1(9)
-        u = field_of(grid, lambda x, y: x * y)
-        H = discrete_hessian(u, (4, 4))
-        assert np.max(np.abs(H - np.array([[0.0, 1.0], [1.0, 0.0]]))) < 1e-12
+        # at n = 1 the Hermitian part of x y is 0; at n = 2 the cross terms
+        # give both A_01 = (H_01 + H_23)/2 and B_01 = (H_12 - H_03)/2
+        H = np.zeros((4, 4))
+        H[0, 1] = H[1, 0] = 1.0
+        H[1, 2] = H[2, 1] = 2.0
+        H[0, 3] = H[3, 0] = -1.0
+        H[2, 3] = H[3, 2] = 0.5
+        cases = ((make_grid_1(9), lambda x, y: x * y, np.array([[0.0, 1.0], [1.0, 0.0]])),
+                 (GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 9),
+                  lambda x0, x1, x2, x3: x0 * x1 + 2.0 * x1 * x2 - x0 * x3 + 0.5 * x2 * x3, H))
+        for grid, fn, exact in cases:
+            Z = hermitian_stack_at(field_of(grid, fn))
+            assert np.max(np.abs(Z((4,) * grid.dim) - mc.hermitian_blocks(exact))) < 1e-12
 
     def test_constant(self):
         grid = make_grid_1(7)
         u = ScalarField.constant(grid, 3.5)
-        assert np.max(np.abs(discrete_hessian(u, (3, 3)))) == 0.0
-
-    def test_rejects_boundary_point(self):
-        grid = make_grid_1(7)
-        u = ScalarField.constant(grid, 0.0)
-        with pytest.raises(ValueError):
-            discrete_hessian(u, (0, 3))
-
-    @staticmethod
-    def pointwise_hessian(u, idx):
-        """Independent reference: the centered cross stencil at one point."""
-        d = u.grid.dim
-        h = u.grid.spacing
-        H = np.zeros((d, d))
-
-        def at(offset):
-            return u.values[tuple(i + o for i, o in zip(idx, offset))]
-
-        for a in range(d):
-            ea = np.eye(d, dtype=int)[a]
-            H[a, a] = (at(ea) - 2.0 * at(0 * ea) + at(-ea)) / h[a] ** 2
-            for b in range(a + 1, d):
-                eb = np.eye(d, dtype=int)[b]
-                H[a, b] = H[b, a] = (at(ea + eb) - at(ea - eb) - at(-ea + eb)
-                                     + at(-ea - eb)) / (4.0 * h[a] * h[b])
-        return H
+        assert np.max(np.abs(solver._hermitian_stack(u))) == 0.0
 
     def test_stack_matches_pointwise(self):
         # random (non-polynomial) data and unequal spacings, so a transposed
@@ -107,24 +122,22 @@ class TestDiscreteHessian:
                      GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5),
                      unequal_grid_3()):
             u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
-            H = hessian_stack(u)
+            Z = hermitian_stack_at(u)
             for idx in np.ndindex(*grid.interior_shape):
                 point = tuple(i + 1 for i in idx)
-                ref = self.pointwise_hessian(u, point)
-                assert np.allclose(H[idx], ref, rtol=1e-12, atol=1e-12)
-                assert np.allclose(discrete_hessian(u, point), ref, rtol=1e-12, atol=1e-12)
+                ref = mc.hermitian_blocks(pointwise_hessian(u, point))
+                assert np.allclose(Z(point), ref, rtol=1e-12, atol=1e-12)
 
     def test_quartic_second_order_accuracy(self):
         u_fn, _ = builtin_solution("quartic_radial", 1)
         errs = []
         for P in (9, 17):
             grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), P)
-            u = field_of(grid, u_fn)
             x, y = grid.axis_coords(0)[P // 2], grid.axis_coords(1)[P // 2]
             r2 = x * x + y * y
             exact = r2 * np.eye(2) + 2.0 * np.outer([x, y], [x, y])
-            H = discrete_hessian(u, (P // 2, P // 2))
-            errs.append(np.max(np.abs(H - exact)))
+            Z = hermitian_stack_at(field_of(grid, u_fn))
+            errs.append(np.max(np.abs(Z((P // 2, P // 2)) - mc.hermitian_blocks(exact))))
         assert errs[1] < errs[0] / 3.0
 
 
@@ -217,6 +230,11 @@ class TestResidual:
         assert np.allclose(r1.values[interior], r0.values[interior] - 0.7, atol=1e-12)
 
 
+def eigs_in_box(policy, box, tol=1e-9):
+    return bool(np.all(policy.slope_eigs >= box.theta - tol)
+                and np.all(policy.slope_eigs <= box.hi + tol))
+
+
 class TestSolveQuadratic:
     def test_n1_exact(self):
         grid = GridSpec(1, (-1.0, -1.0), (1.0, 1.0), 17)
@@ -226,7 +244,7 @@ class TestSolveQuadratic:
         err = np.max(np.abs(u.values - field_of(grid, u_fn).values))
         assert err <= 1e-9
         assert report.converged
-        assert policy.eigs_in_box(ThetaBox(0.4, 1))
+        assert eigs_in_box(policy, ThetaBox(0.4, 1))
 
     def test_n2_exact_small(self):
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
@@ -236,7 +254,7 @@ class TestSolveQuadratic:
         err = np.max(np.abs(u.values - field_of(grid, u_fn).values))
         assert err <= 1e-9
         assert report.converged
-        assert policy.eigs_in_box(ThetaBox(0.4, 2))
+        assert eigs_in_box(policy, ThetaBox(0.4, 2))
 
     def test_anisotropic_domain(self):
         grid = GridSpec(1, (0.0, -2.0), (1.0, 1.0), 9)
@@ -321,9 +339,10 @@ class TestPolicyIteration:
         assert report.converged
         res = residual_field(u, g, box)
         assert np.max(np.abs(res.values)) <= tol
-        H = hessian_stack(u).reshape(-1, 2, 2)
+        H = pointwise_stack(u)
+        S = 0.5 * mc.embed_complex(policy.hermitian_slopes)
         lin = np.array([
-            mc.trace_inner(policy.slope_matrices[i], H[i]) + policy.intercepts[i]
+            mc.trace_inner(S[i], H[i]) + policy.intercepts[i]
             for i in range(len(H))
         ])
         assert np.max(np.abs(lin - g.values[1:-1, 1:-1].reshape(-1))) <= 10 * tol
@@ -459,10 +478,11 @@ def policy_of(u, box):
     return solver._certify_policy(u.grid, state, box)
 
 
-def entries(slopes):
-    """A stack of slope matrices (N, d, d) as the slope-entry reader
-    `_frozen_policy` and `_evaluate_policy` take."""
-    return lambda a, b: slopes[:, a, b]
+def random_hermitian(rng, N, n):
+    """N random Hermitian n x n slopes: off-diagonals with nonzero real and
+    imaginary parts, diagonals of both signs."""
+    G = rng.uniform(-1.0, 1.0, (N, n, n)) + 1j * rng.uniform(-1.0, 1.0, (N, n, n))
+    return G + G.conj().swapaxes(1, 2)
 
 
 def unequal_grids():
@@ -479,31 +499,32 @@ def same_bits(a, b):
 
 class TestSolverStack:
     """The solver certifies A + iB built from its stencil, in blocks, with the
-    outputs of envelope_batch on the real Hessian stack."""
+    outputs of envelope_batch on the real stack embed(A + iB)."""
 
     def test_hermitian_stack_is_the_validated_stack(self):
+        # exactly Hermitian, and extract(proj(.)) of the validated pointwise
+        # stack up to the rounding of the merged stencil terms
         rng = np.random.default_rng(21)
         for grid in unequal_grids():
             u = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.shape))
-            d = grid.dim
-            ref = mc.hermitian_blocks(mc.symmetric_stack(hessian_stack(u).reshape(-1, d, d)))
-            assert same_bits(solver._hermitian_stack(u), ref)
+            Z = solver._hermitian_stack(u)
+            assert np.array_equal(Z, Z.conj().swapaxes(1, 2))
+            ref = mc.hermitian_blocks(mc.symmetric_stack(pointwise_stack(u)))
+            assert np.max(np.abs(Z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_policy_entries_are_the_slope_matrices(self):
         rng = np.random.default_rng(22)
         for grid, theta in zip(unequal_grids(), (0.3, 0.4, 0.25)):
-            n, d = grid.n, grid.dim
-            box = ThetaBox(theta, n)
+            box = ThetaBox(theta, grid.n)
             u = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.shape))
-            cert = envelope_batch(hessian_stack(u).reshape(-1, d, d), box)
-            value, state = solver._certify_values(solver._hermitian_stack(u), box)
+            Z = solver._hermitian_stack(u)
+            cert = envelope_batch(mc.embed_complex(Z), box)
+            value, state = solver._certify_values(Z, box)
             policy = solver._certify_policy(grid, state, box)
             assert same_bits(value, cert.value)
             assert same_bits(policy.intercepts, cert.intercept)
             assert same_bits(policy.slope_eigs, cert.slope_eigs)
-            for a, b in itertools.product(range(d), repeat=2):
-                assert same_bits(policy.slope_entry(a, b), cert.slope_matrix[:, a, b])
-            assert same_bits(policy.slope_matrices, cert.slope_matrix)
+            assert same_bits(0.5 * mc.embed_complex(policy.hermitian_slopes), cert.slope_matrix)
 
     def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch):
         grid = GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5)
@@ -525,8 +546,7 @@ class TestSolverStack:
             raise AssertionError("the solve built or validated a real (N, 2n, 2n) stack")
 
         for module, name in ((mc, "symmetric_stack"), (mc, "embed_complex"),
-                             (mc, "hermitian_blocks"), (envelope, "envelope_batch"),
-                             (solver, "hessian_stack")):
+                             (mc, "hermitian_blocks"), (envelope, "envelope_batch")):
             monkeypatch.setattr(module, name, refuse)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
@@ -567,12 +587,12 @@ class TestSolverStack:
 
 def frozen_system(theta, seed=0, n=2, P=7):
     """Frozen-policy system of the certificates of a random grid function:
-    (grid, slope-entry reader, A, b)."""
+    (grid, Hermitian slopes, A, b)."""
     grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
     u = ScalarField(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
     policy = policy_of(u, ThetaBox(theta, n))
-    A, b = solver._frozen_policy(grid, policy.slope_entry, -policy.intercepts, u.values)
-    return grid, policy.slope_entry, A, b
+    A, b = solver._frozen_policy(grid, policy.hermitian_slopes, -policy.intercepts, u.values)
+    return grid, policy.hermitian_slopes, A, b
 
 
 def materialized(A):
@@ -587,7 +607,9 @@ class TestPolicyEvaluation:
 
     def test_preconditioner_inverts_constant_diagonal_operator(self):
         # unequal spans and weights per axis: a spacing or weight paired
-        # with the wrong axis leaves the product far from the identity
+        # with the wrong axis leaves the product far from the identity.  A
+        # policy gives axes i and n + i one weight, so the operator
+        # sum_a c_a D^2_{h,a} is built from its stencil terms directly
         rng = np.random.default_rng(5)
         for grid in (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
                      GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 6),
@@ -595,8 +617,9 @@ class TestPolicyEvaluation:
             d = grid.dim
             N = (grid.points_per_axis - 2) ** d
             c = rng.uniform(0.5, 2.0, d)
-            slopes = np.broadcast_to(np.diag(c), (N, d, d))
-            A, _ = solver._frozen_policy(grid, entries(slopes), np.zeros(N), np.zeros(grid.shape))
+            w = c / grid.spacing ** 2
+            A = solver._StencilOperator(grid, ((0,) * d, *map(tuple, np.eye(d, dtype=int))),
+                                        (-np.sum(w), *w))
             x = rng.uniform(-1.0, 1.0, N)
             y = solver._laplacian_inverse(grid, c)(A @ x)
             assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
@@ -604,8 +627,8 @@ class TestPolicyEvaluation:
     @staticmethod
     def check_matches_direct_solve(theta):
         tol = 1e-10
-        grid, slopes, A, b = frozen_system(theta)
-        x = solver._evaluate_policy(grid, A, b, np.zeros(len(b)), slopes, tol)
+        grid, Q, A, b = frozen_system(theta)
+        x = solver._evaluate_policy(grid, A, b, np.zeros(len(b)), Q, tol)
         ref = np.linalg.solve(materialized(A), b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
         floor = 8 * np.finfo(float).eps * np.max(A.abs_matmul(x) + np.abs(b))
@@ -687,11 +710,11 @@ class TestKrylovStop:
             return met_at(self, x, r)
 
         monkeypatch.setattr(solver._Target, "met_at", counted)
-        grid, slopes, A, _ = frozen_system(0.4)
+        grid, Q, A, _ = frozen_system(0.4)
         x0 = np.random.default_rng(3).uniform(-1.0, 1.0, A.coeffs[0].size)
         b = A @ x0
         steps = []
-        x = solver._evaluate_policy(grid, A, b, x0, slopes, 1e-10, steps)
+        x = solver._evaluate_policy(grid, A, b, x0, Q, 1e-10, steps)
         assert x is x0 and steps == [0] and len(checks) == 1
 
     def test_failed_check_tightens_prediction(self):
@@ -707,26 +730,26 @@ class TestKrylovStop:
 
 class TestAssembly:
     def test_operator_is_slope_trace_of_pointwise_stencil(self):
-        # A x + (boundary part moved into b) must be tr(S D^2_h u) at every
-        # interior point, with D^2_h the independent pointwise stencil; random
-        # data, unequal spacings and slopes with nonzero off-diagonals make a
-        # wrong cross weight, a misplaced h or a transposed layout show
+        # A x + (boundary part moved into b) must be Re tr(Q Z) = tr(S D^2_h u),
+        # S = embed(Q)/2, at every interior point, with D^2_h the independent
+        # pointwise stencil; random data, unequal spacings and random
+        # Hermitian slopes make a wrong cross weight, a misplaced h, a sign
+        # of B or a transposed layout show
         rng = np.random.default_rng(11)
         for grid in (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
                      GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5),
                      unequal_grid_3()):
-            d = grid.dim
             u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
             ishape = grid.interior_shape
-            G = rng.uniform(-1, 1, ishape + (d, d))
-            slopes = G + G.swapaxes(-1, -2)
-            rhs = rng.uniform(-1, 1, int(np.prod(ishape)))
-            A, b = solver._frozen_policy(grid, entries(slopes.reshape(-1, d, d)), rhs, u.values)
-            lin = (A @ u.values[grid.interior()].reshape(-1) - (b - rhs)).reshape(ishape)
-            for idx in np.ndindex(*ishape):
-                H = TestDiscreteHessian.pointwise_hessian(u, tuple(i + 1 for i in idx))
-                ref = np.sum(slopes[idx] * H)
-                assert abs(lin[idx] - ref) <= 1e-12 * max(1.0, np.sum(np.abs(slopes[idx] * H)))
+            N = int(np.prod(ishape))
+            Q = random_hermitian(rng, N, grid.n)
+            rhs = rng.uniform(-1, 1, N)
+            A, b = solver._frozen_policy(grid, Q, rhs, u.values)
+            lin = A @ u.values[grid.interior()].reshape(-1) - (b - rhs)
+            S = 0.5 * mc.embed_complex(Q)
+            for k, H in enumerate(pointwise_stack(u)):
+                ref = np.sum(S[k] * H)
+                assert abs(lin[k] - ref) <= 1e-12 * max(1.0, np.sum(np.abs(S[k] * H)))
 
     def test_absolute_operator_is_absolute_matrix(self):
         # |A| |x| sets the round-off floor of the GMRES stop, so it must be
@@ -736,9 +759,21 @@ class TestAssembly:
         rng = np.random.default_rng(2)
         grid = GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 6)
         N = 4 ** 4
-        G = rng.uniform(-1, 1, (N, 4, 4))
-        A, _ = solver._frozen_policy(grid, entries(G + G.swapaxes(1, 2)), np.zeros(N),
+        A, _ = solver._frozen_policy(grid, random_hermitian(rng, N, 2), np.zeros(N),
                                      np.zeros(grid.shape))
         x = rng.uniform(-1.0, 1.0, N)
         ref = np.abs(materialized(A)) @ np.abs(x)
         assert np.max(np.abs(A.abs_matmul(x) - ref)) <= 1e-14 * np.max(ref)
+
+    def test_one_nonzero_field_per_shift(self):
+        # the fields are those of the Hermitian coordinates of D^2_h: 3, 13
+        # and 31 shifts at n = 1, 2, 3, none of them identically zero on a
+        # real policy (the real (i, n + i) cross terms pair with Im Q_ii = 0)
+        for n, P, count in ((1, 9, 3), (2, 7, 13), (3, 5, 31)):
+            grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
+            u_fn, _ = builtin_solution("quartic_radial", n)
+            policy = policy_of(field_of(grid, u_fn), ThetaBox(0.4, n))
+            A, _ = solver._frozen_policy(grid, policy.hermitian_slopes,
+                                         np.zeros(len(policy.intercepts)), np.zeros(grid.shape))
+            assert len(set(A.shifts)) == len(A.shifts) == count
+            assert all(np.any(field != 0.0) for field in A.coeffs)
