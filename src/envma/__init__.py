@@ -23,11 +23,9 @@ _EXPORTS = {
         "envelope_batch",
         "envelope_eval",
         "envelope_eval_bruteforce",
-        "envelope_value",
         "verify_envelope",
     ),
     "matrixcore": (
-        "HermitianMatrix",
         "admissible_theta",
         "as_symmetric",
         "complex_structure",
@@ -36,8 +34,6 @@ _EXPORTS = {
         "extract",
         "in_theta_box",
         "project",
-        "spectral_norm",
-        "trace_inner",
     ),
     "solver": (
         "ConvergenceRow",

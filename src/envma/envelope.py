@@ -34,16 +34,19 @@ One core certifies a stack of Hermitian parts A + iB: `_certify`
 equation) gives the values, and `_policy` the slopes, intercepts and
 U diag(p) U^H.
 `envelope_batch` validates a real stack and calls both; the PDE solver builds
-A + iB from its stencil and calls them in blocks.  `envelope_value`,
-`envelope_eval` and `_saddle` are one-matrix forms.  The property checks and
+A + iB from its stencil and calls them in blocks.  `envelope_eval` and
+`_saddle` are one-matrix forms.  The property checks and
 `ellipticity_gap` read values only: `_envelope_values` runs
 `herm_eigenvalues` and the value part of the kernel.
 
 The random samples of those checks are drawn in blocks too
 (`draw_verify_block`): each drawn field of a sample has its own generator
 spawned from the seed, and one call draws a field for the whole block.
-`sample_in_box`, `sample_unitary_blocks` and `sample_psd` apply the same
-helpers to a stack of one, drawing every field from one generator.
+`sample_in_box`, `sample_unitary` and `sample_psd` apply the same helpers
+to a stack of one, drawing every field from one generator.  Hermitian
+matrices, unitaries among them, are complex arrays throughout; `mc.embed`
+turns one into its real 2n x 2n form (a unitary into a J-commuting
+rotation).
 """
 
 from __future__ import annotations
@@ -138,11 +141,6 @@ def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
     if np.any(~((p >= th - tol) & (p <= hi + tol))):
         raise ValueError(f"slope {p} outside the box [{th:g}, {hi:g}]")
     p = np.clip(p, th, hi)
-    if hi - th <= tol:
-        # theta = 1: the box is the single point x = 1
-        x = np.full(n, th)
-        return th - float(p @ x), x
-
     t = float(_log_affine_root(lambda t: np.clip(t / (n * p), th, hi),
                                itertools.chain(n * p * th, n * p / th), box))
     x = np.clip(t / (n * p), th, hi)
@@ -150,7 +148,10 @@ def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
     g = t - float(p @ x)
     # exact stationarity/rail check; concavity makes it sufficient
     grad = t / (n * x) - p
-    at_lo, at_hi = x <= th, x >= hi
+    # at theta = 1 the rails coincide: a coordinate on both is checked as on
+    # the lower one, where p = 1 >= 1/n gives grad <= 0
+    at_lo = x <= th
+    at_hi = (x >= hi) & ~at_lo
     kkt = max(
         float(np.max(np.abs(grad[~at_lo & ~at_hi]), initial=0.0)),
         float(np.max(grad[at_lo], initial=0.0)),
@@ -364,8 +365,13 @@ def _policy(mu, U, x, t, box: ThetaBox):
     Q = U diag(p) U^H (equal eigenvalues get equal slopes, so Q is the same
     in any eigenbasis the eigensolver picks) and t - p.x."""
     p = _saddle_slopes(mu, x, t, box)
-    Q = (U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2)
-    return p, (Q + Q.conj().swapaxes(1, 2)) / 2.0, t - np.einsum("ij,ij->i", p, x)
+    Q = _hermitian_part((U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2))
+    return p, Q, t - np.einsum("ij,ij->i", p, x)
+
+
+def _hermitian_part(X: np.ndarray) -> np.ndarray:
+    """(X + X^H)/2 for a stack of complex matrices (..., n, n)."""
+    return (X + X.conj().swapaxes(-1, -2)) / 2.0
 
 
 def envelope_batch(H_stack, box: ThetaBox) -> CertificateBatch:
@@ -378,12 +384,7 @@ def envelope_batch(H_stack, box: ThetaBox) -> CertificateBatch:
     value, x, t, mu, U = _certify(_hermitian_parts(H_stack, box), box)
     p, Q, intercept = _policy(mu, U, x, t, box)
     return CertificateBatch(value=value, slope_eigs=p, intercept=intercept,
-                            slope_matrix=0.5 * mc.embed_complex(Q), mu=mu, inner_max=x)
-
-
-def envelope_value(M, box: ThetaBox) -> float:
-    """Ftilde(M): the envelope value of one matrix."""
-    return float(envelope_batch(mc.as_symmetric(M)[np.newaxis], box).value[0])
+                            slope_matrix=0.5 * mc.embed(Q), mu=mu, inner_max=x)
 
 
 def envelope_eval(M, box: ThetaBox) -> EnvelopeCertificate:
@@ -538,11 +539,6 @@ def _symmetrized(S: np.ndarray, shift) -> np.ndarray:
     return (S + S.swapaxes(-1, -2)) / 2.0 + shift * np.eye(S.shape[-1])
 
 
-def sample_symmetric(rng, d: int, shift: float = 0.0) -> np.ndarray:
-    """Symmetric matrix with iid uniform [-1, 1] entries, shifted by shift*I."""
-    return _symmetrized(rng.uniform(-1.0, 1.0, size=(d, d)), shift)
-
-
 def _complex_gaussian(rng, m: int, n: int) -> np.ndarray:
     """m complex Gaussian n x n matrices from one draw, the real and then the
     imaginary part of each matrix in turn, so a matrix does not depend on how
@@ -551,26 +547,18 @@ def _complex_gaussian(rng, m: int, n: int) -> np.ndarray:
     return g[:, 0] + 1j * g[:, 1]
 
 
-def _unitary_blocks(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unitary(Z: np.ndarray) -> np.ndarray:
     """Unitaries from a stack of complex Gaussians (..., n, n): the Q of the
-    QR decomposition with the phases of diag(R) moved into Q, as real blocks."""
+    QR decomposition with the phases of diag(R) moved into Q."""
     Q, R = np.linalg.qr(Z)
     ph = np.diagonal(R, axis1=-2, axis2=-1).copy()
     ph = ph / np.abs(ph)
-    Q = Q * ph[..., np.newaxis, :].conj()
-    return np.ascontiguousarray(Q.real), np.ascontiguousarray(Q.imag)
+    return Q * ph[..., np.newaxis, :].conj()
 
 
-def sample_unitary_blocks(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Haar-ish random unitary as real blocks (QR of a complex Gaussian)."""
-    Ure, Uim = _unitary_blocks(_complex_gaussian(rng, 1, n))
-    return Ure[0], Uim[0]
-
-
-def _embed_hermitian_part(Hre: np.ndarray, Him: np.ndarray) -> np.ndarray:
-    """embed of the Hermitian part of a stack of complex matrices Hre + i Him."""
-    return mc.embed_complex((Hre + Hre.swapaxes(-1, -2)) / 2
-                            + 1j * ((Him - Him.swapaxes(-1, -2)) / 2))
+def sample_unitary(rng, n: int) -> np.ndarray:
+    """Haar-ish random n x n unitary (QR of a complex Gaussian)."""
+    return _unitary(_complex_gaussian(rng, 1, n))[0]
 
 
 def _draw_in_box(rngs: tuple, box: ThetaBox, m: int) -> tuple:
@@ -585,13 +573,10 @@ def _draw_in_box(rngs: tuple, box: ThetaBox, m: int) -> tuple:
 def _in_box(mu: np.ndarray, Z: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Stacked in-box matrices from the draws of `_draw_in_box`: the embedded
     U diag(mu) U^H plus the J-anticommuting part of a symmetric matrix."""
-    Ure, Uim = _unitary_blocks(Z)
-    mu = mu[..., np.newaxis, :]
-    UreT, UimT = Ure.swapaxes(-1, -2), Uim.swapaxes(-1, -2)
-    core = _embed_hermitian_part((Ure * mu) @ UreT + (Uim * mu) @ UimT,
-                                 (Uim * mu) @ UreT - (Ure * mu) @ UimT)
+    U = _unitary(Z)
+    core = mc.embed(_hermitian_part((U * mu[..., np.newaxis, :]) @ U.conj().swapaxes(-1, -2)))
     S = _symmetrized(S, 0.0)
-    return core + (S - mc.embed_complex(mc.hermitian_blocks(S)))
+    return core + (S - mc.embed(mc.hermitian_blocks(S)))
 
 
 def sample_in_box(rng, box: ThetaBox) -> np.ndarray:
@@ -618,8 +603,7 @@ def _psd(kind: str, raw: np.ndarray, d: int) -> np.ndarray:
     if kind == "gram":
         return (raw @ raw.swapaxes(-1, -2)) / d
     if kind == "embedded":
-        Hm = (raw @ raw.conj().swapaxes(-1, -2)) / (d // 2)
-        return _embed_hermitian_part(Hm.real, Hm.imag)
+        return mc.embed(_hermitian_part((raw @ raw.conj().swapaxes(-1, -2)) / (d // 2)))
     if kind == "rank1":
         row, col = raw[..., np.newaxis, :], raw[..., :, np.newaxis]
         return (col * row) / (row @ col)
@@ -643,18 +627,6 @@ def tangent_slope(mu) -> np.ndarray:
 def tangent_in_box(mu, box: ThetaBox, tol: float = 1e-12):
     p = tangent_slope(mu)
     return np.all((p >= box.theta - tol) & (p <= box.hi + tol), axis=-1)
-
-
-def unitary_rotation(Ure: np.ndarray, Uim: np.ndarray) -> np.ndarray:
-    """The J-commuting orthogonal matrix [[X, -Y], [Y, X]] of a unitary X+iY
-    (stacks of unitaries give stacks of rotations)."""
-    n = Ure.shape[-1]
-    R = np.zeros(Ure.shape[:-2] + (2 * n, 2 * n))
-    R[..., :n, :n] = Ure
-    R[..., n:, n:] = Ure
-    R[..., :n, n:] = -Uim
-    R[..., n:, :n] = Uim
-    return R
 
 
 # the drawn fields of a verify sample, one generator each (verify_streams)
@@ -696,7 +668,7 @@ def draw_verify_block(streams: dict, box: ThetaBox, start: int, stop: int) -> di
         "m_in": _in_box(*_draw_in_box((streams["mu"], streams["Z"], streams["S"]), box, m)),
         "P": P,
         "P_kind": tuple(_PSD_KINDS[i % len(_PSD_KINDS)] for i in range(start, stop)),
-        "R": unitary_rotation(*_unitary_blocks(_complex_gaussian(streams["Z_rot"], m, n))),
+        "R": mc.embed(_unitary(_complex_gaussian(streams["Z_rot"], m, n))),
     }
 
 
@@ -717,7 +689,7 @@ def _check_samples(box: ThetaBox, block: dict) -> dict:
     jc = np.array([kind in ("embedded", "scalar") for kind in block["P_kind"]], dtype=bool)
     value, mu = _envelope_values(np.concatenate([
         m1, m2, (m1 + m2) / 2.0, m_in, m1 + P,
-        mc.embed_complex(mc.hermitian_blocks(m1)), R @ m1 @ R.swapaxes(1, 2),
+        mc.embed(mc.hermitian_blocks(m1)), R @ m1 @ R.swapaxes(1, 2),
     ]), box)
     f1, f2, fmid, ften, f1p, fp, fr = value.reshape(7, N)
     claims = np.ones(N, dtype=bool)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .matrixcore import MAX_DIM, HermitianMatrix, as_symmetric, embed
+from .matrixcore import as_symmetric, embed
 
 
 def fmt(x) -> str:
@@ -25,9 +25,10 @@ def fmt(x) -> str:
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse a matrix file into the 2n x 2n symmetric representation.
 
-    Hermitian input is embedded.  Raises ParseError with a row diagnostic on
-    malformed content (a non-finite number included) and ValueError on
-    dimension/shape validation failures.
+    Hermitian input is embedded and then validated as that embedding.  Raises
+    ParseError with a row diagnostic on malformed content (a non-finite number
+    included) and ValueError from `as_symmetric` on a bad dimension or an
+    asymmetric matrix.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -40,45 +41,24 @@ def parse_matrix_text(text: str) -> np.ndarray:
         size = int(head[1])
     except ValueError:
         raise ParseError(f"line 1: bad dimension {head[1]!r}")
-    kind = head[0]
-    rows_expected = size
-    if len(lines) - 1 != rows_expected:
-        raise ParseError(f"expected {rows_expected} rows, got {len(lines) - 1}")
-    if kind == "sym":
-        if size % 2 != 0:
-            raise ValueError(f"sym dimension must be even, got {size}")
-        if size > MAX_DIM:
-            raise ValueError(f"dimension {size} exceeds the supported maximum {MAX_DIM}")
-        M = np.zeros((size, size))
-        for r, ln in enumerate(lines[1:], start=1):
-            parts = ln.split()
-            if len(parts) != size:
-                raise ParseError(f"row {r}: expected {size} entries")
-            for c, tok in enumerate(parts):
-                try:
-                    M[r - 1, c] = parse_finite(tok)
-                except ValueError:
-                    raise ParseError(f"row {r}, column {c + 1}: bad or non-finite number {tok!r}")
-        return as_symmetric(M)
-    # herm
-    if 2 * size > MAX_DIM:
-        raise ValueError(f"n={size} exceeds the supported maximum {MAX_DIM // 2}")
-    A = np.zeros((size, size))
-    B = np.zeros((size, size))
+    sym = head[0] == "sym"
+    if len(lines) - 1 != size:
+        raise ParseError(f"expected {size} rows, got {len(lines) - 1}")
+    entries = []
     for r, ln in enumerate(lines[1:], start=1):
         parts = ln.split()
         if len(parts) != size:
             raise ParseError(f"row {r}: expected {size} entries")
         for c, tok in enumerate(parts):
-            pieces = tok.split(",")
-            if len(pieces) != 2:
+            pieces = [tok] if sym else tok.split(",")
+            if not sym and len(pieces) != 2:
                 raise ParseError(f"row {r}, column {c + 1}: expected 're,im', got {tok!r}")
             try:
-                A[r - 1, c] = parse_finite(pieces[0])
-                B[r - 1, c] = parse_finite(pieces[1])
+                entries.append(complex(*map(parse_finite, pieces)))
             except ValueError:
                 raise ParseError(f"row {r}, column {c + 1}: bad or non-finite number {tok!r}")
-    return embed(HermitianMatrix(A, B))
+    M = np.array(entries, dtype=complex).reshape(size, size)
+    return as_symmetric(M.real if sym else embed(M))
 
 
 def load_matrix(path: str) -> np.ndarray:

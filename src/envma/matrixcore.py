@@ -12,8 +12,13 @@ Neither loops over matrices.
 Conventions
 -----------
 * J = [[0, -I], [I, 0]] identifies R^{2n} with C^n via (x, y) <-> x + iy.
-* A Hermitian matrix H = A + iB embeds as iota(H) = [[A, -B], [B, A]]; the
-  image is exactly the J-commuting subspace of Sym(2n).
+* A Hermitian matrix H = A + iB is a complex ndarray, one n x n matrix or a
+  stack (..., n, n); there is no other representation.  `embed` is the one
+  map iota(H) = [[A, -B], [B, A]] to the real form, whose image is exactly
+  the J-commuting subspace of Sym(2n); `extract` and `hermitian_blocks`
+  return complex arrays.  Validation happens on the real form
+  (`symmetric_stack`): a Hermitian matrix is valid exactly when its
+  embedding is.
 * proj(M) = (M + J^T M J) / 2 is the trace-orthogonal projection onto that
   subspace.  Each Hermitian eigenvalue of extract(proj(M)) shows up twice in
   the real spectrum of proj(M).
@@ -23,8 +28,6 @@ Conventions
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,50 +81,14 @@ def as_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
     return symmetric_stack(M[np.newaxis], tol)[0]
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """n x n complex Hermitian matrix stored as real blocks H = A + iB.
-
-    A is symmetric and B antisymmetric, with finite entries; both are snapped
-    exactly on construction so the embedding is exact in floating point.
-    """
-
-    real: np.ndarray
-    imag: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.real, dtype=float)
-        B = np.asarray(self.imag, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
-            raise ValueError(f"blocks must be square and matching, got {A.shape}, {B.shape}")
-        if 2 * A.shape[0] > MAX_DIM:
-            raise ValueError(f"n={A.shape[0]} exceeds the supported maximum {MAX_DIM // 2}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-            raise ValueError("block entries must be finite")
-        if float(np.max(np.abs(A - A.T), initial=0.0)) > _SYM_TOL:
-            raise ValueError("real block is not symmetric")
-        if float(np.max(np.abs(B + B.T), initial=0.0)) > _SYM_TOL:
-            raise ValueError("imaginary block is not antisymmetric")
-        object.__setattr__(self, "real", (A + A.T) / 2.0)
-        object.__setattr__(self, "imag", (B - B.T) / 2.0)
-
-    @property
-    def n(self) -> int:
-        return self.real.shape[0]
-
-
-def embed_complex(Z: np.ndarray) -> np.ndarray:
-    """iota for a stack of complex matrices A + iB: [[A, -B], [B, A]] per item."""
+def embed(Z: np.ndarray) -> np.ndarray:
+    """iota(Z) = [[A, -B], [B, A]] of a complex matrix Z = A + iB, or of each
+    matrix of a stack (..., n, n); it commutes with J when Z is Hermitian."""
     A, B = Z.real, Z.imag
     return np.block([[A, -B], [B, A]])
 
 
-def embed(H: HermitianMatrix) -> np.ndarray:
-    """iota(H): the 2n x 2n block matrix [[A, -B], [B, A]]; commutes with J."""
-    return embed_complex(H.real + 1j * H.imag)
-
-
-def extract(M, tol: float | None = None) -> HermitianMatrix:
+def extract(M, tol: float | None = None) -> np.ndarray:
     """Inverse of `embed` on the J-commuting subspace.
 
     Raises NotJCommuting when max-entry |MJ - JM| exceeds `tol`
@@ -135,13 +102,12 @@ def extract(M, tol: float | None = None) -> HermitianMatrix:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(M))))
     if comm > tol:
         raise NotJCommuting(f"commutator norm {comm:g} exceeds tolerance {tol:g}")
-    Z = hermitian_blocks(M)
-    return HermitianMatrix(Z.real, Z.imag)
+    return hermitian_blocks(M)
 
 
 def project(M) -> np.ndarray:
     """Trace-orthogonal projection of Sym(2n) onto the J-commuting subspace."""
-    return embed_complex(hermitian_blocks(as_symmetric(M)))
+    return embed(hermitian_blocks(as_symmetric(M)))
 
 
 def hermitian_blocks(S: np.ndarray) -> np.ndarray:
@@ -253,16 +219,3 @@ def admissible_theta(lam: float, Lam: float) -> float:
         raise ValueError(f"inconsistent bounds: lambda={lam} > Lambda={Lam}")
     return min(lam, 1.0 / Lam)
 
-
-def trace_inner(A, B) -> float:
-    """The trace pairing tr(A B)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return float(np.einsum("ij,ji->", A, B))
-
-
-def spectral_norm(A) -> float:
-    """Largest absolute eigenvalue of a real symmetric matrix."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(as_symmetric(A)))))

@@ -16,17 +16,15 @@ from envma.envelope import (
     ellipticity_gap,
     envelope_eval,
     envelope_eval_bruteforce,
-    envelope_value,
     sample_in_box,
     sample_psd,
-    sample_symmetric,
-    sample_unitary_blocks,
+    sample_unitary,
     tangent_in_box,
-    unitary_rotation,
     verify_envelope,
     _saddle,
 )
 from envma.errors import NotPSD, ResolutionTooCoarse
+from oracles import envelope_value, sample_symmetric, spectral_norm, trace_inner
 
 BOX1 = ThetaBox(0.5, 1)
 BOX2 = ThetaBox(0.5, 2)
@@ -35,8 +33,7 @@ BOX2 = ThetaBox(0.5, 2)
 def mu_matrix(mu):
     """Symmetric matrix whose projection has Hermitian eigenvalues mu."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    n = mu.shape[0]
-    return mc.embed(mc.HermitianMatrix(np.diag(mu), np.zeros((n, n))))
+    return mc.embed(np.diag(mu) + 0j)
 
 
 def envelope_1d_closed_form(mu, theta):
@@ -101,6 +98,22 @@ class TestConjugateIntercept:
         box = ThetaBox(1.0, 2)
         g = conjugate_intercept(np.array([1.0, 1.0]), box)
         assert abs(g - (1.0 - 2.0)) < 1e-12  # F(1,1) - <1, (1,1)> = 1 - n
+        for n in (1, 2, 3):
+            # theta = 1: the box is the point x = 1, reached by the general path
+            g, x = conjugate_maximizer(np.ones(n), ThetaBox(1.0, n))
+            assert g == 1.0 - n and np.all(x == 1.0)
+            # a box 1e-13 wide: g(p) = 1 - sum p up to its width
+            box = ThetaBox(1.0 - 1e-13, n)
+            for p in (np.ones(n), np.linspace(box.theta, box.hi, n),
+                      np.full(n, box.theta), np.full(n, box.hi)):
+                g, x = conjugate_maximizer(p, box)
+                assert np.all((box.theta <= x) & (x <= box.hi))
+                assert abs(g - (1.0 - p.sum())) <= 1e-12
+                for v in (box.theta, box.hi):   # g is the maximum over the box
+                    assert g >= v - v * p.sum() - 1e-15
+        # n = 1, p = 1: the maximizers form the ray x = t, and the largest is returned
+        box = ThetaBox(1.0 - 1e-13, 1)
+        assert conjugate_maximizer(np.ones(1), box)[1][0] == box.hi
 
 
 class TestEnvelopeClosedForms:
@@ -241,7 +254,7 @@ class TestCertificates:
             for k in range(15):
                 M = sample_symmetric(rng, 2 * n, float(rng.uniform(0, 3)) if k % 2 else 0.0)
                 cert = envelope_eval(M, box)
-                lhs = mc.trace_inner(cert.slope_matrix, M) + cert.intercept
+                lhs = trace_inner(cert.slope_matrix, M) + cert.intercept
                 assert abs(lhs - cert.value) <= 1e-9 * max(1.0, abs(cert.value))
 
     def test_value_entry_points_agree(self):
@@ -284,7 +297,7 @@ class TestCertificates:
             cert = envelope_eval(M, box)
             for _ in range(60):
                 X = sample_in_box(rng, box)
-                lhs = mc.trace_inner(cert.slope_matrix, X) + cert.intercept
+                lhs = trace_inner(cert.slope_matrix, X) + cert.intercept
                 assert lhs >= mc.det_root(X) - 1e-9
 
     def test_intercept_is_minimal_feasible(self):
@@ -304,7 +317,7 @@ class TestCertificates:
             D = sample_symmetric(rng, M.shape[0])
             t = 1e-6
             fd = (envelope_value(M + t * D, box) - cert.value) / t
-            assert abs(fd - mc.trace_inner(cert.slope_matrix, D)) <= 1e-5
+            assert abs(fd - trace_inner(cert.slope_matrix, D)) <= 1e-5
 
 
 class TestStructuralProperties:
@@ -333,7 +346,7 @@ class TestStructuralProperties:
         for box in (BOX1, BOX2):
             for _ in range(10):
                 M = sample_symmetric(rng, 2 * box.n, 1.0)
-                R = unitary_rotation(*sample_unitary_blocks(rng, box.n))
+                R = mc.embed(sample_unitary(rng, box.n))
                 assert np.max(np.abs(R @ R.T - np.eye(2 * box.n))) < 1e-12
                 v1 = envelope_value(M, box)
                 v2 = envelope_value(R @ M @ R.T, box)
@@ -384,7 +397,7 @@ class TestEllipticityGap:
                 P = sample_psd(rng, d, kinds[k % 4])
                 lower, gap, upper = ellipticity_gap(M, P, box)
                 assert lower - 1e-9 <= gap <= upper + 1e-9
-                nrm = mc.spectral_norm(P)
+                nrm = spectral_norm(P)
                 # the looser dimensional lower constant holds for every psd P
                 assert gap >= box.theta / (4 * box.n) * nrm - 1e-9
                 if kinds[k % 4] in ("embedded", "scalar"):
@@ -401,7 +414,7 @@ class TestEllipticityGap:
         lower, gap, upper = ellipticity_gap(M, P, BOX1)
         assert abs(gap - 0.25) < 1e-12
         assert abs(lower - 0.25) < 1e-12
-        assert gap < BOX1.theta * mc.spectral_norm(P) - 0.2
+        assert gap < BOX1.theta * spectral_norm(P) - 0.2
 
 
 class TestVerifyEnvelope:

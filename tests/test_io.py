@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envma import matio
 from envma import matrixcore as mc
@@ -24,9 +26,27 @@ class TestMatrixFormat:
     def test_herm_parse_embeds(self):
         text = "herm 2\n1,0 0,1\n0,-1 4,0\n"
         M = matio.parse_matrix_text(text)
-        H = mc.HermitianMatrix(np.array([[1.0, 0.0], [0.0, 4.0]]),
-                               np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        H = np.array([[1.0, 0.0], [0.0, 4.0]]) + 1j * np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert np.array_equal(M, mc.embed(H))
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), exponent=st.integers(-150, 150))
+    def test_herm_file_is_its_embedding(self, seed, n, exponent):
+        # a Hermitian matrix is one complex array: its herm file parses to the
+        # same bits as the sym file of its embedding, and extract inverts embed
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        Z = (G + G.conj().T) / 2 * 10.0 ** exponent
+        rows = (" ".join(f"{matio.fmt(z.real)},{matio.fmt(z.imag)}" for z in row) for row in Z)
+        M = matio.parse_matrix_text(f"herm {n}\n" + "\n".join(rows) + "\n")
+        assert M.tobytes() == matio.parse_matrix_text(matio.format_matrix_text(mc.embed(Z))).tobytes()
+        assert mc.extract(mc.embed(Z)).tobytes() == Z.tobytes()
+
+    def test_herm_asymmetry_below_tolerance_is_snapped(self):
+        M = matio.parse_matrix_text("herm 2\n1,0 2,0.5\n2,-0.5000000001 3,0\n")
+        assert np.array_equal(M, M.T)
+        b = (0.5 + 0.5000000001) / 2
+        assert np.array_equal(M, mc.embed(np.array([[1.0, 2.0 + b * 1j], [2.0 - b * 1j, 3.0]])))
 
     def test_row_length_diagnostic(self):
         with pytest.raises(ParseError, match="row 2: expected 2 entries"):

@@ -20,6 +20,7 @@ from envma.solver import (
     solve_dirichlet,
     transfinite_interpolation,
 )
+from oracles import trace_inner
 
 
 def make_grid_1(points=9, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
@@ -340,9 +341,9 @@ class TestPolicyIteration:
         res = residual_field(u, g, box)
         assert np.max(np.abs(res.values)) <= tol
         H = pointwise_stack(u)
-        S = 0.5 * mc.embed_complex(policy.hermitian_slopes)
+        S = 0.5 * mc.embed(policy.hermitian_slopes)
         lin = np.array([
-            mc.trace_inner(S[i], H[i]) + policy.intercepts[i]
+            trace_inner(S[i], H[i]) + policy.intercepts[i]
             for i in range(len(H))
         ])
         assert np.max(np.abs(lin - g.values[1:-1, 1:-1].reshape(-1))) <= 10 * tol
@@ -518,13 +519,13 @@ class TestSolverStack:
             box = ThetaBox(theta, grid.n)
             u = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.shape))
             Z = solver._hermitian_stack(u)
-            cert = envelope_batch(mc.embed_complex(Z), box)
+            cert = envelope_batch(mc.embed(Z), box)
             value, state = solver._certify_values(Z, box)
             policy = solver._certify_policy(grid, state, box)
             assert same_bits(value, cert.value)
             assert same_bits(policy.intercepts, cert.intercept)
             assert same_bits(policy.slope_eigs, cert.slope_eigs)
-            assert same_bits(0.5 * mc.embed_complex(policy.hermitian_slopes), cert.slope_matrix)
+            assert same_bits(0.5 * mc.embed(policy.hermitian_slopes), cert.slope_matrix)
 
     def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch):
         grid = GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5)
@@ -545,7 +546,7 @@ class TestSolverStack:
         def refuse(*args, **kwargs):
             raise AssertionError("the solve built or validated a real (N, 2n, 2n) stack")
 
-        for module, name in ((mc, "symmetric_stack"), (mc, "embed_complex"),
+        for module, name in ((mc, "symmetric_stack"), (mc, "embed"),
                              (mc, "hermitian_blocks"), (envelope, "envelope_batch")):
             monkeypatch.setattr(module, name, refuse)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
@@ -746,7 +747,7 @@ class TestAssembly:
             rhs = rng.uniform(-1, 1, N)
             A, b = solver._frozen_policy(grid, Q, rhs, u.values)
             lin = A @ u.values[grid.interior()].reshape(-1) - (b - rhs)
-            S = 0.5 * mc.embed_complex(Q)
+            S = 0.5 * mc.embed(Q)
             for k, H in enumerate(pointwise_stack(u)):
                 ref = np.sum(S[k] * H)
                 assert abs(lin[k] - ref) <= 1e-12 * max(1.0, np.sum(np.abs(S[k] * H)))
