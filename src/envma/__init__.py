@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "envelope": (
-        "CertificateBatch",
         "EnvelopeCertificate",
         "PropertyReport",
         "ThetaBox",
@@ -39,7 +38,6 @@ _EXPORTS = {
         "ConvergenceRow",
         "GridSpec",
         "MembershipReport",
-        "PolicyField",
         "ScalarField",
         "SolveReport",
         "builtin_solution",

@@ -4,7 +4,8 @@ Subcommands: eval, conjugate, verify, solve, convergence.  Commands raise;
 `main` alone maps a failure to its exit code and one stderr line:
 
     0  success
-    1  verify found a property failure (the first counterexample is printed)
+    1  verify found a property failure (the counterexample of the earliest
+       failing sample is printed)
     2  ParseError: malformed input, printed as `parse error:` (eval,
        conjugate) or `config error:` (solve, convergence); or a command
        line argparse rejects, printed as `usage error:`
@@ -33,6 +34,7 @@ import numpy as np
 from . import matio
 from . import matrixcore as mc
 from .envelope import (
+    PROPERTY_NAMES,
     ThetaBox,
     conjugate_maximizer,
     envelope_eval,
@@ -102,7 +104,9 @@ def cmd_verify(args) -> int:
     report = verify_envelope(box, args.samples, args.seed)
     sys.stdout.write(report.format())
     if not report.all_pass:
-        name = next(k for k in sorted(report.first_failure))
+        # the earliest failing sample; on a tie, the first property of the report
+        name = min(report.first_failure,
+                   key=lambda k: (report.first_failure[k][0], PROPERTY_NAMES.index(k)))
         idx, M = report.first_failure[name]
         print(f"first_failure_property = {name}")
         print(f"first_failure_sample = {idx}")

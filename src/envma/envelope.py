@@ -29,13 +29,14 @@ root, and there h(t) = mean log x(t) - log t, affine in log t, crosses zero
 where the line through its values at the bracket ends does.  A
 grid-discretized evaluator with no such reduction is an independent oracle.
 
-One core certifies a stack of Hermitian parts A + iB: `_certify`
-(`herm_eigensystem`, then one pass over all rows per breakpoint of that
-equation) gives the values, and `_policy` the slopes, intercepts and
-U diag(p) U^H.
-`envelope_batch` validates a real stack and calls both; the PDE solver builds
-A + iB from its stencil and calls them in blocks.  `envelope_eval` and
-`_saddle` are one-matrix forms.  The property checks and
+One kernel driver certifies a stack of Hermitian parts A + iB, in blocks
+of `_CERT_BLOCK` rows: `_certify_values` (`herm_eigensystem`, then one pass
+over all rows per breakpoint of that equation) gives the values, and
+`_certify_policy` the certificates, slopes U diag(p) U^H and intercepts.
+`envelope_batch` validates a real stack and calls both; the PDE solver
+builds A + iB from its stencil and calls the second only when it needs a
+policy.  `EnvelopeCertificate` holds one matrix's certificate or a stack's,
+and `envelope_eval` is row 0 of a stack of one.  The property checks and
 `ellipticity_gap` read values only: `_envelope_values` runs
 `herm_eigenvalues` and the value part of the kernel.
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,28 +98,30 @@ class ThetaBox:
 
 @dataclass(frozen=True)
 class EnvelopeCertificate:
-    """Envelope value together with the optimal affine majorant.
+    """Envelope value and optimal affine majorant of one matrix M or, each
+    field stacked along a leading axis, of a stack; cert[i] is row i.
 
-    The affine function X -> tr(slope_matrix @ X) + intercept majorizes F on
-    the box and touches the envelope at the evaluated matrix, so
+    The majorant touches the envelope at M and majorizes F on the box:
 
-        value == tr(slope_matrix @ M) + intercept        (exact), and
-        tr(slope_matrix @ X) + intercept >= F(X)         for all X in the box.
+        value == Re tr(slope extract(proj M)) + intercept    (exact), and
+        Re tr(slope extract(proj X)) + intercept >= F(X)     for all X in the box.
 
-    slope_eigs are the slope eigenvalues p in [theta, 1/theta], descending,
-    paired against mu ascending; slope_matrix is the corresponding pairing
-    matrix built in the eigenbasis of proj(M).  Because the trace of an
-    embedded Hermitian matrix counts each eigenvalue twice, slope_matrix is
-    half the embedding of diag(p): its doubled matrix is the box member.
+    slope = U diag(p) U^H in the eigenbasis U of extract(proj M), with the
+    slope_eigs p in [theta, 1/theta] descending against mu ascending.  In
+    real coordinates the pairing is tr(S X) with S = embed(slope)/2, halved
+    because an embedded Hermitian matrix counts each eigenvalue twice.
     inner_max is the box point where the intercept constraint is tight.
     """
 
-    value: float
-    slope_eigs: np.ndarray
-    intercept: float
-    slope_matrix: np.ndarray
-    mu: np.ndarray
-    inner_max: np.ndarray
+    value: np.ndarray        # () or (N,)
+    slope_eigs: np.ndarray   # (n,) or (N, n)
+    intercept: np.ndarray    # () or (N,)
+    slope: np.ndarray        # (n, n) or (N, n, n), complex Hermitian
+    mu: np.ndarray           # (n,) or (N, n)
+    inner_max: np.ndarray    # (n,) or (N, n)
+
+    def __getitem__(self, i) -> EnvelopeCertificate:
+        return EnvelopeCertificate(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
 
 
 def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
@@ -286,7 +289,8 @@ def _average_equal_runs(p: np.ndarray, m: np.ndarray) -> np.ndarray:
     gap = np.diff(m, axis=1)
     m_abs = np.maximum(-m[:, :1], m[:, -1:])
     scale = np.maximum(1.0, _row_sum(np.abs(p * m)))[:, np.newaxis]
-    same = (gap <= _RUN_TOL * m_abs) & (-np.diff(p, axis=1) * gap <= _RUN_TOL * scale)
+    with np.errstate(over="ignore"):   # a move beyond the float range joins nothing
+        same = (gap <= _RUN_TOL * m_abs) & (-np.diff(p, axis=1) * gap <= _RUN_TOL * scale)
     if not same.any():
         return p
     run = np.concatenate([np.zeros((N, 1), dtype=np.int64),
@@ -294,43 +298,6 @@ def _average_equal_runs(p: np.ndarray, m: np.ndarray) -> np.ndarray:
     member = run[:, :, np.newaxis] == np.arange(n)
     mean = np.einsum("ij,ijk->ik", p, member) / np.maximum(member.sum(axis=1), 1)
     return np.take_along_axis(mean, run, axis=1)
-
-
-def _saddle(mu, box: ThetaBox) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """One-point form of `_saddle_values` and `_saddle_slopes`; mu may be any
-    real vector (sorted ascending internally).  Returns (value, p, x, t)."""
-    mu_in = np.asarray(mu, dtype=float)
-    if mu_in.shape != (box.n,):
-        raise ValueError(f"expected {box.n} eigenvalues, got shape {mu_in.shape}")
-    m = np.sort(mu_in, kind="stable")[np.newaxis]
-    value, x, t = _saddle_values(m, box)
-    return float(value[0]), _saddle_slopes(m, x, t, box)[0], x[0], float(t[0])
-
-
-@dataclass(frozen=True)
-class CertificateBatch:
-    """Envelope certificates of a stack of N matrices, field by field.
-
-    Each field stacks the EnvelopeCertificate field of the same name along a
-    leading axis of length N; `certificate(i)` returns row i.
-    """
-
-    value: np.ndarray         # (N,)
-    slope_eigs: np.ndarray    # (N, n)
-    intercept: np.ndarray     # (N,)
-    slope_matrix: np.ndarray  # (N, 2n, 2n)
-    mu: np.ndarray            # (N, n)
-    inner_max: np.ndarray     # (N, n)
-
-    def certificate(self, i: int) -> EnvelopeCertificate:
-        return EnvelopeCertificate(
-            value=float(self.value[i]),
-            slope_eigs=self.slope_eigs[i],
-            intercept=float(self.intercept[i]),
-            slope_matrix=self.slope_matrix[i],
-            mu=self.mu[i],
-            inner_max=self.inner_max[i],
-        )
 
 
 def _hermitian_parts(H_stack, box: ThetaBox) -> np.ndarray:
@@ -353,20 +320,42 @@ def _envelope_values(H_stack, box: ThetaBox) -> tuple[np.ndarray, np.ndarray]:
     return _saddle_values(mu, box)[0], mu
 
 
-def _certify(Z, box: ThetaBox):
-    """(value, x, t, mu, U) of a Hermitian stack Z (N, n, n):
-    `herm_eigensystem`, then `_saddle_values` on its eigenvalues."""
-    mu, U = mc.herm_eigensystem(Z)
-    return (*_saddle_values(mu, box), mu, U)
+# rows per kernel call: the per-call overhead stays small next to the work,
+# and the kernel's temporaries small next to its outputs
+_CERT_BLOCK = 4096
 
 
-def _policy(mu, U, x, t, box: ThetaBox):
-    """(p, Q, intercept) from `_certify`: saddle slopes, the symmetrized
-    Q = U diag(p) U^H (equal eigenvalues get equal slopes, so Q is the same
-    in any eigenbasis the eigensolver picks) and t - p.x."""
-    p = _saddle_slopes(mu, x, t, box)
-    Q = _hermitian_part((U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2))
-    return p, Q, t - np.einsum("ij,ij->i", p, x)
+def _blocks(N: int):
+    return (slice(lo, lo + _CERT_BLOCK) for lo in range(0, N, _CERT_BLOCK))
+
+
+def _certify_values(Z: np.ndarray, box: ThetaBox) -> tuple[np.ndarray, tuple]:
+    """(value, state) of a Hermitian stack Z (N, n, n), in blocks of
+    _CERT_BLOCK rows: `herm_eigensystem`, then `_saddle_values` on its
+    eigenvalues.  The eigenvectors overwrite Z; state is what
+    `_certify_policy` needs."""
+    N, n = Z.shape[:2]
+    value, t, mu, x = np.empty(N), np.empty(N), np.empty((N, n)), np.empty((N, n))
+    for rows in _blocks(N):
+        mu[rows], Z[rows] = mc.herm_eigensystem(Z[rows])
+        value[rows], x[rows], t[rows] = _saddle_values(mu[rows], box)
+    return value, (Z, mu, x, t)
+
+
+def _certify_policy(value: np.ndarray, state: tuple, box: ThetaBox) -> EnvelopeCertificate:
+    """The certificates of `_certify_values`' output, in blocks: saddle
+    slopes p, the symmetrized Q = U diag(p) U^H (equal eigenvalues get equal
+    slopes, so Q is the same in any eigenbasis the eigensolver picks), which
+    overwrites the eigenvectors U, and the intercepts t - p.x."""
+    Q, mu, x, t = state
+    p, c = np.empty_like(mu), np.empty_like(t)
+    for rows in _blocks(len(Q)):
+        p[rows] = _saddle_slopes(mu[rows], x[rows], t[rows], box)
+        U = Q[rows]
+        Q[rows] = _hermitian_part((U * p[rows, np.newaxis, :]) @ U.conj().swapaxes(1, 2))
+        c[rows] = t[rows] - np.einsum("ij,ij->i", p[rows], x[rows])
+    return EnvelopeCertificate(value=value, slope_eigs=p, intercept=c, slope=Q, mu=mu,
+                               inner_max=x)
 
 
 def _hermitian_part(X: np.ndarray) -> np.ndarray:
@@ -374,22 +363,18 @@ def _hermitian_part(X: np.ndarray) -> np.ndarray:
     return (X + X.conj().swapaxes(-1, -2)) / 2.0
 
 
-def envelope_batch(H_stack, box: ThetaBox) -> CertificateBatch:
+def envelope_batch(H_stack, box: ThetaBox) -> EnvelopeCertificate:
     """Ftilde and its certificate for every matrix of a (N, 2n, 2n) stack.
 
     F and the slope box are unitarily invariant, so a certificate depends on
-    M only through the eigensystem of extract(proj(M)); the slope matrix is
-    (1/2) embed(Q), halved so the trace pairing is the eigenvalue pairing.
+    M only through the eigensystem of extract(proj(M)).
     """
-    value, x, t, mu, U = _certify(_hermitian_parts(H_stack, box), box)
-    p, Q, intercept = _policy(mu, U, x, t, box)
-    return CertificateBatch(value=value, slope_eigs=p, intercept=intercept,
-                            slope_matrix=0.5 * mc.embed(Q), mu=mu, inner_max=x)
+    return _certify_policy(*_certify_values(_hermitian_parts(H_stack, box), box), box)
 
 
 def envelope_eval(M, box: ThetaBox) -> EnvelopeCertificate:
     """Ftilde(M) with its optimality certificate (one-matrix envelope_batch)."""
-    return envelope_batch(mc.as_symmetric(M)[np.newaxis], box).certificate(0)
+    return envelope_batch(mc.as_symmetric(M)[np.newaxis], box)[0]
 
 
 def _max_minus_pairing(T: np.ndarray, axis: np.ndarray) -> np.ndarray:
@@ -509,7 +494,7 @@ class PropertyReport:
     failed: dict = field(default_factory=dict)
     gap_ratio_min: float | None = None
     gap_ratio_max: float | None = None
-    first_failure: dict = field(default_factory=dict)
+    first_failure: dict = field(default_factory=dict)   # name: (sample, matrix checked)
 
     @property
     def all_pass(self) -> bool:
@@ -757,7 +742,10 @@ def verify_envelope(box: ThetaBox, samples: int, seed: int) -> PropertyReport:
             fails = np.flatnonzero(~ok & claims)
             report.failed[name] += len(fails)
             if len(fails) and name not in report.first_failure:
-                report.first_failure[name] = (start + int(fails[0]), block["m1"][fails[0]])
+                # the counterexample is the matrix the check evaluates:
+                # m_in for domination and agreement, m1 for the others
+                M = block["m_in" if name in ("domination", "agreement") else "m1"]
+                report.first_failure[name] = (start + int(fails[0]), M[fails[0]])
         ratios.append(res["gap_ratio"][np.isfinite(res["gap_ratio"])])
     ratios = np.concatenate(ratios) if ratios else np.empty(0)
     if ratios.size:

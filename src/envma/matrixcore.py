@@ -54,7 +54,8 @@ def symmetric_stack(m, tol: float = _SYM_TOL) -> np.ndarray:
     """Validate and symmetrize a stack of 2n x 2n real matrices, shape (N, 2n, 2n).
 
     Asymmetry up to `tol` in max-entry norm is silently symmetrized;
-    anything beyond is rejected as malformed input.
+    anything beyond is rejected as malformed input.  Halves are added, so
+    finite entries stay finite.
     """
     M = np.asarray(m, dtype=float)
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
@@ -67,10 +68,11 @@ def symmetric_stack(m, tol: float = _SYM_TOL) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
     MT = M.swapaxes(1, 2)
-    asym = float(np.max(np.abs(M - MT), initial=0.0))
+    with np.errstate(over="ignore"):   # an infinite asymmetry is rejected too
+        asym = float(np.max(np.abs(M - MT), initial=0.0))
     if asym > tol:
         raise ValueError(f"matrix asymmetry {asym:g} exceeds tolerance {tol:g}")
-    return (M + MT) / 2.0
+    return M / 2.0 + MT / 2.0
 
 
 def as_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
@@ -114,11 +116,11 @@ def hermitian_blocks(S: np.ndarray) -> np.ndarray:
     """extract(proj(S)) as the complex stack A + iB, shape (..., n, n).
 
     S must already be symmetric (see symmetric_stack); the result is then
-    exactly Hermitian.
+    exactly Hermitian.  Halves are added, so finite entries stay finite.
     """
     n = S.shape[-1] // 2
-    A = (S[..., :n, :n] + S[..., n:, n:]) / 2.0
-    B = (S[..., n:, :n] - S[..., :n, n:]) / 2.0
+    A = S[..., :n, :n] / 2.0 + S[..., n:, n:] / 2.0
+    B = S[..., n:, :n] / 2.0 - S[..., :n, n:] / 2.0
     return A + 1j * B
 
 
@@ -142,27 +144,28 @@ def herm_eigenvalues(Z: np.ndarray) -> np.ndarray:
 
 def _eig2(Z: np.ndarray, vectors: bool):
     """Eigensystem of 2 x 2 Hermitian matrices [[a, conj(b)], [b, c]] with
-    the arithmetic of LAPACK's zlaev2/dlaev2.  Z = D R D^H with D = diag(1, w),
-    w = b/|b|, and R the real [[a, |b|], [|b|, c]]: rt1 = (a + c +- rt)/2,
-    rt = hypot(a - c, 2|b|), is R's eigenvalue of larger magnitude, and the
-    other, det/rt1 = (acmx/rt1) acmn - (|b|/rt1) |b|, keeps its relative
-    accuracy.  R's lower eigenvector (x, y) is (-2|b|, s) if a >= c and
-    (s, -2|b|) otherwise, up to norm, with s = rt + |a - c| free of
-    cancellation; U = D [[x, -y], [y, x]]."""
+    the arithmetic of LAPACK's zlaev2/dlaev2, halved so that finite
+    eigenvalues stay finite.  Z = D R D^H with D = diag(1, w), w = b/|b|, and
+    R the real [[a, |b|], [|b|, c]]: rt1 = sm +- rt, sm = (a + c)/2,
+    rt = hypot(df, |b|), df = (a - c)/2, is R's eigenvalue of larger
+    magnitude, and the other, det/rt1 = (acmx/rt1) acmn - (|b|/rt1) |b|,
+    keeps its relative accuracy.  R's lower eigenvector (x, y) is (-|b|/2, s)
+    if a >= c and (s, -|b|/2) otherwise, up to norm, with s = (rt + |df|)/2
+    free of cancellation; U = D [[x, -y], [y, x]]."""
     a, c, b = Z[..., 0, 0].real, Z[..., 1, 1].real, Z[..., 1, 0]
     ab = np.abs(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sm, df = a + c, a - c
-        rt = np.hypot(df, 2.0 * ab)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sm, df = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
+        rt = np.hypot(df, ab)
         a_big = np.abs(a) > np.abs(c)
-        rt1 = 0.5 * np.where(sm < 0.0, sm - rt, sm + rt)
+        rt1 = np.where(sm < 0.0, sm - rt, sm + rt)
         rt2 = np.where(sm != 0.0, (np.where(a_big, a, c) / rt1) * np.where(a_big, c, a)
-                       - (ab / rt1) * ab, -0.5 * rt)
+                       - (ab / rt1) * ab, -rt)
         # sorted, as LAPACK sorts: near a double eigenvalue rounding may swap them
         mu = np.stack([np.minimum(rt1, rt2), np.maximum(rt1, rt2)], axis=-1)
         if not vectors:
             return mu
-        s, tb = rt + np.abs(df), 2.0 * ab
+        s, tb = 0.5 * rt + 0.5 * np.abs(df), 0.5 * ab
         h = np.hypot(tb, s)   # 0 only for a scalar matrix, where U = I
         x = np.where(h > 0.0, np.where(df >= 0.0, -tb, s) / h, 1.0)
         y = np.where(h > 0.0, np.where(df >= 0.0, s, -tb) / h, 0.0)

@@ -3,7 +3,7 @@
 The envelope is an infimum of affine functions of the Hessian, so the
 equation has Bellman form and is solved by policy iteration (Howard's
 algorithm): at each interior grid point the envelope certificate of the
-current discrete Hessian supplies an affine policy (slope matrix, intercept);
+current discrete Hessian supplies an affine policy (slope, intercept);
 freezing the policy leaves the linear uniformly elliptic equation
 
     tr(S(x) D^2 u(x)) + c(x) = g(x),
@@ -14,12 +14,13 @@ stopped at the first Krylov step that passes a true max-norm check; the two
 steps alternate until the max-norm residual of the nonlinear equation meets
 the tolerance.
 
-Each iterate is certified once, in blocks of `_CERT_BLOCK` rows, on the
+Each iterate is certified once, by the envelope's kernel driver, on the
 Hermitian parts Z = extract(proj(D^2_h u)) = A + iB built from the stencil
 (`_hermitian_stack`): the values are the residual, and the next policy is
-formed only when another iteration follows.  A policy keeps the Hermitian
-slope Q per point, and the frozen equation reads tr(S D^2_h u) as
-Re tr(Q Z), the same pairing with S = embed(Q)/2.
+formed only when another iteration follows.  A policy is the
+EnvelopeCertificate of the iterate: per point a Hermitian slope Q and an
+intercept, and the frozen equation reads tr(S D^2_h u) as Re tr(Q Z), the
+same pairing with S = embed(Q)/2.
 
 The discrete Hessian D^2_h is written down once, in Hermitian coordinates:
 the n^2 real coordinates of Z, each as symmetric (shift, weight) stencil
@@ -40,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixcore as mc
-from .envelope import ThetaBox, _certify, _policy, tangent_in_box
+from .envelope import (EnvelopeCertificate, ThetaBox, _certify_policy, _certify_values,
+                       tangent_in_box)
 from .errors import LinearSolveFailure
 
 @dataclass(frozen=True)
@@ -119,22 +121,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
-
-
-@dataclass
-class PolicyField:
-    """Frozen Bellman policy: per interior point a slope + intercept.
-
-    Slope eigenvalues live in the box [theta, 1/theta].  The slope is kept as
-    the Hermitian Q = U diag(p) U^H; the policy's affine map of a Hessian M is
-    Re tr(Q extract(proj M)) + intercept, the pairing tr(S M) with the
-    slope matrix S = embed(Q)/2 of EnvelopeCertificate.
-    """
-
-    grid: GridSpec
-    hermitian_slopes: np.ndarray   # (n_interior, n, n) complex
-    intercepts: np.ndarray         # (n_interior,)
-    slope_eigs: np.ndarray         # (n_interior, n)
 
 
 @dataclass
@@ -218,34 +204,6 @@ def _hermitian_stack(u: ScalarField) -> np.ndarray:
         z[:, i, j] = coordinate.apply(u.values)
         z[:, j, i] = -z[:, i, j] if part else z[:, i, j]
     return Z
-
-
-# rows per envelope-core call: the per-call overhead stays small next to the
-# work, and the core's temporaries small next to its outputs
-_CERT_BLOCK = 4096
-
-
-def _blocks(N: int):
-    return (slice(lo, lo + _CERT_BLOCK) for lo in range(0, N, _CERT_BLOCK))
-
-
-def _certify_values(Z: np.ndarray, box: ThetaBox) -> tuple[np.ndarray, tuple]:
-    """(value, state) of the Hermitian stack Z, in blocks; the eigenvectors
-    overwrite Z, and state is what `_certify_policy` needs."""
-    N, n = Z.shape[:2]
-    value, t, mu, x = np.empty(N), np.empty(N), np.empty((N, n)), np.empty((N, n))
-    for rows in _blocks(N):
-        value[rows], x[rows], t[rows], mu[rows], Z[rows] = _certify(Z[rows], box)
-    return value, (Z, mu, x, t)
-
-
-def _certify_policy(grid: GridSpec, state: tuple, box: ThetaBox) -> PolicyField:
-    """The policy of `_certify_values`' state; Q overwrites the eigenvectors."""
-    Q, mu, x, t = state
-    p, c = np.empty_like(mu), np.empty_like(t)
-    for rows in _blocks(len(Q)):
-        p[rows], Q[rows], c[rows] = _policy(mu[rows], Q[rows], x[rows], t[rows], box)
-    return PolicyField(grid, Q, c, p)
 
 
 def _check_box(grid: GridSpec, box: ThetaBox) -> None:
@@ -493,7 +451,7 @@ def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.
 
 def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
                     box: ThetaBox, max_iter: int = 100,
-                    tol: float = 1e-10) -> tuple[ScalarField, PolicyField, SolveReport]:
+                    tol: float = 1e-10) -> tuple[ScalarField, EnvelopeCertificate, SolveReport]:
     """Policy iteration for Ftilde(D^2 u) = g with Dirichlet data.
 
     Alternates policy improvement (envelope certificates at every interior
@@ -506,7 +464,8 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     evaluation is well posed.  Raises ValueError, before any work, when the
     box and the grid differ in n.  On hitting
     `max_iter` the best iterate is returned with report.converged = False;
-    report.residual is the residual field of the returned iterate.
+    report.residual is the residual field of the returned iterate, and the
+    returned policy (one row per interior point) the one it was solved with.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -521,11 +480,11 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     report = SolveReport()
     best = None
 
-    policy = _certify_policy(grid, _certify_values(_hermitian_stack(u), box)[1], box)
+    policy = _certify_policy(*_certify_values(_hermitian_stack(u), box), box)
     for it in range(1, max_iter + 1):
-        rhs = g.values[core].reshape(-1) - policy.intercepts
-        A, b = _frozen_policy(grid, policy.hermitian_slopes, rhs, boundary.values)
-        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), policy.hermitian_slopes,
+        rhs = g.values[core].reshape(-1) - policy.intercept
+        A, b = _frozen_policy(grid, policy.slope, rhs, boundary.values)
+        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), policy.slope,
                              tol, report.krylov_steps)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
@@ -542,7 +501,7 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
             report.converged = True
             break
         if it < max_iter:
-            policy = _certify_policy(grid, state, box)
+            policy = _certify_policy(value, state, box)
     report.final_residual = best[0]
     report.residual = best[3]
     report.wall_time_s = time.perf_counter() - start

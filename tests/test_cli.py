@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import envma
-from envma import envelope, solver
+from envma import envelope, matio, solver
 from envma.cli import main
 
 QUAD_CFG = """\
@@ -128,6 +128,27 @@ class TestEval:
         assert err.startswith("error: envelope value overflows the float range")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("text, theta, value", [
+        ("sym 2\n1.5e308 0\n0 1.5e308\n", "0.5", "7.5000000000000001e+307"),
+        ("sym 4\n1.5e308 0 0 0\n0 1 0 0\n0 0 1.5e308 0\n0 0 0 1\n", "0.5",
+         "7.5000000000000001e+307"),
+        ("sym 4\n1.5e308 0 0 0\n0 1 0 0\n0 0 1.5e308 0\n0 0 0 1\n", "0.1",
+         "1.5000000000000002e+307"),
+    ])
+    def test_finite_entries_near_the_float_limit_evaluate(self, text, theta, value, tmp_path,
+                                                          capsys):
+        # Ftilde = theta mu + O(1) fits in a float although mu + mu does not
+        mat = write(tmp_path / "m.txt", text)
+        code, out, err = run_main(capsys, ["eval", "--matrix", mat, "--theta", theta])
+        assert code == 0 and err == ""
+        assert f"F_tilde = {value}\n" in out
+
+    def test_infinite_asymmetry_exits_3(self, tmp_path, capsys):
+        mat = write(tmp_path / "m.txt", "sym 2\n0 1.5e308\n-1.5e308 0\n")
+        code, out, err = run_main(capsys, ["eval", "--matrix", mat, "--theta", "0.5"])
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: matrix asymmetry inf exceeds tolerance 1e-09"]
+
     def test_lambda_pair(self, tmp_path, capsys):
         mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")
         code, out, _ = run_main(capsys, ["eval", "--matrix", mat, "--lam", "2", "--Lam", "2"])
@@ -199,6 +220,33 @@ class TestVerify:
                                          "--samples", "1000", "--seed", seed])
         assert code == 0
         assert "all_pass = true\n" in out
+
+    def test_failure_prints_the_earliest_counterexample(self, capsys, monkeypatch):
+        # domination and agreement fail at sample 5, concavity at sample 8:
+        # the earliest sample wins, a tie goes to the report's first property,
+        # and the counterexample is the in-box matrix those checks evaluate
+        check = envelope._check_samples
+        seen = {}
+
+        def failing(box, block):
+            out = check(box, block)
+            for name, idx in (("domination", 5), ("agreement", 5), ("concavity", 8)):
+                ok, claims = (a.copy() for a in out[name])
+                ok[idx], claims[idx] = False, True
+                out[name] = (ok, claims)
+            seen.update(m_in=block["m_in"][5], m1=block["m1"][5])
+            return out
+
+        monkeypatch.setattr(envelope, "_check_samples", failing)
+        code, out, _ = run_main(capsys, ["verify", "--theta", "0.5", "--n", "2",
+                                         "--samples", "10", "--seed", "3"])
+        assert code == 1
+        assert "domination_fail = 1\n" in out and "concavity_fail = 1\n" in out
+        assert "all_pass = false\n" in out
+        tail = out.split("all_pass = false\n", 1)[1]
+        assert tail == ("first_failure_property = domination\nfirst_failure_sample = 5\n"
+                        + matio.format_matrix_text(seen["m_in"]))
+        assert matio.format_matrix_text(seen["m1"]) not in out
 
     def test_negative_seed_exits_3(self, capsys):
         code, out, err = run_main(capsys, ["verify", "--theta", "0.5", "--n", "2",

@@ -21,7 +21,6 @@ from envma.envelope import (
     sample_unitary,
     tangent_in_box,
     verify_envelope,
-    _saddle,
 )
 from envma.errors import NotPSD, ResolutionTooCoarse
 from oracles import envelope_value, sample_symmetric, spectral_norm, trace_inner
@@ -143,9 +142,9 @@ class TestEnvelopeClosedForms:
         assert abs(f8 - 2.0 * f4) > 0.5
 
     def test_n2_hand_values(self):
-        assert abs(_saddle(np.array([3.0, 0.1]), BOX2)[0] - 0.95) < 1e-12
-        assert abs(_saddle(np.array([0.6, 1.8]), BOX2)[0] - 1.2) < 1e-12
-        assert abs(_saddle(np.array([1.0, 1.0]), BOX2)[0] - 1.0) < 1e-12
+        assert abs(envelope_eval(np.diag([3.0, 0.1, 3.0, 0.1]), BOX2).value - 0.95) < 1e-12
+        assert abs(envelope_eval(np.diag([0.6, 1.8, 0.6, 1.8]), BOX2).value - 1.2) < 1e-12
+        assert abs(envelope_eval(np.diag([1.0, 1.0, 1.0, 1.0]), BOX2).value - 1.0) < 1e-12
 
     def test_value_at_zero_matrix(self):
         # suffix-railed structure: value theta - n
@@ -254,7 +253,7 @@ class TestCertificates:
             for k in range(15):
                 M = sample_symmetric(rng, 2 * n, float(rng.uniform(0, 3)) if k % 2 else 0.0)
                 cert = envelope_eval(M, box)
-                lhs = trace_inner(cert.slope_matrix, M) + cert.intercept
+                lhs = trace_inner(0.5 * mc.embed(cert.slope), M) + cert.intercept
                 assert abs(lhs - cert.value) <= 1e-9 * max(1.0, abs(cert.value))
 
     def test_value_entry_points_agree(self):
@@ -288,7 +287,8 @@ class TestCertificates:
         for box in (BOX1, BOX2):
             M = sample_symmetric(rng, 2 * box.n, 1.0)
             cert = envelope_eval(M, box)
-            assert mc.in_theta_box(2.0 * cert.slope_matrix, box.theta)
+            # the doubled real slope matrix 2 S = embed(slope)
+            assert mc.in_theta_box(mc.embed(cert.slope), box.theta)
 
     def test_majorant_property(self):
         rng = np.random.default_rng(107)
@@ -297,7 +297,7 @@ class TestCertificates:
             cert = envelope_eval(M, box)
             for _ in range(60):
                 X = sample_in_box(rng, box)
-                lhs = trace_inner(cert.slope_matrix, X) + cert.intercept
+                lhs = trace_inner(0.5 * mc.embed(cert.slope), X) + cert.intercept
                 assert lhs >= mc.det_root(X) - 1e-9
 
     def test_intercept_is_minimal_feasible(self):
@@ -317,7 +317,7 @@ class TestCertificates:
             D = sample_symmetric(rng, M.shape[0])
             t = 1e-6
             fd = (envelope_value(M + t * D, box) - cert.value) / t
-            assert abs(fd - trace_inner(cert.slope_matrix, D)) <= 1e-5
+            assert abs(fd - trace_inner(0.5 * mc.embed(cert.slope), D)) <= 1e-5
 
 
 class TestStructuralProperties:

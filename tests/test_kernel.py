@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from envma import matrixcore as mc
 from envma.envelope import (
     ThetaBox,
-    _certify,
+    _certify_policy,
+    _certify_values,
     _envelope_values,
     _fixed_point,
     _inner_max,
-    _policy,
     _saddle_values,
     conjugate_maximizer,
     envelope_batch,
@@ -93,7 +93,8 @@ def test_batch_rows_match_single_matrix_wrapper(n, theta):
         assert abs(batch.intercept[i] - cert.intercept) <= 1e-14 * max(1.0, abs(cert.intercept))
         assert np.array_equal(batch.slope_eigs[i], cert.slope_eigs)
         assert np.array_equal(batch.mu[i], cert.mu)
-        assert np.max(np.abs(batch.slope_matrix[i] - cert.slope_matrix)) <= 1e-14 * box.hi
+        assert np.max(np.abs(0.5 * mc.embed(batch.slope[i]) - 0.5 * mc.embed(cert.slope))) \
+            <= 1e-14 * box.hi
         assert envelope_value(Mi, box) == cert.value
 
 
@@ -105,9 +106,11 @@ def test_certificate_identities_on_every_row(n, theta):
     M = mixed_stack(rng, box)
     b = envelope_batch(M, box)
 
-    # value == tr(S M) + c, up to rounding of the pairing's terms
-    pairing = np.einsum("kij,kji->k", b.slope_matrix, M)
-    size = np.einsum("kij,kji->k", np.abs(b.slope_matrix), np.abs(M)) + np.abs(b.intercept)
+    # value == tr(S M) + c with S = embed(slope)/2, up to rounding of the
+    # pairing's terms
+    S = 0.5 * mc.embed(b.slope)
+    pairing = np.einsum("kij,kji->k", S, M)
+    size = np.einsum("kij,kji->k", np.abs(S), np.abs(M)) + np.abs(b.intercept)
     assert np.all(np.abs(pairing + b.intercept - b.value) <= 1e-13 * np.maximum(1.0, size))
 
     # slopes in the box, descending against ascending mu
@@ -133,8 +136,8 @@ def test_certificate_identities_on_every_row(n, theta):
     # the affine majorant dominates F on sampled box points
     X = np.array([sample_in_box(rng, box) for _ in range(40)])
     F = det_root_stack(X)
-    maj = np.einsum("kij,lji->kl", b.slope_matrix, X) + b.intercept[:, np.newaxis]
-    size = (np.einsum("kij,lji->kl", np.abs(b.slope_matrix), np.abs(X))
+    maj = np.einsum("kij,lji->kl", S, X) + b.intercept[:, np.newaxis]
+    size = (np.einsum("kij,lji->kl", np.abs(S), np.abs(X))
             + np.abs(b.intercept[:, np.newaxis]))
     assert np.all(maj >= F[np.newaxis, :] - 1e-12 * np.maximum(1.0, size))
 
@@ -186,7 +189,7 @@ def test_slope_matrix_independent_of_eigenbasis(theta, mus):
         assert np.max(np.abs(mc.project(RM) - mc.project(M))) <= 1e-13 * max(mu)
         assert np.max(np.abs(RM - M)) > 1e-3
         b = envelope_batch(np.array([M, (RM + RM.T) / 2]), box)
-        S = b.slope_matrix
+        S = 0.5 * mc.embed(b.slope)
         assert np.max(np.abs(S[0] - S[1])) <= 1e-12 * max(1.0, np.max(np.abs(S[0])))
         # equal eigenvalues, equal slopes; the certificate stays exact
         k = 0 if b.mu[0][1] - b.mu[0][0] < b.mu[0][2] - b.mu[0][1] else 1
@@ -206,7 +209,7 @@ def test_scalar_hessian_gets_a_scalar_slope():
             cert = envelope_eval(c * np.eye(2 * n), box)
             p = cert.slope_eigs[0]
             assert np.allclose(cert.slope_eigs, p, rtol=0.0, atol=1e-14)
-            assert np.max(np.abs(cert.slope_matrix - 0.5 * p * np.eye(2 * n))) <= 1e-14
+            assert np.max(np.abs(0.5 * mc.embed(cert.slope) - 0.5 * p * np.eye(2 * n))) <= 1e-14
 
 
 @pytest.mark.parametrize("theta", (*THETAS, 0.05))
@@ -222,8 +225,8 @@ def test_n2_double_eigenvalue_on_a_box_face_gets_a_scalar_slope(theta):
         for _ in range(20):
             R = sample_unitary(rng, 2)
             Z.append((R * v) @ R.conj().T)
-        value, x, t, mu, U = _certify(np.array(Z), box)
-        p, Q, _ = _policy(mu, U, x, t, box)
+        cert = _certify_policy(*_certify_values(np.array(Z), box), box)
+        p, Q = cert.slope_eigs, cert.slope
         assert np.array_equal(p[:, 0], p[:, 1])
         assert np.max(np.abs(Q - p[:, :1, np.newaxis] * np.eye(2))) <= 8 * eps * np.max(p)
 

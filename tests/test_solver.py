@@ -20,7 +20,7 @@ from envma.solver import (
     solve_dirichlet,
     transfinite_interpolation,
 )
-from oracles import trace_inner
+from oracles import sample_symmetric, trace_inner
 
 
 def make_grid_1(points=9, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
@@ -341,9 +341,9 @@ class TestPolicyIteration:
         res = residual_field(u, g, box)
         assert np.max(np.abs(res.values)) <= tol
         H = pointwise_stack(u)
-        S = 0.5 * mc.embed(policy.hermitian_slopes)
+        S = 0.5 * mc.embed(policy.slope)
         lin = np.array([
-            trace_inner(S[i], H[i]) + policy.intercepts[i]
+            trace_inner(S[i], H[i]) + policy.intercept[i]
             for i in range(len(H))
         ])
         assert np.max(np.abs(lin - g.values[1:-1, 1:-1].reshape(-1))) <= 10 * tol
@@ -427,14 +427,14 @@ class TestCheckPremises:
 class TestHowardLoop:
     def test_one_kernel_call_per_iteration(self, monkeypatch):
         calls = []
-        certify = solver._certify
+        eigensystem = mc.herm_eigensystem
 
-        def counted(Z, box):
+        def counted(Z):
             calls.append(len(Z))
-            return certify(Z, box)
+            return eigensystem(Z)
 
-        monkeypatch.setattr(solver, "_certify", counted)
-        monkeypatch.setattr(solver, "_CERT_BLOCK", 5 ** 4)
+        monkeypatch.setattr(mc, "herm_eigensystem", counted)
+        monkeypatch.setattr(envelope, "_CERT_BLOCK", 5 ** 4)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
@@ -475,8 +475,8 @@ class TestHowardLoop:
 
 def policy_of(u, box):
     """The solver's policy for the certificates of the discrete Hessians of u."""
-    state = solver._certify_values(solver._hermitian_stack(u), box)[1]
-    return solver._certify_policy(u.grid, state, box)
+    return envelope._certify_policy(*envelope._certify_values(solver._hermitian_stack(u), box),
+                                    box)
 
 
 def random_hermitian(rng, N, n):
@@ -520,24 +520,29 @@ class TestSolverStack:
             u = ScalarField(grid, rng.uniform(-1.0, 1.0, grid.shape))
             Z = solver._hermitian_stack(u)
             cert = envelope_batch(mc.embed(Z), box)
-            value, state = solver._certify_values(Z, box)
-            policy = solver._certify_policy(grid, state, box)
+            value, state = envelope._certify_values(Z, box)
+            policy = envelope._certify_policy(value, state, box)
             assert same_bits(value, cert.value)
-            assert same_bits(policy.intercepts, cert.intercept)
+            assert same_bits(policy.intercept, cert.intercept)
             assert same_bits(policy.slope_eigs, cert.slope_eigs)
-            assert same_bits(0.5 * mc.embed(policy.hermitian_slopes), cert.slope_matrix)
+            assert same_bits(policy.slope, cert.slope)
 
     def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch):
+        # the solve's 3^4 interior points, and a stack of 50 matrices
+        # certified by envelope_batch, in blocks of 1, 7 and one block
         grid = GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         args = (grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
+        rng = np.random.default_rng(23)
+        M = np.array([sample_symmetric(rng, 4, float(rng.uniform(0.0, 3.0))) for _ in range(50)])
         outputs = []
-        for block in (1, 7, 3 ** 4):
-            monkeypatch.setattr(solver, "_CERT_BLOCK", block)
+        for block in (1, 7, 4096):
+            monkeypatch.setattr(envelope, "_CERT_BLOCK", block)
             u, policy, report = solve_dirichlet(*args)
+            cert = envelope_batch(M, ThetaBox(0.3, 2))
             outputs.append((u.values, report.residual.values, report.residual_history,
-                            report.krylov_steps, policy.hermitian_slopes, policy.intercepts,
-                            policy.slope_eigs))
+                            report.krylov_steps, policy.slope, policy.intercept,
+                            policy.slope_eigs, *vars(cert).values()))
         assert report.iterations >= 2
         for other in outputs[1:]:
             assert all(same_bits(a, b) for a, b in zip(outputs[0], other))
@@ -567,7 +572,7 @@ class TestSolverStack:
             return saddle_slopes(*args)
 
         monkeypatch.setattr(envelope, "_saddle_slopes", counted)
-        monkeypatch.setattr(solver, "_CERT_BLOCK", 5 ** 4)
+        monkeypatch.setattr(envelope, "_CERT_BLOCK", 5 ** 4)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
@@ -592,8 +597,8 @@ def frozen_system(theta, seed=0, n=2, P=7):
     grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
     u = ScalarField(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
     policy = policy_of(u, ThetaBox(theta, n))
-    A, b = solver._frozen_policy(grid, policy.hermitian_slopes, -policy.intercepts, u.values)
-    return grid, policy.hermitian_slopes, A, b
+    A, b = solver._frozen_policy(grid, policy.slope, -policy.intercept, u.values)
+    return grid, policy.slope, A, b
 
 
 def materialized(A):
@@ -774,7 +779,7 @@ class TestAssembly:
             grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
             u_fn, _ = builtin_solution("quartic_radial", n)
             policy = policy_of(field_of(grid, u_fn), ThetaBox(0.4, n))
-            A, _ = solver._frozen_policy(grid, policy.hermitian_slopes,
-                                         np.zeros(len(policy.intercepts)), np.zeros(grid.shape))
+            A, _ = solver._frozen_policy(grid, policy.slope,
+                                         np.zeros(len(policy.intercept)), np.zeros(grid.shape))
             assert len(set(A.shifts)) == len(A.shifts) == count
             assert all(np.any(field != 0.0) for field in A.coeffs)
