@@ -9,8 +9,9 @@ Subcommands: eval, conjugate, verify, solve, convergence.  Commands raise;
     2  ParseError: malformed input, printed as `parse error:` (eval,
        conjugate) or `config error:` (solve, convergence); or a command
        line argparse rejects, printed as `usage error:`
-    3  any other ValueError, or an OSError, printed as `error:`: dimension,
-       theta or range validation, an unusable --matrix or --out path
+    3  any other ValueError, an OSError or a MemoryError, printed as
+       `error:`: dimension, theta or range validation, an unusable --matrix
+       or --out path, a grid too large for memory
     4  policy iteration hit its iteration cap (artifacts are still written)
     5  LinearSolveFailure or NoConvergence, printed as `error: <Kind>:`: a
        frozen-policy linear solve failed or an exact evaluation found no
@@ -331,6 +332,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_PARSE, f"{label}: {exc}")
     except (ValueError, OSError) as exc:
         return _fail(EXIT_VALIDATION, f"error: {exc}")
+    except MemoryError as exc:
+        return _fail(EXIT_VALIDATION, f"error: {str(exc) or 'out of memory'}")
     except (LinearSolveFailure, NoConvergence) as exc:
         return _fail(EXIT_NUMERICAL, f"error: {type(exc).__name__}: {exc}")
 

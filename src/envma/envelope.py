@@ -252,7 +252,9 @@ def _saddle_values(m: np.ndarray, box: ThetaBox):
         x = _inner_max(t, m, box)
         resid = np.abs(_row_sum(np.log(x)) / n - np.log(t))  # not finite where t is not
         d = m - x
-        value = hi * _row_sum(np.minimum(d, 0.0)) + th * _row_sum(np.maximum(d, 0.0)) + t
+        # each eigenvalue's term min(theta d, d/theta) before the sum, so a
+        # partial sum leaves the float range only where the value does
+        value = _row_sum(np.minimum(th * d, hi * d)) + t
     if not np.all(resid <= 1e-12):
         # the monotone fixed point always exists; missing it is a bug
         i = int(np.argmin(resid <= 1e-12))
@@ -285,19 +287,25 @@ def _average_equal_runs(p: np.ndarray, m: np.ndarray) -> np.ndarray:
     are joined only where that is below rounding of the value too (at
     theta = 1e-8 next to 1/theta, the eigenvalues 0 and theta agree to
     rounding, their slopes do not)."""
-    N, n = m.shape
+    n = m.shape[1]
     gap = np.diff(m, axis=1)
     m_abs = np.maximum(-m[:, :1], m[:, -1:])
     scale = np.maximum(1.0, _row_sum(np.abs(p * m)))[:, np.newaxis]
     with np.errstate(over="ignore"):   # a move beyond the float range joins nothing
         same = (gap <= _RUN_TOL * m_abs) & (-np.diff(p, axis=1) * gap <= _RUN_TOL * scale)
-    if not same.any():
+    rows = np.flatnonzero(same.any(axis=1))
+    if not rows.size:
         return p
-    run = np.concatenate([np.zeros((N, 1), dtype=np.int64),
+    # the run bookkeeping only on rows with a run: the others average over
+    # runs of one, which returns them unchanged
+    same, p_run = same[rows], p[rows]
+    run = np.concatenate([np.zeros((len(rows), 1), dtype=np.int64),
                           np.cumsum(~same, axis=1)], axis=1)
     member = run[:, :, np.newaxis] == np.arange(n)
-    mean = np.einsum("ij,ijk->ik", p, member) / np.maximum(member.sum(axis=1), 1)
-    return np.take_along_axis(mean, run, axis=1)
+    mean = np.einsum("ij,ijk->ik", p_run, member) / np.maximum(member.sum(axis=1), 1)
+    p = p.copy()
+    p[rows] = np.take_along_axis(mean, run, axis=1)
+    return p
 
 
 def _hermitian_parts(H_stack, box: ThetaBox) -> np.ndarray:
@@ -352,7 +360,7 @@ def _certify_policy(value: np.ndarray, state: tuple, box: ThetaBox) -> EnvelopeC
     for rows in _blocks(len(Q)):
         p[rows] = _saddle_slopes(mu[rows], x[rows], t[rows], box)
         U = Q[rows]
-        Q[rows] = _hermitian_part((U * p[rows, np.newaxis, :]) @ U.conj().swapaxes(1, 2))
+        Q[rows] = _hermitian_part(np.einsum("nik,nk,njk->nij", U, p[rows], U.conj()))
         c[rows] = t[rows] - np.einsum("ij,ij->i", p[rows], x[rows])
     return EnvelopeCertificate(value=value, slope_eigs=p, intercept=c, slope=Q, mu=mu,
                                inner_max=x)

@@ -1,4 +1,4 @@
-"""Dirichlet solver for Ftilde(D^2 u) = g on rectangles in R^{2n}, n in {1, 2, 3}.
+"""Dirichlet solver for Ftilde(D^2 u) = g on rectangles in R^{2n}, any n >= 1.
 
 The envelope is an infimum of affine functions of the Hessian, so the
 equation has Bellman form and is solved by policy iteration (Howard's

@@ -1,6 +1,7 @@
 """Command-line interface tests: outputs and exit codes."""
 
 import gc
+import importlib
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import envma
+import envma.cli
 from envma import envelope, matio, solver
 from envma.cli import main
 
@@ -134,6 +136,10 @@ class TestEval:
          "7.5000000000000001e+307"),
         ("sym 4\n1.5e308 0 0 0\n0 1 0 0\n0 0 1.5e308 0\n0 0 0 1\n", "0.1",
          "1.5000000000000002e+307"),
+        # theta (4.9e307 + 1.5e308) is beyond the float range, the value
+        # theta 4.9e307 + theta 1.5e308 is not
+        ("sym 4\n4.9e307 0 0 0\n0 1.5e308 0 0\n0 0 4.9e307 0\n0 0 0 1.5e308\n", "0.5",
+         "9.9500000000000004e+307"),
     ])
     def test_finite_entries_near_the_float_limit_evaluate(self, text, theta, value, tmp_path,
                                                           capsys):
@@ -142,6 +148,15 @@ class TestEval:
         code, out, err = run_main(capsys, ["eval", "--matrix", mat, "--theta", theta])
         assert code == 0 and err == ""
         assert f"F_tilde = {value}\n" in out
+
+    def test_sum_of_finite_terms_beyond_float_range_exits_3(self, tmp_path, capsys):
+        # every eigenvalue's term 0.9 * 1.5e308 fits in a float, their sum does not
+        mat = write(tmp_path / "m.txt", "sym 4\n" + "".join(
+            " ".join("1.5e308" if j == i else "0" for j in range(4)) + "\n" for i in range(4)))
+        code, out, err = run_main(capsys, ["eval", "--matrix", mat, "--theta", "0.9"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: envelope value overflows the float range")
+        assert len(err.splitlines()) == 1
 
     def test_infinite_asymmetry_exits_3(self, tmp_path, capsys):
         mat = write(tmp_path / "m.txt", "sym 2\n0 1.5e308\n-1.5e308 0\n")
@@ -257,7 +272,8 @@ class TestVerify:
 
 class TestEntry:
     """`python -m envma` and the console script share one process entry,
-    which freezes the import-time objects; `main` itself freezes nothing."""
+    which imports the command line with the collector off and freezes the
+    import-time objects; `main` itself freezes nothing."""
 
     VERIFY = ["verify", "--theta", "0.5", "--n", "2", "--samples", "50", "--seed", "3"]
 
@@ -268,6 +284,26 @@ class TestEntry:
         proc = subprocess.run([sys.executable, "-m", "envma", *self.VERIFY], capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == out.encode()
+
+    def test_importing_the_entry_module_leaves_the_collector_alone(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "envma.__main__", raising=False)
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        importlib.import_module("envma.__main__")
+        assert gc.isenabled() == enabled and gc.get_freeze_count() == frozen
+
+    def test_entry_runs_main_collecting_with_the_imports_frozen(self, monkeypatch):
+        from envma.__main__ import entry
+
+        seen = []
+        monkeypatch.setattr(envma.cli, "main",
+                            lambda: seen.append((gc.isenabled(), gc.get_freeze_count())) or 7)
+        try:
+            assert entry() == 7
+        finally:
+            gc.unfreeze()
+        [(enabled, frozen)] = seen
+        assert enabled and frozen > 0
+        assert gc.isenabled()
 
     def test_console_script_is_the_module_entry(self):
         from envma.__main__ import entry
@@ -486,6 +522,27 @@ class TestFailures:
         assert needle in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
         assert existing.read_text() == ""
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory"),
+        # numpy's message for the mesh of an n = 3 grid with 200 points per axis
+        ("Unable to allocate 466. TiB for an array with shape (200, 200, 200, 200, 200, 200) "
+         "and data type float64",
+         "error: Unable to allocate 466. TiB for an array with shape "
+         "(200, 200, 200, 200, 200, 200) and data type float64"),
+    ])
+    def test_memory_error_exits_3(self, message, line, tmp_path, capsys, monkeypatch):
+        # a grid too large for memory fails while the config is checked
+        def no_memory(grid):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(solver.GridSpec, "mesh", no_memory)
+        cfg = write(tmp_path / "p.cfg", QUAD_CFG)
+        code, out, err = run_main(capsys, ["solve", "--config", cfg,
+                                           "--out", str(tmp_path / "o")])
+        assert code == 3 and out == ""
+        assert err.splitlines() == [line] and err.endswith("\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestConvergence:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from envma import matrixcore as mc
 from envma.envelope import (
     ThetaBox,
+    _average_equal_runs,
     _certify_policy,
     _certify_values,
     _envelope_values,
@@ -26,7 +27,7 @@ from envma.envelope import (
     sample_unitary,
 )
 from envma.errors import NoConvergence
-from oracles import envelope_value, sample_symmetric
+from oracles import average_equal_runs_all_rows, envelope_value, sample_symmetric
 
 THETAS = (1e-8, 0.3, 1.0)
 
@@ -229,6 +230,47 @@ def test_n2_double_eigenvalue_on_a_box_face_gets_a_scalar_slope(theta):
         p, Q = cert.slope_eigs, cert.slope
         assert np.array_equal(p[:, 0], p[:, 1])
         assert np.max(np.abs(Q - p[:, :1, np.newaxis] * np.eye(2))) <= 8 * eps * np.max(p)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 4), log_theta=st.floats(np.log(1e-8), 0.0), data=st.data())
+def test_run_averaging_matches_the_all_rows_oracle(n, log_theta, data):
+    """Rows with and without runs of equal eigenvalues, the exact kink
+    spectra among them: averaging only the rows with a run gives the
+    all-rows algorithm bit for bit, and leaves its input alone."""
+    box = ThetaBox(np.exp(log_theta), n)
+    entry = st.sampled_from([0.0, 1.0, box.theta, box.hi, -box.hi]) | st.floats(-1e3, 1e3)
+    spectrum = (st.lists(entry, min_size=n, max_size=n)
+                | st.sampled_from(kink_spectra(box)).map(list))
+    rows = data.draw(st.lists(spectrum, min_size=0, max_size=10))
+    # one row with a run (for n >= 2) and one without in every stack
+    m = np.sort(np.array(rows + [[box.theta] * n, list(range(n))], dtype=float), axis=1)
+    slope = st.sampled_from([box.theta, box.hi]) | st.floats(box.theta, box.hi)
+    p = -np.sort(-np.array(data.draw(st.lists(st.lists(slope, min_size=n, max_size=n),
+                                              min_size=len(m), max_size=len(m)))), axis=1)
+    p_in = p.copy()
+    got = _average_equal_runs(p, m)
+    want = average_equal_runs_all_rows(p, m)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert p.tobytes() == p_in.tobytes()
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 4), theta=st.sampled_from(THETAS) | st.floats(1e-3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_policy_slope_is_hermitian_and_the_eigen_product(n, theta, seed):
+    """Q of `_certify_policy` is exactly Hermitian and, row by row, within
+    4 eps max p of U diag(p) U^H formed by a matrix product."""
+    box = ThetaBox(theta, n)
+    Z = mc.hermitian_blocks(mc.symmetric_stack(mixed_stack(np.random.default_rng(seed), box)))
+    value, state = _certify_values(Z, box)
+    U = state[0].copy()
+    cert = _certify_policy(value, state, box)
+    Q, p = cert.slope, cert.slope_eigs
+    assert np.array_equal(Q, Q.conj().swapaxes(1, 2))
+    product = (U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2)
+    eps = np.finfo(float).eps
+    assert np.all(np.max(np.abs(Q - product), axis=(1, 2)) <= 4 * eps * np.max(p, axis=1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
