@@ -4,7 +4,8 @@ grid oracle, and a policy-iteration Dirichlet solver for the induced
 Bellman-form equation.
 
 The names of `__all__` are loaded on first access (PEP 562), so importing
-the package, or a command that needs no solver, does not load the solver.
+the package, or a command that needs no solver, does not load the solver,
+and one that verifies nothing does not load `envma.verify`.
 """
 
 import importlib
@@ -14,14 +15,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "envelope": (
         "EnvelopeCertificate",
-        "PropertyReport",
         "ThetaBox",
-        "conjugate_intercept",
         "conjugate_maximizer",
-        "ellipticity_gap",
         "envelope_batch",
         "envelope_eval",
-        "envelope_eval_bruteforce",
         "verify_envelope",
     ),
     "matrixcore": (
@@ -45,6 +42,11 @@ _EXPORTS = {
         "convergence_study",
         "residual_field",
         "solve_dirichlet",
+    ),
+    "verify": (
+        "PropertyReport",
+        "ellipticity_gap",
+        "envelope_eval_bruteforce",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

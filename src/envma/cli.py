@@ -18,9 +18,14 @@ Subcommands: eval, conjugate, verify, solve, convergence.  Commands raise;
        solution
 
 A config, and that --out is not an existing file, are checked before
-anything is solved or written.  Only solve and convergence import the
-solver, inside the functions that run them.  All floating-point output uses
-17 significant digits so fixed seeds give byte-identical output.
+anything is solved or written.  All floating-point output uses 17
+significant digits so fixed seeds give byte-identical output.
+
+Importing this module loads the envelope kernel, the file formats and
+numpy, which every command uses, and nothing else: solve and convergence
+import `envma.solver` inside the functions that run them, and verify loads
+`envma.verify` through `verify_envelope`.  Without cached bytecode every
+command compiles each line it loads, so each loads only what it runs.
 """
 
 from __future__ import annotations
@@ -34,13 +39,7 @@ import numpy as np
 
 from . import matio
 from . import matrixcore as mc
-from .envelope import (
-    PROPERTY_NAMES,
-    ThetaBox,
-    conjugate_maximizer,
-    envelope_eval,
-    verify_envelope,
-)
+from .envelope import ThetaBox, conjugate_maximizer, envelope_eval, verify_envelope
 from .errors import LinearSolveFailure, NoConvergence, NotPositiveDefinite, ParseError
 
 EXIT_OK = 0
@@ -105,6 +104,8 @@ def cmd_verify(args) -> int:
     report = verify_envelope(box, args.samples, args.seed)
     sys.stdout.write(report.format())
     if not report.all_pass:
+        from .verify import PROPERTY_NAMES
+
         # the earliest failing sample; on a tie, the first property of the report
         name = min(report.first_failure,
                    key=lambda k: (report.first_failure[k][0], PROPERTY_NAMES.index(k)))

@@ -36,30 +36,24 @@ over all rows per breakpoint of that equation) gives the values, and
 `envelope_batch` validates a real stack and calls both; the PDE solver
 builds A + iB from its stencil and calls the second only when it needs a
 policy.  `EnvelopeCertificate` holds one matrix's certificate or a stack's,
-and `envelope_eval` is row 0 of a stack of one.  The property checks and
-`ellipticity_gap` read values only: `_envelope_values` runs
-`herm_eigenvalues` and the value part of the kernel.
+and `envelope_eval` is row 0 of a stack of one.  `_envelope_values` runs
+`herm_eigenvalues` and the value part of the kernel alone.
 
-The random samples of those checks are drawn in blocks too
-(`draw_verify_block`): each drawn field of a sample has its own generator
-spawned from the seed, and one call draws a field for the whole block.
-`sample_in_box`, `sample_unitary` and `sample_psd` apply the same helpers
-to a stack of one, drawing every field from one generator.  Hermitian
-matrices, unitaries among them, are complex arrays throughout; `mc.embed`
-turns one into its real 2n x 2n form (a unitary into a J-commuting
-rotation).
+This module is the kernel every command runs.  What only checks it, the
+randomized property checks, the grid oracle and the ellipticity bounds,
+lives in `envma.verify`, which `verify_envelope` loads on its first call:
+without cached bytecode every command compiles each line it imports.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import matrixcore as mc
-from .errors import NoConvergence, NotPSD, ResolutionTooCoarse
+from .errors import NoConvergence
 
 _KKT_TOL = 1e-11
 # the smallest theta ThetaBox accepts: theta^2 underflows below it
@@ -68,8 +62,42 @@ _THETA_MIN = float(np.sqrt(np.finfo(float).tiny))
 _RUN_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class ThetaBox:
+class _Frozen:
+    """Base of an immutable value record: its fields are the names of
+    __slots__, each set once by __init__ through object.__setattr__, and
+    __init__ takes them in that order.  Records of one class with equal
+    fields are equal and hash equal."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable {type(self).__name__}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild a record through __init__, whose parameters
+        # are its fields in order: assignment would raise
+        return type(self), self._fields()
+
+
+class ThetaBox(_Frozen):
     """The spectral box [theta, 1/theta] in complex dimension n.
 
     theta is normalized to min(theta, 1/theta) on construction so the box is
@@ -77,26 +105,23 @@ class ThetaBox:
     kernel divides by theta^2, so theta must lie in [sqrt(tiny), 1/sqrt(tiny)].
     """
 
-    theta: float
-    n: int
+    __slots__ = ("theta", "n")
 
-    def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        t = float(self.theta)
+    def __init__(self, theta: float, n: int):
+        if int(n) < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
+        t = float(theta)
         if not _THETA_MIN <= t <= 1.0 / _THETA_MIN:
             raise ValueError(f"theta must lie in [{_THETA_MIN:.17g}, {1.0 / _THETA_MIN:.17g}], "
-                             f"got {self.theta}")
-        object.__setattr__(self, "n", n)
+                             f"got {theta}")
         object.__setattr__(self, "theta", min(t, 1.0 / t))
+        object.__setattr__(self, "n", int(n))
 
     @property
     def hi(self) -> float:
         return 1.0 / self.theta
 
 
-@dataclass(frozen=True)
 class EnvelopeCertificate:
     """Envelope value and optimal affine majorant of one matrix M or, each
     field stacked along a leading axis, of a stack; cert[i] is row i.
@@ -113,15 +138,16 @@ class EnvelopeCertificate:
     inner_max is the box point where the intercept constraint is tight.
     """
 
-    value: np.ndarray        # () or (N,)
-    slope_eigs: np.ndarray   # (n,) or (N, n)
-    intercept: np.ndarray    # () or (N,)
-    slope: np.ndarray        # (n, n) or (N, n, n), complex Hermitian
-    mu: np.ndarray           # (n,) or (N, n)
-    inner_max: np.ndarray    # (n,) or (N, n)
+    def __init__(self, value, slope_eigs, intercept, slope, mu, inner_max):
+        self.value = value              # () or (N,)
+        self.slope_eigs = slope_eigs    # (n,) or (N, n)
+        self.intercept = intercept      # () or (N,)
+        self.slope = slope              # (n, n) or (N, n, n), complex Hermitian
+        self.mu = mu                    # (n,) or (N, n)
+        self.inner_max = inner_max      # (n,) or (N, n)
 
     def __getitem__(self, i) -> EnvelopeCertificate:
-        return EnvelopeCertificate(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
+        return EnvelopeCertificate(**{name: field[i] for name, field in vars(self).items()})
 
 
 def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
@@ -163,11 +189,6 @@ def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
     if kkt > _KKT_TOL * max(1.0, hi):
         raise NoConvergence(f"conjugate KKT residual {kkt:g} for p={p}")
     return g, x
-
-
-def conjugate_intercept(p, box: ThetaBox) -> float:
-    """g(p): the minimal intercept making slope p majorize F on the box."""
-    return conjugate_maximizer(p, box)[0]
 
 
 def _clamped_median(t: np.ndarray, m: np.ndarray, box: ThetaBox) -> np.ndarray:
@@ -385,229 +406,6 @@ def envelope_eval(M, box: ThetaBox) -> EnvelopeCertificate:
     return envelope_batch(mc.as_symmetric(M)[np.newaxis], box)[0]
 
 
-def _max_minus_pairing(T: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """out[k, m] = max over j of T[m, j] - axis[k] * axis[j], in chunks of k
-    whose temporaries stay below 2^22 entries."""
-    out = np.empty((len(axis), T.shape[0]))
-    px = np.outer(axis, axis)
-    step = max(1, (1 << 22) // T.size)
-    for lo in range(0, len(axis), step):
-        hi = min(lo + step, len(axis))
-        out[lo:hi] = np.max(T[np.newaxis] - px[lo:hi, np.newaxis, :], axis=2)
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _brute_grids(theta: float, n: int, resolution: int):
-    """Slope grid and its exact discrete conjugate, cached per configuration.
-
-    The discrete conjugate g(p) = max over the grid points x of
-    (prod x)^{1/n} - p.x covers the whole product grid.  For n = 2 the
-    maximum is taken one coordinate at a time,
-    max_{x1} [max_{x2} (sqrt(x1 x2) - p2 x2) - p1 x1],
-    which costs resolution^3 instead of resolution^4 operations.
-    """
-    axis = np.linspace(theta, 1.0 / theta, resolution)
-    if n == 1:
-        return axis[:, np.newaxis], _max_minus_pairing(axis[np.newaxis], axis).ravel()
-    a, b = np.meshgrid(axis, axis, indexing="ij")
-    fx = np.outer(axis, axis) ** 0.5            # fx[i, j] = sqrt(x1_i x2_j)
-    inner = _max_minus_pairing(fx, axis)         # inner[k2, i]: max over x2
-    g = _max_minus_pairing(inner, axis)          # g[k1, k2]: then over x1
-    return np.column_stack([a.ravel(), b.ravel()]), g.ravel()
-
-
-def envelope_eval_bruteforce(M, box: ThetaBox, resolution: int) -> float:
-    """Grid-discretized envelope: an independent oracle for envelope_eval.
-
-    Discretizes both the slope box and the inner box on uniform grids with
-    `resolution` points per axis and takes min over slopes of
-    [pairing + discrete conjugate]; no eigen-ordering reduction is used (the
-    grid covers all slope orderings).  Accurate to O(1/resolution).
-    Supported for n <= 2 only (cost grows like resolution^{2n}).
-    """
-    if box.n > 2:
-        raise ValueError(f"brute force supports n <= 2, got n={box.n}")
-    if resolution < 8:
-        raise ResolutionTooCoarse(f"resolution must be >= 8, got {resolution}")
-    mu = mc.hermitian_eigs_of(M)
-    if mu.shape[0] != box.n:
-        raise ValueError(f"matrix has n={mu.shape[0]} but the box has n={box.n}")
-    pts, g = _brute_grids(box.theta, box.n, int(resolution))
-    return float(np.min(pts @ mu + g))
-
-
-def _gap_bounds(P: np.ndarray, box: ThetaBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, upper, ||P||) of the ellipticity bounds for a symmetric PSD
-    stack P of shape (N, 2n, 2n); raises NotPSD if any P is indefinite."""
-    wP = np.linalg.eigvalsh(P)
-    nrmP = np.max(np.abs(wP), axis=1)
-    bad = wP[:, 0] < -1e-12 * np.maximum(1.0, nrmP)
-    if bad.any():
-        raise NotPSD(f"perturbation has eigenvalue {wP[np.argmax(bad), 0]:g}")
-    nu_max = mc.herm_eigenvalues(mc.hermitian_blocks(P))[:, -1]
-    lower = box.theta * np.maximum(nu_max, 0.0)
-    upper = 2 * box.n * box.hi * nrmP
-    return lower, upper, nrmP
-
-
-def ellipticity_gap(M, P, box: ThetaBox) -> tuple[float, float, float]:
-    """(lower, gap, upper) for the increment gap = Ftilde(M+P) - Ftilde(M).
-
-    For P >= 0 the increment obeys
-
-        theta * lambda_max(proj P)  <=  gap  <=  (2n/theta) * ||P||,
-
-    with ||.|| the spectral norm.  The lower bound follows from slope
-    eigenvalues >= theta acting on the eigenvalue increments of proj(P); when
-    P itself commutes with J it strengthens to theta * ||P||.
-    """
-    M = mc.as_symmetric(M)
-    P = mc.as_symmetric(P)
-    lower, upper, _ = _gap_bounds(P[np.newaxis], box)
-    f, _ = _envelope_values(np.stack([M + P, M]), box)
-    return float(lower[0]), float(f[0] - f[1]), float(upper[0])
-
-
-# ---------------------------------------------------------------------------
-# randomized property verification
-# ---------------------------------------------------------------------------
-
-PROPERTY_NAMES = (
-    "concavity",
-    "domination",
-    "agreement",
-    "ellipticity",
-    "projection",
-    "rotation",
-)
-
-_PSD_KINDS = ("gram", "embedded", "rank1", "scalar")
-
-# samples drawn and checked per envelope_batch call in verify_envelope: large
-# enough that per-call overhead is negligible, small enough that the stacked
-# matrices and their temporaries stay small next to the interpreter (one
-# block of 1000 n=2 samples raised the peak resident memory by 10%)
-_VERIFY_BLOCK = 128
-
-
-@dataclass
-class PropertyReport:
-    """Outcome of randomized envelope checks; failures recorded, not thrown."""
-
-    box: ThetaBox
-    samples: int
-    seed: int
-    passed: dict = field(default_factory=dict)
-    failed: dict = field(default_factory=dict)
-    gap_ratio_min: float | None = None
-    gap_ratio_max: float | None = None
-    first_failure: dict = field(default_factory=dict)   # name: (sample, matrix checked)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v == 0 for v in self.failed.values())
-
-    def format(self) -> str:
-        lines = [
-            f"theta = {self.box.theta:.17g}",
-            f"n = {self.box.n}",
-            f"samples = {self.samples}",
-            f"seed = {self.seed}",
-        ]
-        for name in PROPERTY_NAMES:
-            lines.append(f"{name}_pass = {self.passed.get(name, 0)}")
-            lines.append(f"{name}_fail = {self.failed.get(name, 0)}")
-        if self.gap_ratio_min is not None:
-            lines.append(f"gap_over_spectral_norm_min = {self.gap_ratio_min:.17g}")
-            lines.append(f"gap_over_spectral_norm_max = {self.gap_ratio_max:.17g}")
-        lines.append(f"all_pass = {'true' if self.all_pass else 'false'}")
-        return "\n".join(lines) + "\n"
-
-
-def _symmetrized(S: np.ndarray, shift) -> np.ndarray:
-    """(S + S^T)/2 + shift*I for a stack S of shape (..., d, d) and shifts of
-    shape (...)."""
-    shift = np.asarray(shift)[..., np.newaxis, np.newaxis]
-    return (S + S.swapaxes(-1, -2)) / 2.0 + shift * np.eye(S.shape[-1])
-
-
-def _complex_gaussian(rng, m: int, n: int) -> np.ndarray:
-    """m complex Gaussian n x n matrices from one draw, the real and then the
-    imaginary part of each matrix in turn, so a matrix does not depend on how
-    many are drawn with it."""
-    g = rng.normal(size=(m, 2, n, n))
-    return g[:, 0] + 1j * g[:, 1]
-
-
-def _unitary(Z: np.ndarray) -> np.ndarray:
-    """Unitaries from a stack of complex Gaussians (..., n, n): the Q of the
-    QR decomposition with the phases of diag(R) moved into Q."""
-    Q, R = np.linalg.qr(Z)
-    ph = np.diagonal(R, axis1=-2, axis2=-1).copy()
-    ph = ph / np.abs(ph)
-    return Q * ph[..., np.newaxis, :].conj()
-
-
-def sample_unitary(rng, n: int) -> np.ndarray:
-    """Haar-ish random n x n unitary (QR of a complex Gaussian)."""
-    return _unitary(_complex_gaussian(rng, 1, n))[0]
-
-
-def _draw_in_box(rngs: tuple, box: ThetaBox, m: int) -> tuple:
-    """Draws of m in-box matrices: eigenvalues, eigenbasis Gaussians and
-    symmetric parts, from the three generators of rngs in turn."""
-    rng_mu, rng_Z, rng_S = rngs
-    n = box.n
-    return (rng_mu.uniform(box.theta, box.hi, size=(m, n)), _complex_gaussian(rng_Z, m, n),
-            rng_S.uniform(-1.0, 1.0, size=(m, 2 * n, 2 * n)))
-
-
-def _in_box(mu: np.ndarray, Z: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Stacked in-box matrices from the draws of `_draw_in_box`: the embedded
-    U diag(mu) U^H plus the J-anticommuting part of a symmetric matrix."""
-    U = _unitary(Z)
-    core = mc.embed(_hermitian_part((U * mu[..., np.newaxis, :]) @ U.conj().swapaxes(-1, -2)))
-    S = _symmetrized(S, 0.0)
-    return core + (S - mc.embed(mc.hermitian_blocks(S)))
-
-
-def sample_in_box(rng, box: ThetaBox) -> np.ndarray:
-    """Matrix whose projection has spectrum uniform in the box, plus a random
-    J-anticommuting component (which the envelope must ignore)."""
-    return _in_box(*_draw_in_box((rng, rng, rng), box, 1))[0]
-
-
-def _draw_psd(rng, d: int, kind: str, m: int) -> np.ndarray:
-    """Draws of m PSD perturbations of one kind, stacked along a leading axis."""
-    if kind == "gram":
-        return rng.uniform(-1.0, 1.0, size=(m, d, d))
-    if kind == "embedded":
-        return _complex_gaussian(rng, m, d // 2)
-    if kind == "rank1":
-        return rng.normal(size=(m, d))
-    if kind == "scalar":
-        return rng.uniform(0.1, 2.0, size=m)
-    raise ValueError(f"unknown psd kind {kind!r}")
-
-
-def _psd(kind: str, raw: np.ndarray, d: int) -> np.ndarray:
-    """Stacked PSD perturbations of one kind from a stack of `_draw_psd` draws."""
-    if kind == "gram":
-        return (raw @ raw.swapaxes(-1, -2)) / d
-    if kind == "embedded":
-        return mc.embed(_hermitian_part((raw @ raw.conj().swapaxes(-1, -2)) / (d // 2)))
-    if kind == "rank1":
-        row, col = raw[..., np.newaxis, :], raw[..., :, np.newaxis]
-        return (col * row) / (row @ col)
-    return raw[..., np.newaxis, np.newaxis] * np.eye(d)
-
-
-def sample_psd(rng, d: int, kind: str) -> np.ndarray:
-    """PSD perturbation of the requested kind."""
-    return _psd(kind, _draw_psd(rng, d, kind, 1), d)[0]
-
-
 def tangent_slope(mu) -> np.ndarray:
     """Gradient of (prod mu)^{1/n} at mu > 0 (last axis; stacks allowed): the
     slope of the supporting plane of F.  The envelope agrees with F exactly
@@ -622,141 +420,10 @@ def tangent_in_box(mu, box: ThetaBox, tol: float = 1e-12):
     return np.all((p >= box.theta - tol) & (p <= box.hi + tol), axis=-1)
 
 
-# the drawn fields of a verify sample, one generator each (verify_streams)
-_VERIFY_FIELDS = ("shift1", "S1", "shift2", "S2", "mu", "Z", "S", "Z_rot") + _PSD_KINDS
+def verify_envelope(box: ThetaBox, samples: int, seed: int):
+    """Randomized verification of the envelope's structural properties: the
+    `envma.verify.PropertyReport` of `envma.verify.run`, imported here so
+    that only the commands that verify compile the checks."""
+    from . import verify
 
-
-def verify_streams(seed: int) -> dict:
-    """One generator per field of _VERIFY_FIELDS, spawned from SeedSequence(seed)."""
-    children = np.random.SeedSequence(seed).spawn(len(_VERIFY_FIELDS))
-    return {name: np.random.default_rng(c) for name, c in zip(_VERIFY_FIELDS, children)}
-
-
-def draw_verify_block(streams: dict, box: ThetaBox, start: int, stop: int) -> dict:
-    """Samples start..stop-1 of a verify run, as stacks along a leading axis.
-
-    Sample idx consists of m1 and m2 (symmetric; m1 shifted by a random
-    multiple of I when idx is even, m2 when idx is divisible by 3), an in-box
-    matrix m_in, a PSD perturbation P of kind _PSD_KINDS[idx % 4] (its name
-    in P_kind) and a J-commuting rotation R.  Each drawn field has its own
-    generator in `streams` (see verify_streams), and one call draws it for
-    the whole block: the shifts for every sample, then masked, and each PSD
-    kind over its own rows.  Every generator is read in sample order, so a
-    sample does not depend on the block it falls in.
-    """
-    n, d, m = box.n, 2 * box.n, stop - start
-    idx = np.arange(start, stop)
-    shift1 = np.where(idx % 2 == 0, streams["shift1"].uniform(0.0, 3.0, size=m), 0.0)
-    m1 = _symmetrized(streams["S1"].uniform(-1.0, 1.0, size=(m, d, d)), shift1)
-    shift2 = np.where(idx % 3 == 0, streams["shift2"].uniform(0.0, 3.0, size=m), 0.0)
-    m2 = _symmetrized(streams["S2"].uniform(-1.0, 1.0, size=(m, d, d)), shift2)
-    P = np.empty((m, d, d))
-    for k, kind in enumerate(_PSD_KINDS):
-        rows = np.flatnonzero(idx % len(_PSD_KINDS) == k)
-        if rows.size:
-            P[rows] = _psd(kind, _draw_psd(streams[kind], d, kind, rows.size), d)
-    return {
-        "m1": m1,
-        "m2": m2,
-        "m_in": _in_box(*_draw_in_box((streams["mu"], streams["Z"], streams["S"]), box, m)),
-        "P": P,
-        "P_kind": tuple(_PSD_KINDS[i % len(_PSD_KINDS)] for i in range(start, stop)),
-        "R": mc.embed(_unitary(_complex_gaussian(streams["Z_rot"], m, n))),
-    }
-
-
-def _check_samples(box: ThetaBox, block: dict) -> dict:
-    """Property checks of a block of samples (see draw_verify_block),
-    vectorized over samples.
-
-    Returns, per property name, a boolean array of passes and an array of
-    flags saying where the property makes a claim, plus "gap_ratio" (NaN
-    where ||P|| = 0).  Each check's slack is relative to the values it
-    compares (`_magnitude`).  One `_envelope_values` call covers all seven
-    matrices of every sample: the checks read values and eigenvalues only.
-    """
-    m1, m2, m_in, R = block["m1"], block["m2"], block["m_in"], block["R"]
-    N = len(m1)
-    th, n = box.theta, box.n
-    P = mc.symmetric_stack(block["P"])
-    jc = np.array([kind in ("embedded", "scalar") for kind in block["P_kind"]], dtype=bool)
-    value, mu = _envelope_values(np.concatenate([
-        m1, m2, (m1 + m2) / 2.0, m_in, m1 + P,
-        mc.embed(mc.hermitian_blocks(m1)), R @ m1 @ R.swapaxes(1, 2),
-    ]), box)
-    f1, f2, fmid, ften, f1p, fp, fr = value.reshape(7, N)
-    claims = np.ones(N, dtype=bool)
-    out = {}
-    out["concavity"] = (fmid >= (f1 + f2) / 2.0 - 1e-9 * _magnitude(f1, f2, fmid), claims)
-
-    mu = mu[3 * N:4 * N]
-    pos = mu[:, 0] > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fval = np.exp(np.mean(np.log(np.maximum(mu, 1e-300)), axis=1))
-        tangent = pos & tangent_in_box(mu, box)
-    out["domination"] = (~pos | (ften >= fval - 1e-9 * _magnitude(ften, fval)), claims)
-    # where the tangent slope leaves the box the envelope makes no claim
-    out["agreement"] = (np.abs(ften - fval) <= 1e-8 * np.maximum(1.0, np.abs(fval)), tangent)
-
-    lower, upper, nrm = _gap_bounds(P, box)
-    gap = f1p - f1
-    slack = 1e-9 * _magnitude(f1p, f1)
-    ok = (lower - slack <= gap) & (gap <= upper + slack)
-    # J-commuting perturbations enjoy the stronger theta*||P|| bound
-    ok &= ~jc | (gap >= th * nrm - slack)
-    out["ellipticity"] = (ok, claims)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out["gap_ratio"] = np.where(nrm > 0, gap / nrm, np.nan)
-
-    out["projection"] = (np.abs(f1 - fp) <= 1e-10 * _magnitude(f1), claims)
-    out["rotation"] = (np.abs(f1 - fr) <= 1e-9 * _magnitude(f1), claims)
-    return out
-
-
-def _magnitude(*values: np.ndarray) -> np.ndarray:
-    """max(1, |v|) over the compared values v: the scale of their rounding."""
-    return functools.reduce(np.maximum, map(np.abs, values), 1.0)
-
-
-def verify_envelope(box: ThetaBox, samples: int, seed: int) -> PropertyReport:
-    """Randomized verification of the envelope's structural properties.
-
-    Draws `samples` deterministic samples and checks midpoint concavity,
-    domination/agreement on the box, the two-sided ellipticity bounds,
-    projection factorization and rotation invariance.  Samples are drawn as
-    stacks and checked in blocks of _VERIFY_BLOCK (`draw_verify_block`), so
-    memory stays bounded and the report does not depend on the block size.
-    Raises ValueError, before drawing anything, when box.n exceeds
-    MAX_DIM // 2 or samples or seed is negative.
-    """
-    if box.n > mc.MAX_DIM // 2:
-        raise ValueError(f"n={box.n} exceeds the supported maximum {mc.MAX_DIM // 2}")
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    report = PropertyReport(box=box, samples=samples, seed=seed)
-    for name in PROPERTY_NAMES:
-        report.passed[name] = 0
-        report.failed[name] = 0
-    streams = verify_streams(seed)
-    ratios = []
-    for start in range(0, samples, _VERIFY_BLOCK):
-        block = draw_verify_block(streams, box, start, min(start + _VERIFY_BLOCK, samples))
-        res = _check_samples(box, block)
-        for name in PROPERTY_NAMES:
-            ok, claims = res[name]
-            report.passed[name] += int(np.sum(ok & claims))
-            fails = np.flatnonzero(~ok & claims)
-            report.failed[name] += len(fails)
-            if len(fails) and name not in report.first_failure:
-                # the counterexample is the matrix the check evaluates:
-                # m_in for domination and agreement, m1 for the others
-                M = block["m_in" if name in ("domination", "agreement") else "m1"]
-                report.first_failure[name] = (start + int(fails[0]), M[fails[0]])
-        ratios.append(res["gap_ratio"][np.isfinite(res["gap_ratio"])])
-    ratios = np.concatenate(ratios) if ratios else np.empty(0)
-    if ratios.size:
-        report.gap_ratio_min = float(np.min(ratios))
-        report.gap_ratio_max = float(np.max(ratios))
-    return report
+    return verify.run(box, samples, seed)

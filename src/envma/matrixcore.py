@@ -177,14 +177,9 @@ def _eig2(Z: np.ndarray, vectors: bool):
     return mu, U
 
 
-def hermitian_eigs_stack(m) -> np.ndarray:
-    """Eigenvalues (ascending) of extract(proj(M)) for a stack, shape (N, n)."""
-    return herm_eigenvalues(hermitian_blocks(symmetric_stack(m)))
-
-
 def hermitian_eigs_of(M) -> np.ndarray:
     """Eigenvalues (ascending) of the Hermitian part extract(proj(M))."""
-    return hermitian_eigs_stack(as_symmetric(M)[np.newaxis])[0]
+    return herm_eigenvalues(hermitian_blocks(as_symmetric(M)))
 
 
 def geometric_mean(x) -> float:

@@ -36,31 +36,29 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import matrixcore as mc
 from .envelope import (EnvelopeCertificate, ThetaBox, _certify_policy, _certify_values,
-                       tangent_in_box)
+                       _Frozen, tangent_in_box)
 from .errors import LinearSolveFailure
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform tensor grid on the rectangle [lo, hi] in R^{2n}."""
 
-    n: int
-    lo: tuple
-    hi: tuple
-    points_per_axis: int
+class GridSpec(_Frozen):
+    """Uniform tensor grid on the rectangle [lo, hi] in R^{2n}: an immutable
+    value, the cache key of `_hessian_stencil` and `_sine_basis`."""
 
-    def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lo))
-        hi = tuple(float(v) for v in np.atleast_1d(self.hi))
+    __slots__ = ("n", "lo", "hi", "points_per_axis")
+
+    def __init__(self, n: int, lo, hi, points_per_axis: int):
+        lo = tuple(float(v) for v in np.atleast_1d(lo))
+        hi = tuple(float(v) for v in np.atleast_1d(hi))
+        object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "points_per_axis", int(self.points_per_axis))
+        object.__setattr__(self, "points_per_axis", int(points_per_axis))
         d = 2 * self.n
         if len(lo) != d or len(hi) != d:
             raise ValueError(f"domain corners must have length {d}")
@@ -100,18 +98,14 @@ class GridSpec:
         return np.meshgrid(*axes, indexing="ij")
 
 
-@dataclass
 class ScalarField:
     """Grid function; the boundary layer carries Dirichlet data."""
 
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        self.values = v
+    def __init__(self, grid: GridSpec, values):
+        v = np.asarray(values, dtype=float)
+        if v.shape != grid.shape:
+            raise ValueError(f"values shape {v.shape} != grid shape {grid.shape}")
+        self.grid, self.values = grid, v
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
@@ -123,15 +117,17 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-@dataclass
 class SolveReport:
-    iterations: int = 0
-    converged: bool = False
-    final_residual: float = float("inf")
-    residual_history: list = field(default_factory=list)
-    krylov_steps: list = field(default_factory=list)   # per Howard iteration, over its cycles
-    wall_time_s: float = 0.0
-    residual: ScalarField | None = None   # Ftilde(D^2 u) - g of the returned u
+    """What `solve_dirichlet` reports besides the solution and its policy."""
+
+    def __init__(self):
+        self.iterations = 0
+        self.converged = False
+        self.final_residual = float("inf")
+        self.residual_history = []
+        self.krylov_steps = []                       # per Howard iteration, over its cycles
+        self.wall_time_s = 0.0
+        self.residual: ScalarField | None = None     # Ftilde(D^2 u) - g of the returned u
 
 
 def transfinite_interpolation(boundary: ScalarField) -> np.ndarray:
@@ -227,15 +223,14 @@ def residual_field(u: ScalarField, g: ScalarField, box: ThetaBox) -> ScalarField
     return _residual_of(u, g, _certify_values(_hermitian_stack(u), box)[0])
 
 
-@dataclass(frozen=True)
 class _StencilOperator:
     """Matrix-free x -> sum_k coeffs[k] * (x^[+shifts[k]] + x^[-shifts[k]])
     at the interior points (shifts as in `_hessian_stencil`), where x^ is x
     padded with a zero boundary layer."""
 
-    grid: GridSpec
-    shifts: tuple
-    coeffs: np.ndarray   # (len(shifts),) + grid.interior_shape, or one number per shift
+    def __init__(self, grid: GridSpec, shifts: tuple, coeffs):
+        self.grid, self.shifts = grid, shifts
+        self.coeffs = coeffs   # (len(shifts),) + grid.interior_shape, or one number per shift
 
     @functools.cached_property
     def neighbours(self) -> tuple:
@@ -508,8 +503,7 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     return ScalarField(grid, best[1]), best[2], report
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     points_per_axis: int
     h: float
     max_error: float
@@ -537,8 +531,7 @@ def convergence_study(make_problem, refinements) -> list[ConvergenceRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     theta: float
     fraction_in_box: float
     min_eig: float

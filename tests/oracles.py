@@ -1,12 +1,13 @@
 """Reference forms the tests check envma against: one-matrix envelope
-values, the trace pairing, the spectral norm, a random symmetric draw and
-the slope averaging over equal-eigenvalue runs done on every row.  No
-command needs them, so they live beside the tests, not in the package."""
+values, the conjugate intercept g(p) alone, the trace pairing, the spectral
+norm, a random symmetric draw and the slope averaging over equal-eigenvalue
+runs done on every row.  No command needs them, so they live beside the
+tests, not in the package."""
 
 import numpy as np
 
 from envma import matrixcore as mc
-from envma.envelope import _RUN_TOL, _row_sum, envelope_batch
+from envma.envelope import _RUN_TOL, _row_sum, conjugate_maximizer, envelope_batch
 
 
 def sample_symmetric(rng, d: int, shift: float = 0.0) -> np.ndarray:
@@ -18,6 +19,11 @@ def sample_symmetric(rng, d: int, shift: float = 0.0) -> np.ndarray:
 def envelope_value(M, box) -> float:
     """Ftilde(M): the envelope value of one matrix."""
     return float(envelope_batch(mc.as_symmetric(M)[np.newaxis], box).value[0])
+
+
+def conjugate_intercept(p, box) -> float:
+    """g(p): the minimal intercept making slope p majorize F on the box."""
+    return conjugate_maximizer(p, box)[0]
 
 
 def trace_inner(A, B) -> float:

@@ -11,14 +11,7 @@ import time
 import numpy as np
 
 from envma import matrixcore as mc
-from envma.envelope import (
-    ThetaBox,
-    conjugate_intercept,
-    ellipticity_gap,
-    envelope_eval_bruteforce,
-    sample_in_box,
-    sample_psd,
-)
+from envma.envelope import ThetaBox
 from envma.solver import (
     GridSpec,
     ScalarField,
@@ -27,7 +20,8 @@ from envma.solver import (
     convergence_study,
     solve_dirichlet,
 )
-from oracles import envelope_value, sample_symmetric, spectral_norm
+from envma.verify import ellipticity_gap, envelope_eval_bruteforce, sample_in_box, sample_psd
+from oracles import conjugate_intercept, envelope_value, sample_symmetric, spectral_norm
 
 THETAS = (0.3, 0.5, 0.9)
 SEED = 20240810

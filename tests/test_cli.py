@@ -1,5 +1,6 @@
 """Command-line interface tests: outputs and exit codes."""
 
+import ast
 import gc
 import importlib
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import envma
 import envma.cli
-from envma import envelope, matio, solver
+from envma import envelope, matio, solver, verify
 from envma.cli import main
 
 QUAD_CFG = """\
@@ -240,7 +241,7 @@ class TestVerify:
         # domination and agreement fail at sample 5, concavity at sample 8:
         # the earliest sample wins, a tie goes to the report's first property,
         # and the counterexample is the in-box matrix those checks evaluate
-        check = envelope._check_samples
+        check = verify._check_samples
         seen = {}
 
         def failing(box, block):
@@ -252,7 +253,7 @@ class TestVerify:
             seen.update(m_in=block["m_in"][5], m1=block["m1"][5])
             return out
 
-        monkeypatch.setattr(envelope, "_check_samples", failing)
+        monkeypatch.setattr(verify, "_check_samples", failing)
         code, out, _ = run_main(capsys, ["verify", "--theta", "0.5", "--n", "2",
                                          "--samples", "10", "--seed", "3"])
         assert code == 1
@@ -665,8 +666,43 @@ sys.exit(code)
 """
 
 
+STARTUP = """\
+import sys
+import numpy
+before = set(sys.modules)
+import envma.cli, envma.solver
+print(sorted(set(sys.modules) - before))
+code = envma.cli.main(sys.argv[1:])
+print("envma.verify" in sys.modules)
+sys.exit(code)
+"""
+
+
 class TestImports:
-    """envma needs numpy alone, and verify, eval and conjugate load no solver."""
+    """envma needs numpy alone, verify, eval and conjugate load no solver, and
+    only verify loads the checks of `envma.verify`."""
+
+    def test_startup_loads_neither_dataclasses_nor_the_checks(self, tmp_path):
+        mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")
+        for args, verifies in ((["eval", "--matrix", mat, "--theta", "0.5"], False),
+                               (["verify", "--theta", "0.5", "--n", "2", "--samples", "20",
+                                 "--seed", "3"], True)):
+            proc = subprocess.run([sys.executable, "-c", STARTUP, *args],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (args, proc.stderr)
+            lines = proc.stdout.splitlines()
+            loaded = ast.literal_eval(lines[0])
+            assert "envma.solver" in loaded
+            assert "dataclasses" not in loaded and "envma.verify" not in loaded
+            assert lines[-1] == str(verifies), args
+
+    def test_verify_names_resolve_to_the_verify_module(self):
+        assert envma._EXPORTS["verify"] == ("PropertyReport", "ellipticity_gap",
+                                            "envelope_eval_bruteforce")
+        for name in envma._EXPORTS["verify"]:
+            assert getattr(envma, name) is getattr(verify, name)
+        assert envma.verify is verify
+        assert "conjugate_intercept" not in envma.__all__
 
     def test_commands_run_with_scipy_blocked(self, tmp_path):
         mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")

@@ -9,21 +9,24 @@ import pytest
 
 from envma import envelope
 from envma import matrixcore as mc
+from envma import verify
 from envma.envelope import (
     ThetaBox,
-    conjugate_intercept,
     conjugate_maximizer,
-    ellipticity_gap,
     envelope_eval,
-    envelope_eval_bruteforce,
-    sample_in_box,
-    sample_psd,
-    sample_unitary,
     tangent_in_box,
     verify_envelope,
 )
 from envma.errors import NotPSD, ResolutionTooCoarse
-from oracles import envelope_value, sample_symmetric, spectral_norm, trace_inner
+from envma.verify import (
+    ellipticity_gap,
+    envelope_eval_bruteforce,
+    sample_in_box,
+    sample_psd,
+    sample_unitary,
+)
+from oracles import (conjugate_intercept, envelope_value, sample_symmetric, spectral_norm,
+                     trace_inner)
 
 BOX1 = ThetaBox(0.5, 1)
 BOX2 = ThetaBox(0.5, 2)
@@ -191,7 +194,7 @@ class TestOracleEquivalence:
             pts = np.array(list(itertools.product(axis, repeat=n)))
             fx = np.prod(pts, axis=1) ** (1.0 / n)
             direct = np.max(fx[np.newaxis, :] - pts @ pts.T, axis=1)
-            grid_pts, g = envelope._brute_grids(theta, n, res)
+            grid_pts, g = verify._brute_grids(theta, n, res)
             assert np.array_equal(grid_pts, pts)
             assert np.max(np.abs(g - direct)) <= 1e-15
 
