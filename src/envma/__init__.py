@@ -40,7 +40,6 @@ _EXPORTS = {
         "builtin_solution",
         "check_premises",
         "convergence_study",
-        "residual_field",
         "solve_dirichlet",
     ),
     "verify": (

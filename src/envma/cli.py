@@ -237,20 +237,16 @@ def cmd_convergence(args) -> int:
 
     grids, box, _, _, kwargs, bnd_spec = _load_problem(args.config, study=True)
     _check_out(args.out)
-    grids = {grid.points_per_axis: grid for grid in grids}
-    u_fn, g_fn = sv.builtin_solution(bnd_spec, box.n)
-
-    def make_problem(P):
-        grid = grids[P]
+    u_fn, _ = sv.builtin_solution(bnd_spec, box.n)
+    for grid in grids:
         exact = sv.ScalarField.from_function(grid, u_fn)
         outside = sv.check_premises(exact, box.theta, box.hi).outside_tangency
         if outside:
+            P = grid.points_per_axis
             print(f"warning: refinement {P}: the exact u leaves the tangency region at {outside} "
                   f"of {(P - 2) ** grid.dim} interior points, where g is not Ftilde(D^2 u)",
                   file=sys.stderr)
-        return (grid, exact, sv.ScalarField.from_function(grid, g_fn), box, exact, kwargs)
-
-    text = matio.convergence_csv(sv.convergence_study(make_problem, list(grids)))
+    text = matio.convergence_csv(sv.convergence_study(grids, box, bnd_spec, **kwargs))
     _write(args.out, {"convergence.csv": text})
     sys.stdout.write(text)
     return EXIT_OK

@@ -36,8 +36,8 @@ over all rows per breakpoint of that equation) gives the values, and
 `envelope_batch` validates a real stack and calls both; the PDE solver
 builds A + iB from its stencil and calls the second only when it needs a
 policy.  `EnvelopeCertificate` holds one matrix's certificate or a stack's,
-and `envelope_eval` is row 0 of a stack of one.  `_envelope_values` runs
-`herm_eigenvalues` and the value part of the kernel alone.
+and `envelope_eval` is row 0 of a stack of one.  The checks of
+`envma.verify` read values and eigenvalues from `_certify_values` alone.
 
 This module is the kernel every command runs.  What only checks it, the
 randomized property checks, the grid oracle and the ellipticity bounds,
@@ -337,16 +337,6 @@ def _hermitian_parts(H_stack, box: ThetaBox) -> np.ndarray:
     if n != box.n:
         raise ValueError(f"matrix has n={n} but the box has n={box.n}")
     return mc.hermitian_blocks(S)
-
-
-def _envelope_values(H_stack, box: ThetaBox) -> tuple[np.ndarray, np.ndarray]:
-    """(value, mu) of `envelope_batch` with no slopes: `herm_eigenvalues`
-    instead of `herm_eigensystem`, and the value core of the saddle alone.
-    The eigenvalues, and so the values, are those of `envelope_batch` for
-    n <= 2 (the same closed form at n = 2) and agree with them to rounding
-    for larger n (LAPACK's `eigvalsh` against its `eigh`)."""
-    mu = mc.herm_eigenvalues(_hermitian_parts(H_stack, box))
-    return _saddle_values(mu, box)[0], mu
 
 
 # rows per kernel call: the per-call overhead stays small next to the work,

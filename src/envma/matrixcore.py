@@ -3,11 +3,11 @@ of n x n Hermitian matrices into 2n x 2n real symmetric matrices, the trace
 projection onto the J-commuting subspace, determinant-root evaluation, and
 the Hermitian eigen-reduction of stacks of symmetric matrices.
 
-`herm_eigensystem` and `herm_eigenvalues` are the package's one Hermitian
-eigensolver: at n = 2 one closed-form plane rotation per matrix, vectorized
-over the stack with the arithmetic of LAPACK's zlaev2/dlaev2; for every
-other n one LAPACK `eigh`/`eigvalsh` call on the complex stack A + iB.
-Neither loops over matrices.
+`herm_eigensystem` is the package's one Hermitian eigensolver: at n = 2 one
+closed-form plane rotation per matrix, vectorized over the stack with the
+arithmetic of LAPACK's zlaev2/dlaev2; for every other n one LAPACK `eigh`
+call on the complex stack A + iB.  It does not loop over matrices, and a
+caller that needs only eigenvalues takes its first output.
 
 Conventions
 -----------
@@ -131,18 +131,10 @@ def herm_eigensystem(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix in closed form (`_eig2`); `np.linalg.eigh` for every other n."""
     if Z.shape[-1] != 2:
         return np.linalg.eigh(Z)
-    return _eig2(Z, vectors=True)
+    return _eig2(Z)
 
 
-def herm_eigenvalues(Z: np.ndarray) -> np.ndarray:
-    """The eigenvalues of `herm_eigensystem` without eigenvectors: bit for
-    bit the same for n <= 2, `np.linalg.eigvalsh` (equal to rounding) above."""
-    if Z.shape[-1] != 2:
-        return np.linalg.eigvalsh(Z)
-    return _eig2(Z, vectors=False)
-
-
-def _eig2(Z: np.ndarray, vectors: bool):
+def _eig2(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of 2 x 2 Hermitian matrices [[a, conj(b)], [b, c]] with
     the arithmetic of LAPACK's zlaev2/dlaev2, halved so that finite
     eigenvalues stay finite.  Z = D R D^H with D = diag(1, w), w = b/|b|, and
@@ -163,8 +155,6 @@ def _eig2(Z: np.ndarray, vectors: bool):
                        - (ab / rt1) * ab, -rt)
         # sorted, as LAPACK sorts: near a double eigenvalue rounding may swap them
         mu = np.stack([np.minimum(rt1, rt2), np.maximum(rt1, rt2)], axis=-1)
-        if not vectors:
-            return mu
         s, tb = 0.5 * rt + 0.5 * np.abs(df), 0.5 * ab
         h = np.hypot(tb, s)   # 0 only for a scalar matrix, where U = I
         x = np.where(h > 0.0, np.where(df >= 0.0, -tb, s) / h, 1.0)
@@ -179,7 +169,7 @@ def _eig2(Z: np.ndarray, vectors: bool):
 
 def hermitian_eigs_of(M) -> np.ndarray:
     """Eigenvalues (ascending) of the Hermitian part extract(proj(M))."""
-    return herm_eigenvalues(hermitian_blocks(as_symmetric(M)))
+    return herm_eigensystem(hermitian_blocks(as_symmetric(M)))[0]
 
 
 def geometric_mean(x) -> float:

@@ -202,25 +202,12 @@ def _hermitian_stack(u: ScalarField) -> np.ndarray:
     return Z
 
 
-def _check_box(grid: GridSpec, box: ThetaBox) -> None:
-    if box.n != grid.n:
-        raise ValueError(f"grid has n={grid.n} but the box has n={box.n}")
-
-
 def _residual_of(u: ScalarField, g: ScalarField, values: np.ndarray) -> ScalarField:
     """Envelope values at the interior points minus g; zero on the boundary."""
     grid = u.grid
     out = np.zeros(grid.shape)
     out[grid.interior()] = values.reshape(grid.interior_shape) - g.values[grid.interior()]
     return ScalarField(grid, out)
-
-
-def residual_field(u: ScalarField, g: ScalarField, box: ThetaBox) -> ScalarField:
-    """Ftilde(D^2 u) - g at interior points; zero on the boundary layer."""
-    if u.grid != g.grid:
-        raise ValueError("u and g live on different grids")
-    _check_box(u.grid, box)
-    return _residual_of(u, g, _certify_values(_hermitian_stack(u), box)[0])
 
 
 class _StencilOperator:
@@ -456,8 +443,9 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     values give the residual and, only when another iteration follows, the
     slopes and intercepts give the next policy.  The frozen-policy
     coefficient matrices have spectrum in [theta/2, 1/(2 theta)], so each
-    evaluation is well posed.  Raises ValueError, before any work, when the
-    box and the grid differ in n.  On hitting
+    evaluation is well posed.  Raises ValueError, before any work, when
+    boundary or g lives on a grid other than `grid`, or when the box and the
+    grid differ in n.  On hitting
     `max_iter` the best iterate is returned with report.converged = False;
     report.residual is the residual field of the returned iterate, and the
     returned policy (one row per interior point) the one it was solved with.
@@ -468,7 +456,11 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         raise ValueError(f"maxIter must be >= 1, got {max_iter}")
     if not np.all(np.isfinite(boundary.values)) or not np.all(np.isfinite(g.values)):
         raise ValueError("boundary and right-hand side must be finite")
-    _check_box(grid, box)
+    for name, field in (("boundary", boundary), ("g", g)):
+        if field.grid != grid:
+            raise ValueError(f"{name} lives on {field.grid!r}, not on the solve's grid {grid!r}")
+    if box.n != grid.n:
+        raise ValueError(f"grid has n={grid.n} but the box has n={box.n}")
     start = time.perf_counter()
     u = ScalarField(grid, transfinite_interpolation(boundary))
     core = grid.interior()
@@ -510,23 +502,24 @@ class ConvergenceRow(NamedTuple):
     observed_order: float | None
 
 
-def convergence_study(make_problem, refinements) -> list[ConvergenceRow]:
-    """Solve at each refinement and report max errors and observed orders.
-
-    `make_problem(points_per_axis)` must return a tuple
-    (grid, boundary, g, box, exact_field, solver_kwargs).
+def convergence_study(grids, box: ThetaBox, name: str, **solver_kwargs) -> list[ConvergenceRow]:
+    """Solve the built-in problem `name` (see `builtin_solution`) on each
+    grid in turn, with the exact solution as boundary data, and report max
+    errors and observed orders; solver_kwargs go to `solve_dirichlet`.
     """
+    u_fn, g_fn = builtin_solution(name, box.n)
     rows = []
     prev = None
-    for P in refinements:
-        grid, boundary, g, box, exact, kwargs = make_problem(int(P))
-        u, _, report = solve_dirichlet(grid, boundary, g, box, **kwargs)
+    for grid in grids:
+        exact = ScalarField.from_function(grid, u_fn)
+        u, _, _ = solve_dirichlet(grid, exact, ScalarField.from_function(grid, g_fn), box,
+                                  **solver_kwargs)
         err = float(np.max(np.abs(u.values - exact.values)))
         h = float(np.max(grid.spacing))
         order = None
         if prev is not None and err > 0.0 and prev[1] > 0.0:
             order = float(np.log2(prev[1] / err) / np.log2(prev[0] / h))
-        rows.append(ConvergenceRow(int(P), h, err, order))
+        rows.append(ConvergenceRow(grid.points_per_axis, h, err, order))
         prev = (h, err)
     return rows
 
@@ -550,7 +543,7 @@ def check_premises(u: ScalarField, lam: float, Lam: float,
     F leaves the box, so that F(D^2_h u) need not be Ftilde(D^2_h u).
     """
     theta = mc.admissible_theta(lam, Lam)
-    mu = mc.herm_eigenvalues(_hermitian_stack(u))
+    mu = mc.herm_eigensystem(_hermitian_stack(u))[0]
     inside = (mu[:, 0] >= theta - tol) & (mu[:, -1] <= 1.0 / theta + tol)
     tangent = inside.copy()
     tangent[inside] = tangent_in_box(mu[inside], ThetaBox(theta, u.grid.n))

@@ -15,8 +15,7 @@ and one call draws a field for the whole block.  `sample_in_box`,
 drawing every field from one generator.  Hermitian matrices, unitaries among
 them, are complex arrays throughout; `mc.embed` turns one into its real
 2n x 2n form (a unitary into a J-commuting rotation).  The checks read
-values only: `envelope._envelope_values` runs `herm_eigenvalues` and the
-value part of the kernel.
+values and eigenvalues only, from the kernel's `envelope._certify_values`.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ def _gap_bounds(P: np.ndarray,
     bad = wP[:, 0] < -1e-12 * np.maximum(1.0, nrmP)
     if bad.any():
         raise NotPSD(f"perturbation has eigenvalue {wP[np.argmax(bad), 0]:g}")
-    nu_max = mc.herm_eigenvalues(mc.hermitian_blocks(P))[:, -1]
+    nu_max = mc.herm_eigensystem(mc.hermitian_blocks(P))[0][:, -1]
     lower = box.theta * np.maximum(nu_max, 0.0)
     upper = 2 * box.n * box.hi * nrmP
     return lower, upper, nrmP
@@ -115,7 +114,7 @@ def ellipticity_gap(M, P, box: envelope.ThetaBox) -> tuple[float, float, float]:
     M = mc.as_symmetric(M)
     P = mc.as_symmetric(P)
     lower, upper, _ = _gap_bounds(P[np.newaxis], box)
-    f, _ = envelope._envelope_values(np.stack([M + P, M]), box)
+    f, _ = envelope._certify_values(envelope._hermitian_parts(np.stack([M + P, M]), box), box)
     return float(lower[0]), float(f[0] - f[1]), float(upper[0])
 
 
@@ -134,7 +133,7 @@ PROPERTY_NAMES = (
 
 _PSD_KINDS = ("gram", "embedded", "rank1", "scalar")
 
-# samples drawn and checked per `_envelope_values` call in `run`: large
+# samples drawn and checked per `_certify_values` call in `run`: large
 # enough that per-call overhead is negligible, small enough that the stacked
 # matrices and their temporaries stay small next to the interpreter (one
 # block of 1000 n=2 samples raised the peak resident memory by 10%)
@@ -310,24 +309,25 @@ def _check_samples(box: envelope.ThetaBox, block: dict) -> dict:
     Returns, per property name, a boolean array of passes and an array of
     flags saying where the property makes a claim, plus "gap_ratio" (NaN
     where ||P|| = 0).  Each check's slack is relative to the values it
-    compares (`_magnitude`).  One `_envelope_values` call covers all seven
-    matrices of every sample: the checks read values and eigenvalues only.
+    compares (`_magnitude`).  One `_certify_values` call covers all seven
+    matrices of every sample; the checks read its values and eigenvalues and
+    form no certificates.
     """
     m1, m2, m_in, R = block["m1"], block["m2"], block["m_in"], block["R"]
     N = len(m1)
     th, n = box.theta, box.n
     P = mc.symmetric_stack(block["P"])
     jc = np.array([kind in ("embedded", "scalar") for kind in block["P_kind"]], dtype=bool)
-    value, mu = envelope._envelope_values(np.concatenate([
+    value, state = envelope._certify_values(envelope._hermitian_parts(np.concatenate([
         m1, m2, (m1 + m2) / 2.0, m_in, m1 + P,
         mc.embed(mc.hermitian_blocks(m1)), R @ m1 @ R.swapaxes(1, 2),
-    ]), box)
+    ]), box), box)
     f1, f2, fmid, ften, f1p, fp, fr = value.reshape(7, N)
     claims = np.ones(N, dtype=bool)
     out = {}
     out["concavity"] = (fmid >= (f1 + f2) / 2.0 - 1e-9 * _magnitude(f1, f2, fmid), claims)
 
-    mu = mu[3 * N:4 * N]
+    mu = state[1][3 * N:4 * N]
     pos = mu[:, 0] > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         fval = np.exp(np.mean(np.log(np.maximum(mu, 1e-300)), axis=1))

@@ -183,15 +183,8 @@ def test_criterion_6_quadratic_exactness():
 
 
 def test_criterion_7_convergence_order():
-    u_fn, g_fn = builtin_solution("quartic_radial", 1)
-    box = ThetaBox(1.0 / 16.0, 1)
-
-    def make_problem(P):
-        grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), P)
-        bnd = ScalarField.from_function(grid, u_fn)
-        return grid, bnd, ScalarField.from_function(grid, g_fn), box, bnd, {}
-
-    rows = convergence_study(make_problem, [17, 33, 65])
+    grids = [GridSpec(1, (1.0, 1.0), (2.0, 2.0), P) for P in (17, 33, 65)]
+    rows = convergence_study(grids, ThetaBox(1.0 / 16.0, 1), "quartic_radial")
     orders = [r.observed_order for r in rows[1:]]
     for o in orders:
         assert o is not None and o >= 1.8, orders

@@ -455,17 +455,17 @@ class TestVerifyEnvelope:
 
     @pytest.mark.parametrize("theta", [0.5, 1e-8])
     def test_relative_concavity_violation_is_reported(self, theta, monkeypatch):
-        values = envelope._envelope_values
+        values = envelope._certify_values
 
-        def violated_midpoints(H_stack, box):
+        def violated_midpoints(Z, box):
             # the midpoint value 1e-6 of the values' magnitude below the chord
-            value, mu = values(H_stack, box)
+            value, state = values(Z, box)
             f1, f2, fmid = value.reshape(7, -1)[:3]
             fmid[:] = (f1 + f2) / 2.0 - 1e-6 * np.maximum.reduce([np.ones_like(f1), abs(f1),
                                                                    abs(f2), abs(fmid)])
-            return value, mu
+            return value, state
 
-        monkeypatch.setattr(envelope, "_envelope_values", violated_midpoints)
+        monkeypatch.setattr(envelope, "_certify_values", violated_midpoints)
         report = verify_envelope(ThetaBox(theta, 2), samples=40, seed=1)
         assert report.failed["concavity"] == 40
         assert report.failed["domination"] == 0

@@ -15,7 +15,6 @@ from envma.envelope import (
     _average_equal_runs,
     _certify_policy,
     _certify_values,
-    _envelope_values,
     _fixed_point,
     _inner_max,
     _saddle_values,
@@ -24,7 +23,7 @@ from envma.envelope import (
     envelope_eval,
 )
 from envma.errors import NoConvergence
-from envma.verify import envelope_eval_bruteforce, sample_in_box, sample_unitary
+from envma.verify import ellipticity_gap, envelope_eval_bruteforce, sample_in_box, sample_unitary
 from oracles import average_equal_runs_all_rows, envelope_value, sample_symmetric
 
 THETAS = (1e-8, 0.3, 1.0)
@@ -75,7 +74,7 @@ def mixed_stack(rng, box):
 
 
 def det_root_stack(X):
-    mu = mc.herm_eigenvalues(mc.hermitian_blocks(mc.symmetric_stack(X)))
+    mu = mc.herm_eigensystem(mc.hermitian_blocks(mc.symmetric_stack(X)))[0]
     return np.exp(np.mean(np.log(mu), axis=1))
 
 
@@ -201,6 +200,25 @@ def test_slope_matrix_independent_of_eigenbasis(theta, mus):
             assert abs(pairing - b.value[i]) <= 1e-12 * max(1.0, box.hi * max(mu))
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: at n = 3 the slopes of a repeated "
+                   "eigenvalue on a box face follow the rounding of the eigenvalues")
+def test_n3_double_eigenvalue_on_a_box_face_slope_independent_of_eigenbasis():
+    # the construction of test_slope_matrix_independent_of_eigenbasis at
+    # mu = (theta, theta, 1): the two computed spectra fall on either side
+    # of the face kink, one pair of slopes rails at 1/theta and the other
+    # does not, and the slope matrices differ by 8.8 max(1, |S|)
+    rng = np.random.default_rng(31)
+    box = ThetaBox(0.05, 3)
+    U0 = sample_unitary(rng, 3)
+    W = np.eye(3, dtype=complex)
+    W[:2, :2] = sample_unitary(rng, 2)
+    R = mc.embed(U0 @ W @ U0.conj().T)
+    M = herm_matrix((0.05, 0.05, 1.0), U0) + anticommuting_part(rng, 3)
+    RM = R @ M @ R.T
+    S = 0.5 * mc.embed(envelope_batch(np.array([M, (RM + RM.T) / 2]), box).slope)
+    assert np.max(np.abs(S[0] - S[1])) <= 1e-12 * max(1.0, np.max(np.abs(S[0])))
+
+
 def test_scalar_hessian_gets_a_scalar_slope():
     # H proportional to I: every basis is an eigenbasis
     for n in (2, 3):
@@ -272,26 +290,6 @@ def test_policy_slope_is_hermitian_and_the_eigen_product(n, theta, seed):
     assert np.all(np.max(np.abs(Q - product), axis=(1, 2)) <= 4 * eps * np.max(p, axis=1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("theta", THETAS)
-def test_values_entry_matches_certificates(n, theta):
-    """The values entry (eigvalsh, no slopes) gives the values and eigenvalues
-    of envelope_batch: bit-identical for n <= 2, and above that to the
-    rounding of the eigenvalues, in which the value is 1/theta-Lipschitz."""
-    rng = np.random.default_rng(3000 * n + int(1 / theta) % 983)
-    box = ThetaBox(theta, n)
-    M = mixed_stack(rng, box)
-    batch = envelope_batch(M, box)
-    value, mu = _envelope_values(M, box)
-    if n <= 2:
-        assert np.array_equal(value, batch.value) and np.array_equal(mu, batch.mu)
-    else:
-        eps = np.finfo(float).eps
-        size = np.maximum(1.0, np.max(np.abs(batch.mu), axis=1))
-        assert np.all(np.abs(mu - batch.mu) <= 8 * eps * size[:, np.newaxis])
-        assert np.all(np.abs(value - batch.value) <= 8 * n * eps * box.hi * size)
-
-
 def test_batch_validates_like_as_symmetric():
     box = ThetaBox(0.5, 1)
     with pytest.raises(ValueError):
@@ -317,17 +315,22 @@ def test_broken_fixed_point_raises_no_convergence(monkeypatch):
 
     # a wrong inner maximizer, x(t) = 2t, misses t = (prod x(t))^(1/n) everywhere
     monkeypatch.setattr(envelope, "_inner_max", lambda t, m, box: 2.0 * t[:, np.newaxis] + 0.0 * m)
-    for entry in (envelope_batch, _envelope_values):
-        with pytest.raises(NoConvergence):
-            entry(np.array([np.eye(2), 2 * np.eye(2)]), ThetaBox(0.5, 1))
+    box = ThetaBox(0.5, 1)
+    with pytest.raises(NoConvergence):
+        envelope_batch(np.array([np.eye(2), 2 * np.eye(2)]), box)
+    with pytest.raises(NoConvergence):
+        envelope.verify_envelope(box, 1, 0)
 
 
 def test_value_beyond_float_range_raises_value_error():
     # Ftilde(-1e300 I) = -1e310 at theta = 1e-10 overflows; Ftilde(-1e297 I) does not
+    # verify's samples stay far inside the float range, so its entry with a
+    # free matrix, ellipticity_gap, stands in for the verify path
     box = ThetaBox(1e-10, 1)
-    for entry in (envelope_batch, _envelope_values):
-        with pytest.raises(ValueError, match="overflows the float range"):
-            entry(np.array([np.eye(2), -1e300 * np.eye(2)]), box)
+    with pytest.raises(ValueError, match="overflows the float range"):
+        envelope_batch(np.array([np.eye(2), -1e300 * np.eye(2)]), box)
+    with pytest.raises(ValueError, match="overflows the float range"):
+        ellipticity_gap(-1e300 * np.eye(2), np.eye(2), box)
     assert envelope_batch(np.array([-1e297 * np.eye(2)]), box).value[0] == pytest.approx(-1e307)
 
 

@@ -16,7 +16,6 @@ from envma.solver import (
     builtin_solution,
     check_premises,
     convergence_study,
-    residual_field,
     solve_dirichlet,
     transfinite_interpolation,
 )
@@ -77,6 +76,23 @@ def pointwise_stack(u):
     """`pointwise_hessian` at every interior point, (N, d, d) in lexicographic order."""
     return np.array([pointwise_hessian(u, tuple(i + 1 for i in idx))
                      for idx in np.ndindex(*u.grid.interior_shape)])
+
+
+def oracle_residual(u, g, box):
+    """Ftilde(D^2_h u) - g at the interior points from the independent
+    `pointwise_stack` and `envelope_batch`; zero on the boundary layer."""
+    out = np.zeros(u.grid.shape)
+    core = u.grid.interior()
+    values = envelope_batch(pointwise_stack(u), box).value
+    out[core] = values.reshape(u.grid.interior_shape) - g.values[core]
+    return out
+
+
+def matches_oracle(residual, u, g, box):
+    """A residual field of the solve equals `oracle_residual` up to the
+    rounding of the merged stencil terms."""
+    want = oracle_residual(u, g, box)
+    return np.max(np.abs(residual.values - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
 
 
 def hermitian_stack_at(u):
@@ -200,19 +216,25 @@ class TestTransfinite:
             assert np.max(np.abs(init - u.values)) < 1e-13
 
 
+def solver_residual(u, g, box):
+    """The residual field the solve forms for an iterate u: `_certify_values`
+    on `_hermitian_stack(u)`, minus g."""
+    return solver._residual_of(u, g, envelope._certify_values(solver._hermitian_stack(u), box)[0])
+
+
 class TestResidual:
     def test_quadratic_manufactured_zero(self):
         grid = make_grid_1(9)
         u = field_of(grid, lambda x, y: x**2 + y**2)
         g = ScalarField.constant(grid, 2.0)
-        res = residual_field(u, g, ThetaBox(0.4, 1))
+        res = solver_residual(u, g, ThetaBox(0.4, 1))
         assert np.max(np.abs(res.values)) < 1e-11
 
     def test_zero_field_residual(self):
         grid = make_grid_1(7)
         u = ScalarField.constant(grid, 0.0)
         g = ScalarField.constant(grid, 0.0)
-        res = residual_field(u, g, ThetaBox(0.5, 1))
+        res = solver_residual(u, g, ThetaBox(0.5, 1))
         interior = res.values[1:-1, 1:-1]
         assert np.max(np.abs(interior + 0.5)) < 1e-12
         boundary = res.values.copy()
@@ -225,8 +247,8 @@ class TestResidual:
         u = ScalarField(grid, rng.uniform(-1, 1, grid.shape))
         g0 = ScalarField.constant(grid, 0.0)
         g1 = ScalarField.constant(grid, 0.7)
-        r0 = residual_field(u, g0, ThetaBox(0.5, 1))
-        r1 = residual_field(u, g1, ThetaBox(0.5, 1))
+        r0 = solver_residual(u, g0, ThetaBox(0.5, 1))
+        r1 = solver_residual(u, g1, ThetaBox(0.5, 1))
         interior = (slice(1, -1), slice(1, -1))
         assert np.allclose(r1.values[interior], r0.values[interior] - 0.7, atol=1e-12)
 
@@ -277,42 +299,21 @@ class TestSolveQuartic:
         assert err < 5e-4
 
     def test_convergence_order(self):
-        u_fn, g_fn = builtin_solution("quartic_radial", 1)
-        box = ThetaBox(1.0 / 16.0, 1)
-
-        def make_problem(P):
-            grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), P)
-            return (grid, field_of(grid, u_fn), field_of(grid, g_fn), box,
-                    field_of(grid, u_fn), {})
-
-        rows = convergence_study(make_problem, [9, 17, 33])
+        grids = [GridSpec(1, (1.0, 1.0), (2.0, 2.0), P) for P in (9, 17, 33)]
+        rows = convergence_study(grids, ThetaBox(1.0 / 16.0, 1), "quartic_radial")
         assert rows[0].observed_order is None
         assert len(rows) == 3
         for row in rows[1:]:
             assert row.observed_order >= 1.8
 
     def test_single_refinement_row(self):
-        u_fn, g_fn = builtin_solution("quartic_radial", 1)
-        box = ThetaBox(1.0 / 16.0, 1)
-
-        def make_problem(P):
-            grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), P)
-            return (grid, field_of(grid, u_fn), field_of(grid, g_fn), box,
-                    field_of(grid, u_fn), {})
-
-        rows = convergence_study(make_problem, [9])
+        grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 9)
+        rows = convergence_study([grid], ThetaBox(1.0 / 16.0, 1), "quartic_radial")
         assert len(rows) == 1 and rows[0].observed_order is None
 
     def test_quadratic_study_errors_at_rounding_level(self):
-        u_fn, g_fn = builtin_solution("quadratic", 1)
-        box = ThetaBox(0.4, 1)
-
-        def make_problem(P):
-            grid = GridSpec(1, (-1.0, -1.0), (1.0, 1.0), P)
-            return (grid, field_of(grid, u_fn), field_of(grid, g_fn), box,
-                    field_of(grid, u_fn), {})
-
-        rows = convergence_study(make_problem, [9, 17, 33])
+        grids = [GridSpec(1, (-1.0, -1.0), (1.0, 1.0), P) for P in (9, 17, 33)]
+        rows = convergence_study(grids, ThetaBox(0.4, 1), "quadratic")
         for row in rows:
             assert row.max_error <= 1e-12
 
@@ -337,9 +338,8 @@ class TestPolicyIteration:
         box = ThetaBox(0.5, 1)
         tol = 1e-10
         u, policy, report = solve_dirichlet(grid, boundary, g, box, tol=tol)
-        assert report.converged
-        res = residual_field(u, g, box)
-        assert np.max(np.abs(res.values)) <= tol
+        assert report.converged and report.final_residual <= tol
+        assert matches_oracle(report.residual, u, g, box)
         H = pointwise_stack(u)
         S = 0.5 * mc.embed(policy.slope)
         lin = np.array([
@@ -450,7 +450,7 @@ class TestHowardLoop:
         box = ThetaBox(0.5, 1)
         for max_iter in (1, 100):
             u, _, report = solve_dirichlet(grid, boundary, g, box, max_iter=max_iter)
-            assert np.array_equal(report.residual.values, residual_field(u, g, box).values)
+            assert matches_oracle(report.residual, u, g, box)
             assert np.max(np.abs(report.residual.values)) == report.final_residual
 
     def test_residual_is_of_best_not_last_iterate(self, monkeypatch):
@@ -470,7 +470,7 @@ class TestHowardLoop:
         u, _, report = solve_dirichlet(grid, ScalarField.constant(grid, 0.0), g, box, max_iter=2)
         first, last = report.residual_history
         assert last > first == report.final_residual
-        assert np.array_equal(report.residual.values, residual_field(u, g, box).values)
+        assert matches_oracle(report.residual, u, g, box)
 
 
 def policy_of(u, box):
@@ -558,8 +558,9 @@ class TestSolverStack:
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         g = field_of(grid, g_fn)
         u, _, report = solve_dirichlet(grid, field_of(grid, u_fn), g, ThetaBox(0.4, 2))
+        monkeypatch.undo()
         assert report.converged
-        assert same_bits(report.residual.values, residual_field(u, g, ThetaBox(0.4, 2)).values)
+        assert matches_oracle(report.residual, u, g, ThetaBox(0.4, 2))
 
     def test_converged_iterate_forms_no_policy(self, monkeypatch):
         # one slope pass for the initial policy and one per iteration that
@@ -587,8 +588,19 @@ class TestSolverStack:
         zero = ScalarField.constant(grid, 0.0)
         with pytest.raises(ValueError, match="grid has n=2 but the box has n=1"):
             solve_dirichlet(grid, zero, zero, ThetaBox(0.4, 1))
-        with pytest.raises(ValueError, match="grid has n=2 but the box has n=3"):
-            residual_field(zero, zero, ThetaBox(0.4, 3))
+
+    def test_fields_on_another_grid_are_rejected_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(solver, "transfinite_interpolation", None)
+        monkeypatch.setattr(solver, "_hermitian_stack", None)
+        grid = GridSpec(1, (0.0, 0.0), (1.0, 1.0), 9)
+        zero = ScalarField.constant(grid, 0.0)
+        # the same shape on another rectangle, and another shape
+        g = ScalarField.constant(GridSpec(1, (0.0, 0.0), (2.0, 2.0), 9), 1.0)
+        with pytest.raises(ValueError, match="^g lives on"):
+            solve_dirichlet(grid, zero, g, ThetaBox(0.5, 1))
+        boundary = ScalarField.constant(GridSpec(1, (0.0, 0.0), (1.0, 1.0), 11), 0.0)
+        with pytest.raises(ValueError, match="^boundary lives on"):
+            solve_dirichlet(grid, boundary, zero, ThetaBox(0.5, 1))
 
 
 def frozen_system(theta, seed=0, n=2, P=7):
