@@ -147,16 +147,17 @@ def _field_from_spec(spec: str, grid, role: str):
 
 
 def _load_problem(path: str, study: bool = False):
-    """The checked problem of a solve (or, with `study`, convergence) config.
+    """The checked problems of a solve (or, with `study`, convergence) config.
 
-    The one place a config is checked: theta, maxIter, tol and, for a solve,
-    the pointsPerAxis grid with its boundary and g fields or, for a study, a
-    built-in boundary, a g of the same name and distinct refinements, each
-    with its grid; a study does not read pointsPerAxis.  Any ValueError
-    becomes a ParseError, so nothing is solved or written for a bad config.
-    Returns (grids, box, boundary, g, solver_kwargs, boundary_spec); grids
-    holds the pointsPerAxis grid, or for a study the grid of each refinement,
-    whose fields are built from boundary_spec (boundary and g are None).
+    The one place a config is checked: theta, the maxIter and tol it sets,
+    and the grids: the pointsPerAxis grid of a solve or, for a study, one
+    per refinement, after the checks that the boundary is built in, that g
+    names it and that the refinements are distinct (a study does not read
+    pointsPerAxis).  Every grid is checked before any field is built.  Any
+    ValueError becomes a ParseError, so nothing is solved or written for a
+    bad config.  Returns (box, problems, solver_kwargs): one problem
+    (grid, boundary, g) per grid, each field built once (a study's boundary
+    is its exact solution), and only the solver settings the config sets.
     """
     from . import solver as sv
 
@@ -173,31 +174,31 @@ def _load_problem(path: str, study: bool = False):
         box = ThetaBox(_resolve_theta(theta, lam, Lam), n)
         lo, hi = cfg.get_floats("lo"), cfg.get_floats("hi")
         bnd_spec, g_spec = cfg.get_str("boundary"), cfg.get_str("g")
-        kwargs = {"max_iter": cfg.get_int("maxIter", 100), "tol": cfg.get_float("tol", 1e-10)}
-        if not kwargs["tol"] > 0.0:
+        settings = (("maxIter", "max_iter", cfg.get_int), ("tol", "tol", cfg.get_float))
+        kwargs = {arg: get(key) for key, arg, get in settings if cfg.has(key)}
+        if "tol" in kwargs and not kwargs["tol"] > 0.0:
             raise ValueError(f"config key 'tol': must be positive, got {kwargs['tol']}")
-        if kwargs["max_iter"] < 1:
+        if "max_iter" in kwargs and kwargs["max_iter"] < 1:
             raise ValueError(f"config key 'maxIter': must be >= 1, got {kwargs['max_iter']}")
         if study:
-            if bnd_spec not in ("quadratic", "quartic_radial"):
+            if bnd_spec not in sv.BUILTIN_SOLUTIONS:
                 raise ValueError("convergence requires a built-in manufactured solution "
-                                 "(boundary = quadratic | quartic_radial)")
+                                 f"(boundary = {' | '.join(sv.BUILTIN_SOLUTIONS)})")
             if g_spec != bnd_spec:
                 raise ValueError(f"config key 'g': must name the study's built-in solution "
                                  f"{bnd_spec!r}, got {g_spec!r}")
-            refinements = cfg.get_ints("refinements")
-            if len(set(refinements)) != len(refinements):
+            sizes = cfg.get_ints("refinements")
+            if len(set(sizes)) != len(sizes):
                 raise ValueError(f"config key 'refinements': must be distinct, "
                                  f"got {cfg.get_str('refinements')!r}")
-            grids = [sv.GridSpec(n, lo, hi, P) for P in refinements]
-            boundary = g = None
         else:
-            grids = [sv.GridSpec(n, lo, hi, cfg.get_int("pointsPerAxis"))]
-            boundary = _field_from_spec(bnd_spec, grids[0], "boundary")
-            g = _field_from_spec(g_spec, grids[0], "g")
+            sizes = [cfg.get_int("pointsPerAxis")]
+        grids = [sv.GridSpec(n, lo, hi, P) for P in sizes]
+        problems = [(grid, _field_from_spec(bnd_spec, grid, "boundary"),
+                     _field_from_spec(g_spec, grid, "g")) for grid in grids]
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return grids, box, boundary, g, kwargs, bnd_spec
+    return box, problems, kwargs
 
 
 def _check_out(outdir: str) -> None:
@@ -218,7 +219,7 @@ def _check_out(outdir: str) -> None:
 def cmd_solve(args) -> int:
     from . import solver as sv
 
-    (grid,), box, boundary, g, kwargs, _ = _load_problem(args.config)
+    box, ((grid, boundary, g),), kwargs = _load_problem(args.config)
     _check_out(args.out)
     u, _, report = sv.solve_dirichlet(grid, boundary, g, box, **kwargs)
     _write(args.out, {"solution.csv": matio.field_csv(u),
@@ -235,18 +236,16 @@ def cmd_solve(args) -> int:
 def cmd_convergence(args) -> int:
     from . import solver as sv
 
-    grids, box, _, _, kwargs, bnd_spec = _load_problem(args.config, study=True)
+    box, problems, kwargs = _load_problem(args.config, study=True)
     _check_out(args.out)
-    u_fn, _ = sv.builtin_solution(bnd_spec, box.n)
-    for grid in grids:
-        exact = sv.ScalarField.from_function(grid, u_fn)
+    for grid, exact, _ in problems:
         outside = sv.check_premises(exact, box.theta, box.hi).outside_tangency
         if outside:
             P = grid.points_per_axis
             print(f"warning: refinement {P}: the exact u leaves the tangency region at {outside} "
                   f"of {(P - 2) ** grid.dim} interior points, where g is not Ftilde(D^2 u)",
                   file=sys.stderr)
-    text = matio.convergence_csv(sv.convergence_study(grids, box, bnd_spec, **kwargs))
+    text = matio.convergence_csv(sv.convergence_study(problems, box, **kwargs))
     _write(args.out, {"convergence.csv": text})
     sys.stdout.write(text)
     return EXIT_OK

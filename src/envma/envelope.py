@@ -405,9 +405,10 @@ def tangent_slope(mu) -> np.ndarray:
     return gm / (mu.shape[-1] * mu)
 
 
-def tangent_in_box(mu, box: ThetaBox, tol: float = 1e-12):
+def tangent_in_box(mu, box: ThetaBox):
+    """Whether the tangent slope lies in the box, up to 1e-12."""
     p = tangent_slope(mu)
-    return np.all((p >= box.theta - tol) & (p <= box.hi + tol), axis=-1)
+    return np.all((p >= box.theta - 1e-12) & (p <= box.hi + 1e-12), axis=-1)
 
 
 def verify_envelope(box: ThetaBox, samples: int, seed: int):

@@ -132,44 +132,33 @@ class ConfigView:
     def has(self, key: str) -> bool:
         return key in self.raw
 
-    def get_str(self, key: str, default: str | None = None) -> str:
+    def get_str(self, key: str) -> str:
         if key not in self.raw:
-            if default is not None:
-                return default
             raise ParseError(f"missing config key {key!r}")
         return self.raw[key]
 
-    def get_int(self, key: str, default: int | None = None) -> int:
-        if key not in self.raw and default is not None:
-            return default
+    def _parsed(self, key: str, parse, what: str):
+        """parse(value of key); a ValueError becomes a ParseError naming the
+        key, `what` is wrong and the value."""
         tok = self.get_str(key)
         try:
-            return int(tok)
+            return parse(tok)
         except ValueError:
-            raise ParseError(f"config key {key!r}: bad integer {tok!r}")
+            raise ParseError(f"config key {key!r}: {what} {tok!r}") from None
 
-    def get_float(self, key: str, default: float | None = None) -> float:
-        if key not in self.raw and default is not None:
-            return default
-        tok = self.get_str(key)
-        try:
-            return parse_finite(tok)
-        except ValueError:
-            raise ParseError(f"config key {key!r}: bad or non-finite number {tok!r}")
+    def get_int(self, key: str) -> int:
+        return self._parsed(key, int, "bad integer")
+
+    def get_float(self, key: str) -> float:
+        return self._parsed(key, parse_finite, "bad or non-finite number")
 
     def get_floats(self, key: str) -> list:
-        tok = self.get_str(key)
-        try:
-            return [parse_finite(p) for p in tok.split(",")]
-        except ValueError:
-            raise ParseError(f"config key {key!r}: bad or non-finite number list {tok!r}")
+        return self._parsed(key, lambda tok: [parse_finite(p) for p in tok.split(",")],
+                            "bad or non-finite number list")
 
     def get_ints(self, key: str) -> list:
-        tok = self.get_str(key)
-        try:
-            return [int(p) for p in tok.split(",")]
-        except ValueError:
-            raise ParseError(f"config key {key!r}: bad integer list {tok!r}")
+        return self._parsed(key, lambda tok: [int(p) for p in tok.split(",")],
+                            "bad integer list")
 
 
 def field_csv(field) -> str:

@@ -50,10 +50,10 @@ def complex_structure(n: int) -> np.ndarray:
     return J
 
 
-def symmetric_stack(m, tol: float = _SYM_TOL) -> np.ndarray:
+def symmetric_stack(m) -> np.ndarray:
     """Validate and symmetrize a stack of 2n x 2n real matrices, shape (N, 2n, 2n).
 
-    Asymmetry up to `tol` in max-entry norm is silently symmetrized;
+    Asymmetry up to _SYM_TOL in max-entry norm is silently symmetrized;
     anything beyond is rejected as malformed input.  Halves are added, so
     finite entries stay finite.
     """
@@ -70,17 +70,17 @@ def symmetric_stack(m, tol: float = _SYM_TOL) -> np.ndarray:
     MT = M.swapaxes(1, 2)
     with np.errstate(over="ignore"):   # an infinite asymmetry is rejected too
         asym = float(np.max(np.abs(M - MT), initial=0.0))
-    if asym > tol:
-        raise ValueError(f"matrix asymmetry {asym:g} exceeds tolerance {tol:g}")
+    if asym > _SYM_TOL:
+        raise ValueError(f"matrix asymmetry {asym:g} exceeds tolerance {_SYM_TOL:g}")
     return M / 2.0 + MT / 2.0
 
 
-def as_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
+def as_symmetric(m) -> np.ndarray:
     """Validate and symmetrize one 2n x 2n real matrix (see symmetric_stack)."""
     M = np.asarray(m, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return symmetric_stack(M[np.newaxis], tol)[0]
+    return symmetric_stack(M[np.newaxis])[0]
 
 
 def embed(Z: np.ndarray) -> np.ndarray:
@@ -90,18 +90,17 @@ def embed(Z: np.ndarray) -> np.ndarray:
     return np.block([[A, -B], [B, A]])
 
 
-def extract(M, tol: float | None = None) -> np.ndarray:
+def extract(M) -> np.ndarray:
     """Inverse of `embed` on the J-commuting subspace.
 
-    Raises NotJCommuting when max-entry |MJ - JM| exceeds `tol`
-    (default 1e-12 relative to the largest entry of M).
+    Raises NotJCommuting when max-entry |MJ - JM| exceeds
+    1e-12 max(1, max |M_ij|).
     """
     M = as_symmetric(M)
     n = M.shape[0] // 2
     J = complex_structure(n)
     comm = float(np.max(np.abs(M @ J - J @ M)))
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(M))))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(M))))
     if comm > tol:
         raise NotJCommuting(f"commutator norm {comm:g} exceeds tolerance {tol:g}")
     return hermitian_blocks(M)
@@ -190,12 +189,12 @@ def det_root(M) -> float:
     return geometric_mean(mu)
 
 
-def in_theta_box(M, theta: float, tol: float = 1e-9) -> bool:
-    """True iff theta*I <= proj(M) <= I/theta up to `tol` on the spectrum."""
+def in_theta_box(M, theta: float) -> bool:
+    """True iff theta*I <= proj(M) <= I/theta up to 1e-9 on the spectrum."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     mu = hermitian_eigs_of(M)
-    return bool(mu[0] >= theta - tol and mu[-1] <= 1.0 / theta + tol)
+    return bool(mu[0] >= theta - 1e-9 and mu[-1] <= 1.0 / theta + 1e-9)
 
 
 def admissible_theta(lam: float, Lam: float) -> float:

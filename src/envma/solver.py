@@ -401,7 +401,7 @@ def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, r: np.ndarra
 
 
 def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.ndarray,
-                     Q: np.ndarray, tol: float, steps: list | None = None) -> np.ndarray:
+                     Q: np.ndarray, tol: float, steps: list) -> np.ndarray:
     """Solve the frozen-policy system A x = b of the Hermitian slopes Q by
     preconditioned GMRES.
 
@@ -412,7 +412,7 @@ def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.
     the interior points.
     Cycles, warm-started at x0, run until one returns an x that passed the
     true check against `_Target`.  The Krylov steps of all cycles, summed, are
-    appended to `steps` if it is a list.
+    appended to `steps`.
     """
     weights = np.mean(Q.real.diagonal(axis1=1, axis2=2), axis=0) / 2.0
     M = _laplacian_inverse(grid, np.concatenate([weights, weights]))
@@ -422,8 +422,7 @@ def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.
         x, r, k, passed = _gmres_cycle(A, b, x, r, M, target)
         taken += k
         if passed:
-            if steps is not None:
-                steps.append(taken)
+            steps.append(taken)
             return x
         if k == 0:   # M r is zero or non-finite, and x failed its check
             break
@@ -443,12 +442,14 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     values give the residual and, only when another iteration follows, the
     slopes and intercepts give the next policy.  The frozen-policy
     coefficient matrices have spectrum in [theta/2, 1/(2 theta)], so each
-    evaluation is well posed.  Raises ValueError, before any work, when
-    boundary or g lives on a grid other than `grid`, or when the box and the
-    grid differ in n.  On hitting
-    `max_iter` the best iterate is returned with report.converged = False;
-    report.residual is the residual field of the returned iterate, and the
-    returned policy (one row per interior point) the one it was solved with.
+    evaluation is well posed.  `max_iter` and `tol` default to the values a
+    config without maxIter or tol gets: the CLI passes only the keys a
+    config sets.  Raises ValueError, before any work, when boundary or g
+    lives on a grid other than `grid`, or when the box and the grid differ
+    in n.  On hitting `max_iter` the best iterate is returned with
+    report.converged = False; report.residual is the residual field of the
+    returned iterate, and the returned policy (one row per interior point)
+    the one it was solved with.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -467,8 +468,9 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     report = SolveReport()
     best = None
 
-    policy = _certify_policy(*_certify_values(_hermitian_stack(u), box), box)
+    value, state = _certify_values(_hermitian_stack(u), box)
     for it in range(1, max_iter + 1):
+        policy = _certify_policy(value, state, box)
         rhs = g.values[core].reshape(-1) - policy.intercept
         A, b = _frozen_policy(grid, policy.slope, rhs, boundary.values)
         x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), policy.slope,
@@ -487,8 +489,6 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         if res <= tol:
             report.converged = True
             break
-        if it < max_iter:
-            policy = _certify_policy(value, state, box)
     report.final_residual = best[0]
     report.residual = best[3]
     report.wall_time_s = time.perf_counter() - start
@@ -502,18 +502,15 @@ class ConvergenceRow(NamedTuple):
     observed_order: float | None
 
 
-def convergence_study(grids, box: ThetaBox, name: str, **solver_kwargs) -> list[ConvergenceRow]:
-    """Solve the built-in problem `name` (see `builtin_solution`) on each
-    grid in turn, with the exact solution as boundary data, and report max
-    errors and observed orders; solver_kwargs go to `solve_dirichlet`.
+def convergence_study(problems, box: ThetaBox, **solver_kwargs) -> list[ConvergenceRow]:
+    """Solve each problem (grid, exact, g) in turn, with the exact solution
+    `exact` as boundary data, and report max errors against it and observed
+    orders; solver_kwargs go to `solve_dirichlet`.  Builds no field.
     """
-    u_fn, g_fn = builtin_solution(name, box.n)
     rows = []
     prev = None
-    for grid in grids:
-        exact = ScalarField.from_function(grid, u_fn)
-        u, _, _ = solve_dirichlet(grid, exact, ScalarField.from_function(grid, g_fn), box,
-                                  **solver_kwargs)
+    for grid, exact, g in problems:
+        u, _, _ = solve_dirichlet(grid, exact, g, box, **solver_kwargs)
         err = float(np.max(np.abs(u.values - exact.values)))
         h = float(np.max(grid.spacing))
         order = None
@@ -532,8 +529,7 @@ class MembershipReport(NamedTuple):
     outside_tangency: int
 
 
-def check_premises(u: ScalarField, lam: float, Lam: float,
-                   tol: float = 1e-9) -> MembershipReport:
+def check_premises(u: ScalarField, lam: float, Lam: float) -> MembershipReport:
     """Box membership of the discrete Hessian field.
 
     For theta = min(lambda, 1/Lambda), reports the fraction of interior
@@ -541,10 +537,11 @@ def check_premises(u: ScalarField, lam: float, Lam: float,
     extremal projected eigenvalues over the grid, and the number of points
     outside the tangency region, where that spectrum or the tangent slope of
     F leaves the box, so that F(D^2_h u) need not be Ftilde(D^2_h u).
+    Spectra within 1e-9 of the box count as inside.
     """
     theta = mc.admissible_theta(lam, Lam)
     mu = mc.herm_eigensystem(_hermitian_stack(u))[0]
-    inside = (mu[:, 0] >= theta - tol) & (mu[:, -1] <= 1.0 / theta + tol)
+    inside = (mu[:, 0] >= theta - 1e-9) & (mu[:, -1] <= 1.0 / theta + 1e-9)
     tangent = inside.copy()
     tangent[inside] = tangent_in_box(mu[inside], ThetaBox(theta, u.grid.n))
     return MembershipReport(theta, float(np.mean(inside)), float(np.min(mu[:, 0])),
@@ -554,6 +551,19 @@ def check_premises(u: ScalarField, lam: float, Lam: float,
 # ---------------------------------------------------------------------------
 # built-in manufactured problems
 # ---------------------------------------------------------------------------
+
+def _r2(xs):
+    return sum(x**2 for x in xs)
+
+
+# the built-in names a config's boundary and g may take, in the order the
+# CLI lists them: per name, u_exact and rhs of `builtin_solution` with n first
+BUILTIN_SOLUTIONS = {
+    "quadratic": (lambda n, *xs: _r2(xs), lambda n, *xs: 2.0 + 0.0 * xs[0]),
+    "quartic_radial": (lambda n, *xs: _r2(xs)**2 / 4.0,
+                       lambda n, *xs: 2.0 ** (1.0 / n) * _r2(xs)),
+}
+
 
 def builtin_solution(name: str, n: int):
     """Named manufactured solution: returns (u_exact, rhs) callables on the
@@ -573,24 +583,6 @@ def builtin_solution(name: str, n: int):
       [-1, 1]^4 at n = 2, theta = 0.4 (every certificate rails) and
       everywhere on [1, 2]^2 at n = 1, theta = 1/16.
     """
-    if name == "quadratic":
-        def u_fn(*xs):
-            return sum(x**2 for x in xs)
-
-        def g_fn(*xs):
-            return 2.0 + 0.0 * xs[0]
-
-        return u_fn, g_fn
-    if name == "quartic_radial":
-        factor = 2.0 ** (1.0 / n)
-
-        def u_fn(*xs):
-            r2 = sum(x**2 for x in xs)
-            return r2**2 / 4.0
-
-        def g_fn(*xs):
-            r2 = sum(x**2 for x in xs)
-            return factor * r2
-
-        return u_fn, g_fn
-    raise ValueError(f"unknown built-in solution {name!r}")
+    if name not in BUILTIN_SOLUTIONS:
+        raise ValueError(f"unknown built-in solution {name!r}")
+    return tuple(functools.partial(fn, n) for fn in BUILTIN_SOLUTIONS[name])

@@ -184,7 +184,10 @@ def test_criterion_6_quadratic_exactness():
 
 def test_criterion_7_convergence_order():
     grids = [GridSpec(1, (1.0, 1.0), (2.0, 2.0), P) for P in (17, 33, 65)]
-    rows = convergence_study(grids, ThetaBox(1.0 / 16.0, 1), "quartic_radial")
+    u_fn, g_fn = builtin_solution("quartic_radial", 1)
+    problems = [(grid, ScalarField.from_function(grid, u_fn), ScalarField.from_function(grid, g_fn))
+                for grid in grids]
+    rows = convergence_study(problems, ThetaBox(1.0 / 16.0, 1))
     orders = [r.observed_order for r in rows[1:]]
     for o in orders:
         assert o is not None and o >= 1.8, orders

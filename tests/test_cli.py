@@ -3,6 +3,9 @@
 import ast
 import gc
 import importlib
+import importlib.util
+import json
+import os
 import subprocess
 import sys
 import time
@@ -619,6 +622,22 @@ refinements = 17,33,65
         assert code == 0 and len(out.splitlines()) == 4
         assert err == ""
 
+    def test_builds_each_field_once(self, tmp_path, capsys, monkeypatch):
+        # per refinement, the exact u (also the boundary data) and g
+        built = []
+        from_function = solver.ScalarField.from_function
+
+        def counted(cls, grid, fn):
+            built.append(grid.points_per_axis)
+            return from_function(grid, fn)
+
+        monkeypatch.setattr(solver.ScalarField, "from_function", classmethod(counted))
+        cfg = write(tmp_path / "c.cfg", STUDY_CFG)
+        code, out, _ = run_main(capsys, ["convergence", "--config", cfg,
+                                         "--out", str(tmp_path / "o")])
+        assert code == 0 and len(out.splitlines()) == 3
+        assert built == [9, 9, 17, 17]
+
     def test_requires_builtin(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", ITER_CFG + "refinements = 9,17\n")
         code, _, err = run_main(capsys, ["convergence", "--config", cfg,
@@ -652,6 +671,40 @@ refinements = 17,33,65
         assert code == 2
         assert err.startswith("config error: ") and "pointsPerAxis" in err
         assert not (tmp_path / "o").exists()
+
+
+def _benchmark_workloads():
+    """perfbench/run.py's WORKLOADS, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses resolve the module by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+BENCHMARK_WORKLOADS = _benchmark_workloads()
+
+
+class TestBenchmarkProbe:
+    """The benchmark's set-up probe stops each workload at its command's
+    first solver or verify entry; a command that never reaches it would be
+    timed whole as set-up."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_WORKLOADS))
+    def test_workload_reaches_its_entry_point(self, name, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        result = tmp_path / "probe.json"
+        argv = BENCHMARK_WORKLOADS[name].cli_args(1, tmp_path / "out")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, str(root / "perfbench" / "shim.py"), "setup",
+                               str(result), "--", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "setup_end" in json.loads(result.read_text())
 
 
 BLOCKED = """\

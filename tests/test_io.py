@@ -132,7 +132,6 @@ class TestConfig:
         assert view.get_float("tol") == 1e-9
         assert view.get_floats("lo") == [-1.0, 0.5]
         assert view.get_ints("refinements") == [9, 17]
-        assert view.get_int("missing", 7) == 7
 
     def test_bad_number_reports_key(self):
         view = matio.ConfigView({"tol": "abc"}, {"tol"})

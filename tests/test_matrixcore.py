@@ -316,7 +316,7 @@ class TestBoxAndNorms:
         assert mc.in_theta_box(np.eye(4), 0.5)
         assert not mc.in_theta_box(3.0 * np.eye(4), 0.5)
         M = mc.embed(np.diag([0.5, 2.0]) + 0j)
-        assert mc.in_theta_box(M, 0.5, tol=0.0)
+        assert mc.in_theta_box(M, 0.5)
 
     def test_in_theta_box_validates_theta(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,13 @@ def field_of(grid, fn):
     return ScalarField.from_function(grid, fn)
 
 
+def builtin_problems(name, n, grids):
+    """The (grid, exact, g) problems of `convergence_study` for a built-in
+    solution."""
+    u_fn, g_fn = builtin_solution(name, n)
+    return [(grid, field_of(grid, u_fn), field_of(grid, g_fn)) for grid in grids]
+
+
 def unequal_grid_3():
     """n = 3 (d = 6) grid with a different spacing on every axis."""
     return GridSpec(3, (-1.0, 0.0, -2.0, 0.5, 0.0, -0.5), (1.0, 3.0, 0.0, 1.0, 0.5, 1.5), 5)
@@ -300,7 +307,8 @@ class TestSolveQuartic:
 
     def test_convergence_order(self):
         grids = [GridSpec(1, (1.0, 1.0), (2.0, 2.0), P) for P in (9, 17, 33)]
-        rows = convergence_study(grids, ThetaBox(1.0 / 16.0, 1), "quartic_radial")
+        rows = convergence_study(builtin_problems("quartic_radial", 1, grids),
+                                 ThetaBox(1.0 / 16.0, 1))
         assert rows[0].observed_order is None
         assert len(rows) == 3
         for row in rows[1:]:
@@ -308,12 +316,13 @@ class TestSolveQuartic:
 
     def test_single_refinement_row(self):
         grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 9)
-        rows = convergence_study([grid], ThetaBox(1.0 / 16.0, 1), "quartic_radial")
+        rows = convergence_study(builtin_problems("quartic_radial", 1, [grid]),
+                                 ThetaBox(1.0 / 16.0, 1))
         assert len(rows) == 1 and rows[0].observed_order is None
 
     def test_quadratic_study_errors_at_rounding_level(self):
         grids = [GridSpec(1, (-1.0, -1.0), (1.0, 1.0), P) for P in (9, 17, 33)]
-        rows = convergence_study(grids, ThetaBox(0.4, 1), "quadratic")
+        rows = convergence_study(builtin_problems("quadratic", 1, grids), ThetaBox(0.4, 1))
         for row in rows:
             assert row.max_error <= 1e-12
 
@@ -646,7 +655,7 @@ class TestPolicyEvaluation:
     def check_matches_direct_solve(theta):
         tol = 1e-10
         grid, Q, A, b = frozen_system(theta)
-        x = solver._evaluate_policy(grid, A, b, np.zeros(len(b)), Q, tol)
+        x = solver._evaluate_policy(grid, A, b, np.zeros(len(b)), Q, tol, [])
         ref = np.linalg.solve(materialized(A), b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
         floor = 8 * np.finfo(float).eps * np.max(A.abs_matmul(x) + np.abs(b))
