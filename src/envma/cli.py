@@ -152,10 +152,11 @@ def _load_problem(path: str, study: bool = False):
     The one place a config is checked: theta, the maxIter and tol it sets,
     and the grids: the pointsPerAxis grid of a solve or, for a study, one
     per refinement, after the checks that the boundary is built in, that g
-    names it and that the refinements are distinct (a study does not read
-    pointsPerAxis).  Every grid is checked before any field is built.  Any
-    ValueError becomes a ParseError, so nothing is solved or written for a
-    bad config.  Returns (box, problems, solver_kwargs): one problem
+    names it and that the refinements are distinct.  The grid key the
+    command does not use (a solve's refinements, a study's pointsPerAxis) is
+    parsed when present and then ignored.  Every grid is checked before any
+    field is built.  Any ValueError becomes a ParseError, so nothing is
+    solved or written for a bad config.  Returns (box, problems, solver_kwargs): one problem
     (grid, boundary, g) per grid, each field built once (a study's boundary
     is its exact solution), and only the solver settings the config sets.
     """
@@ -191,8 +192,12 @@ def _load_problem(path: str, study: bool = False):
             if len(set(sizes)) != len(sizes):
                 raise ValueError(f"config key 'refinements': must be distinct, "
                                  f"got {cfg.get_str('refinements')!r}")
+            if cfg.has("pointsPerAxis"):
+                cfg.get_int("pointsPerAxis")
         else:
             sizes = [cfg.get_int("pointsPerAxis")]
+            if cfg.has("refinements"):
+                cfg.get_ints("refinements")
         grids = [sv.GridSpec(n, lo, hi, P) for P in sizes]
         problems = [(grid, _field_from_spec(bnd_spec, grid, "boundary"),
                      _field_from_spec(g_spec, grid, "g")) for grid in grids]

@@ -12,7 +12,11 @@ solved with Dirichlet data by restarted GMRES, preconditioned by the exact
 inverse of an axis-weighted Laplacian applied in the tensor sine basis, and
 stopped at the first Krylov step that passes a true max-norm check; the two
 steps alternate until the max-norm residual of the nonlinear equation meets
-the tolerance.
+the tolerance.  Howard's iteration is a semismooth Newton method, so the
+Howard loop picks how accurately each policy is evaluated: loosely while the
+nonlinear residual is large, as tightly as the tolerance needs at the end
+(quadratic forcing, `solve_dirichlet`); the linear solver meets that
+accuracy or its own round-off floor, whichever is larger (`_Target`).
 
 Each iterate is certified once, by the envelope's kernel driver, on the
 Hermitian parts Z = extract(proj(D^2_h u)) = A + iB built from the stencil
@@ -325,19 +329,32 @@ def _laplacian_inverse(grid: GridSpec, weights: np.ndarray):
 
 
 class _Target:
-    """max(1e-2 tol, 8 eps max(|A| |x| + |b|)), the bound on max|A x - b| that
-    ends a policy evaluation; the second term, the round-off of the terms
-    summed in A x - b, grows like |S| / h^2.  `value` is the bound at the last
-    x checked (at x0 before).  An estimate of max|A x - b| earns a check when
-    `slack` times it meets `value`; each failed check multiplies `slack` by 10."""
+    """max(accuracy, 8 eps max(|A| |x| + |b|)), the bound on max|A x - b| that
+    ends a policy evaluation: `accuracy` is what the Howard loop asks of this
+    evaluation, and the second term, the round-off of the terms summed in
+    A x - b, grows like |S| / h^2.  `value` is the bound at the last x checked
+    (at x0 before).  An estimate of max|A x - b| earns a check when `slack`
+    times it meets `value`; each failed check multiplies `slack` by 10."""
 
-    def __init__(self, A: _StencilOperator, b: np.ndarray, tol: float, x0: np.ndarray):
-        self.A, self.abs_b, self.tol = A, np.abs(b), tol
+    def __init__(self, A: _StencilOperator, b: np.ndarray, accuracy: float, x0: np.ndarray):
+        self.A, self.abs_b, self.accuracy = A, np.abs(b), accuracy
+        # the round-off term at x is at most 8 eps (2 sum_k max|c_k| max|x| + max|b|);
+        # the factor makes the computed bound dominate the rounding of both sides
+        eps = np.finfo(float).eps
+        coarse = 8.0 * eps * (1.0 + 8.0 * (len(A.shifts) + 1) * eps)
+        fields = A.coeffs.reshape(len(A.shifts), -1)   # max|c_k| without an |A| copy
+        max_abs = np.maximum(np.max(fields, axis=1), -np.min(fields, axis=1))
+        self.coarse_x = coarse * 2.0 * float(np.sum(max_abs))
+        self.coarse_b = coarse * float(np.max(self.abs_b))
         self.value, self.slack = self.at(x0), 1.0
 
     def at(self, x: np.ndarray) -> float:
+        """The bound at x; the |A| |x| pass runs only where the coarse bound
+        on the round-off term exceeds `accuracy`."""
+        if self.coarse_x * float(np.max(np.abs(x))) + self.coarse_b <= self.accuracy:
+            return self.accuracy
         floor = 8.0 * np.finfo(float).eps * float(np.max(self.A.abs_matmul(x) + self.abs_b))
-        return max(1e-2 * self.tol, floor)
+        return max(self.accuracy, floor)
 
     def predicted_by(self, estimate: float) -> bool:
         return self.slack * estimate <= self.value
@@ -401,9 +418,10 @@ def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, r: np.ndarra
 
 
 def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.ndarray,
-                     Q: np.ndarray, tol: float, steps: list) -> np.ndarray:
+                     Q: np.ndarray, accuracy: float, steps: list) -> np.ndarray:
     """Solve the frozen-policy system A x = b of the Hermitian slopes Q by
-    preconditioned GMRES.
+    preconditioned GMRES, to max|A x - b| <= `accuracy` (the caller's
+    choice) or the round-off floor of `_Target`, whichever is larger.
 
     Every slope has eigenvalues in [theta, 1/theta], so Re tr(Q Z) is a
     bounded distortion of a constant-coefficient Laplacian; GMRES is
@@ -416,7 +434,7 @@ def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.
     """
     weights = np.mean(Q.real.diagonal(axis1=1, axis2=2), axis=0) / 2.0
     M = _laplacian_inverse(grid, np.concatenate([weights, weights]))
-    target = _Target(A, b, tol, x0)
+    target = _Target(A, b, accuracy, x0)
     x, r, taken = x0, b - A @ x0, 0
     for _ in range(_MAX_GMRES_CYCLES):
         x, r, k, passed = _gmres_cycle(A, b, x, r, M, target)
@@ -428,6 +446,12 @@ def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.
             break
     raise LinearSolveFailure(f"GMRES left max|Ax - b| = {float(np.max(np.abs(r))):.3g} "
                              f"above {target.value:.3g}")
+
+
+# evaluation k is solved to _FORCING r_{k-1} min(1, r_{k-1} / r_0), r_j being
+# the max residual of iterate j: quadratic forcing, which keeps Newton's
+# quadratic rate (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982)
+_FORCING = 1e-3
 
 
 def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
@@ -442,14 +466,23 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     values give the residual and, only when another iteration follows, the
     slopes and intercepts give the next policy.  The frozen-policy
     coefficient matrices have spectrum in [theta/2, 1/(2 theta)], so each
-    evaluation is well posed.  `max_iter` and `tol` default to the values a
-    config without maxIter or tol gets: the CLI passes only the keys a
-    config sets.  Raises ValueError, before any work, when boundary or g
-    lives on a grid other than `grid`, or when the box and the grid differ
-    in n.  On hitting `max_iter` the best iterate is returned with
-    report.converged = False; report.residual is the residual field of the
-    returned iterate, and the returned policy (one row per interior point)
-    the one it was solved with.
+    evaluation is well posed.
+
+    Howard's iteration is a semismooth Newton method, so the loop, not the
+    linear solver, picks how accurately each frozen policy is evaluated:
+    evaluation k is asked for max|A x - b| <= max(1e-2 tol, _FORCING r_{k-1}
+    min(1, r_{k-1} / r_0)), with r_0 the max residual of the transfinite
+    start and r_{k-1} that of the current iterate; a zero or non-finite
+    r_0 gives 1e-2 tol throughout.  Convergence is still decided by the
+    certified residual alone.
+
+    `max_iter` and `tol` default to the values a config without maxIter or
+    tol gets: the CLI passes only the keys a config sets.  Raises
+    ValueError, before any work, when boundary or g lives on a grid other
+    than `grid`, or when the box and the grid differ in n.  On hitting
+    `max_iter` the best iterate is returned with report.converged = False;
+    report.residual is the residual field of the returned iterate, and the
+    returned policy (one row per interior point) the one it was solved with.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -469,12 +502,16 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     best = None
 
     value, state = _certify_values(_hermitian_stack(u), box)
+    res = r0 = float(np.max(np.abs(value - g.values[core].reshape(-1))))
     for it in range(1, max_iter + 1):
         policy = _certify_policy(value, state, box)
         rhs = g.values[core].reshape(-1) - policy.intercept
         A, b = _frozen_policy(grid, policy.slope, rhs, boundary.values)
+        # no forcing from a zero or non-finite r_0, nor from a non-finite product
+        forced = _FORCING * res * min(1.0, res / r0) if 0.0 < r0 < np.inf else 0.0
+        accuracy = max(1e-2 * tol, forced if forced < np.inf else 0.0)
         x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), policy.slope,
-                             tol, report.krylov_steps)
+                             accuracy, report.krylov_steps)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
         u.values[core] = x.reshape(grid.interior_shape)

@@ -335,12 +335,17 @@ class TestSolve:
 
     def test_benchmark_solve_workload_meets_its_gate(self, tmp_path, capsys):
         # the solve-n2-railed benchmark workload and its correctness gate:
-        # converged, residual within tol, the reference solution to 1e-7
+        # converged, residual within tol, the reference solution to 1e-7; and
+        # its cost, 3 Howard iterations and at most 26 Krylov steps, so that
+        # Krylov steps are not traded for Howard iterations
         bench = Path(__file__).resolve().parents[1] / "perfbench"
         cfg = str(bench / "workloads" / "solve-n2-railed.cfg")
         code, _, _ = run_main(capsys, ["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "converged = true\n" in (tmp_path / "out" / "report.txt").read_text()
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "converged = true\n" in report and "iterations = 3\n" in report
+        steps = report.split("krylov_steps = ")[1].split("\n")[0].split(",")
+        assert len(steps) == 3 and sum(map(int, steps)) <= 26
         res = np.loadtxt(tmp_path / "out" / "residual.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(res[:, -1])) <= 1e-10
         sol = np.loadtxt(tmp_path / "out" / "solution.csv", delimiter=",", skiprows=1)
@@ -359,6 +364,18 @@ class TestSolve:
         code, _, err = run_main(capsys, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "zork" in err
+
+    def test_well_formed_refinements_key_is_parsed_and_unused(self, tmp_path, capsys):
+        # a solve parses the study's key, so a malformed one fails (FAILURES),
+        # but a well-formed one does not change the solve
+        for name, extra in (("plain", ""), ("with-key", "refinements = 17,17\n")):
+            cfg = write(tmp_path / f"{name}.cfg", QUAD_CFG + extra)
+            code, _, _ = run_main(capsys, ["solve", "--config", cfg,
+                                           "--out", str(tmp_path / name)])
+            assert code == 0
+        for artifact in ("solution.csv", "residual.csv", "report.txt"):
+            assert ((tmp_path / "plain" / artifact).read_text()
+                    == (tmp_path / "with-key" / artifact).read_text())
 
     def test_theta_and_lambda_conflict_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", QUAD_CFG + "lambda = 1\nLambda = 2\n")
@@ -459,6 +476,11 @@ FAILURES = {
                             + "refinements = 17,17\n", 2, "'refinements'"),
     "seed-key": (["solve", "CFG", "OUT"], QUAD_CFG + "seed = 12345\n", 2,
                  "unknown config keys: seed"),
+    "solve-bad-refinements": (["solve", "CFG", "OUT"], QUAD_CFG + "refinements = 9,x\n", 2,
+                              "config key 'refinements': bad integer list '9,x'"),
+    "study-bad-points-per-axis": (["convergence", "CFG", "OUT"],
+                                  STUDY_CFG.replace("pointsPerAxis = 9", "pointsPerAxis = x"),
+                                  2, "config key 'pointsPerAxis': bad integer 'x'"),
     "study-g-not-builtin": (["convergence", "CFG", "OUT"], QUAD_CFG + "refinements = 9,17\n",
                             2, "'g'"),
     "out-is-a-file": (["solve", "CFG", "FILE"], QUAD_CFG, 3, "File exists"),

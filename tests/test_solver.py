@@ -630,7 +630,8 @@ def materialized(A):
 
 class TestPolicyEvaluation:
     """GMRES preconditioned by the sine-basis inverse of the axis-weighted
-    Laplacian, run until max|A x - b| meets max(1e-2 tol, 8 eps max(|A||x| + |b|))."""
+    Laplacian, run until max|A x - b| meets max(accuracy, 8 eps max(|A||x| + |b|)),
+    the accuracy being what the Howard loop asks of the evaluation."""
 
     def test_preconditioner_inverts_constant_diagonal_operator(self):
         # unequal spans and weights per axis: a spacing or weight paired
@@ -653,13 +654,13 @@ class TestPolicyEvaluation:
 
     @staticmethod
     def check_matches_direct_solve(theta):
-        tol = 1e-10
+        accuracy = 1e-12
         grid, Q, A, b = frozen_system(theta)
-        x = solver._evaluate_policy(grid, A, b, np.zeros(len(b)), Q, tol, [])
+        x = solver._evaluate_policy(grid, A, b, np.zeros(len(b)), Q, accuracy, [])
         ref = np.linalg.solve(materialized(A), b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
         floor = 8 * np.finfo(float).eps * np.max(A.abs_matmul(x) + np.abs(b))
-        assert np.max(np.abs(A @ x - b)) <= max(1e-2 * tol, floor)
+        assert np.max(np.abs(A @ x - b)) <= max(accuracy, floor)
 
     def test_matches_direct_solve_near_laplacian(self):
         # small theta: the frozen operator is close to the preconditioner's
@@ -670,8 +671,9 @@ class TestPolicyEvaluation:
         self.check_matches_direct_solve(0.4)
 
     def test_tol_below_roundoff_ends_at_max_iter(self):
-        # 1e-2 * tol lies far below round-off; each evaluation stops at the
-        # round-off floor of A x - b instead of failing, so Howard runs to max_iter
+        # 1e-2 * tol lies far below round-off; once the forcing term falls
+        # below the floor, each evaluation stops at the round-off floor of
+        # A x - b instead of failing, so Howard runs to max_iter
         grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 33)
         u_fn, g_fn = builtin_solution("quartic_radial", 1)
         _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
@@ -719,6 +721,8 @@ class TestKrylovStop:
             assert report.krylov_steps == [1] * report.iterations
 
     def test_n2_railed_stops_inside_the_first_cycle(self):
+        # the solve-n2-railed problem: Krylov steps may not be bought with
+        # Howard iterations, so both counts are pinned
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 9)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
@@ -726,6 +730,7 @@ class TestKrylovStop:
         assert report.converged and report.iterations == 3
         assert len(report.krylov_steps) == 3
         assert all(0 < k < solver._GMRES_RESTART for k in report.krylov_steps)
+        assert sum(report.krylov_steps) <= 26
 
     def test_exact_start_returns_after_one_check(self, monkeypatch):
         # b - A x0 == 0: no Krylov step, one true check, x0 itself returned
@@ -741,18 +746,125 @@ class TestKrylovStop:
         x0 = np.random.default_rng(3).uniform(-1.0, 1.0, A.coeffs[0].size)
         b = A @ x0
         steps = []
-        x = solver._evaluate_policy(grid, A, b, x0, Q, 1e-10, steps)
+        x = solver._evaluate_policy(grid, A, b, x0, Q, 1e-12, steps)
         assert x is x0 and steps == [0] and len(checks) == 1
 
     def test_failed_check_tightens_prediction(self):
         grid, _, A, b = frozen_system(0.4)
         x = np.zeros(len(b))
-        target = solver._Target(A, b, 1e-10, x)
+        target = solver._Target(A, b, 1e-12, x)
         r = b - A @ x
         assert not target.met_at(x, r) and target.slack == 10.0
         estimate = target.value / 5.0
         assert not target.predicted_by(estimate)
-        assert solver._Target(A, b, 1e-10, x).predicted_by(estimate)
+        assert solver._Target(A, b, 1e-12, x).predicted_by(estimate)
+
+
+def kinked_problem(P, theta):
+    """n = 2: boundary |x_0| + |x_3| + |x|^2, g = 1."""
+    grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, P)
+    boundary = field_of(grid, lambda a, b, c, d: abs(a) + abs(d) + a * a + b * b + c * c + d * d)
+    return grid, boundary, ScalarField.constant(grid, 1.0), ThetaBox(theta, 2)
+
+
+def quartic_problem(n, P, theta, lo=-1.0, hi=1.0):
+    grid = GridSpec(n, (lo,) * (2 * n), (hi,) * (2 * n), P)
+    u_fn, g_fn = builtin_solution("quartic_radial", n)
+    return grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(theta, n)
+
+
+FORCING_CASES = {
+    "n1-P17": lambda: quartic_problem(1, 17, 0.0625, 1.0, 2.0),
+    "n2-P9-quartic": lambda: quartic_problem(2, 9, 0.4),
+    "n2-P9-kink": lambda: kinked_problem(9, 0.05),
+}
+
+
+def recorded_accuracies(monkeypatch):
+    """The accuracy each policy evaluation of the next solves is asked for."""
+    evaluate, accuracies = solver._evaluate_policy, []
+
+    def recorded(grid, A, b, x0, Q, accuracy, steps):
+        accuracies.append(accuracy)
+        return evaluate(grid, A, b, x0, Q, accuracy, steps)
+
+    monkeypatch.setattr(solver, "_evaluate_policy", recorded)
+    return accuracies
+
+
+class TestForcing:
+    """The Howard loop asks each evaluation for max(1e-2 tol, _FORCING r min(1, r / r_0)):
+    a looser linear solve while the nonlinear residual r is large."""
+
+    @pytest.mark.parametrize("case", FORCING_CASES)
+    def test_forcing_changes_cost_not_answers(self, case, monkeypatch):
+        grid, boundary, g, box = problem = FORCING_CASES[case]()
+        accuracies = recorded_accuracies(monkeypatch)
+        u, _, report = solve_dirichlet(*problem)
+        monkeypatch.setattr(solver, "_FORCING", 0.0)
+        u_unforced, _, unforced = solve_dirichlet(*problem)
+        assert report.converged and unforced.converged
+        assert report.iterations == unforced.iterations
+        assert np.max(np.abs(u.values - u_unforced.values)) <= 1e-12
+        if grid.n == 2:
+            assert sum(report.krylov_steps) < sum(unforced.krylov_steps)
+        # the accuracies the forced solve asked for, from its own residuals
+        start = ScalarField(grid, transfinite_interpolation(boundary))
+        r0 = float(np.max(np.abs(oracle_residual(start, g, box))))
+        residuals = [r0] + report.residual_history[:-1]
+        expected = [max(1e-12, 1e-3 * r * min(1.0, r / r0)) for r in residuals]
+        assert np.allclose(accuracies[:report.iterations], expected, rtol=1e-9, atol=0.0)
+        assert accuracies[report.iterations:] == [1e-12] * unforced.iterations
+
+    def test_exact_start_gets_no_forcing(self, monkeypatch):
+        # zero boundary and g = Ftilde(0): the start is exact, r_0 = 0
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
+        box = ThetaBox(0.4, 2)
+        g = ScalarField.constant(grid, float(envelope_batch(np.zeros((1, 4, 4)), box).value[0]))
+        accuracies = recorded_accuracies(monkeypatch)
+        _, _, report = solve_dirichlet(grid, ScalarField.constant(grid, 0.0), g, box)
+        assert report.converged and report.iterations == 1
+        assert accuracies == [1e-12]
+
+    def test_floor_skip_returns_what_the_full_pass_returns(self):
+        # constant slopes and x = 1 attain the coarse bound
+        # 8 eps (2 sum_k max|c_k| max|x| + max|b|) at the centre point, so an
+        # accuracy just below the round-off floor must still get the floor
+        grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
+        N = 5 ** 4
+        Q = np.repeat(random_hermitian(np.random.default_rng(6), 1, 2), N, axis=0)
+        A, b = solver._frozen_policy(grid, Q, np.ones(N), np.zeros(grid.shape))
+        x = np.ones(N)
+        floor = 8.0 * np.finfo(float).eps * float(np.max(A.abs_matmul(x) + np.abs(b)))
+        for accuracy in floor * np.array([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0, 10.0]):
+            assert solver._Target(A, b, accuracy, x).at(x) == max(accuracy, floor)
+        A.abs_matmul = None   # just above the floor, the coarse bound decides alone
+        assert solver._Target(A, b, 1.01 * floor, x).at(x) == 1.01 * floor
+
+    @pytest.mark.parametrize("case", FORCING_CASES)
+    def test_skipped_floor_pass_changes_nothing(self, case, monkeypatch):
+        # at returns the accuracy without the |A| |x| pass when a coarse bound
+        # already lies below it; the full pass would return the same
+        problem = FORCING_CASES[case]()
+        abs_matmul, passes = solver._StencilOperator.abs_matmul, []
+
+        def counted(self, x):
+            passes.append(1)
+            return abs_matmul(self, x)
+
+        monkeypatch.setattr(solver._StencilOperator, "abs_matmul", counted)
+        _, _, report = solve_dirichlet(*problem)
+        with_skip = len(passes)
+
+        def full_pass(self, x):
+            floor = 8.0 * np.finfo(float).eps * float(np.max(self.A.abs_matmul(x) + self.abs_b))
+            return max(self.accuracy, floor)
+
+        monkeypatch.setattr(solver._Target, "at", full_pass)
+        _, _, full = solve_dirichlet(*problem)
+        assert same_bits(report.residual_history, full.residual_history)
+        assert report.krylov_steps == full.krylov_steps
+        assert with_skip < len(passes) - with_skip
 
 
 class TestAssembly:
