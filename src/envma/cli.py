@@ -117,12 +117,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-_CONFIG_KEYS = {
-    "n", "lo", "hi", "pointsPerAxis", "theta", "lambda", "Lambda",
-    "boundary", "g", "maxIter", "tol", "refinements",
-}
-
-
 def _field_from_spec(spec: str, grid, role: str):
     """ScalarField on a solver.GridSpec from a config value: built-in name,
     constant:<v>, or file:<path>."""
@@ -149,16 +143,17 @@ def _field_from_spec(spec: str, grid, role: str):
 def _load_problem(path: str, study: bool = False):
     """The checked problems of a solve (or, with `study`, convergence) config.
 
-    The one place a config is checked: theta, the maxIter and tol it sets,
-    and the grids: the pointsPerAxis grid of a solve or, for a study, one
-    per refinement, after the checks that the boundary is built in, that g
-    names it and that the refinements are distinct.  The grid key the
-    command does not use (a solve's refinements, a study's pointsPerAxis) is
-    parsed when present and then ignored.  Every grid is checked before any
-    field is built.  Any ValueError becomes a ParseError, so nothing is
-    solved or written for a bad config.  Returns (box, problems, solver_kwargs): one problem
-    (grid, boundary, g) per grid, each field built once (a study's boundary
-    is its exact solution), and only the solver settings the config sets.
+    The one place a config is checked: `matio.parse_config` checks every
+    key and value and that the grid key, pointsPerAxis (solve) or
+    refinements (study), is there; then come theta, the maxIter and tol it
+    sets, and the grids: the pointsPerAxis grid of a solve or, for a study,
+    one per refinement, after the checks that the boundary is built in, that
+    g names it and that the refinements are distinct.  Every grid is checked
+    before any field is built.  Any ValueError becomes a ParseError, so
+    nothing is solved or written for a bad config.  Returns (box, problems,
+    solver_kwargs): one problem (grid, boundary, g) per grid, each field
+    built once (a study's boundary is its exact solution), and only the
+    solver settings the config sets.
     """
     from . import solver as sv
 
@@ -168,19 +163,17 @@ def _load_problem(path: str, study: bool = False):
     except OSError as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from None
     try:
-        cfg = matio.ConfigView(matio.parse_config(text), _CONFIG_KEYS)
-        n = cfg.get_int("n")
-        theta, lam, Lam = (cfg.get_float(key) if cfg.has(key) else None
-                           for key in ("theta", "lambda", "Lambda"))
-        box = ThetaBox(_resolve_theta(theta, lam, Lam), n)
-        lo, hi = cfg.get_floats("lo"), cfg.get_floats("hi")
-        bnd_spec, g_spec = cfg.get_str("boundary"), cfg.get_str("g")
-        settings = (("maxIter", "max_iter", cfg.get_int), ("tol", "tol", cfg.get_float))
-        kwargs = {arg: get(key) for key, arg, get in settings if cfg.has(key)}
+        cfg, texts = matio.parse_config(text, ("n", "lo", "hi", "boundary", "g",
+                                               "refinements" if study else "pointsPerAxis"))
+        box = ThetaBox(_resolve_theta(cfg.get("theta"), cfg.get("lambda"), cfg.get("Lambda")),
+                       cfg["n"])
+        settings = (("maxIter", "max_iter"), ("tol", "tol"))
+        kwargs = {arg: cfg[key] for key, arg in settings if key in cfg}
         if "tol" in kwargs and not kwargs["tol"] > 0.0:
             raise ValueError(f"config key 'tol': must be positive, got {kwargs['tol']}")
         if "max_iter" in kwargs and kwargs["max_iter"] < 1:
             raise ValueError(f"config key 'maxIter': must be >= 1, got {kwargs['max_iter']}")
+        bnd_spec, g_spec = cfg["boundary"], cfg["g"]
         if study:
             if bnd_spec not in sv.BUILTIN_SOLUTIONS:
                 raise ValueError("convergence requires a built-in manufactured solution "
@@ -188,17 +181,13 @@ def _load_problem(path: str, study: bool = False):
             if g_spec != bnd_spec:
                 raise ValueError(f"config key 'g': must name the study's built-in solution "
                                  f"{bnd_spec!r}, got {g_spec!r}")
-            sizes = cfg.get_ints("refinements")
+            sizes = cfg["refinements"]
             if len(set(sizes)) != len(sizes):
                 raise ValueError(f"config key 'refinements': must be distinct, "
-                                 f"got {cfg.get_str('refinements')!r}")
-            if cfg.has("pointsPerAxis"):
-                cfg.get_int("pointsPerAxis")
+                                 f"got {texts['refinements']!r}")
         else:
-            sizes = [cfg.get_int("pointsPerAxis")]
-            if cfg.has("refinements"):
-                cfg.get_ints("refinements")
-        grids = [sv.GridSpec(n, lo, hi, P) for P in sizes]
+            sizes = [cfg["pointsPerAxis"]]
+        grids = [sv.GridSpec(cfg["n"], cfg["lo"], cfg["hi"], P) for P in sizes]
         problems = [(grid, _field_from_spec(bnd_spec, grid, "boundary"),
                      _field_from_spec(g_spec, grid, "g")) for grid in grids]
     except ValueError as exc:
@@ -244,7 +233,7 @@ def cmd_convergence(args) -> int:
     box, problems, kwargs = _load_problem(args.config, study=True)
     _check_out(args.out)
     for grid, exact, _ in problems:
-        outside = sv.check_premises(exact, box.theta, box.hi).outside_tangency
+        outside = sv.check_premises(exact, box).outside_tangency
         if outside:
             P = grid.points_per_axis
             print(f"warning: refinement {P}: the exact u leaves the tangency region at {outside} "

@@ -99,66 +99,56 @@ def parse_grid_values(text: str, expected: int) -> np.ndarray:
     return np.array(vals)
 
 
-def parse_config(text: str) -> dict:
-    """Flat `key = value` config with `#` comments."""
-    out = {}
-    for i, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.split("#", 1)[0].strip()
+# every config key: the parse of its value, and what a value that parse
+# rejects is called in the error message
+_INTEGER = (int, "bad integer")
+_INTEGERS = (lambda tok: [int(p) for p in tok.split(",")], "bad integer list")
+_NUMBER = (parse_finite, "bad or non-finite number")
+_NUMBERS = (lambda tok: [parse_finite(p) for p in tok.split(",")],
+            "bad or non-finite number list")
+_TEXT = (str, None)
+CONFIG_KEYS = {
+    "n": _INTEGER, "lo": _NUMBERS, "hi": _NUMBERS, "pointsPerAxis": _INTEGER,
+    "theta": _NUMBER, "lambda": _NUMBER, "Lambda": _NUMBER, "boundary": _TEXT, "g": _TEXT,
+    "maxIter": _INTEGER, "tol": _NUMBER, "refinements": _INTEGERS,
+}
+
+
+def parse_config(text: str, required) -> tuple:
+    """Flat `key = value` config with `#` comments: (values, texts), the
+    parsed value and the text as written of each key present.
+
+    ParseError at the first fault, checked in this order: the lines, unknown
+    keys, every value present (in file order, by its CONFIG_KEYS entry),
+    then the keys of `required`.
+    """
+    texts = {}
+    for i, line in enumerate(text.splitlines(), start=1):
+        ln = line.split("#", 1)[0].strip()
         if not ln:
             continue
-        if "=" not in ln:
-            raise ParseError(f"line {i}: expected 'key = value', got {raw.strip()!r}")
         key, _, val = ln.partition("=")
         key = key.strip()
         val = val.strip()
         if not key or not val:
-            raise ParseError(f"line {i}: expected 'key = value', got {raw.strip()!r}")
-        if key in out:
+            raise ParseError(f"line {i}: expected 'key = value', got {line.strip()!r}")
+        if key in texts:
             raise ParseError(f"line {i}: duplicate key {key!r}")
-        out[key] = val
-    return out
-
-
-class ConfigView:
-    """Typed accessors over a parsed config; missing keys raise ParseError
-    naming the key."""
-
-    def __init__(self, raw: dict, known: set):
-        unknown = set(raw) - known
-        if unknown:
-            raise ParseError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        self.raw = raw
-
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
-    def get_str(self, key: str) -> str:
-        if key not in self.raw:
-            raise ParseError(f"missing config key {key!r}")
-        return self.raw[key]
-
-    def _parsed(self, key: str, parse, what: str):
-        """parse(value of key); a ValueError becomes a ParseError naming the
-        key, `what` is wrong and the value."""
-        tok = self.get_str(key)
+        texts[key] = val
+    unknown = set(texts) - set(CONFIG_KEYS)
+    if unknown:
+        raise ParseError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    values = {}
+    for key, tok in texts.items():
+        parse, what = CONFIG_KEYS[key]
         try:
-            return parse(tok)
+            values[key] = parse(tok)
         except ValueError:
             raise ParseError(f"config key {key!r}: {what} {tok!r}") from None
-
-    def get_int(self, key: str) -> int:
-        return self._parsed(key, int, "bad integer")
-
-    def get_float(self, key: str) -> float:
-        return self._parsed(key, parse_finite, "bad or non-finite number")
-
-    def get_floats(self, key: str) -> list:
-        return self._parsed(key, lambda tok: [parse_finite(p) for p in tok.split(",")],
-                            "bad or non-finite number list")
-
-    def get_ints(self, key: str) -> list:
-        return self._parsed(key, lambda tok: [int(p) for p in tok.split(",")],
-                            "bad integer list")
+    for key in required:
+        if key not in values:
+            raise ParseError(f"missing config key {key!r}")
+    return values, texts
 
 
 def field_csv(field) -> str:

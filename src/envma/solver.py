@@ -566,22 +566,23 @@ class MembershipReport(NamedTuple):
     outside_tangency: int
 
 
-def check_premises(u: ScalarField, lam: float, Lam: float) -> MembershipReport:
+def check_premises(u: ScalarField, box: ThetaBox) -> MembershipReport:
     """Box membership of the discrete Hessian field.
 
-    For theta = min(lambda, 1/Lambda), reports the fraction of interior
-    points whose Hessian projection has spectrum in [theta, 1/theta], the
-    extremal projected eigenvalues over the grid, and the number of points
-    outside the tangency region, where that spectrum or the tangent slope of
-    F leaves the box, so that F(D^2_h u) need not be Ftilde(D^2_h u).
-    Spectra within 1e-9 of the box count as inside.
+    Reports the fraction of interior points whose Hessian projection has
+    spectrum in [box.theta, 1/box.theta], the extremal projected eigenvalues
+    over the grid, and the number of points outside the tangency region,
+    where that spectrum or the tangent slope of F leaves the box, so that
+    F(D^2_h u) need not be Ftilde(D^2_h u).  Spectra within 1e-9 of the box
+    count as inside.  Raises ValueError when the box and the grid differ in n.
     """
-    theta = mc.admissible_theta(lam, Lam)
+    if box.n != u.grid.n:
+        raise ValueError(f"grid has n={u.grid.n} but the box has n={box.n}")
     mu = mc.herm_eigensystem(_hermitian_stack(u))[0]
-    inside = (mu[:, 0] >= theta - 1e-9) & (mu[:, -1] <= 1.0 / theta + 1e-9)
+    inside = (mu[:, 0] >= box.theta - 1e-9) & (mu[:, -1] <= box.hi + 1e-9)
     tangent = inside.copy()
-    tangent[inside] = tangent_in_box(mu[inside], ThetaBox(theta, u.grid.n))
-    return MembershipReport(theta, float(np.mean(inside)), float(np.min(mu[:, 0])),
+    tangent[inside] = tangent_in_box(mu[inside], box)
+    return MembershipReport(box.theta, float(np.mean(inside)), float(np.min(mu[:, 0])),
                             float(np.max(mu[:, -1])), int(np.sum(~tangent)))
 
 

@@ -201,7 +201,7 @@ def test_criterion_8_hessian_box_membership():
         grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), 7)
         u_fn, _ = builtin_solution("quadratic", n)
         u = ScalarField.from_function(grid, u_fn)
-        rep = check_premises(u, 2.0, 2.0)
+        rep = check_premises(u, ThetaBox(mc.admissible_theta(2.0, 2.0), n))
         assert rep.theta == 0.5
         assert rep.fraction_in_box == 1.0
         fractions.append(rep.fraction_in_box)

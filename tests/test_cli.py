@@ -481,6 +481,9 @@ FAILURES = {
     "study-bad-points-per-axis": (["convergence", "CFG", "OUT"],
                                   STUDY_CFG.replace("pointsPerAxis = 9", "pointsPerAxis = x"),
                                   2, "config key 'pointsPerAxis': bad integer 'x'"),
+    "refinements-as-written": (["convergence", "CFG", "OUT"],
+                               STUDY_CFG.replace("refinements = 9,17", "refinements = 9, 9"),
+                               2, "config key 'refinements': must be distinct, got '9, 9'"),
     "study-g-not-builtin": (["convergence", "CFG", "OUT"], QUAD_CFG + "refinements = 9,17\n",
                             2, "'g'"),
     "out-is-a-file": (["solve", "CFG", "FILE"], QUAD_CFG, 3, "File exists"),
@@ -569,6 +572,62 @@ class TestFailures:
         assert code == 3 and out == ""
         assert err.splitlines() == [line] and err.endswith("\n")
         assert not (tmp_path / "o").exists()
+
+
+class TestConfigChecks:
+    """Every key present is parsed by its type, whichever command reads it;
+    a config with several faults reports the first in one fixed order."""
+
+    @staticmethod
+    def run(capsys, monkeypatch, command, cfg_path, out):
+        def no_solve(*args, **kwargs):
+            pytest.fail("solve_dirichlet was called")
+
+        monkeypatch.setattr(solver, "solve_dirichlet", no_solve)
+        return run_main(capsys, [command, "--config", str(cfg_path), "--out", str(out)])
+
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    @pytest.mark.parametrize("key", ["n", "pointsPerAxis", "maxIter", "theta", "lambda",
+                                     "Lambda", "tol", "lo", "hi", "refinements"])
+    def test_every_typed_key_is_parsed_by_both_commands(self, key, command, tmp_path, capsys,
+                                                        monkeypatch):
+        values = dict(line.split(" = ") for line in
+                      (STUDY_CFG + "maxIter = 100\ntol = 1e-10\n").splitlines())
+        if key in ("lambda", "Lambda"):
+            del values["theta"]
+            values.update({"lambda": "2", "Lambda": "2"})
+        base = write(tmp_path / "base.cfg", "".join(f"{k} = {v}\n" for k, v in values.items()))
+        envma.cli._load_problem(base, study=command == "convergence")   # a good config
+        values[key] = "9,x"
+        cfg = write(tmp_path / "p.cfg", "".join(f"{k} = {v}\n" for k, v in values.items()))
+        code, out, err = self.run(capsys, monkeypatch, command, cfg, tmp_path / "o")
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: config key '{key}': bad ")
+        assert err.endswith(" '9,x'\n") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_faults_are_reported_in_a_fixed_order(self, tmp_path, capsys, monkeypatch):
+        # the lines, then unknown keys, then the values (in file order), then
+        # the required keys, then the checks across keys: each config below
+        # has the faults of the next one and one more, which is reported
+        cross = QUAD_CFG.replace("n = 1", "n = 0").replace("theta = 0.4", "theta = 1e-200")
+        missing = cross.replace("lo = -1,-1\n", "")
+        values = "tol = nan\nmaxIter = x\n" + missing
+        unknown = "zork = 1\n" + values
+        steps = [
+            ("just words\n" + unknown, "line 1: expected 'key = value', got 'just words'"),
+            (unknown, "unknown config keys: zork"),
+            (values, "config key 'tol': bad or non-finite number 'nan'"),
+            (values.replace("tol = nan\n", ""), "config key 'maxIter': bad integer 'x'"),
+            (missing, "missing config key 'lo'"),
+            (cross, "n must be a positive integer, got 0"),
+            (cross.replace("n = 0", "n = 1"), "theta must lie in"),
+        ]
+        for cfg, message in steps:
+            path = write(tmp_path / "p.cfg", cfg)
+            code, out, err = self.run(capsys, monkeypatch, "solve", path, tmp_path / "o")
+            assert code == 2 and out == ""
+            assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
 
 
 class TestConvergence:

@@ -1,5 +1,8 @@
 """Tests for the plain-text formats: matrix files, grid data, configs, CSV."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,47 +107,50 @@ class TestGridValues:
 
 class TestConfig:
     def test_parse_with_comments(self):
-        cfg = matio.parse_config("# hi\nn = 1\nlo = -1,-1  # corners\n")
-        assert cfg == {"n": "1", "lo": "-1,-1"}
+        values, texts = matio.parse_config("# hi\nn = 1\nlo = -1,-1  # corners\n", ())
+        assert texts == {"n": "1", "lo": "-1,-1"}
+        assert values == {"n": 1, "lo": [-1.0, -1.0]}
 
     def test_duplicate_key(self):
         with pytest.raises(ParseError, match="duplicate"):
-            matio.parse_config("a = 1\na = 2\n")
+            matio.parse_config("n = 1\nn = 2\n", ())
 
     def test_missing_equals(self):
-        with pytest.raises(ParseError, match="line 1"):
-            matio.parse_config("just some words\n")
+        for line in ("just some words", "n =", "= 1"):
+            with pytest.raises(ParseError, match="line 1: expected 'key = value'"):
+                matio.parse_config(line + "\n", ())
 
-    def test_view_missing_key_named(self):
-        view = matio.ConfigView({"n": "1"}, {"n", "pointsPerAxis"})
-        with pytest.raises(ParseError, match="pointsPerAxis"):
-            view.get_int("pointsPerAxis")
+    def test_missing_key_named(self):
+        with pytest.raises(ParseError, match="^missing config key 'pointsPerAxis'$"):
+            matio.parse_config("n = 1\n", ("n", "pointsPerAxis"))
 
-    def test_view_rejects_unknown_keys(self):
-        with pytest.raises(ParseError, match="unknown config keys"):
-            matio.ConfigView({"typo": "1"}, {"n"})
+    def test_rejects_unknown_keys(self):
+        with pytest.raises(ParseError, match="^unknown config keys: typo, zz$"):
+            matio.parse_config("zz = 1\nn = 1\ntypo = 1\n", ())
 
-    def test_typed_accessors(self):
-        view = matio.ConfigView(
-            {"n": "2", "tol": "1e-9", "lo": "-1,0.5", "refinements": "9,17"},
-            {"n", "tol", "lo", "refinements"})
-        assert view.get_int("n") == 2
-        assert view.get_float("tol") == 1e-9
-        assert view.get_floats("lo") == [-1.0, 0.5]
-        assert view.get_ints("refinements") == [9, 17]
+    def test_typed_values(self):
+        values, _ = matio.parse_config(
+            "n = 2\ntol = 1e-9\nlo = -1,0.5\nrefinements = 9, 17\nboundary = file:g.txt\n", ())
+        assert values == {"n": 2, "tol": 1e-9, "lo": [-1.0, 0.5], "refinements": [9, 17],
+                          "boundary": "file:g.txt"}
 
     def test_bad_number_reports_key(self):
-        view = matio.ConfigView({"tol": "abc"}, {"tol"})
-        with pytest.raises(ParseError, match="tol"):
-            view.get_float("tol")
+        with pytest.raises(ParseError, match="^config key 'tol': bad or non-finite number 'abc'$"):
+            matio.parse_config("tol = abc\n", ())
 
     def test_non_finite_numbers_rejected(self):
-        view = matio.ConfigView({"tol": "nan", "theta": "inf", "lo": "nan,-1"},
-                                {"tol", "theta", "lo"})
-        for key, get in (("tol", view.get_float), ("theta", view.get_float),
-                         ("lo", view.get_floats)):
-            with pytest.raises(ParseError, match=f"'{key}'"):
-                get(key)
+        for key, tok in (("tol", "nan"), ("theta", "inf"), ("lo", "nan,-1")):
+            with pytest.raises(ParseError, match=f"^config key '{key}': .* '{tok}'$"):
+                matio.parse_config(f"{key} = {tok}\n", ())
+
+    def test_readme_lists_every_config_key(self):
+        # the key table of README's "Problem configs" section names exactly
+        # the keys the parser knows
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = re.split(r"\n##+ ", readme.split("### Problem configs", 1)[1])[0]
+        keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(matio.CONFIG_KEYS)
 
 
 class TestCsvAndReport:

@@ -92,7 +92,8 @@ def test_study_and_membership_rows_read_by_name():
     assert (row.points_per_axis, row.h, row.max_error, row.observed_order) == (17, 0.125,
                                                                               2.5e-4, 2.0)
     grid = GridSpec(1, (-1.0, -1.0), (1.0, 1.0), 5)
-    report = check_premises(ScalarField.from_function(grid, lambda x, y: x**2 + y**2), 0.4, 2.5)
+    report = check_premises(ScalarField.from_function(grid, lambda x, y: x**2 + y**2),
+                            ThetaBox(0.4, 1))
     assert isinstance(report, MembershipReport)
     assert report.theta == 0.4 and report.fraction_in_box == 1.0 and report.outside_tangency == 0
     assert report.min_eig == pytest.approx(2.0) and report.max_eig == pytest.approx(2.0)

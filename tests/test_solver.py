@@ -403,7 +403,7 @@ class TestCheckPremises:
             grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), 7)
             u_fn, _ = builtin_solution("quadratic", n)
             u = field_of(grid, u_fn)
-            rep = check_premises(u, 2.0, 2.0)
+            rep = check_premises(u, ThetaBox(0.5, n))
             assert rep.theta == 0.5
             assert rep.fraction_in_box == 1.0
             assert abs(rep.min_eig - 2.0) < 1e-10
@@ -413,7 +413,7 @@ class TestCheckPremises:
     def test_zero_field_outside(self):
         grid = make_grid_1(7)
         u = ScalarField.constant(grid, 0.0)
-        rep = check_premises(u, 0.5, 2.0)
+        rep = check_premises(u, ThetaBox(0.5, 1))
         assert rep.fraction_in_box == 0.0
         assert rep.outside_tangency == 5 ** 2
 
@@ -422,15 +422,14 @@ class TestCheckPremises:
         # tangent slope of F there, (2, 1/8), does not
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u = field_of(grid, lambda x1, x2, y1, y2: (x1**2 + y1**2) / 8.0 + 2.0 * (x2**2 + y2**2))
-        rep = check_premises(u, 0.25, 4.0)
+        rep = check_premises(u, ThetaBox(0.25, 2))
         assert rep.fraction_in_box == 1.0
         assert rep.outside_tangency == 5 ** 4
 
-    def test_inconsistent_bounds(self):
-        grid = make_grid_1(7)
-        u = ScalarField.constant(grid, 0.0)
-        with pytest.raises(ValueError):
-            check_premises(u, 3.0, 1.0)
+    def test_box_of_another_n_rejected(self):
+        u = ScalarField.constant(make_grid_1(7), 0.0)
+        with pytest.raises(ValueError, match="grid has n=1 but the box has n=2"):
+            check_premises(u, ThetaBox(0.5, 2))
 
 
 class TestHowardLoop:
