@@ -148,12 +148,12 @@ def _load_problem(path: str, study: bool = False):
     refinements (study), is there; then come theta, the maxIter and tol it
     sets, and the grids: the pointsPerAxis grid of a solve or, for a study,
     one per refinement, after the checks that the boundary is built in, that
-    g names it and that the refinements are distinct.  Every grid is checked
-    before any field is built.  Any ValueError becomes a ParseError, so
-    nothing is solved or written for a bad config.  Returns (box, problems,
-    solver_kwargs): one problem (grid, boundary, g) per grid, each field
-    built once (a study's boundary is its exact solution), and only the
-    solver settings the config sets.
+    g names it and that the refinements are distinct and at least 5.  Every
+    grid is checked before any field is built.  Any ValueError becomes a
+    ParseError, so nothing is solved or written for a bad config.  Returns
+    (box, problems, solver_kwargs): one problem (grid, boundary, g) per
+    grid, each field built once (a study's boundary is its exact solution),
+    and only the solver settings the config sets.
     """
     from . import solver as sv
 
@@ -185,6 +185,9 @@ def _load_problem(path: str, study: bool = False):
             if len(set(sizes)) != len(sizes):
                 raise ValueError(f"config key 'refinements': must be distinct, "
                                  f"got {texts['refinements']!r}")
+            if min(sizes) < 5:
+                raise ValueError(f"config key 'refinements': must be >= 5 (3 interior points "
+                                 f"per axis), got {texts['refinements']!r}")
         else:
             sizes = [cfg["pointsPerAxis"]]
         grids = [sv.GridSpec(cfg["n"], cfg["lo"], cfg["hi"], P) for P in sizes]

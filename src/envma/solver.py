@@ -501,11 +501,12 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     report = SolveReport()
     best = None
 
+    g_core = g.values[core].reshape(-1)
     value, state = _certify_values(_hermitian_stack(u), box)
-    res = r0 = float(np.max(np.abs(value - g.values[core].reshape(-1))))
+    res = r0 = float(np.max(np.abs(value - g_core)))
     for it in range(1, max_iter + 1):
         policy = _certify_policy(value, state, box)
-        rhs = g.values[core].reshape(-1) - policy.intercept
+        rhs = g_core - policy.intercept
         A, b = _frozen_policy(grid, policy.slope, rhs, boundary.values)
         # no forcing from a zero or non-finite r_0, nor from a non-finite product
         forced = _FORCING * res * min(1.0, res / r0) if 0.0 < r0 < np.inf else 0.0
@@ -517,17 +518,16 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         u.values[core] = x.reshape(grid.interior_shape)
 
         value, state = _certify_values(_hermitian_stack(u), box)
-        residual = _residual_of(u, g, value)
-        res = float(np.max(np.abs(residual.values)))
+        res = float(np.max(np.abs(value - g_core)))
         report.residual_history.append(res)
         report.iterations = it
         if best is None or res < best[0]:
-            best = (res, u.values.copy(), policy, residual)
+            best = (res, u.values.copy(), policy, value)
         if res <= tol:
             report.converged = True
             break
     report.final_residual = best[0]
-    report.residual = best[3]
+    report.residual = _residual_of(u, g, best[3])
     report.wall_time_s = time.perf_counter() - start
     return ScalarField(grid, best[1]), best[2], report
 

@@ -10,12 +10,13 @@ the commands and tests that check the kernel compile them:
 
 The random samples of the checks are drawn in blocks (`draw_verify_block`):
 each drawn field of a sample has its own generator spawned from the seed,
-and one call draws a field for the whole block.  `sample_in_box`,
-`sample_unitary` and `sample_psd` apply the same helpers to a stack of one,
-drawing every field from one generator.  Hermitian matrices, unitaries among
-them, are complex arrays throughout; `mc.embed` turns one into its real
-2n x 2n form (a unitary into a J-commuting rotation).  The checks read
-values and eigenvalues only, from the kernel's `envelope._certify_values`.
+and one call of one function (`_in_box`, `_psd`, `_unitaries`) draws and
+shapes a field for the whole block.  `sample_in_box`, `sample_psd` and
+`sample_unitary` are these functions at m = 1, fed one generator.
+Hermitian matrices, unitaries among them, are complex arrays throughout;
+`mc.embed` turns one into its real 2n x 2n form (a unitary into a
+J-commuting rotation).  The checks read values and eigenvalues only, from
+the kernel's `envelope._certify_values`.
 """
 
 from __future__ import annotations
@@ -189,10 +190,10 @@ def _complex_gaussian(rng, m: int, n: int) -> np.ndarray:
     return g[:, 0] + 1j * g[:, 1]
 
 
-def _unitary(Z: np.ndarray) -> np.ndarray:
-    """Unitaries from a stack of complex Gaussians (..., n, n): the Q of the
-    QR decomposition with the phases of diag(R) moved into Q."""
-    Q, R = np.linalg.qr(Z)
+def _unitaries(rng, m: int, n: int) -> np.ndarray:
+    """m random n x n unitaries: the Q of the QR decomposition of each of m
+    complex Gaussians, with the phases of diag(R) moved into Q."""
+    Q, R = np.linalg.qr(_complex_gaussian(rng, m, n))
     ph = np.diagonal(R, axis1=-2, axis2=-1).copy()
     ph = ph / np.abs(ph)
     return Q * ph[..., np.newaxis, :].conj()
@@ -200,24 +201,19 @@ def _unitary(Z: np.ndarray) -> np.ndarray:
 
 def sample_unitary(rng, n: int) -> np.ndarray:
     """Haar-ish random n x n unitary (QR of a complex Gaussian)."""
-    return _unitary(_complex_gaussian(rng, 1, n))[0]
+    return _unitaries(rng, 1, n)[0]
 
 
-def _draw_in_box(rngs: tuple, box: envelope.ThetaBox, m: int) -> tuple:
-    """Draws of m in-box matrices: eigenvalues, eigenbasis Gaussians and
-    symmetric parts, from the three generators of rngs in turn."""
+def _in_box(rngs: tuple, box: envelope.ThetaBox, m: int) -> np.ndarray:
+    """m stacked in-box matrices: the embedded U diag(mu) U^H plus the
+    J-anticommuting part of a symmetric matrix, with mu, U and the
+    symmetric part drawn from the three generators of rngs in turn."""
     rng_mu, rng_Z, rng_S = rngs
-    n = box.n
-    return (rng_mu.uniform(box.theta, box.hi, size=(m, n)), _complex_gaussian(rng_Z, m, n),
-            rng_S.uniform(-1.0, 1.0, size=(m, 2 * n, 2 * n)))
-
-
-def _in_box(mu: np.ndarray, Z: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Stacked in-box matrices from the draws of `_draw_in_box`: the embedded
-    U diag(mu) U^H plus the J-anticommuting part of a symmetric matrix."""
-    U = _unitary(Z)
+    mu = rng_mu.uniform(box.theta, box.hi, size=(m, box.n))
+    U = _unitaries(rng_Z, m, box.n)
     core = mc.embed(envelope._hermitian_part((U * mu[..., np.newaxis, :])
                                              @ U.conj().swapaxes(-1, -2)))
+    S = rng_S.uniform(-1.0, 1.0, size=(m, 2 * box.n, 2 * box.n))
     S = _symmetrized(S, 0.0)
     return core + (S - mc.embed(mc.hermitian_blocks(S)))
 
@@ -225,38 +221,30 @@ def _in_box(mu: np.ndarray, Z: np.ndarray, S: np.ndarray) -> np.ndarray:
 def sample_in_box(rng, box: envelope.ThetaBox) -> np.ndarray:
     """Matrix whose projection has spectrum uniform in the box, plus a random
     J-anticommuting component (which the envelope must ignore)."""
-    return _in_box(*_draw_in_box((rng, rng, rng), box, 1))[0]
+    return _in_box((rng, rng, rng), box, 1)[0]
 
 
-def _draw_psd(rng, d: int, kind: str, m: int) -> np.ndarray:
-    """Draws of m PSD perturbations of one kind, stacked along a leading axis."""
+def _psd(rng, d: int, kind: str, m: int) -> np.ndarray:
+    """m PSD perturbations of one kind, stacked along a leading axis."""
     if kind == "gram":
-        return rng.uniform(-1.0, 1.0, size=(m, d, d))
+        G = rng.uniform(-1.0, 1.0, size=(m, d, d))
+        return (G @ G.swapaxes(-1, -2)) / d
     if kind == "embedded":
-        return _complex_gaussian(rng, m, d // 2)
+        Z = _complex_gaussian(rng, m, d // 2)
+        return mc.embed(envelope._hermitian_part((Z @ Z.conj().swapaxes(-1, -2)) / (d // 2)))
     if kind == "rank1":
-        return rng.normal(size=(m, d))
-    if kind == "scalar":
-        return rng.uniform(0.1, 2.0, size=m)
-    raise ValueError(f"unknown psd kind {kind!r}")
-
-
-def _psd(kind: str, raw: np.ndarray, d: int) -> np.ndarray:
-    """Stacked PSD perturbations of one kind from a stack of `_draw_psd` draws."""
-    if kind == "gram":
-        return (raw @ raw.swapaxes(-1, -2)) / d
-    if kind == "embedded":
-        return mc.embed(envelope._hermitian_part((raw @ raw.conj().swapaxes(-1, -2)) / (d // 2)))
-    if kind == "rank1":
-        row, col = raw[..., np.newaxis, :], raw[..., :, np.newaxis]
+        v = rng.normal(size=(m, d))
+        row, col = v[..., np.newaxis, :], v[..., :, np.newaxis]
         return (col * row) / (row @ col)
-    return raw[..., np.newaxis, np.newaxis] * np.eye(d)
+    if kind == "scalar":
+        c = rng.uniform(0.1, 2.0, size=m)
+        return c[..., np.newaxis, np.newaxis] * np.eye(d)
+    raise ValueError(f"unknown psd kind {kind!r}")
 
 
 def sample_psd(rng, d: int, kind: str) -> np.ndarray:
     """PSD perturbation of the requested kind."""
-    return _psd(kind, _draw_psd(rng, d, kind, 1), d)[0]
-
+    return _psd(rng, d, kind, 1)[0]
 
 
 # the drawn fields of a verify sample, one generator each (verify_streams)
@@ -291,14 +279,14 @@ def draw_verify_block(streams: dict, box: envelope.ThetaBox, start: int, stop: i
     for k, kind in enumerate(_PSD_KINDS):
         rows = np.flatnonzero(idx % len(_PSD_KINDS) == k)
         if rows.size:
-            P[rows] = _psd(kind, _draw_psd(streams[kind], d, kind, rows.size), d)
+            P[rows] = _psd(streams[kind], d, kind, rows.size)
     return {
         "m1": m1,
         "m2": m2,
-        "m_in": _in_box(*_draw_in_box((streams["mu"], streams["Z"], streams["S"]), box, m)),
+        "m_in": _in_box((streams["mu"], streams["Z"], streams["S"]), box, m),
         "P": P,
         "P_kind": tuple(_PSD_KINDS[i % len(_PSD_KINDS)] for i in range(start, stop)),
-        "R": mc.embed(_unitary(_complex_gaussian(streams["Z_rot"], m, n))),
+        "R": mc.embed(_unitaries(streams["Z_rot"], m, n)),
     }
 
 

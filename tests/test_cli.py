@@ -484,6 +484,10 @@ FAILURES = {
     "refinements-as-written": (["convergence", "CFG", "OUT"],
                                STUDY_CFG.replace("refinements = 9,17", "refinements = 9, 9"),
                                2, "config key 'refinements': must be distinct, got '9, 9'"),
+    "refinement-below-5": (["convergence", "CFG", "OUT"],
+                           STUDY_CFG.replace("refinements = 9,17", "refinements = 9, 4"),
+                           2, "config key 'refinements': must be >= 5 (3 interior points "
+                              "per axis), got '9, 4'"),
     "study-g-not-builtin": (["convergence", "CFG", "OUT"], QUAD_CFG + "refinements = 9,17\n",
                             2, "'g'"),
     "out-is-a-file": (["solve", "CFG", "FILE"], QUAD_CFG, 3, "File exists"),
@@ -750,7 +754,8 @@ refinements = 17,33,65
         code, _, err = run_main(capsys, ["convergence", "--config", cfg,
                                          "--out", str(tmp_path / "o")])
         assert code == 2
-        assert err.startswith("config error: ") and "pointsPerAxis" in err
+        assert err == "config error: config key 'refinements': must be >= 5 (3 interior " \
+                      "points per axis), got '3,9'\n"
         assert not (tmp_path / "o").exists()
 
 

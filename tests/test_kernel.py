@@ -403,51 +403,62 @@ def test_conjugate_on_a_ray_of_maximizers(theta):
         assert abs(g) <= 1e-14 / theta and np.all(x == 1.0 / theta)
 
 
+def _ref_symmetric(rng, d, shift):
+    S = rng.uniform(-1.0, 1.0, size=(d, d))
+    return (S + S.T) / 2.0 + shift * np.eye(d)
+
+
+def _ref_gaussian(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _ref_unitary(rng, n):
+    Q, R = np.linalg.qr(_ref_gaussian(rng, n))
+    ph = np.diag(R).copy()
+    ph = ph / np.abs(ph)
+    return Q * ph[np.newaxis, :].conj()
+
+
+def _ref_hermitian_part(X):
+    return (X + X.conj().T) / 2
+
+
+def _ref_in_box(rng_mu, rng_Z, rng_S, box):
+    """In-box matrix drawn one field at a time: mu, then the eigenbasis
+    Gaussian, then the symmetric part, each from its generator."""
+    mu = rng_mu.uniform(box.theta, box.hi, size=box.n)
+    U = _ref_unitary(rng_Z, box.n)
+    core = mc.embed(_ref_hermitian_part((U * mu) @ U.conj().T))
+    S = _ref_symmetric(rng_S, 2 * box.n, 0.0)
+    return core + (S - mc.project(S))
+
+
+def _ref_psd(rng, d, kind):
+    if kind == "gram":
+        G = rng.uniform(-1.0, 1.0, size=(d, d))
+        return (G @ G.T) / d
+    if kind == "embedded":
+        Z = _ref_gaussian(rng, d // 2)
+        return mc.embed(_ref_hermitian_part((Z @ Z.conj().T) / (d // 2)))
+    if kind == "rank1":
+        v = rng.normal(size=d)
+        return np.outer(v, v) / float(v @ v)
+    return float(rng.uniform(0.1, 2.0)) * np.eye(d)
+
+
 def reference_draw(streams, box, idx):
     """Verify sample idx drawn and shaped one matrix at a time, each field
     from its own generator of `streams`."""
-    n, d = box.n, 2 * box.n
-
-    def symmetric(rng, shift):
-        S = rng.uniform(-1.0, 1.0, size=(d, d))
-        return (S + S.T) / 2.0 + shift * np.eye(d)
-
-    def gaussian(rng):
-        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-    def unitary(rng):
-        Q, R = np.linalg.qr(gaussian(rng))
-        ph = np.diag(R).copy()
-        ph = ph / np.abs(ph)
-        return Q * ph[np.newaxis, :].conj()
-
-    def hermitian_part(X):
-        return (X + X.conj().T) / 2
-
+    d = 2 * box.n
     # a shift is drawn for every sample and used where idx says so
     shift1 = float(streams["shift1"].uniform(0.0, 3.0))
-    m1 = symmetric(streams["S1"], shift1 if idx % 2 == 0 else 0.0)
+    m1 = _ref_symmetric(streams["S1"], d, shift1 if idx % 2 == 0 else 0.0)
     shift2 = float(streams["shift2"].uniform(0.0, 3.0))
-    m2 = symmetric(streams["S2"], shift2 if idx % 3 == 0 else 0.0)
-    mu = streams["mu"].uniform(box.theta, box.hi, size=n)
-    U = unitary(streams["Z"])
-    core = mc.embed(hermitian_part((U * mu) @ U.conj().T))
-    S = symmetric(streams["S"], 0.0)
-    m_in = core + (S - mc.project(S))
+    m2 = _ref_symmetric(streams["S2"], d, shift2 if idx % 3 == 0 else 0.0)
+    m_in = _ref_in_box(streams["mu"], streams["Z"], streams["S"], box)
     kind = ("gram", "embedded", "rank1", "scalar")[idx % 4]
-    rng = streams[kind]
-    if kind == "gram":
-        G = rng.uniform(-1.0, 1.0, size=(d, d))
-        P = (G @ G.T) / d
-    elif kind == "embedded":
-        Z = gaussian(rng)
-        P = mc.embed(hermitian_part((Z @ Z.conj().T) / n))
-    elif kind == "rank1":
-        v = rng.normal(size=d)
-        P = np.outer(v, v) / float(v @ v)
-    else:
-        P = float(rng.uniform(0.1, 2.0)) * np.eye(d)
-    R = mc.embed(unitary(streams["Z_rot"]))
+    P = _ref_psd(streams[kind], d, kind)
+    R = mc.embed(_ref_unitary(streams["Z_rot"], box.n))
     return {"m1": m1, "m2": m2, "m_in": m_in, "P": P, "P_kind": kind, "R": R}
 
 
@@ -471,6 +482,29 @@ def test_block_draws_equal_pointwise_draws(n):
     assert streams_block.keys() == streams_ref.keys()
     for name in streams_ref:
         assert streams_block[name].bit_generator.state == streams_ref[name].bit_generator.state, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_generator_samplers_equal_reference(n):
+    # sample_in_box, sample_psd and sample_unitary draw every field from the
+    # one generator they are given, in the order of the reference
+    from envma import verify
+
+    box = ThetaBox(0.3, n)
+    samplers = [("in_box", lambda rng: verify.sample_in_box(rng, box),
+                 lambda rng: _ref_in_box(rng, rng, rng, box)),
+                ("unitary", lambda rng: verify.sample_unitary(rng, n),
+                 lambda rng: _ref_unitary(rng, n))]
+    samplers += [(kind, lambda rng, kind=kind: verify.sample_psd(rng, 2 * n, kind),
+                  lambda rng, kind=kind: _ref_psd(rng, 2 * n, kind))
+                 for kind in ("gram", "embedded", "rank1", "scalar")]
+    for name, sample, reference in samplers:
+        rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            got, ref = sample(rng), reference(rng_ref)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+        assert rng.bit_generator.state == rng_ref.bit_generator.state, name
 
 
 def test_verify_report_does_not_depend_on_block_size(monkeypatch):
