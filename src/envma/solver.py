@@ -378,9 +378,12 @@ def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, r: np.ndarra
     and checked only where that predicts `target`.  Returns (x, b - A x, steps,
     passed) at the first x_k that passes, after _GMRES_RESTART steps, or when
     the space is invariant."""
-    z = precondition(r)
-    beta = np.linalg.norm(z)
-    if not beta > 0.0:   # exact already, or non-finite: one true check decides
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite beta is decided below
+        z = precondition(r)
+        # |z| of z scaled by a power of two, which is exact, so no square overflows
+        e = np.frexp(np.max(np.abs(z)))[1]
+        beta = float(np.ldexp(np.linalg.norm(np.ldexp(z, -e)), e))
+    if not 0.0 < beta < np.inf:   # exact already, or non-finite: one true check decides
         return x, r, 0, target.met_at(x, r)
     scale = float(np.max(np.abs(r))) / beta
     V = np.empty((_GMRES_RESTART + 1, len(b)))
@@ -479,7 +482,9 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     `max_iter` and `tol` default to the values a config without maxIter or
     tol gets: the CLI passes only the keys a config sets.  Raises
     ValueError, before any work, when boundary or g lives on a grid other
-    than `grid`, or when the box and the grid differ in n.  On hitting
+    than `grid`, or when the box and the grid differ in n, and before the
+    first policy evaluation when the discrete Hessian of the start is not
+    finite (finite data whose differences or 1/h^2 overflow).  On hitting
     `max_iter` the best iterate is returned with report.converged = False;
     report.residual is the residual field of the returned iterate, and the
     returned policy (one row per interior point) the one it was solved with.
@@ -502,7 +507,12 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     best = None
 
     g_core = g.values[core].reshape(-1)
-    value, state = _certify_values(_hermitian_stack(u), box)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # checked below
+        Z = _hermitian_stack(u)
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("the discrete Hessian of the start is not finite: the boundary "
+                         "data is too large, or the grid spacing too small, for floats")
+    value, state = _certify_values(Z, box)
     res = r0 = float(np.max(np.abs(value - g_core)))
     for it in range(1, max_iter + 1):
         policy = _certify_policy(value, state, box)

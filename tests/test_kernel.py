@@ -4,6 +4,10 @@ identities on every row, independence from the eigenbasis LAPACK picks
 inside a repeated eigenvalue, and properties of the root finder shared by the
 fixed point and the conjugate."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -546,3 +550,17 @@ def test_verify_rejects_bad_input_before_drawing(monkeypatch):
         envelope.verify_envelope(ThetaBox(0.5, 9), samples=10, seed=1)
     with pytest.raises(ValueError, match="non-negative"):
         envelope.verify_envelope(ThetaBox(0.5, 2), samples=10, seed=-1)
+
+
+def test_failing_property_is_reported_with_its_example(tmp_path):
+    # hypothesis reports a failure through imports that warn; under the
+    # suite's warning filters a warning there must not abort the session
+    test = tmp_path / "test_fails.py"
+    test.write_text("from hypothesis import given, strategies as st\n\n\n"
+                    "@given(st.integers())\ndef test_fails(i):\n    assert False\n")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(pyproject), str(test)],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert "FAILED" in proc.stdout and "Falsifying example" in proc.stdout, proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

@@ -748,6 +748,17 @@ class TestKrylovStop:
         x = solver._evaluate_policy(grid, A, b, x0, Q, 1e-12, steps)
         assert x is x0 and steps == [0] and len(checks) == 1
 
+    def test_scaled_system_gives_scaled_solution(self):
+        # b, x0 and accuracy times 2^600, far past where a sum of squares
+        # overflows: every step scales exactly, so x scales and the steps agree
+        grid, Q, A, b = frozen_system(0.4)
+        x0 = np.random.default_rng(4).uniform(-1.0, 1.0, len(b))
+        steps, scaled_steps = [], []
+        x = solver._evaluate_policy(grid, A, b, x0, Q, 1e-10, steps)
+        scaled = solver._evaluate_policy(grid, A, np.ldexp(b, 600), np.ldexp(x0, 600), Q,
+                                         np.ldexp(1e-10, 600), scaled_steps)
+        assert same_bits(scaled, np.ldexp(x, 600)) and scaled_steps == steps
+
     def test_failed_check_tightens_prediction(self):
         grid, _, A, b = frozen_system(0.4)
         x = np.zeros(len(b))
