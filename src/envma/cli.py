@@ -39,8 +39,8 @@ import numpy as np
 
 from . import matio
 from . import matrixcore as mc
-from .envelope import ThetaBox, conjugate_maximizer, envelope_eval, verify_envelope
-from .errors import LinearSolveFailure, NoConvergence, NotPositiveDefinite, ParseError
+from .envelope import ThetaBox, conjugate_maximizer, envelope_eval, in_box, verify_envelope
+from .errors import LinearSolveFailure, NoConvergence, ParseError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -74,15 +74,13 @@ def cmd_eval(args) -> int:
     theta = _resolve_theta(args.theta, args.lam, args.Lam)
     box = _box_with_notice(theta, M.shape[0] // 2, sys.stdout)
     cert = envelope_eval(M, box)
-    try:
-        f_val = matio.fmt(mc.det_root(M))
-    except NotPositiveDefinite:
-        f_val = "undefined"
+    # F = det^{1/2n}(proj M) is defined where proj(M) is positive definite
+    f_val = matio.fmt(mc.geometric_mean(cert.mu)) if cert.mu[0] > 0.0 else "undefined"
     print(f"F_tilde = {matio.fmt(cert.value)}")
     print(f"F = {f_val}")
     print("slope_eigs = " + ",".join(matio.fmt(p) for p in cert.slope_eigs))
     print(f"intercept = {matio.fmt(cert.intercept)}")
-    print(f"in_theta_box = {'true' if mc.in_theta_box(M, box.theta) else 'false'}")
+    print(f"in_theta_box = {'true' if in_box(cert.mu, box) else 'false'}")
     return EXIT_OK
 
 
@@ -104,12 +102,7 @@ def cmd_verify(args) -> int:
     report = verify_envelope(box, args.samples, args.seed)
     sys.stdout.write(report.format())
     if not report.all_pass:
-        from .verify import PROPERTY_NAMES
-
-        # the earliest failing sample; on a tie, the first property of the report
-        name = min(report.first_failure,
-                   key=lambda k: (report.first_failure[k][0], PROPERTY_NAMES.index(k)))
-        idx, M = report.first_failure[name]
+        name, idx, M = report.first_failure
         print(f"first_failure_property = {name}")
         print(f"first_failure_sample = {idx}")
         sys.stdout.write(matio.format_matrix_text(M))
@@ -200,17 +193,26 @@ def _load_problem(path: str, study: bool = False):
 
 def _check_out(outdir: str) -> None:
     """Raise, before anything is solved, the error `_write` would raise for
-    an --out naming an existing non-directory or a path below one; creates
+    an empty --out, one naming an existing non-directory or a path below
+    one, or one with a level to create whose name is too long; creates
     nothing."""
+    if not outdir:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), outdir)
     if os.path.lexists(outdir) and not os.path.isdir(outdir):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), outdir)
-    # os.makedirs fails at the first missing level below the nearest
-    # existing ancestor when that ancestor is not a directory
-    missing = outdir
-    while (head := os.path.dirname(missing)) and not os.path.exists(head):
-        missing = head
+    # os.makedirs creates the missing levels below the nearest existing
+    # ancestor, top down, and fails at the first it cannot create: below a
+    # non-directory, or with a name longer than the file system allows
+    # (pathconf gives -1 for no limit)
+    missing = [outdir]
+    while (head := os.path.dirname(missing[-1])) and not os.path.exists(head):
+        missing.append(head)
     if head and not os.path.isdir(head):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing[-1])
+    name_max = os.pathconf(head or os.curdir, "PC_NAME_MAX")
+    for path in reversed(missing):
+        if -1 < name_max < len(os.fsencode(os.path.basename(path))):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)
 
 
 def cmd_solve(args) -> int:

@@ -405,6 +405,12 @@ def tangent_slope(mu) -> np.ndarray:
     return gm / (mu.shape[-1] * mu)
 
 
+def in_box(mu, box: ThetaBox):
+    """Whether ascending eigenvalues mu (last axis; stacks allowed) lie in
+    the box, up to 1e-9."""
+    return (mu[..., 0] >= box.theta - 1e-9) & (mu[..., -1] <= box.hi + 1e-9)
+
+
 def tangent_in_box(mu, box: ThetaBox):
     """Whether the tangent slope lies in the box, up to 1e-12."""
     p = tangent_slope(mu)

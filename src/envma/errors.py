@@ -1,24 +1,8 @@
-"""Exception types shared across the package."""
-
-
-class NotJCommuting(ValueError):
-    """Input matrix does not commute with the complex structure J."""
-
-
-class NotPositiveDefinite(ValueError):
-    """The J-invariant part of the input has a non-positive eigenvalue."""
-
-
-class NotPSD(ValueError):
-    """A perturbation required to be positive semidefinite is not."""
+"""The exception types `envma.cli.main` maps to their own exit code."""
 
 
 class NoConvergence(RuntimeError):
     """An iteration budget was exhausted; signals a bug or pathological input."""
-
-
-class ResolutionTooCoarse(ValueError):
-    """Brute-force grid resolution below the minimum of 8."""
 
 
 class LinearSolveFailure(RuntimeError):

@@ -15,23 +15,21 @@ Conventions
 * A Hermitian matrix H = A + iB is a complex ndarray, one n x n matrix or a
   stack (..., n, n); there is no other representation.  `embed` is the one
   map iota(H) = [[A, -B], [B, A]] to the real form, whose image is exactly
-  the J-commuting subspace of Sym(2n); `extract` and `hermitian_blocks`
-  return complex arrays.  Validation happens on the real form
-  (`symmetric_stack`): a Hermitian matrix is valid exactly when its
-  embedding is.
+  the J-commuting subspace of Sym(2n), and `extract` names its inverse
+  there.  Validation happens on the real form (`symmetric_stack`): a
+  Hermitian matrix is valid exactly when its embedding is.
 * proj(M) = (M + J^T M J) / 2 is the trace-orthogonal projection onto that
   subspace.  Each Hermitian eigenvalue of extract(proj(M)) shows up twice in
   the real spectrum of proj(M).
 * For M = [[M11, M12], [M21, M22]], extract(proj(M)) = A + iB with
-  A = (M11 + M22) / 2 and B = (M21 - M12) / 2, so the Hermitian spectrum of a
-  whole stack of matrices needs no projection and no real 2n x 2n solve.
+  A = (M11 + M22) / 2 and B = (M21 - M12) / 2, which `hermitian_blocks`
+  computes as a complex array, so the Hermitian spectrum of a whole stack of
+  matrices needs no projection and no real 2n x 2n solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import NotJCommuting, NotPositiveDefinite
 
 # Largest supported real dimension (2n); the package targets desk-scale
 # matrices, not general linear algebra.
@@ -88,22 +86,6 @@ def embed(Z: np.ndarray) -> np.ndarray:
     matrix of a stack (..., n, n); it commutes with J when Z is Hermitian."""
     A, B = Z.real, Z.imag
     return np.block([[A, -B], [B, A]])
-
-
-def extract(M) -> np.ndarray:
-    """Inverse of `embed` on the J-commuting subspace.
-
-    Raises NotJCommuting when max-entry |MJ - JM| exceeds
-    1e-12 max(1, max |M_ij|).
-    """
-    M = as_symmetric(M)
-    n = M.shape[0] // 2
-    J = complex_structure(n)
-    comm = float(np.max(np.abs(M @ J - J @ M)))
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(M))))
-    if comm > tol:
-        raise NotJCommuting(f"commutator norm {comm:g} exceeds tolerance {tol:g}")
-    return hermitian_blocks(M)
 
 
 def project(M) -> np.ndarray:
@@ -181,20 +163,12 @@ def det_root(M) -> float:
     """det^{1/2n} of proj(M), the operator this package extends.
 
     Equals det_C^{1/n} of the Hermitian part.  Only defined where proj(M)
-    is positive definite; raises NotPositiveDefinite otherwise.
+    is positive definite; raises ValueError otherwise.
     """
     mu = hermitian_eigs_of(M)
     if float(mu[0]) <= 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue of the projection is {mu[0]:g}")
+        raise ValueError(f"smallest eigenvalue of the projection is {mu[0]:g}")
     return geometric_mean(mu)
-
-
-def in_theta_box(M, theta: float) -> bool:
-    """True iff theta*I <= proj(M) <= I/theta up to 1e-9 on the spectrum."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    mu = hermitian_eigs_of(M)
-    return bool(mu[0] >= theta - 1e-9 and mu[-1] <= 1.0 / theta + 1e-9)
 
 
 def admissible_theta(lam: float, Lam: float) -> float:

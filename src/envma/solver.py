@@ -46,7 +46,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .envelope import (EnvelopeCertificate, ThetaBox, _certify_policy, _certify_values,
-                       _Frozen, tangent_in_box)
+                       _Frozen, in_box, tangent_in_box)
 from .errors import LinearSolveFailure
 
 
@@ -589,7 +589,7 @@ def check_premises(u: ScalarField, box: ThetaBox) -> MembershipReport:
     if box.n != u.grid.n:
         raise ValueError(f"grid has n={u.grid.n} but the box has n={box.n}")
     mu = mc.herm_eigensystem(_hermitian_stack(u))[0]
-    inside = (mu[:, 0] >= box.theta - 1e-9) & (mu[:, -1] <= box.hi + 1e-9)
+    inside = in_box(mu, box)
     tangent = inside.copy()
     tangent[inside] = tangent_in_box(mu[inside], box)
     return MembershipReport(box.theta, float(np.mean(inside)), float(np.min(mu[:, 0])),

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import envelope
 from . import matrixcore as mc
-from .errors import NotPSD, ResolutionTooCoarse
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +77,7 @@ def envelope_eval_bruteforce(M, box: envelope.ThetaBox, resolution: int) -> floa
     if box.n > 2:
         raise ValueError(f"brute force supports n <= 2, got n={box.n}")
     if resolution < 8:
-        raise ResolutionTooCoarse(f"resolution must be >= 8, got {resolution}")
+        raise ValueError(f"resolution must be >= 8, got {resolution}")
     mu = mc.hermitian_eigs_of(M)
     if mu.shape[0] != box.n:
         raise ValueError(f"matrix has n={mu.shape[0]} but the box has n={box.n}")
@@ -89,12 +88,12 @@ def envelope_eval_bruteforce(M, box: envelope.ThetaBox, resolution: int) -> floa
 def _gap_bounds(P: np.ndarray,
                 box: envelope.ThetaBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, upper, ||P||) of the ellipticity bounds for a symmetric PSD
-    stack P of shape (N, 2n, 2n); raises NotPSD if any P is indefinite."""
+    stack P of shape (N, 2n, 2n); raises ValueError if any P is indefinite."""
     wP = np.linalg.eigvalsh(P)
     nrmP = np.max(np.abs(wP), axis=1)
     bad = wP[:, 0] < -1e-12 * np.maximum(1.0, nrmP)
     if bad.any():
-        raise NotPSD(f"perturbation has eigenvalue {wP[np.argmax(bad), 0]:g}")
+        raise ValueError(f"perturbation has eigenvalue {wP[np.argmax(bad), 0]:g}")
     nu_max = mc.herm_eigensystem(mc.hermitian_blocks(P))[0][:, -1]
     lower = box.theta * np.maximum(nu_max, 0.0)
     upper = 2 * box.n * box.hi * nrmP
@@ -144,7 +143,8 @@ _VERIFY_BLOCK = 128
 class PropertyReport:
     """Outcome of randomized envelope checks; failures recorded, not thrown.
     passed and failed count samples per property of PROPERTY_NAMES, and
-    first_failure maps a failed property to (sample, matrix checked)."""
+    first_failure is None or (property, sample, matrix checked) of the
+    earliest failing sample, on a tie the first property of PROPERTY_NAMES."""
 
     def __init__(self, box: envelope.ThetaBox, samples: int, seed: int):
         self.box, self.samples, self.seed = box, samples, seed
@@ -152,7 +152,7 @@ class PropertyReport:
         self.failed = dict.fromkeys(PROPERTY_NAMES, 0)
         self.gap_ratio_min: float | None = None
         self.gap_ratio_max: float | None = None
-        self.first_failure = {}
+        self.first_failure = None
 
     @property
     def all_pass(self) -> bool:
@@ -372,11 +372,14 @@ def run(box: envelope.ThetaBox, samples: int, seed: int) -> PropertyReport:
             report.passed[name] += int(np.sum(ok & claims))
             fails = np.flatnonzero(~ok & claims)
             report.failed[name] += len(fails)
-            if len(fails) and name not in report.first_failure:
+            # blocks come in sample order and properties in report order:
+            # only a strictly earlier sample replaces the kept failure
+            if len(fails) and (report.first_failure is None
+                               or start + fails[0] < report.first_failure[1]):
                 # the counterexample is the matrix the check evaluates:
                 # m_in for domination and agreement, m1 for the others
                 M = block["m_in" if name in ("domination", "agreement") else "m1"]
-                report.first_failure[name] = (start + int(fails[0]), M[fails[0]])
+                report.first_failure = (name, start + int(fails[0]), M[fails[0]])
         ratios.append(res["gap_ratio"][np.isfinite(res["gap_ratio"])])
     ratios = np.concatenate(ratios) if ratios else np.empty(0)
     if ratios.size:

@@ -16,6 +16,7 @@ import pytest
 
 import envma.cli
 from envma import envelope, matio, solver, verify
+from envma import matrixcore as mc
 from envma.cli import main
 
 QUAD_CFG = """\
@@ -48,6 +49,25 @@ def run_main(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _eval_corpus():
+    """Matrices for eval per n = 1..4: Hermitian diagonals diag(v, 1, ..., 1)
+    with v on the faces of the theta = 0.5 box, just across them, zero,
+    subnormal, negative and huge, then random symmetric matrices, half of
+    them positive definite."""
+    corpus = {}
+    for n in (1, 2, 3, 4):
+        for v in (0.5, 2.0, 0.5 - 1e-10, 2.0 + 1e-10, 0.0, 1e-320, -1.0, 1e300):
+            corpus[f"n{n}-diag-{v!r}"] = mc.embed(np.diag([v] + [1.0] * (n - 1)) + 0j)
+        rng = np.random.default_rng(n)
+        for k in range(4):
+            G = rng.normal(size=(2 * n, 2 * n))
+            corpus[f"n{n}-random-{k}"] = G @ G.T / n if k % 2 else (G + G.T) / 2
+    return corpus
+
+
+EVAL_CORPUS = _eval_corpus()
 
 
 class TestEval:
@@ -172,6 +192,38 @@ class TestEval:
         code, out, _ = run_main(capsys, ["eval", "--matrix", mat, "--lam", "2", "--Lam", "2"])
         assert code == 0
         assert "in_theta_box = false" not in out
+
+    def test_finds_the_spectrum_once(self, tmp_path, capsys, monkeypatch):
+        # F and in_theta_box are read from the certificate's eigenvalues
+        calls = []
+        eigensystem = mc.herm_eigensystem
+
+        def counted(Z):
+            calls.append(Z.shape)
+            return eigensystem(Z)
+
+        monkeypatch.setattr(mc, "herm_eigensystem", counted)
+        mat = write(tmp_path / "m.txt", matio.format_matrix_text(EVAL_CORPUS["n2-random-1"]))
+        code, out, _ = run_main(capsys, ["eval", "--matrix", mat, "--theta", "0.5"])
+        assert code == 0 and "F = undefined" not in out
+        assert calls == [(1, 2, 2)]
+
+    @pytest.mark.parametrize("name", sorted(EVAL_CORPUS))
+    def test_f_and_box_lines_match_their_references(self, name, tmp_path, capsys):
+        mat = write(tmp_path / "m.txt", matio.format_matrix_text(EVAL_CORPUS[name]))
+        M = matio.load_matrix(mat)
+        try:
+            f = matio.fmt(mc.det_root(M))
+        except ValueError:
+            f = "undefined"
+        mu = mc.hermitian_eigs_of(M)
+        for theta in (0.5, 0.3, 1e-8):
+            code, out, err = run_main(capsys, ["eval", "--matrix", mat, "--theta", str(theta)])
+            assert code == 0 and err == ""
+            lines = dict(line.split(" = ") for line in out.splitlines())
+            assert lines["F"] == f
+            inside = mu[0] >= theta - 1e-9 and mu[-1] <= 1.0 / theta + 1e-9
+            assert lines["in_theta_box"] == ("true" if inside else "false"), theta
 
 
 class TestConjugate:
@@ -483,8 +535,9 @@ STUDY_CFG = QUAD_CFG.replace("g = constant:2", "g = quadratic") + "refinements =
 
 # (argv, config text, exit code, text the one stderr line contains); CFG is
 # the config path, OUT a fresh output path, FILE an existing regular file,
-# BELOW a path below that file, MAT a matrix file; the usage-* cases are
-# command lines the parser rejects
+# BELOW a path below that file, LONG a path below OUT with a level whose
+# name is one byte too long, EMPTY an empty --out, MAT a matrix file; the
+# usage-* cases are command lines the parser rejects
 FAILURES = {
     "points-per-axis-3": (["solve", "CFG", "OUT"],
                           QUAD_CFG.replace("pointsPerAxis = 9", "pointsPerAxis = 3"),
@@ -527,6 +580,12 @@ FAILURES = {
     "out-below-a-file": (["solve", "CFG", "BELOW"], QUAD_CFG, 3, "Not a directory"),
     "convergence-out-below-a-file": (["convergence", "CFG", "BELOW"], STUDY_CFG, 3,
                                      "Not a directory"),
+    "out-empty": (["solve", "CFG", "EMPTY"], QUAD_CFG, 3, "No such file or directory: ''"),
+    "convergence-out-empty": (["convergence", "CFG", "EMPTY"], STUDY_CFG, 3,
+                              "No such file or directory: ''"),
+    "out-name-too-long": (["solve", "CFG", "LONG"], QUAD_CFG, 3, "File name too long"),
+    "convergence-out-name-too-long": (["convergence", "CFG", "LONG"], STUDY_CFG, 3,
+                                      "File name too long"),
     "usage-bad-int": (["verify", "--theta", "0.5", "--n", "abc", "--samples", "1", "--seed", "1"],
                       None, 2, "invalid int value: 'abc'"),
     "usage-no-command": ([], None, 2, "required: command"),
@@ -567,10 +626,13 @@ class TestFailures:
         argv, cfg_text, expected, needle = FAILURES[case]
         existing = tmp_path / "existing"
         existing.write_text("")
+        long_name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
         paths = {"CFG": ["--config", str(tmp_path / "p.cfg")],
                  "OUT": ["--out", str(tmp_path / "o")],
                  "FILE": ["--out", str(existing)],
                  "BELOW": ["--out", str(existing / "sub")],
+                 "LONG": ["--out", str(tmp_path / "o" / long_name / "y")],
+                 "EMPTY": ["--out", ""],
                  "MAT": ["--matrix", write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")]}
         if cfg_text is not None:
             write(tmp_path / "p.cfg", cfg_text)
@@ -810,19 +872,30 @@ BENCHMARK_WORKLOADS = _benchmark_workloads()
 class TestBenchmarkProbe:
     """The benchmark's set-up probe stops each workload at its command's
     first solver or verify entry; a command that never reaches it would be
-    timed whole as set-up."""
+    timed whole as set-up.  Its traced run wraps the functions the benchmark
+    lists and reports one it no longer finds as absent."""
 
-    @pytest.mark.parametrize("name", sorted(BENCHMARK_WORKLOADS))
-    def test_workload_reaches_its_entry_point(self, name, tmp_path):
+    @staticmethod
+    def shim(mode, name, tmp_path):
         root = Path(__file__).resolve().parents[1]
-        result = tmp_path / "probe.json"
+        result = tmp_path / f"{mode}.json"
         argv = BENCHMARK_WORKLOADS[name].cli_args(1, tmp_path / "out")
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run([sys.executable, str(root / "perfbench" / "shim.py"), "setup",
+        proc = subprocess.run([sys.executable, str(root / "perfbench" / "shim.py"), mode,
                                str(result), "--", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert "setup_end" in json.loads(result.read_text())
+        return json.loads(result.read_text())
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_WORKLOADS))
+    def test_workload_reaches_its_entry_point(self, name, tmp_path):
+        assert "setup_end" in self.shim("setup", name, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_WORKLOADS))
+    def test_workload_traces(self, name, tmp_path):
+        trace = self.shim("trace", name, tmp_path)
+        assert trace["exit"] == 0
+        assert {"by_parent", "absent"} <= trace["summary"].keys()
 
 
 BLOCKED = """\

@@ -36,14 +36,15 @@ class TestMatrixFormat:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), exponent=st.integers(-150, 150))
     def test_herm_file_is_its_embedding(self, seed, n, exponent):
         # a Hermitian matrix is one complex array: its herm file parses to the
-        # same bits as the sym file of its embedding, and extract inverts embed
+        # same bits as the sym file of its embedding, and hermitian_blocks
+        # inverts embed
         rng = np.random.default_rng(seed)
         G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         Z = (G + G.conj().T) / 2 * 10.0 ** exponent
         rows = (" ".join(f"{matio.fmt(z.real)},{matio.fmt(z.imag)}" for z in row) for row in Z)
         M = matio.parse_matrix_text(f"herm {n}\n" + "\n".join(rows) + "\n")
         assert M.tobytes() == matio.parse_matrix_text(matio.format_matrix_text(mc.embed(Z))).tobytes()
-        assert mc.extract(mc.embed(Z)).tobytes() == Z.tobytes()
+        assert mc.hermitian_blocks(mc.embed(Z)).tobytes() == Z.tobytes()
 
     def test_herm_asymmetry_below_tolerance_is_snapped(self):
         M = matio.parse_matrix_text("herm 2\n1,0 2,0.5\n2,-0.5000000001 3,0\n")

@@ -530,13 +530,12 @@ def test_verify_report_does_not_depend_on_block_size(monkeypatch):
         reports.append(envelope.verify_envelope(box, samples=30, seed=4))
     a = reports[0]
     assert a.failed["rotation"] == 1 and not a.all_pass
-    idx_a, m_a = a.first_failure["rotation"]
-    assert idx_a == 19
+    name_a, idx_a, m_a = a.first_failure
+    assert (name_a, idx_a) == ("rotation", 19)
     for b in reports[1:]:
         assert a.format() == b.format()
-        assert a.first_failure.keys() == b.first_failure.keys() == {"rotation"}
-        idx_b, m_b = b.first_failure["rotation"]
-        assert idx_b == 19 and np.array_equal(m_a, m_b)
+        name_b, idx_b, m_b = b.first_failure
+        assert (name_b, idx_b) == ("rotation", 19) and np.array_equal(m_a, m_b)
 
 
 def test_verify_rejects_bad_input_before_drawing(monkeypatch):

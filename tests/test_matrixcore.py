@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envma import matrixcore as mc
-from envma.errors import NotJCommuting, NotPositiveDefinite
+from envma.envelope import ThetaBox, in_box
 from oracles import spectral_norm, trace_inner
 
 
@@ -104,22 +104,13 @@ class TestEmbedExtract:
             J = mc.complex_structure(n)
             assert np.max(np.abs(M @ J - J @ M)) < 1e-12
 
-    def test_extract_identity(self):
-        H = mc.extract(np.eye(4))
-        assert np.array_equal(H.real, np.eye(2))
-        assert np.array_equal(H.imag, np.zeros((2, 2)))
-
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 4):
             H = rand_herm(rng, n)
-            H2 = mc.extract(mc.embed(H))
+            H2 = mc.hermitian_blocks(mc.embed(H))
             assert np.max(np.abs(H.real - H2.real)) <= 1e-14
             assert np.max(np.abs(H.imag - H2.imag)) <= 1e-14
-
-    def test_extract_rejects_non_commuting(self):
-        with pytest.raises(NotJCommuting):
-            mc.extract(np.diag([1.0, 2.0, 3.0, 4.0]))
 
     def test_hermitian_block_validation(self):
         # a Hermitian matrix is validated as its embedding
@@ -276,7 +267,7 @@ class TestDetRoot:
         assert abs(mc.det_root(np.diag([1.0, 3.0])) - 2.0) < 1e-14
 
     def test_rejects_indefinite_projection(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(ValueError, match="smallest eigenvalue of the projection is -1"):
             mc.det_root(np.diag([1.0, -3.0]))
 
     def test_determinant_bridge(self):
@@ -313,14 +304,15 @@ class TestDetRoot:
 
 class TestBoxAndNorms:
     def test_in_theta_box_examples(self):
-        assert mc.in_theta_box(np.eye(4), 0.5)
-        assert not mc.in_theta_box(3.0 * np.eye(4), 0.5)
+        # envelope.in_box, eval's in_theta_box, on the Hermitian eigenvalues
+        box = ThetaBox(0.5, 2)
+        assert in_box(mc.hermitian_eigs_of(np.eye(4)), box)
+        assert not in_box(mc.hermitian_eigs_of(3.0 * np.eye(4)), box)
         M = mc.embed(np.diag([0.5, 2.0]) + 0j)
-        assert mc.in_theta_box(M, 0.5)
-
-    def test_in_theta_box_validates_theta(self):
-        with pytest.raises(ValueError):
-            mc.in_theta_box(np.eye(2), 0.0)
+        assert in_box(mc.hermitian_eigs_of(M), box)
+        # 1e-9 of slack on either side, row by row on a stack
+        mu = np.array([[0.5 - 1e-10, 2.0 + 1e-10], [0.5 - 1e-8, 1.0], [1.0, 2.0 + 1e-8]])
+        assert in_box(mu, box).tolist() == [True, False, False]
 
     def test_admissible_theta(self):
         assert mc.admissible_theta(1.0, 1.0) == 1.0
