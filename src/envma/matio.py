@@ -168,14 +168,20 @@ def field_csv(field) -> str:
 
 
 def report_text(report) -> str:
-    """SolveReport as key-value text (wall time goes to stderr, not here,
-    to keep artifacts byte-deterministic)."""
+    """SolveReport as key-value text, the outcome and then the problem
+    solved (wall time goes to stderr, not here, to keep artifacts
+    byte-deterministic)."""
     lines = [
         f"iterations = {report.iterations}",
         f"converged = {'true' if report.converged else 'false'}",
         f"final_residual = {fmt(report.final_residual)}",
         "residual_history = " + ",".join(fmt(r) for r in report.residual_history),
         "krylov_steps = " + ",".join(str(k) for k in report.krylov_steps),
+        f"n = {report.n}",
+        f"points_per_axis = {report.points_per_axis}",
+        f"theta = {fmt(report.theta)}",
+        f"tol = {fmt(report.tol)}",
+        f"max_iter = {report.max_iter}",
     ]
     return "\n".join(lines) + "\n"
 

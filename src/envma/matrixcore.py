@@ -174,8 +174,9 @@ def det_root(M) -> float:
 def admissible_theta(lam: float, Lam: float) -> float:
     """The box parameter min{lambda, 1/Lambda} induced by two-sided
     eigenvalue bounds lambda*I <= proj(D^2 u) <= Lambda*I."""
-    if not (lam > 0.0 and Lam > 0.0):
-        raise ValueError("eigenvalue bounds must be positive")
+    if not (0.0 < lam < np.inf and 0.0 < Lam < np.inf):
+        raise ValueError(f"eigenvalue bounds must be finite and positive, "
+                         f"got lambda={lam}, Lambda={Lam}")
     if lam > Lam:
         raise ValueError(f"inconsistent bounds: lambda={lam} > Lambda={Lam}")
     return min(lam, 1.0 / Lam)

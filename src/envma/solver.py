@@ -132,6 +132,9 @@ class SolveReport:
         self.krylov_steps = []                       # per Howard iteration, over its cycles
         self.wall_time_s = 0.0
         self.residual: ScalarField | None = None     # Ftilde(D^2 u) - g of the returned u
+        # the problem solved, set by solve_dirichlet
+        self.n = self.points_per_axis = self.max_iter = 0
+        self.theta = self.tol = float("nan")
 
 
 def transfinite_interpolation(boundary: ScalarField) -> np.ndarray:
@@ -504,6 +507,8 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
     u = ScalarField(grid, transfinite_interpolation(boundary))
     core = grid.interior()
     report = SolveReport()
+    report.n, report.points_per_axis, report.theta = grid.n, grid.points_per_axis, box.theta
+    report.tol, report.max_iter = tol, max_iter
     best = None
 
     g_core = g.values[core].reshape(-1)

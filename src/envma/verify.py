@@ -133,11 +133,14 @@ PROPERTY_NAMES = (
 
 _PSD_KINDS = ("gram", "embedded", "rank1", "scalar")
 
-# samples drawn and checked per `_certify_values` call in `run`: large
-# enough that per-call overhead is negligible, small enough that the stacked
-# matrices and their temporaries stay small next to the interpreter (one
-# block of 1000 n=2 samples raised the peak resident memory by 10%)
-_VERIFY_BLOCK = 128
+# samples drawn and checked per `_certify_values` call in `run`: as many as
+# fill one kernel block, since `_check_samples` certifies seven matrices per
+# sample (585 samples, 4095 rows).  The memory bound is the one the solver's
+# certification accepts: one kernel block of temporaries.  Against blocks of
+# 128, the peak anonymous memory of a 1000-sample run, polled every 2 ms,
+# went 17.2 -> 17.6 MiB at n = 1, 17.6 -> 18.9-19.4 MiB at n = 2,
+# 19.3 -> 24.1 MiB at n = 4 and 25.8 -> 49.2-50.2 MiB at n = 8.
+_VERIFY_BLOCK = envelope._CERT_BLOCK // 7
 
 
 class PropertyReport:

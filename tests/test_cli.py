@@ -283,6 +283,15 @@ class TestVerify:
         assert code == 0
         assert "all_pass = true" in out
 
+    @pytest.mark.parametrize("n", ["3", "8"])
+    def test_passes_at_higher_n(self, n, capsys):
+        # 600 samples: one full block of 585 and a partial one; 8 is the
+        # largest supported n
+        code, out, _ = run_main(capsys, ["verify", "--theta", "0.5", "--n", n,
+                                         "--samples", "600", "--seed", "3"])
+        assert code == 0
+        assert f"n = {n}\nsamples = 600\n" in out and out.endswith("all_pass = true\n")
+
     @pytest.mark.parametrize("seed", ["11", "4294967295"])
     def test_benchmark_verify_workload_meets_its_gate(self, seed, capsys):
         # the verify-n2 benchmark workload and its correctness gate: all_pass
@@ -403,6 +412,19 @@ class TestSolve:
         ref = np.load(bench / "reference" / "solve-n2-railed-solution.npy")
         assert sol.shape[0] == ref.shape[0]
         assert np.max(np.abs(sol[:, -1] - ref)) <= 1e-7
+
+    def test_report_names_its_problem(self, tmp_path, capsys):
+        # the five problem lines follow krylov_steps, floats at 17 digits
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        cfg = bench / "workloads" / "solve-n2-railed.cfg"
+        code, _, _ = run_main(capsys, ["solve", "--config", str(cfg),
+                                       "--out", str(tmp_path / "out")])
+        assert code == 0
+        lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in lines[:5]] == [
+            "iterations", "converged", "final_residual", "residual_history", "krylov_steps"]
+        assert lines[5:] == ["n = 2", "points_per_axis = 9", "theta = 0.40000000000000002",
+                             "tol = 1e-10", "max_iter = 100"]
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", QUAD_CFG.replace("pointsPerAxis = 9\n", ""))
@@ -610,6 +632,16 @@ FAILURES = {
                                 STUDY_CFG.replace("theta = 0.4", "theta = 1e300"),
                                 2, "theta must lie in"),
 }
+# non-finite bounds are named: --lam 1 --Lam inf gave a theta of 0, refused as
+# a theta no one gave
+FAILURES.update({
+    f"{argv[0]}-lam-{lam}-Lam-{Lam}": (argv + ["--lam", lam, "--Lam", Lam], None, 3,
+                                       f"error: eigenvalue bounds must be finite and positive, "
+                                       f"got lambda={float(lam)}, Lambda={float(Lam)}\n")
+    for argv in (["eval", "MAT"], ["conjugate", "--p", "1,1"],
+                 ["verify", "--n", "2", "--samples", "10", "--seed", "1"])
+    for lam, Lam in (("0.5", "nan"), ("1", "inf"), ("inf", "inf"))
+})
 
 
 class TestFailures:

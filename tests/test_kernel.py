@@ -512,30 +512,52 @@ def test_one_generator_samplers_equal_reference(n):
 
 
 def test_verify_report_does_not_depend_on_block_size(monkeypatch):
+    # the one sample with a bad rotation: 19 of 30, and 590 of 600, inside
+    # the second block of 585 samples
     from envma import envelope, verify
 
     draw = verify.draw_verify_block
+    cases = [(2, 30, 19, (1, 7, 128, 1000))]
+    cases += [(n, 600, 590, (7, 128, 585, 1000)) for n in (1, 2, 3)]
+    for n, samples, bad, blocks in cases:
+        def draw_with_bad_rotation(streams, box, start, stop, bad=bad):
+            block = draw(streams, box, start, stop)
+            if start <= bad < stop:
+                block["R"][bad - start] *= 2.0   # not orthogonal: rotation fails
+            return block
 
-    def draw_with_bad_rotation(streams, box, start, stop):
-        block = draw(streams, box, start, stop)
-        if start <= 19 < stop:
-            block["R"][19 - start] *= 2.0   # not orthogonal: rotation fails
-        return block
+        monkeypatch.setattr(verify, "draw_verify_block", draw_with_bad_rotation)
+        box = ThetaBox(0.5, n)
+        reports = []
+        for block in blocks:
+            monkeypatch.setattr(verify, "_VERIFY_BLOCK", block)
+            reports.append(envelope.verify_envelope(box, samples=samples, seed=4))
+        a = reports[0]
+        assert a.failed["rotation"] == 1 and not a.all_pass, n
+        name_a, idx_a, m_a = a.first_failure
+        assert (name_a, idx_a) == ("rotation", bad)
+        for b in reports[1:]:
+            assert a.format() == b.format()
+            name_b, idx_b, m_b = b.first_failure
+            assert (name_b, idx_b) == ("rotation", bad) and np.array_equal(m_a, m_b)
 
-    monkeypatch.setattr(verify, "draw_verify_block", draw_with_bad_rotation)
-    box = ThetaBox(0.5, 2)
-    reports = []
-    for block in (1, 7, 128, 1000):
-        monkeypatch.setattr(verify, "_VERIFY_BLOCK", block)
-        reports.append(envelope.verify_envelope(box, samples=30, seed=4))
-    a = reports[0]
-    assert a.failed["rotation"] == 1 and not a.all_pass
-    name_a, idx_a, m_a = a.first_failure
-    assert (name_a, idx_a) == ("rotation", 19)
-    for b in reports[1:]:
-        assert a.format() == b.format()
-        name_b, idx_b, m_b = b.first_failure
-        assert (name_b, idx_b) == ("rotation", 19) and np.array_equal(m_a, m_b)
+
+def test_verify_fills_one_kernel_block_per_check(monkeypatch):
+    # seven matrices per sample: 585 samples fill 4095 of the kernel's 4096
+    # rows, so 1000 samples take two kernel calls
+    from envma import envelope, verify
+
+    certify = envelope._certify_values
+    rows = []
+
+    def counting(Z, box):
+        rows.append(len(Z))
+        return certify(Z, box)
+
+    monkeypatch.setattr(envelope, "_certify_values", counting)
+    report = verify.run(ThetaBox(0.5, 2), 1000, 7)
+    assert report.all_pass
+    assert rows == [4095, 2905]
 
 
 def test_verify_rejects_bad_input_before_drawing(monkeypatch):

@@ -324,8 +324,8 @@ class TestBoxAndNorms:
             mc.admissible_theta(3.0, 2.0)
         with pytest.raises(ValueError):
             mc.admissible_theta(-1.0, 2.0)
-        for lam, Lam in ((np.nan, 2.0), (1.0, np.nan)):
-            with pytest.raises(ValueError):
+        for lam, Lam in ((np.nan, 2.0), (1.0, np.nan), (1.0, np.inf), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match="finite and positive, got lambda="):
                 mc.admissible_theta(lam, Lam)
 
     def test_trace_inner(self):
