@@ -128,6 +128,9 @@ def _field_from_spec(spec: str, grid, role: str):
         except OSError as exc:
             raise ParseError(f"cannot read grid data {path!r}: {exc}") from None
         return sv.ScalarField(grid, vals.reshape(grid.shape))
+    if spec not in sv.BUILTIN_SOLUTIONS:
+        raise ParseError(f"config key {role!r}: unknown field {spec!r} "
+                         f"({' | '.join(sv.BUILTIN_SOLUTIONS)} | constant:<v> | file:<path>)")
     u_fn, g_fn = sv.builtin_solution(spec, grid.n)
     fn = u_fn if role == "boundary" else g_fn
     return sv.ScalarField.from_function(grid, fn)

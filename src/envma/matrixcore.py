@@ -1,7 +1,7 @@
 """Linear-algebra substrate: the complex structure J on R^{2n}, the embedding
 of n x n Hermitian matrices into 2n x 2n real symmetric matrices, the trace
-projection onto the J-commuting subspace, determinant-root evaluation, and
-the Hermitian eigen-reduction of stacks of symmetric matrices.
+projection onto the J-commuting subspace, and the Hermitian eigen-reduction
+of stacks of symmetric matrices.
 
 `herm_eigensystem` is the package's one Hermitian eigensolver: at n = 2 one
 closed-form plane rotation per matrix, vectorized over the stack with the
@@ -36,16 +36,6 @@ import numpy as np
 MAX_DIM = 16
 
 _SYM_TOL = 1e-9
-
-
-def complex_structure(n: int) -> np.ndarray:
-    """The canonical complex structure J on R^{2n}: J^2 = -I, J^T = -J."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -np.eye(n)
-    J[n:, :n] = np.eye(n)
-    return J
 
 
 def symmetric_stack(m) -> np.ndarray:
@@ -86,11 +76,6 @@ def embed(Z: np.ndarray) -> np.ndarray:
     matrix of a stack (..., n, n); it commutes with J when Z is Hermitian."""
     A, B = Z.real, Z.imag
     return np.block([[A, -B], [B, A]])
-
-
-def project(M) -> np.ndarray:
-    """Trace-orthogonal projection of Sym(2n) onto the J-commuting subspace."""
-    return embed(hermitian_blocks(as_symmetric(M)))
 
 
 def hermitian_blocks(S: np.ndarray) -> np.ndarray:
@@ -157,18 +142,6 @@ def geometric_mean(x) -> float:
     """Geometric mean of strictly positive values."""
     x = np.asarray(x, dtype=float)
     return float(np.exp(np.mean(np.log(x))))
-
-
-def det_root(M) -> float:
-    """det^{1/2n} of proj(M), the operator this package extends.
-
-    Equals det_C^{1/n} of the Hermitian part.  Only defined where proj(M)
-    is positive definite; raises ValueError otherwise.
-    """
-    mu = hermitian_eigs_of(M)
-    if float(mu[0]) <= 0.0:
-        raise ValueError(f"smallest eigenvalue of the projection is {mu[0]:g}")
-    return geometric_mean(mu)
 
 
 def admissible_theta(lam: float, Lam: float) -> float:

@@ -4,15 +4,12 @@ the commands and tests that check the kernel compile them:
 * `run`, the randomized property checks of the `verify` command, which
   `envelope.verify_envelope` calls, with their samplers;
 * the grid oracle `envelope_eval_bruteforce`, an envelope evaluation with
-  no eigenvalue reduction;
-* `ellipticity_gap`, the increment of the envelope under a PSD perturbation
-  with its two-sided bounds.
+  no eigenvalue reduction.
 
 The random samples of the checks are drawn in blocks (`draw_verify_block`):
 each drawn field of a sample has its own generator spawned from the seed,
 and one call of one function (`_in_box`, `_psd`, `_unitaries`) draws and
-shapes a field for the whole block.  `sample_in_box`, `sample_psd` and
-`sample_unitary` are these functions at m = 1, fed one generator.
+shapes a field for the whole block.
 Hermitian matrices, unitaries among them, are complex arrays throughout;
 `mc.embed` turns one into its real 2n x 2n form (a unitary into a
 J-commuting rotation).  The checks read values and eigenvalues only, from
@@ -88,7 +85,16 @@ def envelope_eval_bruteforce(M, box: envelope.ThetaBox, resolution: int) -> floa
 def _gap_bounds(P: np.ndarray,
                 box: envelope.ThetaBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, upper, ||P||) of the ellipticity bounds for a symmetric PSD
-    stack P of shape (N, 2n, 2n); raises ValueError if any P is indefinite."""
+    stack P of shape (N, 2n, 2n); raises ValueError if any P is indefinite.
+
+    For P >= 0 the increment gap = Ftilde(M+P) - Ftilde(M) obeys
+
+        theta * lambda_max(proj P)  <=  gap  <=  (2n/theta) * ||P||,
+
+    with ||.|| the spectral norm.  The lower bound follows from slope
+    eigenvalues >= theta acting on the eigenvalue increments of proj(P); when
+    P itself commutes with J it strengthens to theta * ||P||.
+    """
     wP = np.linalg.eigvalsh(P)
     nrmP = np.max(np.abs(wP), axis=1)
     bad = wP[:, 0] < -1e-12 * np.maximum(1.0, nrmP)
@@ -98,24 +104,6 @@ def _gap_bounds(P: np.ndarray,
     lower = box.theta * np.maximum(nu_max, 0.0)
     upper = 2 * box.n * box.hi * nrmP
     return lower, upper, nrmP
-
-
-def ellipticity_gap(M, P, box: envelope.ThetaBox) -> tuple[float, float, float]:
-    """(lower, gap, upper) for the increment gap = Ftilde(M+P) - Ftilde(M).
-
-    For P >= 0 the increment obeys
-
-        theta * lambda_max(proj P)  <=  gap  <=  (2n/theta) * ||P||,
-
-    with ||.|| the spectral norm.  The lower bound follows from slope
-    eigenvalues >= theta acting on the eigenvalue increments of proj(P); when
-    P itself commutes with J it strengthens to theta * ||P||.
-    """
-    M = mc.as_symmetric(M)
-    P = mc.as_symmetric(P)
-    lower, upper, _ = _gap_bounds(P[np.newaxis], box)
-    f, _ = envelope._certify_values(envelope._hermitian_parts(np.stack([M + P, M]), box), box)
-    return float(lower[0]), float(f[0] - f[1]), float(upper[0])
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +190,6 @@ def _unitaries(rng, m: int, n: int) -> np.ndarray:
     return Q * ph[..., np.newaxis, :].conj()
 
 
-def sample_unitary(rng, n: int) -> np.ndarray:
-    """Haar-ish random n x n unitary (QR of a complex Gaussian)."""
-    return _unitaries(rng, 1, n)[0]
-
-
 def _in_box(rngs: tuple, box: envelope.ThetaBox, m: int) -> np.ndarray:
     """m stacked in-box matrices: the embedded U diag(mu) U^H plus the
     J-anticommuting part of a symmetric matrix, with mu, U and the
@@ -219,12 +202,6 @@ def _in_box(rngs: tuple, box: envelope.ThetaBox, m: int) -> np.ndarray:
     S = rng_S.uniform(-1.0, 1.0, size=(m, 2 * box.n, 2 * box.n))
     S = _symmetrized(S, 0.0)
     return core + (S - mc.embed(mc.hermitian_blocks(S)))
-
-
-def sample_in_box(rng, box: envelope.ThetaBox) -> np.ndarray:
-    """Matrix whose projection has spectrum uniform in the box, plus a random
-    J-anticommuting component (which the envelope must ignore)."""
-    return _in_box((rng, rng, rng), box, 1)[0]
 
 
 def _psd(rng, d: int, kind: str, m: int) -> np.ndarray:
@@ -243,11 +220,6 @@ def _psd(rng, d: int, kind: str, m: int) -> np.ndarray:
         c = rng.uniform(0.1, 2.0, size=m)
         return c[..., np.newaxis, np.newaxis] * np.eye(d)
     raise ValueError(f"unknown psd kind {kind!r}")
-
-
-def sample_psd(rng, d: int, kind: str) -> np.ndarray:
-    """PSD perturbation of the requested kind."""
-    return _psd(rng, d, kind, 1)[0]
 
 
 # the drawn fields of a verify sample, one generator each (verify_streams)

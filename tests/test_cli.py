@@ -18,6 +18,7 @@ import envma.cli
 from envma import envelope, matio, solver, verify
 from envma import matrixcore as mc
 from envma.cli import main
+from oracles import det_root
 
 QUAD_CFG = """\
 n = 1
@@ -213,7 +214,7 @@ class TestEval:
         mat = write(tmp_path / "m.txt", matio.format_matrix_text(EVAL_CORPUS[name]))
         M = matio.load_matrix(mat)
         try:
-            f = matio.fmt(mc.det_root(M))
+            f = matio.fmt(det_root(M))
         except ValueError:
             f = "undefined"
         mu = mc.hermitian_eigs_of(M)
@@ -555,10 +556,12 @@ class TestOverflow:
 
 STUDY_CFG = QUAD_CFG.replace("g = constant:2", "g = quadratic") + "refinements = 9,17\n"
 
-# (argv, config text, exit code, text the one stderr line contains); CFG is
+# (argv, input text, exit code, text the one stderr line contains); CFG is
 # the config path, OUT a fresh output path, FILE an existing regular file,
 # BELOW a path below that file, LONG a path below OUT with a level whose
 # name is one byte too long, EMPTY an empty --out, MAT a matrix file; the
+# input text is that of the matrix file with MAT (the 2 x 2 identity when
+# None) and otherwise of the config (none is written when None); the
 # usage-* cases are command lines the parser rejects
 FAILURES = {
     "points-per-axis-3": (["solve", "CFG", "OUT"],
@@ -631,6 +634,25 @@ FAILURES = {
     "convergence-theta-1e300": (["convergence", "CFG", "OUT"],
                                 STUDY_CFG.replace("theta = 0.4", "theta = 1e300"),
                                 2, "theta must lie in"),
+    "conjugate-lam-alone": (["conjugate", "--p", "1", "--lam", "0.5"], None, 3,
+                            "lambda and Lambda go together"),
+    "verify-Lam-alone": (["verify", "--n", "2", "--samples", "10", "--seed", "1", "--Lam", "2"],
+                         None, 3, "lambda and Lambda go together"),
+    "config-unreadable": (["solve", "CFG", "OUT"], None, 2, "cannot read config"),
+    "g-file-unreadable": (["solve", "CFG", "OUT"],
+                          QUAD_CFG.replace("constant:2", "file:/nonexistent/g.txt"),
+                          2, "cannot read grid data '/nonexistent/g.txt'"),
+    "boundary-unknown": (["solve", "CFG", "OUT"],
+                         QUAD_CFG.replace("boundary = quadratic", "boundary = nosuch"), 2,
+                         "config key 'boundary': unknown field 'nosuch' "
+                         "(quadratic | quartic_radial | constant:<v> | file:<path>)"),
+    "tol-0": (["solve", "CFG", "OUT"], QUAD_CFG + "tol = 0\n", 2, "'tol': must be positive"),
+    "tol-negative": (["solve", "CFG", "OUT"], QUAD_CFG + "tol = -1e-3\n", 2,
+                     "'tol': must be positive"),
+    "matrix-only-a-comment": (["eval", "MAT", "--theta", "0.5"], "# a comment\n", 2,
+                              "empty matrix file"),
+    "matrix-bad-dimension": (["eval", "MAT", "--theta", "0.5"], "sym x\n1 0\n0 1\n", 2,
+                             "bad dimension"),
 }
 # non-finite bounds are named: --lam 1 --Lam inf gave a theta of 0, refused as
 # a theta no one gave
@@ -655,19 +677,22 @@ class TestFailures:
             pytest.fail("solve_dirichlet was called")
 
         monkeypatch.setattr(solver, "solve_dirichlet", no_solve)
-        argv, cfg_text, expected, needle = FAILURES[case]
+        argv, text, expected, needle = FAILURES[case]
         existing = tmp_path / "existing"
         existing.write_text("")
         long_name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
-        paths = {"CFG": ["--config", str(tmp_path / "p.cfg")],
+        cfg, mat = tmp_path / "p.cfg", tmp_path / "m.txt"
+        paths = {"CFG": ["--config", str(cfg)],
                  "OUT": ["--out", str(tmp_path / "o")],
                  "FILE": ["--out", str(existing)],
                  "BELOW": ["--out", str(existing / "sub")],
                  "LONG": ["--out", str(tmp_path / "o" / long_name / "y")],
                  "EMPTY": ["--out", ""],
-                 "MAT": ["--matrix", write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")]}
-        if cfg_text is not None:
-            write(tmp_path / "p.cfg", cfg_text)
+                 "MAT": ["--matrix", str(mat)]}
+        if "MAT" in argv:
+            write(mat, "sym 2\n1 0\n0 1\n" if text is None else text)
+        elif text is not None:
+            write(cfg, text)
         code, _, err = run_main(capsys, [a for tok in argv for a in paths.get(tok, [tok])])
         assert code == expected
         if case.startswith("usage-"):
@@ -995,3 +1020,40 @@ class TestImports:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['envma']\n"
+
+
+def _unread_top_level_names(src: Path) -> set:
+    """(module, name) of every top-level def, class and assigned name of the
+    modules in src that no module there reads as a name, an attribute or an
+    imported name."""
+    defined, read = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {(path.stem, t.id) for target in targets
+                            for t in ast.walk(target) if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return {(module, name) for module, name in defined if name not in read}
+
+
+class TestPackageContents:
+    """The package holds what a command runs, plus `__version__` and the
+    grid oracle README says it ships."""
+
+    def test_every_top_level_name_is_read_by_the_package(self):
+        unread = _unread_top_level_names(Path(envma.cli.__file__).parent)
+        extra = sorted(f"{module}.{name}" for module, name in unread
+                       if name not in ("__version__", "envelope_eval_bruteforce"))
+        assert not extra, (f"{', '.join(extra)}: read by no module of the package; "
+                           "a helper only the tests use belongs in tests/oracles.py")
+        assert {name for _, name in unread} == {"__version__", "envelope_eval_bruteforce"}

@@ -18,14 +18,9 @@ from envma.envelope import (
     tangent_in_box,
     verify_envelope,
 )
-from envma.verify import (
-    ellipticity_gap,
-    envelope_eval_bruteforce,
-    sample_in_box,
-    sample_psd,
-    sample_unitary,
-)
-from oracles import (conjugate_intercept, envelope_value, sample_symmetric, spectral_norm,
+from envma.verify import envelope_eval_bruteforce
+from oracles import (conjugate_intercept, det_root, ellipticity_gap, envelope_value, project,
+                     sample_in_box, sample_psd, sample_symmetric, sample_unitary, spectral_norm,
                      trace_inner)
 
 BOX1 = ThetaBox(0.5, 1)
@@ -212,7 +207,7 @@ class TestAgreementOnBox:
             box = ThetaBox(theta, 1)
             for _ in range(60):
                 M = sample_in_box(rng, box)
-                f = mc.det_root(M)
+                f = det_root(M)
                 v = envelope_value(M, box)
                 assert abs(v - f) <= 1e-8 * max(1.0, abs(f))
 
@@ -221,7 +216,7 @@ class TestAgreementOnBox:
         for box in (BOX1, BOX2, ThetaBox(0.9, 2)):
             for _ in range(40):
                 M = sample_in_box(rng, box)
-                assert envelope_value(M, box) >= mc.det_root(M) - 1e-9
+                assert envelope_value(M, box) >= det_root(M) - 1e-9
 
     def test_n2_agreement_where_tangent_admissible(self):
         rng = np.random.default_rng(83)
@@ -233,7 +228,7 @@ class TestAgreementOnBox:
             if not tangent_in_box(mu, box):
                 continue
             hits += 1
-            f = mc.det_root(M)
+            f = det_root(M)
             assert abs(envelope_value(M, box) - f) <= 1e-8 * max(1.0, abs(f))
         assert hits > 10
 
@@ -241,7 +236,7 @@ class TestAgreementOnBox:
         # with slopes confined to the box, the envelope sits strictly above
         # the operator at strongly anisotropic box points for n >= 2
         M = mu_matrix([0.6, 1.8])
-        f = mc.det_root(M)
+        f = det_root(M)
         v = envelope_value(M, BOX2)
         assert abs(v - 1.2) < 1e-12
         assert v > f + 0.1
@@ -301,7 +296,7 @@ class TestCertificates:
             for _ in range(60):
                 X = sample_in_box(rng, box)
                 lhs = trace_inner(0.5 * mc.embed(cert.slope), X) + cert.intercept
-                assert lhs >= mc.det_root(X) - 1e-9
+                assert lhs >= det_root(X) - 1e-9
 
     def test_intercept_is_minimal_feasible(self):
         rng = np.random.default_rng(109)
@@ -341,7 +336,7 @@ class TestStructuralProperties:
             for _ in range(20):
                 M = sample_symmetric(rng, 2 * box.n, 1.0)
                 v1 = envelope_value(M, box)
-                v2 = envelope_value(mc.project(M), box)
+                v2 = envelope_value(project(M), box)
                 assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))
 
     def test_rotation_invariance(self):

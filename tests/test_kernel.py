@@ -27,8 +27,9 @@ from envma.envelope import (
     envelope_eval,
 )
 from envma.errors import NoConvergence
-from envma.verify import ellipticity_gap, envelope_eval_bruteforce, sample_in_box, sample_unitary
-from oracles import average_equal_runs_all_rows, envelope_value, sample_symmetric
+from envma.verify import envelope_eval_bruteforce
+from oracles import (average_equal_runs_all_rows, det_root, ellipticity_gap, envelope_value,
+                     project, sample_in_box, sample_psd, sample_symmetric, sample_unitary)
 
 THETAS = (1e-8, 0.3, 1.0)
 
@@ -41,7 +42,7 @@ def herm_matrix(mu, U):
 
 def anticommuting_part(rng, n):
     S = sample_symmetric(rng, 2 * n)
-    return S - mc.project(S)
+    return S - project(S)
 
 
 def kink_spectra(box):
@@ -75,11 +76,6 @@ def mixed_stack(rng, box):
             box.hi * np.eye(2 * n)]
     out += [herm_matrix(mu, np.eye(n, dtype=complex)) for mu in kink_spectra(box)]
     return np.array(out)
-
-
-def det_root_stack(X):
-    mu = mc.herm_eigensystem(mc.hermitian_blocks(mc.symmetric_stack(X)))[0]
-    return np.exp(np.mean(np.log(mu), axis=1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -138,7 +134,7 @@ def test_certificate_identities_on_every_row(n, theta):
 
     # the affine majorant dominates F on sampled box points
     X = np.array([sample_in_box(rng, box) for _ in range(40)])
-    F = det_root_stack(X)
+    F = det_root(X)
     maj = np.einsum("kij,lji->kl", S, X) + b.intercept[:, np.newaxis]
     size = (np.einsum("kij,lji->kl", np.abs(S), np.abs(X))
             + np.abs(b.intercept[:, np.newaxis]))
@@ -189,7 +185,7 @@ def test_slope_matrix_independent_of_eigenbasis(theta, mus):
         R = mc.embed(U0 @ W @ U0.conj().T)
         M = herm_matrix(mu, U0) + anticommuting_part(rng, 3)
         RM = R @ M @ R.T
-        assert np.max(np.abs(mc.project(RM) - mc.project(M))) <= 1e-13 * max(mu)
+        assert np.max(np.abs(project(RM) - project(M))) <= 1e-13 * max(mu)
         assert np.max(np.abs(RM - M)) > 1e-3
         b = envelope_batch(np.array([M, (RM + RM.T) / 2]), box)
         S = 0.5 * mc.embed(b.slope)
@@ -328,8 +324,9 @@ def test_broken_fixed_point_raises_no_convergence(monkeypatch):
 
 def test_value_beyond_float_range_raises_value_error():
     # Ftilde(-1e300 I) = -1e310 at theta = 1e-10 overflows; Ftilde(-1e297 I) does not
-    # verify's samples stay far inside the float range, so its entry with a
-    # free matrix, ellipticity_gap, stands in for the verify path
+    # verify's samples stay far inside the float range, so the oracle
+    # ellipticity_gap, which certifies a free matrix through the kernel
+    # driver verify uses, stands in for the verify path
     box = ThetaBox(1e-10, 1)
     with pytest.raises(ValueError, match="overflows the float range"):
         envelope_batch(np.array([np.eye(2), -1e300 * np.eye(2)]), box)
@@ -407,62 +404,19 @@ def test_conjugate_on_a_ray_of_maximizers(theta):
         assert abs(g) <= 1e-14 / theta and np.all(x == 1.0 / theta)
 
 
-def _ref_symmetric(rng, d, shift):
-    S = rng.uniform(-1.0, 1.0, size=(d, d))
-    return (S + S.T) / 2.0 + shift * np.eye(d)
-
-
-def _ref_gaussian(rng, n):
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-
-def _ref_unitary(rng, n):
-    Q, R = np.linalg.qr(_ref_gaussian(rng, n))
-    ph = np.diag(R).copy()
-    ph = ph / np.abs(ph)
-    return Q * ph[np.newaxis, :].conj()
-
-
-def _ref_hermitian_part(X):
-    return (X + X.conj().T) / 2
-
-
-def _ref_in_box(rng_mu, rng_Z, rng_S, box):
-    """In-box matrix drawn one field at a time: mu, then the eigenbasis
-    Gaussian, then the symmetric part, each from its generator."""
-    mu = rng_mu.uniform(box.theta, box.hi, size=box.n)
-    U = _ref_unitary(rng_Z, box.n)
-    core = mc.embed(_ref_hermitian_part((U * mu) @ U.conj().T))
-    S = _ref_symmetric(rng_S, 2 * box.n, 0.0)
-    return core + (S - mc.project(S))
-
-
-def _ref_psd(rng, d, kind):
-    if kind == "gram":
-        G = rng.uniform(-1.0, 1.0, size=(d, d))
-        return (G @ G.T) / d
-    if kind == "embedded":
-        Z = _ref_gaussian(rng, d // 2)
-        return mc.embed(_ref_hermitian_part((Z @ Z.conj().T) / (d // 2)))
-    if kind == "rank1":
-        v = rng.normal(size=d)
-        return np.outer(v, v) / float(v @ v)
-    return float(rng.uniform(0.1, 2.0)) * np.eye(d)
-
-
 def reference_draw(streams, box, idx):
     """Verify sample idx drawn and shaped one matrix at a time, each field
     from its own generator of `streams`."""
     d = 2 * box.n
     # a shift is drawn for every sample and used where idx says so
     shift1 = float(streams["shift1"].uniform(0.0, 3.0))
-    m1 = _ref_symmetric(streams["S1"], d, shift1 if idx % 2 == 0 else 0.0)
+    m1 = sample_symmetric(streams["S1"], d, shift1 if idx % 2 == 0 else 0.0)
     shift2 = float(streams["shift2"].uniform(0.0, 3.0))
-    m2 = _ref_symmetric(streams["S2"], d, shift2 if idx % 3 == 0 else 0.0)
-    m_in = _ref_in_box(streams["mu"], streams["Z"], streams["S"], box)
+    m2 = sample_symmetric(streams["S2"], d, shift2 if idx % 3 == 0 else 0.0)
+    m_in = sample_in_box(streams["mu"], box, streams["Z"], streams["S"])
     kind = ("gram", "embedded", "rank1", "scalar")[idx % 4]
-    P = _ref_psd(streams[kind], d, kind)
-    R = mc.embed(_ref_unitary(streams["Z_rot"], box.n))
+    P = sample_psd(streams[kind], d, kind)
+    R = mc.embed(sample_unitary(streams["Z_rot"], box.n))
     return {"m1": m1, "m2": m2, "m_in": m_in, "P": P, "P_kind": kind, "R": R}
 
 
@@ -486,29 +440,6 @@ def test_block_draws_equal_pointwise_draws(n):
     assert streams_block.keys() == streams_ref.keys()
     for name in streams_ref:
         assert streams_block[name].bit_generator.state == streams_ref[name].bit_generator.state, name
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_one_generator_samplers_equal_reference(n):
-    # sample_in_box, sample_psd and sample_unitary draw every field from the
-    # one generator they are given, in the order of the reference
-    from envma import verify
-
-    box = ThetaBox(0.3, n)
-    samplers = [("in_box", lambda rng: verify.sample_in_box(rng, box),
-                 lambda rng: _ref_in_box(rng, rng, rng, box)),
-                ("unitary", lambda rng: verify.sample_unitary(rng, n),
-                 lambda rng: _ref_unitary(rng, n))]
-    samplers += [(kind, lambda rng, kind=kind: verify.sample_psd(rng, 2 * n, kind),
-                  lambda rng, kind=kind: _ref_psd(rng, 2 * n, kind))
-                 for kind in ("gram", "embedded", "rank1", "scalar")]
-    for name, sample, reference in samplers:
-        rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-        for _ in range(3):
-            got, ref = sample(rng), reference(rng_ref)
-            assert got.dtype == ref.dtype and got.shape == ref.shape, name
-            assert got.tobytes() == ref.tobytes(), name
-        assert rng.bit_generator.state == rng_ref.bit_generator.state, name
 
 
 def test_verify_report_does_not_depend_on_block_size(monkeypatch):
