@@ -12,7 +12,8 @@ Subcommands: eval, conjugate, verify, solve, convergence.  Commands raise;
     3  any other ValueError, an OSError or a MemoryError, printed as
        `error:`: dimension, theta or range validation, an unusable --matrix
        or --out path, a grid too large for memory
-    4  policy iteration hit its iteration cap (artifacts are still written)
+    4  policy iteration hit its iteration cap: a solve, or any refinement
+       of a study, one `error:` line each (artifacts are still written)
     5  LinearSolveFailure or NoConvergence, printed as `error: <Kind>:`: a
        frozen-policy linear solve failed or an exact evaluation found no
        solution
@@ -147,9 +148,9 @@ def _load_problem(path: str, study: bool = False):
     g names it and that the refinements are distinct and at least 5.  Every
     grid is checked before any field is built.  Any ValueError becomes a
     ParseError, so nothing is solved or written for a bad config.  Returns
-    (box, problems, solver_kwargs): one problem (grid, boundary, g) per
-    grid, each field built once (a study's boundary is its exact solution),
-    and only the solver settings the config sets.
+    (box, problems, solver_kwargs): one problem (boundary, g) per grid,
+    each field built once (a study's boundary is its exact solution), and
+    only the solver settings the config sets.
     """
     from . import solver as sv
 
@@ -187,7 +188,7 @@ def _load_problem(path: str, study: bool = False):
         else:
             sizes = [cfg["pointsPerAxis"]]
         grids = [sv.GridSpec(cfg["n"], cfg["lo"], cfg["hi"], P) for P in sizes]
-        problems = [(grid, _field_from_spec(bnd_spec, grid, "boundary"),
+        problems = [(_field_from_spec(bnd_spec, grid, "boundary"),
                      _field_from_spec(g_spec, grid, "g")) for grid in grids]
     except ValueError as exc:
         raise ParseError(str(exc)) from None
@@ -221,9 +222,9 @@ def _check_out(outdir: str) -> None:
 def cmd_solve(args) -> int:
     from . import solver as sv
 
-    box, ((grid, boundary, g),), kwargs = _load_problem(args.config)
+    box, ((boundary, g),), kwargs = _load_problem(args.config)
     _check_out(args.out)
-    u, _, report = sv.solve_dirichlet(grid, boundary, g, box, **kwargs)
+    u, _, report = sv.solve_dirichlet(boundary, g, box, **kwargs)
     _write(args.out, {"solution.csv": matio.field_csv(u),
                       "residual.csv": matio.field_csv(report.residual),
                       "report.txt": matio.report_text(report)})
@@ -240,17 +241,22 @@ def cmd_convergence(args) -> int:
 
     box, problems, kwargs = _load_problem(args.config, study=True)
     _check_out(args.out)
-    for grid, exact, _ in problems:
+    for exact, _ in problems:
         outside = sv.check_premises(exact, box).outside_tangency
         if outside:
-            P = grid.points_per_axis
+            P, d = exact.grid.points_per_axis, exact.grid.dim
             print(f"warning: refinement {P}: the exact u leaves the tangency region at {outside} "
-                  f"of {(P - 2) ** grid.dim} interior points, where g is not Ftilde(D^2 u)",
+                  f"of {(P - 2) ** d} interior points, where g is not Ftilde(D^2 u)",
                   file=sys.stderr)
-    text = matio.convergence_csv(sv.convergence_study(problems, box, **kwargs))
+    rows = sv.convergence_study(problems, box, **kwargs)
+    text = matio.convergence_csv(rows)
     _write(args.out, {"convergence.csv": text})
     sys.stdout.write(text)
-    return EXIT_OK
+    for row in rows:
+        if not row.converged:
+            print(f"error: refinement {row.points_per_axis}: policy iteration hit maxIter "
+                  f"with residual {matio.fmt(row.final_residual)}", file=sys.stderr)
+    return EXIT_OK if all(row.converged for row in rows) else EXIT_MAX_ITER
 
 
 def _write(outdir: str, files: dict) -> None:

@@ -9,14 +9,15 @@ freezing the policy leaves the linear uniformly elliptic equation
     tr(S(x) D^2 u(x)) + c(x) = g(x),
 
 solved with Dirichlet data by restarted GMRES, preconditioned by the exact
-inverse of an axis-weighted Laplacian applied in the tensor sine basis, and
-stopped at the first Krylov step that passes a true max-norm check; the two
-steps alternate until the max-norm residual of the nonlinear equation meets
-the tolerance.  Howard's iteration is a semismooth Newton method, so the
-Howard loop picks how accurately each policy is evaluated: loosely while the
-nonlinear residual is large, as tightly as the tolerance needs at the end
-(quadratic forcing, `solve_dirichlet`); the linear solver meets that
-accuracy or its own round-off floor, whichever is larger (`_Target`).
+inverse, in the tensor sine basis, of the frozen operator's own
+constant-coefficient part (`_laplacian_inverse`), and stopped at the first
+Krylov step that passes a true max-norm check; the two steps alternate
+until the max-norm residual of the nonlinear equation meets the tolerance.
+Howard's iteration is a semismooth Newton method, so the Howard loop picks
+how accurately each policy is evaluated: loosely while the nonlinear
+residual is large, as tightly as the tolerance needs at the end (quadratic
+forcing, `solve_dirichlet`); the linear solver meets that accuracy or its
+own round-off floor, whichever is larger (`_Target`).
 
 Each iterate is certified once, by the envelope's kernel driver, on the
 Hermitian parts Z = extract(proj(D^2_h u)) = A + iB built from the stencil
@@ -52,7 +53,7 @@ from .errors import LinearSolveFailure
 
 class GridSpec(_Frozen):
     """Uniform tensor grid on the rectangle [lo, hi] in R^{2n}: an immutable
-    value, the cache key of `_hessian_stencil` and `_sine_basis`."""
+    value, the cache key of `_hessian_stencil`."""
 
     __slots__ = ("n", "lo", "hi", "points_per_axis")
 
@@ -293,35 +294,32 @@ _MAX_GMRES_CYCLES = 50
 
 
 @functools.lru_cache(maxsize=8)
-def _sine_basis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues of the Dirichlet second difference.
-
-    With m = P - 2 interior points per axis, Phi[j, k] = sqrt(2/(m+1))
-    sin(pi j k/(m+1)) is symmetric and orthogonal and diagonalizes the
-    centered second difference on every axis; eigs[a, k] is its eigenvalue
-    -4/h_a^2 sin^2(pi k/(2(m+1))) on axis a.
-    """
-    m = grid.points_per_axis - 2
+def _sine_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Dirichlet second difference x[j+1] - 2 x[j] + x[j-1] on m points
+    in its eigenbasis: Phi[j, k] = sqrt(2/(m+1)) sin(pi j k/(m+1)) is
+    symmetric and orthogonal, and column k has eigenvalue
+    eigs[k] = -4 sin^2(pi k/(2(m+1)))."""
     k = np.arange(1, m + 1)
     phi = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
-    eigs = -4.0 * np.sin(np.pi * k / (2 * (m + 1))) ** 2 / grid.spacing[:, np.newaxis] ** 2
-    return phi, eigs
+    return phi, -4.0 * np.sin(np.pi * k / (2 * (m + 1))) ** 2
 
 
-def _laplacian_inverse(grid: GridSpec, weights: np.ndarray):
-    """Exact inverse of the Dirichlet operator sum_a weights[a] * D^2_{h,a}.
+def _laplacian_inverse(A: _StencilOperator):
+    """Exact inverse of the constant-coefficient part of A, the Dirichlet
+    operator sum_a c_a (x[+e_a] - 2 x + x[-e_a]) with c_a the interior mean
+    of A's coefficient on the unit shift e_a; a frozen-policy A, whose slopes
+    have eigenvalues in [theta, 1/theta], is a bounded distortion of it.
 
-    The operator is diagonal in the tensor sine basis, with eigenvalues
-    Lambda(k) = sum_a weights[a] * eigs[a, k_a], so its inverse is
+    The part is diagonal in the tensor sine basis, with eigenvalues
+    Lambda(k) = sum_a c_a eigs[k_a], so its inverse is
     Phi^{(x)d} [(Phi^{(x)d} r) / Lambda]: d small matrix products per
     transform, on interior values in lexicographic order.
     """
-    phi, eigs = _sine_basis(grid)
-    d, m = eigs.shape
-    lam = np.zeros((m,) * d)
-    for a in range(d):
-        lam += weights[a] * eigs[a].reshape((m,) + (1,) * (d - 1 - a))
-    lam = lam.reshape(-1)
+    d, m = A.grid.dim, A.grid.points_per_axis - 2
+    phi, eigs = _sine_basis(m)
+    units = (tuple(int(a == b) for b in range(d)) for a in range(d))
+    lam = functools.reduce(np.add.outer, [np.mean(A.coeffs[A.shifts.index(e)]) * eigs
+                                          for e in units]).reshape(-1)
 
     def transform(v):
         for _ in range(d):   # each product contracts the last axis and puts its result first
@@ -423,31 +421,22 @@ def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, r: np.ndarra
                 return x_k, r_k, k, False
 
 
-def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.ndarray,
-                     Q: np.ndarray, accuracy: float, steps: list) -> np.ndarray:
-    """Solve the frozen-policy system A x = b of the Hermitian slopes Q by
-    preconditioned GMRES, to max|A x - b| <= `accuracy` (the caller's
+def _evaluate_policy(A: _StencilOperator, b: np.ndarray, x0: np.ndarray,
+                     accuracy: float) -> tuple[np.ndarray, int]:
+    """Solve the frozen-policy system A x = b by GMRES preconditioned by
+    `_laplacian_inverse(A)`, to max|A x - b| <= `accuracy` (the caller's
     choice) or the round-off floor of `_Target`, whichever is larger.
-
-    Every slope has eigenvalues in [theta, 1/theta], so Re tr(Q Z) is a
-    bounded distortion of a constant-coefficient Laplacian; GMRES is
-    preconditioned by the exact inverse of the Laplacian whose weight on
-    both real axes of complex coordinate i is the mean of Re Q_ii / 2 over
-    the interior points.
     Cycles, warm-started at x0, run until one returns an x that passed the
-    true check against `_Target`.  The Krylov steps of all cycles, summed, are
-    appended to `steps`.
+    true check; returns x and the Krylov steps of all cycles, summed.
     """
-    weights = np.mean(Q.real.diagonal(axis1=1, axis2=2), axis=0) / 2.0
-    M = _laplacian_inverse(grid, np.concatenate([weights, weights]))
+    M = _laplacian_inverse(A)
     target = _Target(A, b, accuracy, x0)
     x, r, taken = x0, b - A @ x0, 0
     for _ in range(_MAX_GMRES_CYCLES):
         x, r, k, passed = _gmres_cycle(A, b, x, r, M, target)
         taken += k
         if passed:
-            steps.append(taken)
-            return x
+            return x, taken
         if k == 0:   # M r is zero or non-finite, and x failed its check
             break
     raise LinearSolveFailure(f"GMRES left max|Ax - b| = {float(np.max(np.abs(r))):.3g} "
@@ -460,10 +449,10 @@ def _evaluate_policy(grid: GridSpec, A: _StencilOperator, b: np.ndarray, x0: np.
 _FORCING = 1e-3
 
 
-def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
-                    box: ThetaBox, max_iter: int = 100,
+def solve_dirichlet(boundary: ScalarField, g: ScalarField, box: ThetaBox, max_iter: int = 100,
                     tol: float = 1e-10) -> tuple[ScalarField, EnvelopeCertificate, SolveReport]:
-    """Policy iteration for Ftilde(D^2 u) = g with Dirichlet data.
+    """Policy iteration for Ftilde(D^2 u) = g with Dirichlet data, on the
+    grid of `boundary`.
 
     Alternates policy improvement (envelope certificates at every interior
     point) with policy evaluation (one linear elliptic solve for the frozen
@@ -484,8 +473,8 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
 
     `max_iter` and `tol` default to the values a config without maxIter or
     tol gets: the CLI passes only the keys a config sets.  Raises
-    ValueError, before any work, when boundary or g lives on a grid other
-    than `grid`, or when the box and the grid differ in n, and before the
+    ValueError, before any work, when g lives on a grid other than the
+    boundary's, or when the box and the grid differ in n, and before the
     first policy evaluation when the discrete Hessian of the start is not
     finite (finite data whose differences or 1/h^2 overflow).  On hitting
     `max_iter` the best iterate is returned with report.converged = False;
@@ -498,9 +487,9 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         raise ValueError(f"maxIter must be >= 1, got {max_iter}")
     if not np.all(np.isfinite(boundary.values)) or not np.all(np.isfinite(g.values)):
         raise ValueError("boundary and right-hand side must be finite")
-    for name, field in (("boundary", boundary), ("g", g)):
-        if field.grid != grid:
-            raise ValueError(f"{name} lives on {field.grid!r}, not on the solve's grid {grid!r}")
+    grid = boundary.grid
+    if g.grid != grid:
+        raise ValueError(f"g lives on {g.grid!r}, not on the boundary's grid {grid!r}")
     if box.n != grid.n:
         raise ValueError(f"grid has n={grid.n} but the box has n={box.n}")
     start = time.perf_counter()
@@ -526,8 +515,8 @@ def solve_dirichlet(grid: GridSpec, boundary: ScalarField, g: ScalarField,
         # no forcing from a zero or non-finite r_0, nor from a non-finite product
         forced = _FORCING * res * min(1.0, res / r0) if 0.0 < r0 < np.inf else 0.0
         accuracy = max(1e-2 * tol, forced if forced < np.inf else 0.0)
-        x = _evaluate_policy(grid, A, b, u.values[core].reshape(-1), policy.slope,
-                             accuracy, report.krylov_steps)
+        x, steps = _evaluate_policy(A, b, u.values[core].reshape(-1), accuracy)
+        report.krylov_steps.append(steps)
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("non-finite values in the policy evaluation solve")
         u.values[core] = x.reshape(grid.interior_shape)
@@ -552,23 +541,27 @@ class ConvergenceRow(NamedTuple):
     h: float
     max_error: float
     observed_order: float | None
+    converged: bool
+    final_residual: float
 
 
 def convergence_study(problems, box: ThetaBox, **solver_kwargs) -> list[ConvergenceRow]:
-    """Solve each problem (grid, exact, g) in turn, with the exact solution
-    `exact` as boundary data, and report max errors against it and observed
-    orders; solver_kwargs go to `solve_dirichlet`.  Builds no field.
+    """Solve each problem (exact, g) in turn, with the exact solution
+    `exact` as boundary data, and report max errors against it, observed
+    orders and whether and to what residual each solve converged;
+    solver_kwargs go to `solve_dirichlet`.  Builds no field.
     """
     rows = []
     prev = None
-    for grid, exact, g in problems:
-        u, _, _ = solve_dirichlet(grid, exact, g, box, **solver_kwargs)
+    for exact, g in problems:
+        u, _, report = solve_dirichlet(exact, g, box, **solver_kwargs)
         err = float(np.max(np.abs(u.values - exact.values)))
-        h = float(np.max(grid.spacing))
+        h = float(np.max(exact.grid.spacing))
         order = None
         if prev is not None and err > 0.0 and prev[1] > 0.0:
             order = float(np.log2(prev[1] / err) / np.log2(prev[0] / h))
-        rows.append(ConvergenceRow(grid.points_per_axis, h, err, order))
+        rows.append(ConvergenceRow(exact.grid.points_per_axis, h, err, order,
+                                   report.converged, report.final_residual))
         prev = (h, err)
     return rows
 

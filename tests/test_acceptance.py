@@ -154,7 +154,7 @@ def test_criterion_6_quadratic_exactness():
     box = ThetaBox(0.4, 1)
     grid = GridSpec(1, (-1.0, -1.0), (1.0, 1.0), 17)
     u_fn, g_fn = builtin_solution("quadratic", 1)
-    u, _, rep = solve_dirichlet(grid, ScalarField.from_function(grid, u_fn),
+    u, _, rep = solve_dirichlet(ScalarField.from_function(grid, u_fn),
                                 ScalarField.from_function(grid, g_fn), box)
     err1 = float(np.max(np.abs(u.values - ScalarField.from_function(grid, u_fn).values)))
     assert rep.converged and err1 <= 1e-9
@@ -163,7 +163,7 @@ def test_criterion_6_quadratic_exactness():
     box2 = ThetaBox(0.4, 2)
     grid2 = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 9)
     u_fn2, g_fn2 = builtin_solution("quadratic", 2)
-    u2, _, rep2 = solve_dirichlet(grid2, ScalarField.from_function(grid2, u_fn2),
+    u2, _, rep2 = solve_dirichlet(ScalarField.from_function(grid2, u_fn2),
                                   ScalarField.from_function(grid2, g_fn2), box2)
     err2 = float(np.max(np.abs(u2.values - ScalarField.from_function(grid2, u_fn2).values)))
     assert rep2.converged and err2 <= 1e-9
@@ -172,7 +172,7 @@ def test_criterion_6_quadratic_exactness():
     box3 = ThetaBox(0.25, 3)
     grid3 = GridSpec(3, (-1.0,) * 6, (1.0,) * 6, 7)
     u_fn3, g_fn3 = builtin_solution("quadratic", 3)
-    u3, _, rep3 = solve_dirichlet(grid3, ScalarField.from_function(grid3, u_fn3),
+    u3, _, rep3 = solve_dirichlet(ScalarField.from_function(grid3, u_fn3),
                                   ScalarField.from_function(grid3, g_fn3), box3)
     err3 = float(np.max(np.abs(u3.values - ScalarField.from_function(grid3, u_fn3).values)))
     elapsed = time.perf_counter() - t0
@@ -186,7 +186,7 @@ def test_criterion_6_quadratic_exactness():
 def test_criterion_7_convergence_order():
     grids = [GridSpec(1, (1.0, 1.0), (2.0, 2.0), P) for P in (17, 33, 65)]
     u_fn, g_fn = builtin_solution("quartic_radial", 1)
-    problems = [(grid, ScalarField.from_function(grid, u_fn), ScalarField.from_function(grid, g_fn))
+    problems = [(ScalarField.from_function(grid, u_fn), ScalarField.from_function(grid, g_fn))
                 for grid in grids]
     rows = convergence_study(problems, ThetaBox(1.0 / 16.0, 1))
     orders = [r.observed_order for r in rows[1:]]

@@ -204,9 +204,12 @@ class TestCsvAndReport:
 
     def test_convergence_csv(self):
         from envma.solver import ConvergenceRow
-        rows = [ConvergenceRow(9, 0.25, 1e-3, None), ConvergenceRow(17, 0.125, 2.5e-4, 2.0)]
+        # the converged flag and final residual are not columns
+        rows = [ConvergenceRow(9, 0.25, 1e-3, None, True, 1e-11),
+                ConvergenceRow(17, 0.125, 2.5e-4, 2.0, False, 3e-10)]
         text = matio.convergence_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "points_per_axis,h,max_error,observed_order"
         assert lines[1].endswith(",")
         assert lines[2].endswith(",2")
+        assert len(lines) == 3 and all(line.count(",") == 3 for line in lines)

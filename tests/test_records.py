@@ -88,9 +88,9 @@ def test_solve_reports_share_no_list():
 
 
 def test_study_and_membership_rows_read_by_name():
-    row = ConvergenceRow(17, 0.125, 2.5e-4, 2.0)
-    assert (row.points_per_axis, row.h, row.max_error, row.observed_order) == (17, 0.125,
-                                                                              2.5e-4, 2.0)
+    row = ConvergenceRow(17, 0.125, 2.5e-4, 2.0, False, 3e-10)
+    assert (row.points_per_axis, row.h, row.max_error, row.observed_order, row.converged,
+            row.final_residual) == (17, 0.125, 2.5e-4, 2.0, False, 3e-10)
     grid = GridSpec(1, (-1.0, -1.0), (1.0, 1.0), 5)
     report = check_premises(ScalarField.from_function(grid, lambda x, y: x**2 + y**2),
                             ThetaBox(0.4, 1))

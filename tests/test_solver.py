@@ -31,10 +31,10 @@ def field_of(grid, fn):
 
 
 def builtin_problems(name, n, grids):
-    """The (grid, exact, g) problems of `convergence_study` for a built-in
+    """The (exact, g) problems of `convergence_study` for a built-in
     solution."""
     u_fn, g_fn = builtin_solution(name, n)
-    return [(grid, field_of(grid, u_fn), field_of(grid, g_fn)) for grid in grids]
+    return [(field_of(grid, u_fn), field_of(grid, g_fn)) for grid in grids]
 
 
 def unequal_grid_3():
@@ -270,7 +270,7 @@ class TestSolveQuadratic:
         grid = GridSpec(1, (-1.0, -1.0), (1.0, 1.0), 17)
         u_fn, g_fn = builtin_solution("quadratic", 1)
         u, policy, report = solve_dirichlet(
-            grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 1))
+            field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 1))
         err = np.max(np.abs(u.values - field_of(grid, u_fn).values))
         assert err <= 1e-9
         assert report.converged
@@ -280,7 +280,7 @@ class TestSolveQuadratic:
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u_fn, g_fn = builtin_solution("quadratic", 2)
         u, policy, report = solve_dirichlet(
-            grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
+            field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
         err = np.max(np.abs(u.values - field_of(grid, u_fn).values))
         assert err <= 1e-9
         assert report.converged
@@ -290,7 +290,7 @@ class TestSolveQuadratic:
         grid = GridSpec(1, (0.0, -2.0), (1.0, 1.0), 9)
         u_fn, g_fn = builtin_solution("quadratic", 1)
         u, _, report = solve_dirichlet(
-            grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 1))
+            field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 1))
         assert np.max(np.abs(u.values - field_of(grid, u_fn).values)) <= 1e-9
 
 
@@ -300,7 +300,7 @@ class TestSolveQuartic:
         box = ThetaBox(1.0 / 16.0, 1)
         grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 17)
         u, _, report = solve_dirichlet(
-            grid, field_of(grid, u_fn), field_of(grid, g_fn), box)
+            field_of(grid, u_fn), field_of(grid, g_fn), box)
         err = np.max(np.abs(u.values - field_of(grid, u_fn).values))
         assert report.converged
         assert err < 5e-4
@@ -332,7 +332,7 @@ class TestPolicyIteration:
         grid = make_grid_1(17)
         boundary = ScalarField.constant(grid, 0.0)
         g = ScalarField.constant(grid, 1.0)
-        u, policy, report = solve_dirichlet(grid, boundary, g, ThetaBox(0.5, 1))
+        u, policy, report = solve_dirichlet(boundary, g, ThetaBox(0.5, 1))
         assert report.converged
         assert report.iterations >= 2
         hist = report.residual_history
@@ -346,7 +346,7 @@ class TestPolicyIteration:
         g = ScalarField.constant(grid, 1.0)
         box = ThetaBox(0.5, 1)
         tol = 1e-10
-        u, policy, report = solve_dirichlet(grid, boundary, g, box, tol=tol)
+        u, policy, report = solve_dirichlet(boundary, g, box, tol=tol)
         assert report.converged and report.final_residual <= tol
         assert matches_oracle(report.residual, u, g, box)
         H = pointwise_stack(u)
@@ -361,9 +361,9 @@ class TestPolicyIteration:
         grid = make_grid_1(9)
         boundary = ScalarField.constant(grid, 0.0)
         box = ThetaBox(0.5, 1)
-        u1, _, _ = solve_dirichlet(grid, boundary, ScalarField.constant(grid, 1.5),
+        u1, _, _ = solve_dirichlet(boundary, ScalarField.constant(grid, 1.5),
                                    box)
-        u2, _, _ = solve_dirichlet(grid, boundary, ScalarField.constant(grid, 1.0),
+        u2, _, _ = solve_dirichlet(boundary, ScalarField.constant(grid, 1.0),
                                    box)
         assert np.all(u1.values <= u2.values + 1e-8)
 
@@ -371,7 +371,7 @@ class TestPolicyIteration:
         grid = make_grid_1(9)
         boundary = ScalarField.constant(grid, 0.0)
         g = ScalarField.constant(grid, 1.0)
-        u, policy, report = solve_dirichlet(grid, boundary, g, ThetaBox(0.5, 1),
+        u, policy, report = solve_dirichlet(boundary, g, ThetaBox(0.5, 1),
                                             max_iter=1)
         assert not report.converged
         assert report.iterations == 1
@@ -383,10 +383,10 @@ class TestPolicyIteration:
         boundary = ScalarField.constant(grid, 0.0)
         g = ScalarField.constant(grid, 1.0)
         with pytest.raises(ValueError):
-            solve_dirichlet(grid, boundary, g, ThetaBox(0.5, 1), tol=0.0)
+            solve_dirichlet(boundary, g, ThetaBox(0.5, 1), tol=0.0)
         bad = ScalarField.constant(grid, np.nan)
         with pytest.raises(ValueError):
-            solve_dirichlet(grid, bad, g, ThetaBox(0.5, 1))
+            solve_dirichlet(bad, g, ThetaBox(0.5, 1))
 
     def test_rejects_nan_tol(self, monkeypatch):
         # a NaN tol is refused up front, before any policy evaluation
@@ -394,7 +394,7 @@ class TestPolicyIteration:
         grid = make_grid_1(9)
         boundary = ScalarField.constant(grid, 0.0)
         with pytest.raises(ValueError, match="tol must be positive"):
-            solve_dirichlet(grid, boundary, boundary, ThetaBox(0.5, 1), tol=np.nan)
+            solve_dirichlet(boundary, boundary, ThetaBox(0.5, 1), tol=np.nan)
 
 
 class TestCheckPremises:
@@ -445,7 +445,7 @@ class TestHowardLoop:
         monkeypatch.setattr(envelope, "_CERT_BLOCK", 5 ** 4)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
-        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+        _, _, report = solve_dirichlet(field_of(grid, u_fn), field_of(grid, g_fn),
                                        ThetaBox(0.4, 2))
         assert report.converged and report.iterations >= 2
         # the initial policy, then one certificate per iteration
@@ -457,7 +457,7 @@ class TestHowardLoop:
         g = ScalarField.constant(grid, 1.0)
         box = ThetaBox(0.5, 1)
         for max_iter in (1, 100):
-            u, _, report = solve_dirichlet(grid, boundary, g, box, max_iter=max_iter)
+            u, _, report = solve_dirichlet(boundary, g, box, max_iter=max_iter)
             assert matches_oracle(report.residual, u, g, box)
             assert np.max(np.abs(report.residual.values)) == report.final_residual
 
@@ -468,14 +468,14 @@ class TestHowardLoop:
 
         def spoiled(*args):
             calls.append(1)
-            x = exact(*args)
-            return x + 0.1 if len(calls) == 2 else x
+            x, steps = exact(*args)
+            return (x + 0.1 if len(calls) == 2 else x), steps
 
         monkeypatch.setattr(solver, "_evaluate_policy", spoiled)
         grid = make_grid_1(9)
         g = ScalarField.constant(grid, 1.0)
         box = ThetaBox(0.5, 1)
-        u, _, report = solve_dirichlet(grid, ScalarField.constant(grid, 0.0), g, box, max_iter=2)
+        u, _, report = solve_dirichlet(ScalarField.constant(grid, 0.0), g, box, max_iter=2)
         first, last = report.residual_history
         assert last > first == report.final_residual
         assert matches_oracle(report.residual, u, g, box)
@@ -540,7 +540,7 @@ class TestSolverStack:
         # certified by envelope_batch, in blocks of 1, 7 and one block
         grid = GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 5)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
-        args = (grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
+        args = (field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
         rng = np.random.default_rng(23)
         M = np.array([sample_symmetric(rng, 4, float(rng.uniform(0.0, 3.0))) for _ in range(50)])
         outputs = []
@@ -565,7 +565,7 @@ class TestSolverStack:
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         g = field_of(grid, g_fn)
-        u, _, report = solve_dirichlet(grid, field_of(grid, u_fn), g, ThetaBox(0.4, 2))
+        u, _, report = solve_dirichlet(field_of(grid, u_fn), g, ThetaBox(0.4, 2))
         monkeypatch.undo()
         assert report.converged
         assert matches_oracle(report.residual, u, g, ThetaBox(0.4, 2))
@@ -584,7 +584,7 @@ class TestSolverStack:
         monkeypatch.setattr(envelope, "_CERT_BLOCK", 5 ** 4)
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
-        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+        _, _, report = solve_dirichlet(field_of(grid, u_fn), field_of(grid, g_fn),
                                        ThetaBox(0.4, 2))
         assert report.converged and report.iterations >= 2
         assert len(calls) <= report.iterations
@@ -595,30 +595,28 @@ class TestSolverStack:
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 5)
         zero = ScalarField.constant(grid, 0.0)
         with pytest.raises(ValueError, match="grid has n=2 but the box has n=1"):
-            solve_dirichlet(grid, zero, zero, ThetaBox(0.4, 1))
+            solve_dirichlet(zero, zero, ThetaBox(0.4, 1))
 
     def test_fields_on_another_grid_are_rejected_before_any_work(self, monkeypatch):
+        # the boundary's grid is the solve's: a g of the same shape on
+        # another rectangle, or of another shape, is refused
         monkeypatch.setattr(solver, "transfinite_interpolation", None)
         monkeypatch.setattr(solver, "_hermitian_stack", None)
-        grid = GridSpec(1, (0.0, 0.0), (1.0, 1.0), 9)
-        zero = ScalarField.constant(grid, 0.0)
-        # the same shape on another rectangle, and another shape
-        g = ScalarField.constant(GridSpec(1, (0.0, 0.0), (2.0, 2.0), 9), 1.0)
-        with pytest.raises(ValueError, match="^g lives on"):
-            solve_dirichlet(grid, zero, g, ThetaBox(0.5, 1))
-        boundary = ScalarField.constant(GridSpec(1, (0.0, 0.0), (1.0, 1.0), 11), 0.0)
-        with pytest.raises(ValueError, match="^boundary lives on"):
-            solve_dirichlet(grid, boundary, zero, ThetaBox(0.5, 1))
+        zero = ScalarField.constant(GridSpec(1, (0.0, 0.0), (1.0, 1.0), 9), 0.0)
+        for other in (GridSpec(1, (0.0, 0.0), (2.0, 2.0), 9),
+                      GridSpec(1, (0.0, 0.0), (1.0, 1.0), 11)):
+            g = ScalarField.constant(other, 1.0)
+            with pytest.raises(ValueError, match="^g lives on .* not on the boundary's grid"):
+                solve_dirichlet(zero, g, ThetaBox(0.5, 1))
 
 
 def frozen_system(theta, seed=0, n=2, P=7):
-    """Frozen-policy system of the certificates of a random grid function:
-    (grid, Hermitian slopes, A, b)."""
+    """Frozen-policy system A x = b of the certificates of a random grid
+    function: (A, b)."""
     grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
     u = ScalarField(grid, np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
     policy = policy_of(u, ThetaBox(theta, n))
-    A, b = solver._frozen_policy(grid, policy.slope, -policy.intercept, u.values)
-    return grid, policy.slope, A, b
+    return solver._frozen_policy(grid, policy.slope, -policy.intercept, u.values)
 
 
 def materialized(A):
@@ -628,34 +626,39 @@ def materialized(A):
 
 
 class TestPolicyEvaluation:
-    """GMRES preconditioned by the sine-basis inverse of the axis-weighted
-    Laplacian, run until max|A x - b| meets max(accuracy, 8 eps max(|A||x| + |b|)),
+    """GMRES preconditioned by the sine-basis inverse of the frozen operator's
+    constant-coefficient part, run until max|A x - b| meets max(accuracy, 8 eps max(|A||x| + |b|)),
     the accuracy being what the Howard loop asks of the evaluation."""
 
     def test_preconditioner_inverts_constant_diagonal_operator(self):
-        # unequal spans and weights per axis: a spacing or weight paired
-        # with the wrong axis leaves the product far from the identity.  A
-        # policy gives axes i and n + i one weight, so the operator
-        # sum_a c_a D^2_{h,a} is built from its stencil terms directly
+        # unequal spans per axis and unequal weights: a spacing, field or
+        # weight read for the wrong axis leaves the product far from the
+        # identity.  The operator of a constant diagonal slope, as
+        # `_frozen_policy` builds it, weights axes i and n + i by Q_ii; the
+        # operator sum_a c_a D^2_{h,a}, built from its stencil terms with
+        # one number per shift, weights every axis apart
         rng = np.random.default_rng(5)
+        operators = []
         for grid in (make_grid_1(7, lo=(-1.0, 0.0), hi=(1.0, 3.0)),
                      GridSpec(2, (-1.0, 0.0, -2.0, 0.5), (1.0, 3.0, 0.0, 1.0), 6),
                      unequal_grid_3()):
-            d = grid.dim
-            N = (grid.points_per_axis - 2) ** d
-            c = rng.uniform(0.5, 2.0, d)
-            w = c / grid.spacing ** 2
-            A = solver._StencilOperator(grid, ((0,) * d, *map(tuple, np.eye(d, dtype=int))),
-                                        (-np.sum(w), *w))
-            x = rng.uniform(-1.0, 1.0, N)
-            y = solver._laplacian_inverse(grid, c)(A @ x)
+            d, N = grid.dim, int(np.prod(grid.interior_shape))
+            Q = np.repeat(np.diag(rng.uniform(0.5, 2.0, grid.n))[np.newaxis], N, axis=0)
+            operators.append(solver._frozen_policy(grid, Q.astype(complex), np.zeros(N),
+                                                   np.zeros(grid.shape))[0])
+            w = rng.uniform(0.5, 2.0, d) / grid.spacing ** 2
+            operators.append(solver._StencilOperator(
+                grid, ((0,) * d, *map(tuple, np.eye(d, dtype=int))), (-np.sum(w), *w)))
+        for A in operators:
+            x = rng.uniform(-1.0, 1.0, int(np.prod(A.grid.interior_shape)))
+            y = solver._laplacian_inverse(A)(A @ x)
             assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
 
     @staticmethod
     def check_matches_direct_solve(theta):
         accuracy = 1e-12
-        grid, Q, A, b = frozen_system(theta)
-        x = solver._evaluate_policy(grid, A, b, np.zeros(len(b)), Q, accuracy, [])
+        A, b = frozen_system(theta)
+        x, _ = solver._evaluate_policy(A, b, np.zeros(len(b)), accuracy)
         ref = np.linalg.solve(materialized(A), b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
         floor = 8 * np.finfo(float).eps * np.max(A.abs_matmul(x) + np.abs(b))
@@ -675,7 +678,7 @@ class TestPolicyEvaluation:
         # A x - b instead of failing, so Howard runs to max_iter
         grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), 33)
         u_fn, g_fn = builtin_solution("quartic_radial", 1)
-        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+        _, _, report = solve_dirichlet(field_of(grid, u_fn), field_of(grid, g_fn),
                                        ThetaBox(0.0625, 1), max_iter=3, tol=1e-30)
         assert not report.converged and report.iterations == 3
 
@@ -683,7 +686,7 @@ class TestPolicyEvaluation:
         # with zero boundary data b is small, while the round-off of A x - b
         # grows like |S| / h^2; a floor taken from |b| alone lies below it
         grid = make_grid_1(129)
-        _, _, report = solve_dirichlet(grid, ScalarField.constant(grid, 0.0),
+        _, _, report = solve_dirichlet(ScalarField.constant(grid, 0.0),
                                        ScalarField.constant(grid, 2.0), ThetaBox(0.5, 1))
         assert report.converged
 
@@ -701,7 +704,7 @@ class TestPolicyEvaluation:
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 5)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         with pytest.raises(LinearSolveFailure, match="GMRES"):
-            solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
+            solve_dirichlet(field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(0.4, 2))
 
 
 class TestKrylovStop:
@@ -714,7 +717,7 @@ class TestKrylovStop:
         u_fn, g_fn = builtin_solution("quartic_radial", 1)
         for P in (17, 33, 65):
             grid = GridSpec(1, (1.0, 1.0), (2.0, 2.0), P)
-            _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+            _, _, report = solve_dirichlet(field_of(grid, u_fn), field_of(grid, g_fn),
                                            ThetaBox(0.0625, 1))
             assert report.converged
             assert report.krylov_steps == [1] * report.iterations
@@ -724,7 +727,7 @@ class TestKrylovStop:
         # Howard iterations, so both counts are pinned
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 9)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
-        _, _, report = solve_dirichlet(grid, field_of(grid, u_fn), field_of(grid, g_fn),
+        _, _, report = solve_dirichlet(field_of(grid, u_fn), field_of(grid, g_fn),
                                        ThetaBox(0.4, 2))
         assert report.converged and report.iterations == 3
         assert len(report.krylov_steps) == 3
@@ -741,26 +744,23 @@ class TestKrylovStop:
             return met_at(self, x, r)
 
         monkeypatch.setattr(solver._Target, "met_at", counted)
-        grid, Q, A, _ = frozen_system(0.4)
+        A, _ = frozen_system(0.4)
         x0 = np.random.default_rng(3).uniform(-1.0, 1.0, A.coeffs[0].size)
-        b = A @ x0
-        steps = []
-        x = solver._evaluate_policy(grid, A, b, x0, Q, 1e-12, steps)
-        assert x is x0 and steps == [0] and len(checks) == 1
+        x, steps = solver._evaluate_policy(A, A @ x0, x0, 1e-12)
+        assert x is x0 and steps == 0 and len(checks) == 1
 
     def test_scaled_system_gives_scaled_solution(self):
         # b, x0 and accuracy times 2^600, far past where a sum of squares
         # overflows: every step scales exactly, so x scales and the steps agree
-        grid, Q, A, b = frozen_system(0.4)
+        A, b = frozen_system(0.4)
         x0 = np.random.default_rng(4).uniform(-1.0, 1.0, len(b))
-        steps, scaled_steps = [], []
-        x = solver._evaluate_policy(grid, A, b, x0, Q, 1e-10, steps)
-        scaled = solver._evaluate_policy(grid, A, np.ldexp(b, 600), np.ldexp(x0, 600), Q,
-                                         np.ldexp(1e-10, 600), scaled_steps)
+        x, steps = solver._evaluate_policy(A, b, x0, 1e-10)
+        scaled, scaled_steps = solver._evaluate_policy(A, np.ldexp(b, 600), np.ldexp(x0, 600),
+                                                       np.ldexp(1e-10, 600))
         assert same_bits(scaled, np.ldexp(x, 600)) and scaled_steps == steps
 
     def test_failed_check_tightens_prediction(self):
-        grid, _, A, b = frozen_system(0.4)
+        A, b = frozen_system(0.4)
         x = np.zeros(len(b))
         target = solver._Target(A, b, 1e-12, x)
         r = b - A @ x
@@ -774,13 +774,13 @@ def kinked_problem(P, theta):
     """n = 2: boundary |x_0| + |x_3| + |x|^2, g = 1."""
     grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, P)
     boundary = field_of(grid, lambda a, b, c, d: abs(a) + abs(d) + a * a + b * b + c * c + d * d)
-    return grid, boundary, ScalarField.constant(grid, 1.0), ThetaBox(theta, 2)
+    return boundary, ScalarField.constant(grid, 1.0), ThetaBox(theta, 2)
 
 
 def quartic_problem(n, P, theta, lo=-1.0, hi=1.0):
     grid = GridSpec(n, (lo,) * (2 * n), (hi,) * (2 * n), P)
     u_fn, g_fn = builtin_solution("quartic_radial", n)
-    return grid, field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(theta, n)
+    return field_of(grid, u_fn), field_of(grid, g_fn), ThetaBox(theta, n)
 
 
 FORCING_CASES = {
@@ -794,9 +794,9 @@ def recorded_accuracies(monkeypatch):
     """The accuracy each policy evaluation of the next solves is asked for."""
     evaluate, accuracies = solver._evaluate_policy, []
 
-    def recorded(grid, A, b, x0, Q, accuracy, steps):
+    def recorded(A, b, x0, accuracy):
         accuracies.append(accuracy)
-        return evaluate(grid, A, b, x0, Q, accuracy, steps)
+        return evaluate(A, b, x0, accuracy)
 
     monkeypatch.setattr(solver, "_evaluate_policy", recorded)
     return accuracies
@@ -808,7 +808,8 @@ class TestForcing:
 
     @pytest.mark.parametrize("case", FORCING_CASES)
     def test_forcing_changes_cost_not_answers(self, case, monkeypatch):
-        grid, boundary, g, box = problem = FORCING_CASES[case]()
+        boundary, g, box = problem = FORCING_CASES[case]()
+        grid = boundary.grid
         accuracies = recorded_accuracies(monkeypatch)
         u, _, report = solve_dirichlet(*problem)
         monkeypatch.setattr(solver, "_FORCING", 0.0)
@@ -832,7 +833,7 @@ class TestForcing:
         box = ThetaBox(0.4, 2)
         g = ScalarField.constant(grid, float(envelope_batch(np.zeros((1, 4, 4)), box).value[0]))
         accuracies = recorded_accuracies(monkeypatch)
-        _, _, report = solve_dirichlet(grid, ScalarField.constant(grid, 0.0), g, box)
+        _, _, report = solve_dirichlet(ScalarField.constant(grid, 0.0), g, box)
         assert report.converged and report.iterations == 1
         assert accuracies == [1e-12]
 
