@@ -401,8 +401,7 @@ def tangent_slope(mu) -> np.ndarray:
     slope of the supporting plane of F.  The envelope agrees with F exactly
     where this lies in the slope box."""
     mu = np.asarray(mu, dtype=float)
-    gm = np.exp(np.mean(np.log(mu), axis=-1, keepdims=True))
-    return gm / (mu.shape[-1] * mu)
+    return mc.geometric_mean(mu)[..., np.newaxis] / (mu.shape[-1] * mu)
 
 
 def in_box(mu, box: ThetaBox):

@@ -138,10 +138,10 @@ def hermitian_eigs_of(M) -> np.ndarray:
     return herm_eigensystem(hermitian_blocks(as_symmetric(M)))[0]
 
 
-def geometric_mean(x) -> float:
-    """Geometric mean of strictly positive values."""
-    x = np.asarray(x, dtype=float)
-    return float(np.exp(np.mean(np.log(x))))
+def geometric_mean(x):
+    """Geometric mean of strictly positive values over the last axis: an
+    np.float64 for one vector, an array for a stack."""
+    return np.exp(np.mean(np.log(np.asarray(x, dtype=float)), axis=-1))
 
 
 def admissible_theta(lam: float, Lam: float) -> float:

@@ -8,16 +8,17 @@ freezing the policy leaves the linear uniformly elliptic equation
 
     tr(S(x) D^2 u(x)) + c(x) = g(x),
 
-solved with Dirichlet data by restarted GMRES, preconditioned by the exact
-inverse, in the tensor sine basis, of the frozen operator's own
-constant-coefficient part (`_laplacian_inverse`), and stopped at the first
-Krylov step that passes a true max-norm check; the two steps alternate
-until the max-norm residual of the nonlinear equation meets the tolerance.
-Howard's iteration is a semismooth Newton method, so the Howard loop picks
-how accurately each policy is evaluated: loosely while the nonlinear
-residual is large, as tightly as the tolerance needs at the end (quadratic
-forcing, `solve_dirichlet`); the linear solver meets that accuracy or its
-own round-off floor, whichever is larger (`_Target`).
+solved with Dirichlet data by restarted GMRES in one function
+(`_evaluate_policy`), preconditioned by the exact inverse, in the tensor sine
+basis, of the frozen operator's own constant-coefficient part
+(`_laplacian_inverse`), and stopped at the first Krylov step that passes a
+true max-norm check; the two steps alternate until the max-norm residual of
+the nonlinear equation meets the tolerance.  Howard's iteration is a
+semismooth Newton method, so the Howard loop picks how accurately each
+policy is evaluated: loosely while the nonlinear residual is large, as
+tightly as the tolerance needs at the end (quadratic forcing,
+`solve_dirichlet`); the linear solver meets that accuracy or its own
+round-off floor, whichever is larger (`_Target`).
 
 Each iterate is certified once, by the envelope's kernel driver, on the
 Hermitian parts Z = extract(proj(D^2_h u)) = A + iB built from the stencil
@@ -287,21 +288,9 @@ def _frozen_policy(grid: GridSpec, Q: np.ndarray, rhs: np.ndarray,
     return A, rhs - A.apply(boundary)
 
 
-# one GMRES cycle is this many steps; an evaluation that has not met its
-# target after _MAX_GMRES_CYCLES cycles is a LinearSolveFailure
+# Krylov steps per GMRES cycle, and the most cycles one policy evaluation runs
 _GMRES_RESTART = 20
 _MAX_GMRES_CYCLES = 50
-
-
-@functools.lru_cache(maxsize=8)
-def _sine_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Dirichlet second difference x[j+1] - 2 x[j] + x[j-1] on m points
-    in its eigenbasis: Phi[j, k] = sqrt(2/(m+1)) sin(pi j k/(m+1)) is
-    symmetric and orthogonal, and column k has eigenvalue
-    eigs[k] = -4 sin^2(pi k/(2(m+1)))."""
-    k = np.arange(1, m + 1)
-    phi = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
-    return phi, -4.0 * np.sin(np.pi * k / (2 * (m + 1))) ** 2
 
 
 def _laplacian_inverse(A: _StencilOperator):
@@ -310,13 +299,18 @@ def _laplacian_inverse(A: _StencilOperator):
     of A's coefficient on the unit shift e_a; a frozen-policy A, whose slopes
     have eigenvalues in [theta, 1/theta], is a bounded distortion of it.
 
-    The part is diagonal in the tensor sine basis, with eigenvalues
-    Lambda(k) = sum_a c_a eigs[k_a], so its inverse is
-    Phi^{(x)d} [(Phi^{(x)d} r) / Lambda]: d small matrix products per
-    transform, on interior values in lexicographic order.
+    On m points per axis, Phi[j, k] = sqrt(2/(m+1)) sin(pi j k/(m+1)) is
+    symmetric and orthogonal, and its column k is an eigenvector of the
+    second difference x[j+1] - 2 x[j] + x[j-1] with eigenvalue
+    eigs[k] = -4 sin^2(pi k/(2(m+1))).  So the part is diagonal in the
+    tensor sine basis, with eigenvalues Lambda(k) = sum_a c_a eigs[k_a], and
+    its inverse is Phi^{(x)d} [(Phi^{(x)d} r) / Lambda]: d small matrix
+    products per transform, on interior values in lexicographic order.
     """
     d, m = A.grid.dim, A.grid.points_per_axis - 2
-    phi, eigs = _sine_basis(m)
+    k = np.arange(1, m + 1)
+    phi = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    eigs = -4.0 * np.sin(np.pi * k / (2 * (m + 1))) ** 2
     units = (tuple(int(a == b) for b in range(d)) for a in range(d))
     lam = functools.reduce(np.add.outer, [np.mean(A.coeffs[A.shifts.index(e)]) * eigs
                                           for e in units]).reshape(-1)
@@ -369,76 +363,70 @@ class _Target:
         return False
 
 
-def _gmres_cycle(A: _StencilOperator, b: np.ndarray, x: np.ndarray, r: np.ndarray,
-                 precondition, target: _Target) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """One cycle of left-preconditioned GMRES(_GMRES_RESTART) from x, r = b - A x
-    (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): modified Gram-Schmidt
-    Arnoldi on M A from M r.  Givens rotations keep the Hessenberg matrix
-    triangular, so step k gives |g_k| = min |M (b - A .)| over the Krylov space
-    for free, and |g_k| max|r| / |M r| estimates max|b - A x_k|; x_k is formed
-    and checked only where that predicts `target`.  Returns (x, b - A x, steps,
-    passed) at the first x_k that passes, after _GMRES_RESTART steps, or when
-    the space is invariant."""
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite beta is decided below
-        z = precondition(r)
-        # |z| of z scaled by a power of two, which is exact, so no square overflows
-        e = np.frexp(np.max(np.abs(z)))[1]
-        beta = float(np.ldexp(np.linalg.norm(np.ldexp(z, -e)), e))
-    if not 0.0 < beta < np.inf:   # exact already, or non-finite: one true check decides
-        return x, r, 0, target.met_at(x, r)
-    scale = float(np.max(np.abs(r))) / beta
-    V = np.empty((_GMRES_RESTART + 1, len(b)))
-    R = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART))   # the rotated Hessenberg matrix
-    g = np.zeros(_GMRES_RESTART + 1)
-    g[0], V[0] = beta, z / beta
-    rotations = []
-    for k in range(1, _GMRES_RESTART + 1):   # k basis vectors in use
-        w = precondition(A @ V[k - 1])
-        h = R[:k + 1, k - 1]
-        for i in range(k):
-            h[i] = V[i] @ w
-            w -= h[i] * V[i]
-        h[k] = np.linalg.norm(w)
-        invariant = h[k] <= np.finfo(float).eps * np.linalg.norm(h)   # |w| before
-        if not invariant:
-            V[k] = w / h[k]
-        for i, (c, s) in enumerate(rotations):
-            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-        rho = np.hypot(h[k - 1], h[k])
-        c, s = (h[k - 1] / rho, h[k] / rho) if rho > 0.0 else (1.0, 0.0)
-        rotations.append((c, s))
-        h[k - 1], h[k] = rho, 0.0
-        g[k], g[k - 1] = -s * g[k - 1], c * g[k - 1]
-        predicted = target.predicted_by(abs(g[k]) * scale)
-        if predicted or invariant or k == _GMRES_RESTART:
-            # the rank cutoff keeps a singular A from sending x_k to infinity
-            y = np.linalg.lstsq(R[:k, :k], g[:k], rcond=None)[0]
-            x_k = x + y @ V[:k]
-            r_k = b - A @ x_k
-            if predicted and target.met_at(x_k, r_k):
-                return x_k, r_k, k, True
-            if invariant or k == _GMRES_RESTART:
-                return x_k, r_k, k, False
-
-
 def _evaluate_policy(A: _StencilOperator, b: np.ndarray, x0: np.ndarray,
                      accuracy: float) -> tuple[np.ndarray, int]:
-    """Solve the frozen-policy system A x = b by GMRES preconditioned by
-    `_laplacian_inverse(A)`, to max|A x - b| <= `accuracy` (the caller's
-    choice) or the round-off floor of `_Target`, whichever is larger.
-    Cycles, warm-started at x0, run until one returns an x that passed the
-    true check; returns x and the Krylov steps of all cycles, summed.
+    """Solve the frozen-policy system A x = b by restarted GMRES(_GMRES_RESTART)
+    from x0, left-preconditioned by M = `_laplacian_inverse(A)` (Saad and
+    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), to max|A x - b| <= `accuracy`
+    (the caller's choice) or `_Target`'s round-off floor, whichever is larger.
+
+    A cycle from x, r = b - A x, is modified Gram-Schmidt Arnoldi on M A from
+    M r.  Givens rotations keep the Hessenberg matrix triangular, so step k
+    gives |g_k| = min |M (b - A .)| over the Krylov space for free, and
+    |g_k| max|r| / |M r| estimates max|b - A x_k|; x_k is formed and checked
+    only where that predicts the target.  Returns the first x_k that passes
+    and the Krylov steps of all cycles; after _GMRES_RESTART steps, or in an
+    invariant space, the next cycle starts from x_k.  Raises
+    LinearSolveFailure when M r is zero or non-finite at an x that fails its
+    check, or when _MAX_GMRES_CYCLES cycles pass no x.
     """
     M = _laplacian_inverse(A)
     target = _Target(A, b, accuracy, x0)
     x, r, taken = x0, b - A @ x0, 0
     for _ in range(_MAX_GMRES_CYCLES):
-        x, r, k, passed = _gmres_cycle(A, b, x, r, M, target)
-        taken += k
-        if passed:
-            return x, taken
-        if k == 0:   # M r is zero or non-finite, and x failed its check
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite beta is decided below
+            z = M(r)
+            # |z| of z scaled by a power of two, which is exact, so no square overflows
+            e = np.frexp(np.max(np.abs(z)))[1]
+            beta = float(np.ldexp(np.linalg.norm(np.ldexp(z, -e)), e))
+        if not 0.0 < beta < np.inf:   # exact already, or non-finite: one true check decides
+            if target.met_at(x, r):
+                return x, taken
             break
+        scale = float(np.max(np.abs(r))) / beta
+        V = np.empty((_GMRES_RESTART + 1, len(b)))
+        R = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART))   # the rotated Hessenberg matrix
+        g = np.zeros(_GMRES_RESTART + 1)
+        g[0], V[0] = beta, z / beta
+        rotations = []
+        for k in range(1, _GMRES_RESTART + 1):   # k basis vectors in use
+            w = M(A @ V[k - 1])
+            h = R[:k + 1, k - 1]
+            for i in range(k):
+                h[i] = V[i] @ w
+                w -= h[i] * V[i]
+            h[k] = np.linalg.norm(w)
+            invariant = h[k] <= np.finfo(float).eps * np.linalg.norm(h)   # |w| before
+            if not invariant:
+                V[k] = w / h[k]
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            rho = np.hypot(h[k - 1], h[k])
+            c, s = (h[k - 1] / rho, h[k] / rho) if rho > 0.0 else (1.0, 0.0)
+            rotations.append((c, s))
+            h[k - 1], h[k] = rho, 0.0
+            g[k], g[k - 1] = -s * g[k - 1], c * g[k - 1]
+            predicted = target.predicted_by(abs(g[k]) * scale)
+            if predicted or invariant or k == _GMRES_RESTART:
+                # the rank cutoff keeps a singular A from sending x_k to infinity
+                y = np.linalg.lstsq(R[:k, :k], g[:k], rcond=None)[0]
+                x_k = x + y @ V[:k]
+                r_k = b - A @ x_k
+                if predicted and target.met_at(x_k, r_k):
+                    return x_k, taken + k
+                if invariant:
+                    break
+        x, r, taken = x_k, r_k, taken + k
     raise LinearSolveFailure(f"GMRES left max|Ax - b| = {float(np.max(np.abs(r))):.3g} "
                              f"above {target.value:.3g}")
 

@@ -22,7 +22,7 @@ import functools
 
 import numpy as np
 
-from . import envelope
+from . import envelope, matio
 from . import matrixcore as mc
 
 
@@ -151,7 +151,7 @@ class PropertyReport:
 
     def format(self) -> str:
         lines = [
-            f"theta = {self.box.theta:.17g}",
+            f"theta = {matio.fmt(self.box.theta)}",
             f"n = {self.box.n}",
             f"samples = {self.samples}",
             f"seed = {self.seed}",
@@ -160,8 +160,8 @@ class PropertyReport:
             lines.append(f"{name}_pass = {self.passed[name]}")
             lines.append(f"{name}_fail = {self.failed[name]}")
         if self.gap_ratio_min is not None:
-            lines.append(f"gap_over_spectral_norm_min = {self.gap_ratio_min:.17g}")
-            lines.append(f"gap_over_spectral_norm_max = {self.gap_ratio_max:.17g}")
+            lines.append(f"gap_over_spectral_norm_min = {matio.fmt(self.gap_ratio_min)}")
+            lines.append(f"gap_over_spectral_norm_max = {matio.fmt(self.gap_ratio_max)}")
         lines.append(f"all_pass = {'true' if self.all_pass else 'false'}")
         return "\n".join(lines) + "\n"
 
@@ -293,7 +293,7 @@ def _check_samples(box: envelope.ThetaBox, block: dict) -> dict:
     mu = state[1][3 * N:4 * N]
     pos = mu[:, 0] > 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        fval = np.exp(np.mean(np.log(np.maximum(mu, 1e-300)), axis=1))
+        fval = mc.geometric_mean(np.maximum(mu, 1e-300))
         tangent = pos & envelope.tangent_in_box(mu, box)
     out["domination"] = (~pos | (ften >= fval - 1e-9 * _magnitude(ften, fval)), claims)
     # where the tangent slope leaves the box the envelope makes no claim

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -729,6 +730,15 @@ class TestFailures:
         assert code == 3 and out == ""
         assert err.splitlines() == [line] and err.endswith("\n")
         assert not (tmp_path / "o").exists()
+
+    def test_readme_lists_every_exit_code(self):
+        # the table after README's "Exit codes." names exactly the codes
+        # the CLI defines
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Exit codes.", 1)[1].split("\n\n", 2)[1]
+        codes = re.findall(r"^\| `(\d+)` \|", table, flags=re.MULTILINE)
+        defined = {v for k, v in vars(envma.cli).items() if k.startswith("EXIT_")}
+        assert {int(c) for c in codes} == defined
 
 
 class TestConfigChecks:

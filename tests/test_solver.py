@@ -723,16 +723,14 @@ class TestKrylovStop:
             assert report.krylov_steps == [1] * report.iterations
 
     def test_n2_railed_stops_inside_the_first_cycle(self):
-        # the solve-n2-railed problem: Krylov steps may not be bought with
-        # Howard iterations, so both counts are pinned
+        # the solve-n2-railed problem, whose counts README quotes: Krylov
+        # steps may not be bought with Howard iterations, so both are pinned
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 9)
         u_fn, g_fn = builtin_solution("quartic_radial", 2)
         _, _, report = solve_dirichlet(field_of(grid, u_fn), field_of(grid, g_fn),
                                        ThetaBox(0.4, 2))
         assert report.converged and report.iterations == 3
-        assert len(report.krylov_steps) == 3
-        assert all(0 < k < solver._GMRES_RESTART for k in report.krylov_steps)
-        assert sum(report.krylov_steps) <= 26
+        assert report.krylov_steps == [6, 10, 10]
 
     def test_exact_start_returns_after_one_check(self, monkeypatch):
         # b - A x0 == 0: no Krylov step, one true check, x0 itself returned
