@@ -1,37 +1,22 @@
 """Command-line entry point.
 
-Subcommands: eval, conjugate, verify, solve, convergence.  Commands raise;
-`main` alone maps a failure to its exit code and one stderr line:
+`COMMANDS` is the one table of the commands and their flags: `_parse`
+reads a command line against it and `--help` prints from it.  Commands
+raise; `main` alone maps a failure to one of the EXIT_* codes below
+(README tabulates them) and one stderr line.  A config, and that --out is
+not an existing file, are checked before anything is solved or written.
+All floating-point output uses 17 significant digits so fixed seeds give
+byte-identical output.
 
-    0  success
-    1  verify found a property failure (the counterexample of the earliest
-       failing sample is printed)
-    2  ParseError: malformed input, printed as `parse error:` (eval,
-       conjugate) or `config error:` (solve, convergence); or a command
-       line argparse rejects, printed as `usage error:`
-    3  any other ValueError, an OSError or a MemoryError, printed as
-       `error:`: dimension, theta or range validation, an unusable --matrix
-       or --out path, a grid too large for memory
-    4  policy iteration hit its iteration cap: a solve, or any refinement
-       of a study, one `error:` line each (artifacts are still written)
-    5  LinearSolveFailure or NoConvergence, printed as `error: <Kind>:`: a
-       frozen-policy linear solve failed or an exact evaluation found no
-       solution
-
-A config, and that --out is not an existing file, are checked before
-anything is solved or written.  All floating-point output uses 17
-significant digits so fixed seeds give byte-identical output.
-
-Importing this module loads the envelope kernel, the file formats and
-numpy, which every command uses, and nothing else: solve and convergence
-import `envma.solver` inside the functions that run them, and verify loads
-`envma.verify` through `verify_envelope`.  Without cached bytecode every
-command compiles each line it loads, so each loads only what it runs.
+Importing this module loads numpy, the envelope kernel and the file
+formats, which every command uses, and nothing else (no argparse): solve
+and convergence import `envma.solver` when they run, and verify loads
+`envma.verify` through `verify_envelope`, as without cached bytecode a
+command compiles every line it loads.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import sys
@@ -44,11 +29,11 @@ from .envelope import ThetaBox, conjugate_maximizer, envelope_eval, in_box, veri
 from .errors import LinearSolveFailure, NoConvergence, ParseError
 
 EXIT_OK = 0
-EXIT_VERIFY_FAIL = 1
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_MAX_ITER = 4
-EXIT_NUMERICAL = 5
+EXIT_VERIFY_FAIL = 1   # verify: a property failed; the earliest failing sample is printed
+EXIT_PARSE = 2         # ParseError (`parse error:`, `config error:`) or `usage error:`
+EXIT_VALIDATION = 3    # any other ValueError, an OSError or a MemoryError (`error:`)
+EXIT_MAX_ITER = 4      # policy iteration hit maxIter (artifacts are still written)
+EXIT_NUMERICAL = 5     # LinearSolveFailure or NoConvergence (`error: <Kind>:`)
 
 
 def _resolve_theta(theta, lam, Lam) -> float:
@@ -63,17 +48,17 @@ def _resolve_theta(theta, lam, Lam) -> float:
     return mc.admissible_theta(lam, Lam)
 
 
-def _box_with_notice(theta: float, n: int, out) -> ThetaBox:
+def _box_with_notice(n: int, theta, lam, Lam) -> ThetaBox:
+    theta = _resolve_theta(theta, lam, Lam)
     box = ThetaBox(theta, n)
     if box.theta != theta:
-        print(f"notice: theta normalized to {matio.fmt(box.theta)}", file=out)
+        print(f"notice: theta normalized to {matio.fmt(box.theta)}")
     return box
 
 
-def cmd_eval(args) -> int:
-    M = matio.load_matrix(args.matrix)
-    theta = _resolve_theta(args.theta, args.lam, args.Lam)
-    box = _box_with_notice(theta, M.shape[0] // 2, sys.stdout)
+def cmd_eval(matrix, theta=None, lam=None, Lam=None) -> int:
+    M = matio.load_matrix(matrix)
+    box = _box_with_notice(M.shape[0] // 2, theta, lam, Lam)
     cert = envelope_eval(M, box)
     # F = det^{1/2n}(proj M) is defined where proj(M) is positive definite
     f_val = matio.fmt(mc.geometric_mean(cert.mu)) if cert.mu[0] > 0.0 else "undefined"
@@ -85,27 +70,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_conjugate(args) -> int:
+def cmd_conjugate(p, theta=None, lam=None, Lam=None) -> int:
     try:
-        p = np.array([matio.parse_finite(tok) for tok in args.p.split(",")])
+        slopes = np.array([matio.parse_finite(tok) for tok in p.split(",")])
     except ValueError:
-        raise ParseError(f"bad or non-finite slope list {args.p!r}") from None
-    theta = _resolve_theta(args.theta, args.lam, args.Lam)
-    g, x = conjugate_maximizer(p, _box_with_notice(theta, len(p), sys.stdout))
+        raise ParseError(f"bad or non-finite slope list {p!r}") from None
+    g, x = conjugate_maximizer(slopes, _box_with_notice(len(slopes), theta, lam, Lam))
     print(f"g = {matio.fmt(g)}")
     print("maximizer = " + ",".join(matio.fmt(v) for v in x))
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    theta = _resolve_theta(args.theta, args.lam, args.Lam)
-    box = _box_with_notice(theta, args.n, sys.stdout)
-    report = verify_envelope(box, args.samples, args.seed)
+def cmd_verify(n, samples, seed, theta=None, lam=None, Lam=None) -> int:
+    report = verify_envelope(_box_with_notice(n, theta, lam, Lam), samples, seed)
     sys.stdout.write(report.format())
     if not report.all_pass:
         name, idx, M = report.first_failure
-        print(f"first_failure_property = {name}")
-        print(f"first_failure_sample = {idx}")
+        print(f"first_failure_property = {name}\nfirst_failure_sample = {idx}")
         sys.stdout.write(matio.format_matrix_text(M))
         return EXIT_VERIFY_FAIL
     return EXIT_OK
@@ -133,24 +114,21 @@ def _field_from_spec(spec: str, grid, role: str):
         raise ParseError(f"config key {role!r}: unknown field {spec!r} "
                          f"({' | '.join(sv.BUILTIN_SOLUTIONS)} | constant:<v> | file:<path>)")
     u_fn, g_fn = sv.builtin_solution(spec, grid.n)
-    fn = u_fn if role == "boundary" else g_fn
-    return sv.ScalarField.from_function(grid, fn)
+    return sv.ScalarField.from_function(grid, u_fn if role == "boundary" else g_fn)
 
 
 def _load_problem(path: str, study: bool = False):
-    """The checked problems of a solve (or, with `study`, convergence) config.
+    """(box, problems, solver_kwargs) of a solve (or, with `study`,
+    convergence) config: one problem (boundary, g) per grid, each field
+    built once (a study's boundary is its exact solution), and only the
+    solver settings the config sets.
 
-    The one place a config is checked: `matio.parse_config` checks every
-    key and value and that the grid key, pointsPerAxis (solve) or
-    refinements (study), is there; then come theta, the maxIter and tol it
-    sets, and the grids: the pointsPerAxis grid of a solve or, for a study,
-    one per refinement, after the checks that the boundary is built in, that
-    g names it and that the refinements are distinct and at least 5.  Every
-    grid is checked before any field is built.  Any ValueError becomes a
-    ParseError, so nothing is solved or written for a bad config.  Returns
-    (box, problems, solver_kwargs): one problem (boundary, g) per grid,
-    each field built once (a study's boundary is its exact solution), and
-    only the solver settings the config sets.
+    The one place a config is checked, in this order: `matio.parse_config`
+    (every key and value, and the grid key: pointsPerAxis, or a study's
+    refinements), theta, maxIter and tol, for a study that the boundary is
+    built in, that g names it and that the refinements are distinct and at
+    least 5, then every grid, then the fields.  Any ValueError becomes a
+    ParseError, so nothing is solved or written for a bad config.
     """
     from . import solver as sv
 
@@ -164,8 +142,8 @@ def _load_problem(path: str, study: bool = False):
                                                "refinements" if study else "pointsPerAxis"))
         box = ThetaBox(_resolve_theta(cfg.get("theta"), cfg.get("lambda"), cfg.get("Lambda")),
                        cfg["n"])
-        settings = (("maxIter", "max_iter"), ("tol", "tol"))
-        kwargs = {arg: cfg[key] for key, arg in settings if key in cfg}
+        kwargs = {arg: cfg[key] for key, arg in (("maxIter", "max_iter"), ("tol", "tol"))
+                  if key in cfg}
         if "tol" in kwargs and not kwargs["tol"] > 0.0:
             raise ValueError(f"config key 'tol': must be positive, got {kwargs['tol']}")
         if "max_iter" in kwargs and kwargs["max_iter"] < 1:
@@ -219,15 +197,15 @@ def _check_out(outdir: str) -> None:
             raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(config, out) -> int:
     from . import solver as sv
 
-    box, ((boundary, g),), kwargs = _load_problem(args.config)
-    _check_out(args.out)
+    box, ((boundary, g),), kwargs = _load_problem(config)
+    _check_out(out)
     u, _, report = sv.solve_dirichlet(boundary, g, box, **kwargs)
-    _write(args.out, {"solution.csv": matio.field_csv(u),
-                      "residual.csv": matio.field_csv(report.residual),
-                      "report.txt": matio.report_text(report)})
+    _write(out, {"solution.csv": matio.field_csv(u),
+                 "residual.csv": matio.field_csv(report.residual),
+                 "report.txt": matio.report_text(report)})
     print(f"wall_time_s = {report.wall_time_s:.3f}", file=sys.stderr)
     if not report.converged:
         print(f"error: policy iteration hit maxIter with residual "
@@ -236,21 +214,20 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(args) -> int:
+def cmd_convergence(config, out) -> int:
     from . import solver as sv
 
-    box, problems, kwargs = _load_problem(args.config, study=True)
-    _check_out(args.out)
+    box, problems, kwargs = _load_problem(config, study=True)
+    _check_out(out)
     for exact, _ in problems:
-        outside = sv.check_premises(exact, box).outside_tangency
-        if outside:
+        if outside := sv.check_premises(exact, box).outside_tangency:
             P, d = exact.grid.points_per_axis, exact.grid.dim
             print(f"warning: refinement {P}: the exact u leaves the tangency region at {outside} "
                   f"of {(P - 2) ** d} interior points, where g is not Ftilde(D^2 u)",
                   file=sys.stderr)
     rows = sv.convergence_study(problems, box, **kwargs)
     text = matio.convergence_csv(rows)
-    _write(args.out, {"convergence.csv": text})
+    _write(out, {"convergence.csv": text})
     sys.stdout.write(text)
     for row in rows:
         if not row.converged:
@@ -266,82 +243,105 @@ def _write(outdir: str, files: dict) -> None:
             fh.write(text)
 
 
-def _add_theta_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, default=None,
-                   help="box parameter in (0, 1]; values > 1 are normalized")
-    p.add_argument("--lam", type=float, default=None,
-                   help="lower eigenvalue bound (with --Lam)")
-    p.add_argument("--Lam", type=float, default=None,
-                   help="upper eigenvalue bound (with --lam)")
-
-
 class _UsageError(Exception):
-    """A command line the parser rejects."""
+    """A command line `_parse` rejects."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises _UsageError where argparse would print the usage and exit;
-    its subparsers are of this class too."""
+_THETA = {"theta": (float, "box parameter in (0, 1]; values > 1 are normalized"),
+          "lam": (float, "lower eigenvalue bound"), "Lam": (float, "upper eigenvalue bound")}
+_RUN = {"config": (str, "problem config file"), "out": (str, "output directory")}
+# command: (function, summary, {flag: (type, help)}, required flags)
+COMMANDS = {
+    "eval": (cmd_eval, "evaluate the envelope on a matrix file",
+             {"matrix": (str, "matrix file"), **_THETA}, ("matrix",)),
+    "conjugate": (cmd_conjugate, "minimal intercept for a slope vector",
+                  {"p": (str, "comma-separated slope eigenvalues"), **_THETA}, ("p",)),
+    "verify": (cmd_verify, "randomized property verification",
+               {**_THETA, "n": (int, "complex dimension"), "samples": (int, "sample count"),
+                "seed": (int, "random seed")}, ("n", "samples", "seed")),
+    "solve": (cmd_solve, "solve a Dirichlet problem from a config file", _RUN,
+              ("config", "out")),
+    "convergence": (cmd_convergence, "manufactured-solution refinement study", _RUN,
+                    ("config", "out")),
+}
 
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+
+def _usage(command=None) -> str:
+    """The --help text of envma, or of one command."""
+    if command is None:
+        return ("usage: envma COMMAND --FLAG VALUE ...   (COMMAND --help lists its flags)\n\n"
+                + "".join(f"  {name:<12} {entry[1]}\n" for name, entry in COMMANDS.items()))
+    _, summary, flags, required = COMMANDS[command]
+    return f"usage: envma {command} --FLAG VALUE ...\n\n{summary}\n\n" + "".join(
+        f"  --{f:<8} {kind.__name__:<6}{text}{' (required)' * (f in required)}\n"
+        for f, (kind, text) in flags.items())
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="envma",
-                 description="Concave slope-box extension of the "
-                             "projected-determinant operator and its "
-                             "Bellman-form Dirichlet solver.")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _flag(token: str, names, prog: str):
+    """The flag of help or `names` a token names, in full or by a unique prefix, or None."""
+    if not token.startswith("--") or token == "--":
+        return "help" if token == "-h" else None
+    name, names = token[2:].split("=", 1)[0], ("help", *names)
+    matches = [f for f in names if f == name] or [f for f in names if f.startswith(name)]
+    if len(matches) > 1:
+        raise _UsageError(f"{prog}: ambiguous option: {token} could match "
+                          + ", ".join("--" + f for f in matches))
+    return matches[0] if matches else None
 
-    p = sub.add_parser("eval", help="evaluate the envelope on a matrix file")
-    p.add_argument("--matrix", required=True)
-    _add_theta_flags(p)
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("conjugate", help="minimal intercept for a slope vector")
-    p.add_argument("--p", required=True, help="comma-separated slope eigenvalues")
-    _add_theta_flags(p)
-    p.set_defaults(fn=cmd_conjugate)
-
-    p = sub.add_parser("verify", help="randomized property verification")
-    _add_theta_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("solve", help="solve a Dirichlet problem from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("convergence", help="manufactured-solution refinement study")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_convergence)
-    return ap
+def _parse(argv: list):
+    """(command, {flag: value}) of a command line, or (None, None) once the
+    help it asks for is printed; a rejected line raises _UsageError, worded
+    as argparse words it.  Of a repeated flag the last counts."""
+    if argv and _flag(argv[0], (), "envma") == "help":
+        sys.stdout.write(_usage())
+        return None, None
+    if not argv or argv[0].startswith("-"):
+        raise _UsageError("envma: the following arguments are required: command")
+    command, prog, tokens = argv[0], f"envma {argv[0]}", iter(argv[1:])
+    if command not in COMMANDS:
+        raise _UsageError(f"envma: argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, COMMANDS))})")
+    (_, _, flags, required), values, extras = COMMANDS[command], {}, []
+    for token in tokens:
+        name = _flag(token, flags, prog)
+        if name == "help":
+            sys.stdout.write(_usage(command))
+            return None, None
+        if name is None:   # a stray token; so is everything after "--"
+            extras += [token, *tokens] if token == "--" else [token]
+            continue
+        text = token.split("=", 1)[1] if "=" in token else next(tokens, None)
+        if text is None:
+            raise _UsageError(f"{prog}: argument --{name}: expected one argument")
+        try:
+            values[name] = flags[name][0](text)
+        except ValueError:
+            raise _UsageError(f"{prog}: argument --{name}: invalid {flags[name][0].__name__} "
+                              f"value: {text!r}") from None
+    missing = ", ".join(f"--{f}" for f in required if f not in values)
+    if missing:
+        raise _UsageError(f"{prog}: the following arguments are required: {missing}")
+    if extras:
+        raise _UsageError(f"envma: unrecognized arguments: {' '.join(extras)}")
+    return command, values
 
 
 def main(argv=None) -> int:
-    """Run one command; the exit-code table of the module docstring lives
-    here and nowhere else."""
+    """Run one command line; every exit code is chosen here, nowhere else."""
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        command, values = _parse(sys.argv[1:] if argv is None else argv)
+        return COMMANDS[command][0](**values) if command else EXIT_OK
     except _UsageError as exc:
-        return _fail(EXIT_PARSE, f"usage error: {exc}")
+        code, line = EXIT_PARSE, f"usage error: {exc}"
     except ParseError as exc:
-        label = "config error" if args.command in ("solve", "convergence") else "parse error"
-        return _fail(EXIT_PARSE, f"{label}: {exc}")
+        label = "config error" if command in ("solve", "convergence") else "parse error"
+        code, line = EXIT_PARSE, f"{label}: {exc}"
     except (ValueError, OSError) as exc:
-        return _fail(EXIT_VALIDATION, f"error: {exc}")
+        code, line = EXIT_VALIDATION, f"error: {exc}"
     except MemoryError as exc:
-        return _fail(EXIT_VALIDATION, f"error: {str(exc) or 'out of memory'}")
+        code, line = EXIT_VALIDATION, f"error: {str(exc) or 'out of memory'}"
     except (LinearSolveFailure, NoConvergence) as exc:
-        return _fail(EXIT_NUMERICAL, f"error: {type(exc).__name__}: {exc}")
-
-
-def _fail(code: int, message: str) -> int:
-    print(" ".join(message.splitlines()), file=sys.stderr)
+        code, line = EXIT_NUMERICAL, f"error: {type(exc).__name__}: {exc}"
+    print(" ".join(line.splitlines()), file=sys.stderr)
     return code

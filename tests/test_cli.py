@@ -617,6 +617,37 @@ FAILURES = {
     "usage-bad-int": (["verify", "--theta", "0.5", "--n", "abc", "--samples", "1", "--seed", "1"],
                       None, 2, "invalid int value: 'abc'"),
     "usage-no-command": ([], None, 2, "required: command"),
+    "usage-unknown-command": (["evaluate", "MAT"], None, 2,
+                              "usage error: envma: argument command: invalid choice: 'evaluate' "
+                              "(choose from 'eval', 'conjugate', 'verify', 'solve', "
+                              "'convergence')\n"),
+    "usage-unknown-flag": (["eval", "MAT", "--Theta", "0.5"], None, 2,
+                           "usage error: envma: unrecognized arguments: --Theta 0.5\n"),
+    "usage-flag-without-value": (["eval", "MAT", "--theta"], None, 2,
+                                 "usage error: envma eval: argument --theta: "
+                                 "expected one argument\n"),
+    "usage-missing-flags": (["verify", "--theta", "0.5", "--samples", "10"], None, 2,
+                            "usage error: envma verify: the following arguments are required: "
+                            "--n, --seed\n"),
+    "usage-missing-out": (["convergence", "CFG"], STUDY_CFG, 2,
+                          "usage error: envma convergence: the following arguments are "
+                          "required: --out\n"),
+    "usage-ambiguous-prefix": (["verify", "--theta", "0.5", "--n", "2", "--s", "10"], None, 2,
+                               "usage error: envma verify: ambiguous option: --s could match "
+                               "--samples, --seed\n"),
+    "usage-bad-float": (["eval", "MAT", "--theta", "half"], None, 2,
+                        "usage error: envma eval: argument --theta: invalid float value: "
+                        "'half'\n"),
+    "usage-bad-float-after-equals": (["conjugate", "--p", "1,1", "--lam=", "--Lam", "2"], None, 2,
+                                     "usage error: envma conjugate: argument --lam: invalid "
+                                     "float value: ''\n"),
+    "usage-flags-after-double-dash": (["eval", "--", "MAT", "--theta", "0.5"], None, 2,
+                                      "usage error: envma eval: the following arguments are "
+                                      "required: --matrix\n"),
+    # the token after a flag is its value, even one that starts with "-": the
+    # slope list reaches conjugate's own check (argparse read it as a flag)
+    "conjugate-negative-slope": (["conjugate", "--p", "-1,2", "--theta", "0.5"], None, 3,
+                                 "error: slope [-1.  2.] outside the box [0.5, 2]\n"),
     "nan-slope": (["conjugate", "--p", "1,nan", "--theta", "0.5"], None, 2, "non-finite"),
     "nan-Lambda": (["conjugate", "--p", "1", "--lam", "1", "--Lam", "nan"], None, 3,
                    "eigenvalue bounds"),
@@ -739,6 +770,66 @@ class TestFailures:
         codes = re.findall(r"^\| `(\d+)` \|", table, flags=re.MULTILINE)
         defined = {v for k, v in vars(envma.cli).items() if k.startswith("EXIT_")}
         assert {int(c) for c in codes} == defined
+
+
+class TestCommandLine:
+    """`cli.COMMANDS` is the one table of the commands and their flags: the
+    forms `--flag=value`, a unique prefix and a repeated flag parse to what
+    the full form does, --help lists every command and flag, and README
+    lists the table."""
+
+    VERIFY = ["verify", "--theta", "0.5", "--n", "2", "--samples", "30", "--seed", "3"]
+    CONJUGATE = ["conjugate", "--p", "1,1.5", "--lam", "0.5", "--Lam", "3"]
+
+    @pytest.mark.parametrize("argv, full", [
+        (["verify", "--theta=0.5", "--n=2", "--samples=30", "--seed=3"], VERIFY),
+        (["verify", "--th", "0.5", "--n", "2", "--sa", "30", "--se", "3"], VERIFY),
+        (["verify", "--the=0.5", "--n", "2", "--sam=30", "--see", "3"], VERIFY),
+        (["verify", "--theta", "0.9", "--n", "5", "--samples", "1", "--seed", "8",
+          "--theta", "0.5", "--n=2", "--samp", "30", "--seed", "3"], VERIFY),
+        (["conjugate", "--p=1,1.5", "--l", "0.5", "--L", "3"], CONJUGATE),
+        (["conjugate", "--lam", "2", "--La=3", "--p", "1,1.5", "--la", "0.5"], CONJUGATE),
+    ])
+    def test_other_forms_parse_to_the_full_form(self, argv, full, capsys):
+        values = envma.cli._parse(full)[1]
+        assert envma.cli._parse(argv) == (full[0], values)
+        assert {k: type(v) for k, v in values.items()} == {
+            k: envma.cli.COMMANDS[full[0]][2][k][0] for k in values}
+        assert run_main(capsys, argv) == run_main(capsys, full)
+
+    def test_help_lists_every_command_and_flag(self):
+        def help_text(*args):
+            proc = subprocess.run([sys.executable, "-m", "envma", *args], capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0 and proc.stderr == "", (args, proc.stderr)
+            return proc.stdout
+
+        top = help_text("--help")
+        for name, (_, summary, flags, _) in envma.cli.COMMANDS.items():
+            assert re.search(rf"^  {name} +{re.escape(summary)}$", top, flags=re.MULTILINE)
+            text = help_text(name, "--help")
+            assert summary in text
+            assert re.findall(r"^  --(\w+) ", text, flags=re.MULTILINE) == list(flags)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["eval", "-h"], ["solve", "--he"],
+                                      ["eval", "--help", "--theta", "abc"],
+                                      ["verify", "--n", "2", "--help"]])
+    def test_help_anywhere_prints_usage_and_exits_0(self, argv, capsys):
+        code, out, err = run_main(capsys, argv)
+        assert code == 0 and err == "" and out.startswith("usage: envma ")
+
+    def test_readme_lists_every_command_and_flag(self):
+        # the table after README's "Commands and flags." lists each command
+        # of cli.COMMANDS with its required and its optional flags, in order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Commands and flags.", 1)[1].split("\n\n", 2)[1]
+        rows = re.findall(r"^\| `(\w+)` \|([^|]*)\|([^|]*)\|$", table, flags=re.MULTILINE)
+        listed = {name: (re.findall(r"`--(\w+)`", req), re.findall(r"`--(\w+)`", opt))
+                  for name, req, opt in rows}
+        assert len(listed) == len(rows)
+        assert listed == {name: ([f for f in flags if f in required],
+                                 [f for f in flags if f not in required])
+                          for name, (_, _, flags, required) in envma.cli.COMMANDS.items()}
 
 
 class TestConfigChecks:
@@ -1017,14 +1108,15 @@ before = set(sys.modules)
 import envma.cli, envma.solver
 print(sorted(set(sys.modules) - before))
 code = envma.cli.main(sys.argv[1:])
-print("envma.verify" in sys.modules)
+print(["envma.verify" in sys.modules, sorted({"argparse", "gettext", "locale"} & set(sys.modules))])
 sys.exit(code)
 """
 
 
 class TestImports:
-    """envma needs numpy alone, verify, eval and conjugate load no solver, and
-    only verify loads the checks of `envma.verify`."""
+    """envma needs numpy alone, verify, eval and conjugate load no solver,
+    only verify loads the checks of `envma.verify`, and no command loads
+    argparse."""
 
     def test_startup_loads_neither_dataclasses_nor_the_checks(self, tmp_path):
         mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")
@@ -1038,7 +1130,9 @@ class TestImports:
             loaded = ast.literal_eval(lines[0])
             assert "envma.solver" in loaded
             assert "dataclasses" not in loaded and "envma.verify" not in loaded
-            assert lines[-1] == str(verifies), args
+            # the command line is read without argparse, and so without the
+            # gettext and locale it imports
+            assert ast.literal_eval(lines[-1]) == [verifies, []], args
 
     def test_commands_run_with_scipy_blocked(self, tmp_path):
         mat = write(tmp_path / "m.txt", "sym 2\n1 0\n0 1\n")
