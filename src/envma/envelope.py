@@ -26,8 +26,8 @@ monotone scalar equation t = (prod x(t))^{1/n}; the saddle slopes are read
 off x.  The conjugate g(p) is the same equation with x_i(t) = clamp(t/(n p_i)).
 `_log_affine_root` solves both: one pass over the breakpoints brackets the
 root, and there h(t) = mean log x(t) - log t, affine in log t, crosses zero
-where the line through its values at the bracket ends does.  A
-grid-discretized evaluator with no such reduction is an independent oracle.
+where the line through its values at the bracket ends does.  The tests'
+grid oracle, with no such reduction, checks it independently.
 
 One kernel driver certifies a stack of Hermitian parts A + iB, in blocks
 of `_CERT_BLOCK` rows: `_certify_values` (`herm_eigensystem`, then one pass
@@ -39,10 +39,14 @@ policy.  `EnvelopeCertificate` holds one matrix's certificate or a stack's,
 and `envelope_eval` is row 0 of a stack of one.  The checks of
 `envma.verify` read values and eigenvalues from `_certify_values` alone.
 
+Box membership has one rule, `_in_box_up_to`, relative to each face: `in_box`
+(eigenvalues, 1e-9), `tangent_in_box` and the slope check of
+`conjugate_maximizer` (1e-12) all read it.
+
 This module is the kernel every command runs.  What only checks it, the
-randomized property checks, the grid oracle and the ellipticity bounds,
-lives in `envma.verify`, which `verify_envelope` loads on its first call:
-without cached bytecode every command compiles each line it imports.
+randomized property checks and the ellipticity bounds, lives in
+`envma.verify`, which `verify_envelope` loads on its first call: without
+cached bytecode every command compiles each line it imports.
 """
 
 from __future__ import annotations
@@ -166,8 +170,7 @@ def conjugate_maximizer(p, box: ThetaBox) -> tuple[float, np.ndarray]:
     th, hi = box.theta, box.hi
     if p.shape != (n,):
         raise ValueError(f"expected a slope vector of length {n}, got shape {p.shape}")
-    tol = 1e-12 * hi
-    if np.any(~((p >= th - tol) & (p <= hi + tol))):
+    if not np.all(_in_box_up_to(p, box, 1e-12)):
         raise ValueError(f"slope {p} outside the box [{th:g}, {hi:g}]")
     p = np.clip(p, th, hi)
     t = float(_log_affine_root(lambda t: np.clip(t / (n * p), th, hi),
@@ -404,16 +407,21 @@ def tangent_slope(mu) -> np.ndarray:
     return mc.geometric_mean(mu)[..., np.newaxis] / (mu.shape[-1] * mu)
 
 
+def _in_box_up_to(v, box: ThetaBox, tol: float):
+    """Whether each entry of v lies in [theta (1 - tol), (1/theta)(1 + tol)]:
+    the box up to a tol relative to each face, so never below its rounding."""
+    return (v >= box.theta * (1.0 - tol)) & (v <= box.hi * (1.0 + tol))
+
+
 def in_box(mu, box: ThetaBox):
     """Whether ascending eigenvalues mu (last axis; stacks allowed) lie in
-    the box, up to 1e-9."""
-    return (mu[..., 0] >= box.theta - 1e-9) & (mu[..., -1] <= box.hi + 1e-9)
+    the box, up to a relative 1e-9."""
+    return _in_box_up_to(mu[..., 0], box, 1e-9) & _in_box_up_to(mu[..., -1], box, 1e-9)
 
 
 def tangent_in_box(mu, box: ThetaBox):
-    """Whether the tangent slope lies in the box, up to 1e-12."""
-    p = tangent_slope(mu)
-    return np.all((p >= box.theta - 1e-12) & (p <= box.hi + 1e-12), axis=-1)
+    """Whether the tangent slope lies in the box, up to a relative 1e-12."""
+    return np.all(_in_box_up_to(tangent_slope(mu), box, 1e-12), axis=-1)
 
 
 def verify_envelope(box: ThetaBox, samples: int, seed: int):

@@ -133,11 +133,6 @@ def _eig2(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, U
 
 
-def hermitian_eigs_of(M) -> np.ndarray:
-    """Eigenvalues (ascending) of the Hermitian part extract(proj(M))."""
-    return herm_eigensystem(hermitian_blocks(as_symmetric(M)))[0]
-
-
 def geometric_mean(x):
     """Geometric mean of strictly positive values over the last axis: an
     np.float64 for one vector, an array for a stack."""

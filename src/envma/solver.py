@@ -554,23 +554,13 @@ def convergence_study(problems, box: ThetaBox, **solver_kwargs) -> list[Converge
     return rows
 
 
-class MembershipReport(NamedTuple):
-    theta: float
-    fraction_in_box: float
-    min_eig: float
-    max_eig: float
-    outside_tangency: int
-
-
-def check_premises(u: ScalarField, box: ThetaBox) -> MembershipReport:
-    """Box membership of the discrete Hessian field.
-
-    Reports the fraction of interior points whose Hessian projection has
-    spectrum in [box.theta, 1/box.theta], the extremal projected eigenvalues
-    over the grid, and the number of points outside the tangency region,
-    where that spectrum or the tangent slope of F leaves the box, so that
-    F(D^2_h u) need not be Ftilde(D^2_h u).  Spectra within 1e-9 of the box
-    count as inside.  Raises ValueError when the box and the grid differ in n.
+def check_premises(u: ScalarField, box: ThetaBox) -> int:
+    """The number of interior points outside the tangency region: where the
+    spectrum of the Hessian projection of u, or the tangent slope of F
+    there, leaves the box, so that F(D^2_h u) need not be Ftilde(D^2_h u).
+    Both are checked by the relative rules of `in_box` and
+    `tangent_in_box`.  Raises ValueError when the box and the grid differ
+    in n.
     """
     if box.n != u.grid.n:
         raise ValueError(f"grid has n={u.grid.n} but the box has n={box.n}")
@@ -578,8 +568,7 @@ def check_premises(u: ScalarField, box: ThetaBox) -> MembershipReport:
     inside = in_box(mu, box)
     tangent = inside.copy()
     tangent[inside] = tangent_in_box(mu[inside], box)
-    return MembershipReport(box.theta, float(np.mean(inside)), float(np.min(mu[:, 0])),
-                            float(np.max(mu[:, -1])), int(np.sum(~tangent)))
+    return int(np.sum(~tangent))
 
 
 # ---------------------------------------------------------------------------
@@ -591,32 +580,21 @@ def _r2(xs):
 
 
 # the built-in names a config's boundary and g may take, in the order the
-# CLI lists them: per name, u_exact and rhs of `builtin_solution` with n first
+# CLI lists them: per name, u_exact and rhs = F(D^2 u_exact), each a
+# function of n and then the 2n real coordinates.
+# * quadratic:       u = sum x_i^2,     rhs = 2
+# * quartic_radial:  u = |x|^4 / 4,     rhs = 2^{1/n} |x|^2
+# rhs equals Ftilde(D^2 u), so that u solves the Ftilde equation, only in the
+# tangency region: where the Hermitian eigenvalues of D^2 u and those of the
+# tangent slope of F there all lie in [theta, 1/theta].
+# * quadratic: the eigenvalues are 2 and 1/n (each n times), so this holds
+#   everywhere iff theta <= min(1/2, 1/n).
+# * quartic_radial: they are 2|x|^2 and 2^{1/n}/(2n) (once each) and |x|^2
+#   and 2^{1/n}/n (n - 1 times each), so it holds at no point of [-1, 1]^4
+#   at n = 2, theta = 0.4 (every certificate rails) and everywhere on
+#   [1, 2]^2 at n = 1, theta = 1/16.
 BUILTIN_SOLUTIONS = {
     "quadratic": (lambda n, *xs: _r2(xs), lambda n, *xs: 2.0 + 0.0 * xs[0]),
     "quartic_radial": (lambda n, *xs: _r2(xs)**2 / 4.0,
                        lambda n, *xs: 2.0 ** (1.0 / n) * _r2(xs)),
 }
-
-
-def builtin_solution(name: str, n: int):
-    """Named manufactured solution: returns (u_exact, rhs) callables on the
-    2n real coordinates.
-
-    * quadratic:       u = sum x_i^2,     rhs = 2
-    * quartic_radial:  u = |x|^4 / 4,     rhs = 2^{1/n} |x|^2
-
-    Each rhs is F(D^2 u).  It equals Ftilde(D^2 u), so that u solves the
-    Ftilde equation, only in the tangency region: where the Hermitian
-    eigenvalues of D^2 u and those of the tangent slope of F there all lie
-    in [theta, 1/theta].
-    * quadratic: the eigenvalues are 2 and 1/n (each n times), so this
-      holds everywhere iff theta <= min(1/2, 1/n).
-    * quartic_radial: they are 2|x|^2 and 2^{1/n}/(2n) (once each) and
-      |x|^2 and 2^{1/n}/n (n - 1 times each), so it holds at no point of
-      [-1, 1]^4 at n = 2, theta = 0.4 (every certificate rails) and
-      everywhere on [1, 2]^2 at n = 1, theta = 1/16.
-    """
-    if name not in BUILTIN_SOLUTIONS:
-        raise ValueError(f"unknown built-in solution {name!r}")
-    return tuple(functools.partial(fn, n) for fn in BUILTIN_SOLUTIONS[name])

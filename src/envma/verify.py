@@ -1,10 +1,8 @@
-"""Checks of the envelope kernel, kept out of `envma.envelope` so that only
-the commands and tests that check the kernel compile them:
-
-* `run`, the randomized property checks of the `verify` command, which
-  `envelope.verify_envelope` calls, with their samplers;
-* the grid oracle `envelope_eval_bruteforce`, an envelope evaluation with
-  no eigenvalue reduction.
+"""The randomized property checks of the `verify` command (`run`, which
+`envelope.verify_envelope` calls), with their samplers and the ellipticity
+bounds, kept out of `envma.envelope` so that only the command that checks
+the kernel compiles them.  The grid oracle the tests check the kernel
+against lives beside the tests, in tests/oracles.py.
 
 The random samples of the checks are drawn in blocks (`draw_verify_block`):
 each drawn field of a sample has its own generator spawned from the seed,
@@ -27,60 +25,8 @@ from . import matrixcore as mc
 
 
 # ---------------------------------------------------------------------------
-# the grid oracle and the ellipticity bounds
+# the ellipticity bounds
 # ---------------------------------------------------------------------------
-
-def _max_minus_pairing(T: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """out[k, m] = max over j of T[m, j] - axis[k] * axis[j], in chunks of k
-    whose temporaries stay below 2^22 entries."""
-    out = np.empty((len(axis), T.shape[0]))
-    px = np.outer(axis, axis)
-    step = max(1, (1 << 22) // T.size)
-    for lo in range(0, len(axis), step):
-        hi = min(lo + step, len(axis))
-        out[lo:hi] = np.max(T[np.newaxis] - px[lo:hi, np.newaxis, :], axis=2)
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _brute_grids(theta: float, n: int, resolution: int):
-    """Slope grid and its exact discrete conjugate, cached per configuration.
-
-    The discrete conjugate g(p) = max over the grid points x of
-    (prod x)^{1/n} - p.x covers the whole product grid.  For n = 2 the
-    maximum is taken one coordinate at a time,
-    max_{x1} [max_{x2} (sqrt(x1 x2) - p2 x2) - p1 x1],
-    which costs resolution^3 instead of resolution^4 operations.
-    """
-    axis = np.linspace(theta, 1.0 / theta, resolution)
-    if n == 1:
-        return axis[:, np.newaxis], _max_minus_pairing(axis[np.newaxis], axis).ravel()
-    a, b = np.meshgrid(axis, axis, indexing="ij")
-    fx = np.outer(axis, axis) ** 0.5            # fx[i, j] = sqrt(x1_i x2_j)
-    inner = _max_minus_pairing(fx, axis)         # inner[k2, i]: max over x2
-    g = _max_minus_pairing(inner, axis)          # g[k1, k2]: then over x1
-    return np.column_stack([a.ravel(), b.ravel()]), g.ravel()
-
-
-def envelope_eval_bruteforce(M, box: envelope.ThetaBox, resolution: int) -> float:
-    """Grid-discretized envelope: an independent oracle for envelope_eval.
-
-    Discretizes both the slope box and the inner box on uniform grids with
-    `resolution` points per axis and takes min over slopes of
-    [pairing + discrete conjugate]; no eigen-ordering reduction is used (the
-    grid covers all slope orderings).  Accurate to O(1/resolution).
-    Supported for n <= 2 only (cost grows like resolution^{2n}).
-    """
-    if box.n > 2:
-        raise ValueError(f"brute force supports n <= 2, got n={box.n}")
-    if resolution < 8:
-        raise ValueError(f"resolution must be >= 8, got {resolution}")
-    mu = mc.hermitian_eigs_of(M)
-    if mu.shape[0] != box.n:
-        raise ValueError(f"matrix has n={mu.shape[0]} but the box has n={box.n}")
-    pts, g = _brute_grids(box.theta, box.n, int(resolution))
-    return float(np.min(pts @ mu + g))
-
 
 def _gap_bounds(P: np.ndarray,
                 box: envelope.ThetaBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,22 +2,28 @@
 so they live beside the tests, not in the package:
 
 * matrix algebra: the complex structure J, the projection onto the
-  J-commuting subspace, det^{1/2n} of the projection (of one matrix or a
-  stack), the trace pairing and the spectral norm;
+  J-commuting subspace, its Hermitian eigenvalues, det^{1/2n} of the
+  projection (of one matrix or a stack), the trace pairing and the spectral
+  norm;
 * the envelope: one-matrix values, the conjugate intercept g(p) alone, the
-  increment under a PSD perturbation with its two-sided bounds, and the
-  slope averaging over equal-eigenvalue runs done on every row;
+  increment under a PSD perturbation with its two-sided bounds, the slope
+  averaging over equal-eigenvalue runs done on every row, and the grid
+  oracle `envelope_eval_bruteforce`, which uses no eigen-ordering reduction;
+* the built-in manufactured solutions as callables of the 2n coordinates;
 * samplers, one matrix per call: a symmetric matrix, a unitary, an in-box
   matrix and a PSD perturbation of each kind.  They draw what
   `envma.verify` draws for one sample of a block, in the same order, so
   `reference_draw` in test_kernel.py rebuilds a verify sample from them.
 """
 
+import functools
+
 import numpy as np
 
 from envma import envelope
 from envma import matrixcore as mc
 from envma.envelope import _RUN_TOL, _row_sum, conjugate_maximizer, envelope_batch
+from envma.solver import BUILTIN_SOLUTIONS
 from envma.verify import _gap_bounds
 
 
@@ -87,6 +93,11 @@ def project(M) -> np.ndarray:
     return mc.embed(mc.hermitian_blocks(mc.as_symmetric(M)))
 
 
+def hermitian_eigs_of(M) -> np.ndarray:
+    """Eigenvalues (ascending) of the Hermitian part extract(proj(M))."""
+    return mc.herm_eigensystem(mc.hermitian_blocks(mc.as_symmetric(M)))[0]
+
+
 def det_root(M):
     """det^{1/2n} of proj(M), the operator envma extends: a float for one
     2n x 2n matrix, an array for a stack (N, 2n, 2n).
@@ -121,6 +132,63 @@ def ellipticity_gap(M, P, box) -> tuple[float, float, float]:
     lower, upper, _ = _gap_bounds(P[np.newaxis], box)
     f, _ = envelope._certify_values(envelope._hermitian_parts(np.stack([M + P, M]), box), box)
     return float(lower[0]), float(f[0] - f[1]), float(upper[0])
+
+
+def _max_minus_pairing(T: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """out[k, m] = max over j of T[m, j] - axis[k] * axis[j], in chunks of k
+    whose temporaries stay below 2^22 entries."""
+    out = np.empty((len(axis), T.shape[0]))
+    px = np.outer(axis, axis)
+    step = max(1, (1 << 22) // T.size)
+    for lo in range(0, len(axis), step):
+        hi = min(lo + step, len(axis))
+        out[lo:hi] = np.max(T[np.newaxis] - px[lo:hi, np.newaxis, :], axis=2)
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _brute_grids(theta: float, n: int, resolution: int):
+    """Slope grid and its exact discrete conjugate, cached per configuration.
+
+    The discrete conjugate g(p) = max over the grid points x of
+    (prod x)^{1/n} - p.x covers the whole product grid.  For n = 2 the
+    maximum is taken one coordinate at a time,
+    max_{x1} [max_{x2} (sqrt(x1 x2) - p2 x2) - p1 x1],
+    which costs resolution^3 instead of resolution^4 operations.
+    """
+    axis = np.linspace(theta, 1.0 / theta, resolution)
+    if n == 1:
+        return axis[:, np.newaxis], _max_minus_pairing(axis[np.newaxis], axis).ravel()
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    fx = np.outer(axis, axis) ** 0.5            # fx[i, j] = sqrt(x1_i x2_j)
+    inner = _max_minus_pairing(fx, axis)         # inner[k2, i]: max over x2
+    g = _max_minus_pairing(inner, axis)          # g[k1, k2]: then over x1
+    return np.column_stack([a.ravel(), b.ravel()]), g.ravel()
+
+
+def envelope_eval_bruteforce(M, box: envelope.ThetaBox, resolution: int) -> float:
+    """Grid-discretized envelope: an independent oracle for envelope_eval.
+
+    Discretizes both the slope box and the inner box on uniform grids with
+    `resolution` points per axis and takes min over slopes of
+    [pairing + discrete conjugate]; no eigen-ordering reduction is used (the
+    grid covers all slope orderings).  Accurate to O(1/resolution).
+    Supported for n <= 2 only (cost grows like resolution^{2n}).
+    """
+    if box.n > 2:
+        raise ValueError(f"brute force supports n <= 2, got n={box.n}")
+    if resolution < 8:
+        raise ValueError(f"resolution must be >= 8, got {resolution}")
+    mu = hermitian_eigs_of(M)
+    if mu.shape[0] != box.n:
+        raise ValueError(f"matrix has n={mu.shape[0]} but the box has n={box.n}")
+    pts, g = _brute_grids(box.theta, box.n, int(resolution))
+    return float(np.min(pts @ mu + g))
+
+
+def builtin_solution(name: str, n: int):
+    """(u_exact, rhs) of a name of `solver.BUILTIN_SOLUTIONS`, callables of the 2n coordinates."""
+    return tuple(functools.partial(fn, n) for fn in BUILTIN_SOLUTIONS[name])
 
 
 def trace_inner(A, B) -> float:

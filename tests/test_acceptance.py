@@ -11,18 +11,18 @@ import time
 import numpy as np
 
 from envma import matrixcore as mc
-from envma.envelope import ThetaBox
+from envma.envelope import ThetaBox, in_box
 from envma.solver import (
     GridSpec,
     ScalarField,
-    builtin_solution,
+    _hermitian_stack,
     check_premises,
     convergence_study,
     solve_dirichlet,
 )
-from envma.verify import envelope_eval_bruteforce
-from oracles import (conjugate_intercept, det_root, ellipticity_gap, envelope_value,
-                     sample_in_box, sample_psd, sample_symmetric, spectral_norm)
+from oracles import (builtin_solution, conjugate_intercept, det_root, ellipticity_gap,
+                     envelope_eval_bruteforce, envelope_value, sample_in_box, sample_psd,
+                     sample_symmetric, spectral_norm)
 
 THETAS = (0.3, 0.5, 0.9)
 SEED = 20240810
@@ -197,15 +197,14 @@ def test_criterion_7_convergence_order():
 
 
 def test_criterion_8_hessian_box_membership():
-    fractions = []
     for n in (1, 2):
         grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), 7)
         u_fn, _ = builtin_solution("quadratic", n)
         u = ScalarField.from_function(grid, u_fn)
-        rep = check_premises(u, ThetaBox(mc.admissible_theta(2.0, 2.0), n))
-        assert rep.theta == 0.5
-        assert rep.fraction_in_box == 1.0
-        fractions.append(rep.fraction_in_box)
+        box = ThetaBox(mc.admissible_theta(2.0, 2.0), n)
+        assert box.theta == 0.5
+        assert np.all(in_box(mc.herm_eigensystem(_hermitian_stack(u))[0], box))
+        assert check_premises(u, box) == 0
     assert report(True, "criterion 8: Hessian box membership for |z|^2 with bounds (2, 2)",
                   "theta = 0.5, membership 100% at n=1 and n=2")
 

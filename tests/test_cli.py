@@ -19,7 +19,7 @@ import envma.cli
 from envma import envelope, matio, solver, verify
 from envma import matrixcore as mc
 from envma.cli import main
-from oracles import det_root
+from oracles import det_root, hermitian_eigs_of
 
 QUAD_CFG = """\
 n = 1
@@ -218,13 +218,15 @@ class TestEval:
             f = matio.fmt(det_root(M))
         except ValueError:
             f = "undefined"
-        mu = mc.hermitian_eigs_of(M)
-        for theta in (0.5, 0.3, 1e-8):
+        mu = hermitian_eigs_of(M)
+        # at theta = 1e-10 the zero matrix, whose F is undefined, lies within
+        # an absolute 1e-9 of the box but outside the relative slack
+        for theta in (0.5, 0.3, 1e-8, 1e-10):
             code, out, err = run_main(capsys, ["eval", "--matrix", mat, "--theta", str(theta)])
             assert code == 0 and err == ""
             lines = dict(line.split(" = ") for line in out.splitlines())
             assert lines["F"] == f
-            inside = mu[0] >= theta - 1e-9 and mu[-1] <= 1.0 / theta + 1e-9
+            inside = mu[0] >= theta * (1 - 1e-9) and mu[-1] <= (1.0 / theta) * (1 + 1e-9)
             assert lines["in_theta_box"] == ("true" if inside else "false"), theta
 
 
@@ -648,6 +650,11 @@ FAILURES = {
     # slope list reaches conjugate's own check (argparse read it as a flag)
     "conjugate-negative-slope": (["conjugate", "--p", "-1,2", "--theta", "0.5"], None, 3,
                                  "error: slope [-1.  2.] outside the box [0.5, 2]\n"),
+    # at theta = 1e-10 this slope lies within 1e-12 / theta of the box but
+    # outside the relative slack of the slope check
+    "conjugate-negative-slope-tiny-theta": (["conjugate", "--p", "-0.009", "--theta", "1e-10"],
+                                            None, 3, "error: slope [-0.009] outside the box "
+                                                     "[1e-10, 1e+10]\n"),
     "nan-slope": (["conjugate", "--p", "1,nan", "--theta", "0.5"], None, 2, "non-finite"),
     "nan-Lambda": (["conjugate", "--p", "1", "--lam", "1", "--Lam", "nan"], None, 3,
                    "eigenvalue bounds"),
@@ -1184,13 +1191,11 @@ def _unread_top_level_names(src: Path) -> set:
 
 
 class TestPackageContents:
-    """The package holds what a command runs, plus `__version__` and the
-    grid oracle README says it ships."""
+    """The package holds what a command runs, plus `__version__`."""
 
     def test_every_top_level_name_is_read_by_the_package(self):
         unread = _unread_top_level_names(Path(envma.cli.__file__).parent)
-        extra = sorted(f"{module}.{name}" for module, name in unread
-                       if name not in ("__version__", "envelope_eval_bruteforce"))
+        extra = sorted(f"{module}.{name}" for module, name in unread if name != "__version__")
         assert not extra, (f"{', '.join(extra)}: read by no module of the package; "
                            "a helper only the tests use belongs in tests/oracles.py")
-        assert {name for _, name in unread} == {"__version__", "envelope_eval_bruteforce"}
+        assert {name for _, name in unread} == {"__version__"}

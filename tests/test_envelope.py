@@ -9,7 +9,6 @@ import pytest
 
 from envma import envelope
 from envma import matrixcore as mc
-from envma import verify
 from envma.envelope import (
     ThetaBox,
     conjugate_maximizer,
@@ -18,8 +17,8 @@ from envma.envelope import (
     tangent_in_box,
     verify_envelope,
 )
-from envma.verify import envelope_eval_bruteforce
-from oracles import (conjugate_intercept, det_root, ellipticity_gap, envelope_value, project,
+from oracles import (_brute_grids, conjugate_intercept, det_root, ellipticity_gap,
+                     envelope_eval_bruteforce, envelope_value, hermitian_eigs_of, project,
                      sample_in_box, sample_psd, sample_symmetric, sample_unitary, spectral_norm,
                      trace_inner)
 
@@ -157,7 +156,7 @@ class TestEnvelopeClosedForms:
             box = ThetaBox(1.0, n)
             for _ in range(5):
                 M = sample_symmetric(rng, 2 * n, float(rng.uniform(0, 2)))
-                mu = mc.hermitian_eigs_of(M)
+                mu = hermitian_eigs_of(M)
                 v = envelope_value(M, box)
                 assert abs(v - (float(np.sum(mu)) - n + 1.0)) < 1e-10
 
@@ -189,7 +188,7 @@ class TestOracleEquivalence:
             pts = np.array(list(itertools.product(axis, repeat=n)))
             fx = np.prod(pts, axis=1) ** (1.0 / n)
             direct = np.max(fx[np.newaxis, :] - pts @ pts.T, axis=1)
-            grid_pts, g = verify._brute_grids(theta, n, res)
+            grid_pts, g = _brute_grids(theta, n, res)
             assert np.array_equal(grid_pts, pts)
             assert np.max(np.abs(g - direct)) <= 1e-15
 
@@ -224,7 +223,7 @@ class TestAgreementOnBox:
         hits = 0
         for _ in range(200):
             M = sample_in_box(rng, box)
-            mu = mc.hermitian_eigs_of(M)
+            mu = hermitian_eigs_of(M)
             if not tangent_in_box(mu, box):
                 continue
             hits += 1
@@ -286,7 +285,7 @@ class TestCertificates:
             M = sample_symmetric(rng, 2 * box.n, 1.0)
             cert = envelope_eval(M, box)
             # the doubled real slope matrix 2 S = embed(slope)
-            assert in_box(mc.hermitian_eigs_of(mc.embed(cert.slope)), box)
+            assert in_box(hermitian_eigs_of(mc.embed(cert.slope)), box)
 
     def test_majorant_property(self):
         rng = np.random.default_rng(107)

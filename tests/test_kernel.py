@@ -27,8 +27,8 @@ from envma.envelope import (
     envelope_eval,
 )
 from envma.errors import NoConvergence
-from envma.verify import envelope_eval_bruteforce
-from oracles import (average_equal_runs_all_rows, det_root, ellipticity_gap, envelope_value,
+from oracles import (average_equal_runs_all_rows, det_root, ellipticity_gap,
+                     envelope_eval_bruteforce, envelope_value,
                      project, sample_in_box, sample_psd, sample_symmetric, sample_unitary)
 
 THETAS = (1e-8, 0.3, 1.0)

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envma import matrixcore as mc
-from envma.envelope import ThetaBox, in_box
-from oracles import complex_structure, det_root, project, spectral_norm, trace_inner
+from envma.envelope import ThetaBox, in_box, tangent_in_box
+from oracles import (complex_structure, det_root, hermitian_eigs_of, project, spectral_norm,
+                     trace_inner)
 
 
 def rand_sym(rng, d, lo=-10.0, hi=10.0):
@@ -178,24 +179,24 @@ class TestProject:
 class TestHermitianEigen:
     def test_diagonal(self):
         H = np.diag([1.0, 4.0]) + 0j
-        assert np.allclose(mc.hermitian_eigs_of(mc.embed(H)), [1.0, 4.0], atol=1e-13)
+        assert np.allclose(hermitian_eigs_of(mc.embed(H)), [1.0, 4.0], atol=1e-13)
 
     def test_pure_imaginary_pair(self):
         # H = [[0, i], [-i, 0]] has characteristic polynomial l^2 - 1
         B = np.array([[0.0, 1.0], [-1.0, 0.0]])
         H = 1j * B
-        assert np.allclose(mc.hermitian_eigs_of(mc.embed(H)), [-1.0, 1.0], atol=1e-13)
+        assert np.allclose(hermitian_eigs_of(mc.embed(H)), [-1.0, 1.0], atol=1e-13)
 
     def test_identity(self):
         for n in (1, 2, 3):
             H = np.eye(n, dtype=complex)
-            assert np.allclose(mc.hermitian_eigs_of(mc.embed(H)), np.ones(n), atol=1e-14)
+            assert np.allclose(hermitian_eigs_of(mc.embed(H)), np.ones(n), atol=1e-14)
 
     def test_against_numpy(self):
         rng = np.random.default_rng(37)
         for n in (1, 2, 3, 4):
             H = rand_herm(rng, n)
-            mu = mc.hermitian_eigs_of(mc.embed(H))
+            mu = hermitian_eigs_of(mc.embed(H))
             ref = np.linalg.eigvalsh(H)
             assert np.max(np.abs(mu - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref)))
 
@@ -206,7 +207,7 @@ class TestHermitianEigen:
             w = np.linalg.eigvalsh(mc.embed(H))
             scale = max(1.0, float(np.max(np.abs(w))))
             assert np.max(np.abs(w[0::2] - w[1::2])) <= 1e-12 * scale
-            assert np.max(np.abs(w[0::2] - mc.hermitian_eigs_of(mc.embed(H)))) <= 1e-11 * scale
+            assert np.max(np.abs(w[0::2] - hermitian_eigs_of(mc.embed(H)))) <= 1e-11 * scale
 
 
 class TestHermEigensystem:
@@ -274,7 +275,7 @@ class TestDetRoot:
         rng = np.random.default_rng(43)
         for n in (1, 2, 3):
             H = rand_herm(rng, n, psd=True)
-            mu = mc.hermitian_eigs_of(mc.embed(H))
+            mu = hermitian_eigs_of(mc.embed(H))
             det_c = float(np.prod(mu))
             val = det_root(mc.embed(H))
             assert abs(val - det_c ** (1.0 / n)) <= 1e-10 * max(1.0, val)
@@ -306,13 +307,29 @@ class TestBoxAndNorms:
     def test_in_theta_box_examples(self):
         # envelope.in_box, eval's in_theta_box, on the Hermitian eigenvalues
         box = ThetaBox(0.5, 2)
-        assert in_box(mc.hermitian_eigs_of(np.eye(4)), box)
-        assert not in_box(mc.hermitian_eigs_of(3.0 * np.eye(4)), box)
+        assert in_box(hermitian_eigs_of(np.eye(4)), box)
+        assert not in_box(hermitian_eigs_of(3.0 * np.eye(4)), box)
         M = mc.embed(np.diag([0.5, 2.0]) + 0j)
-        assert in_box(mc.hermitian_eigs_of(M), box)
+        assert in_box(hermitian_eigs_of(M), box)
         # 1e-9 of slack on either side, row by row on a stack
         mu = np.array([[0.5 - 1e-10, 2.0 + 1e-10], [0.5 - 1e-8, 1.0], [1.0, 2.0 + 1e-8]])
         assert in_box(mu, box).tolist() == [True, False, False]
+
+    def test_in_box_slack_is_relative_at_the_upper_face(self):
+        # one ulp at 1/theta = 1e10 is 1.9e-6, far above an absolute 1e-9:
+        # the slack must be relative to reach the next float above the face
+        box = ThetaBox(1e-10, 1)
+        assert in_box(np.array([np.nextafter(box.hi, np.inf)]), box)
+        assert in_box(np.array([box.hi * (1 + 5e-10)]), box)
+        assert not in_box(np.array([box.hi * (1 + 2e-9)]), box)
+
+    def test_tangent_in_box_slack_is_relative_at_the_lower_face(self):
+        # at theta = 1e-13 the tangent slope of mu = (theta, 1/theta) is
+        # (1/(2 theta), theta/2), and theta/2 lies below the box by 5e-14:
+        # within an absolute 1e-12, outside the relative slack
+        box = ThetaBox(1e-13, 2)
+        assert not tangent_in_box(np.array([1e-13, 1e13]), box)
+        assert tangent_in_box(np.array([1e-13, 1e-13]), box)
 
     def test_admissible_theta(self):
         assert mc.admissible_theta(1.0, 1.0) == 1.0

@@ -8,18 +8,17 @@ import pytest
 from envma import envelope
 from envma import matrixcore as mc
 from envma import solver
-from envma.envelope import ThetaBox, envelope_batch
+from envma.envelope import ThetaBox, envelope_batch, in_box
 from envma.errors import LinearSolveFailure
 from envma.solver import (
     GridSpec,
     ScalarField,
-    builtin_solution,
     check_premises,
     convergence_study,
     solve_dirichlet,
     transfinite_interpolation,
 )
-from oracles import sample_symmetric, trace_inner
+from oracles import builtin_solution, sample_symmetric, trace_inner
 
 
 def make_grid_1(points=9, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
@@ -397,34 +396,53 @@ class TestPolicyIteration:
             solve_dirichlet(boundary, boundary, ThetaBox(0.5, 1), tol=np.nan)
 
 
+def hessian_eigs(u):
+    """Ascending Hermitian eigenvalues of D^2_h u at the interior points."""
+    return mc.herm_eigensystem(solver._hermitian_stack(u))[0]
+
+
 class TestCheckPremises:
     def test_quadratic_membership(self):
         for n in (1, 2):
             grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), 7)
             u_fn, _ = builtin_solution("quadratic", n)
             u = field_of(grid, u_fn)
-            rep = check_premises(u, ThetaBox(0.5, n))
-            assert rep.theta == 0.5
-            assert rep.fraction_in_box == 1.0
-            assert abs(rep.min_eig - 2.0) < 1e-10
-            assert abs(rep.max_eig - 2.0) < 1e-10
-            assert rep.outside_tangency == 0
+            mu = hessian_eigs(u)
+            assert np.all(in_box(mu, ThetaBox(0.5, n)))
+            assert np.max(np.abs(mu - 2.0)) < 1e-10
+            assert check_premises(u, ThetaBox(0.5, n)) == 0
 
     def test_zero_field_outside(self):
         grid = make_grid_1(7)
         u = ScalarField.constant(grid, 0.0)
-        rep = check_premises(u, ThetaBox(0.5, 1))
-        assert rep.fraction_in_box == 0.0
-        assert rep.outside_tangency == 5 ** 2
+        assert not np.any(in_box(hessian_eigs(u), ThetaBox(0.5, 1)))
+        assert check_premises(u, ThetaBox(0.5, 1)) == 5 ** 2
 
     def test_tangent_slope_outside_box(self):
         # Hermitian eigenvalues 1/4 and 4 lie in the box [1/4, 4], but the
         # tangent slope of F there, (2, 1/8), does not
         grid = GridSpec(2, (-1.0,) * 4, (1.0,) * 4, 7)
         u = field_of(grid, lambda x1, x2, y1, y2: (x1**2 + y1**2) / 8.0 + 2.0 * (x2**2 + y2**2))
-        rep = check_premises(u, ThetaBox(0.25, 2))
-        assert rep.fraction_in_box == 1.0
-        assert rep.outside_tangency == 5 ** 4
+        assert np.all(in_box(hessian_eigs(u), ThetaBox(0.25, 2)))
+        assert check_premises(u, ThetaBox(0.25, 2)) == 5 ** 4
+
+    # the tangency facts of the comment on BUILTIN_SOLUTIONS, at P = 5:
+    # (name, n, lo, hi, theta, whether every interior point is outside)
+    @pytest.mark.parametrize("name, n, lo, hi, theta, outside", [
+        # the quadratic solves the Ftilde equation iff theta <= min(1/2, 1/n)
+        ("quadratic", 1, -1.0, 1.0, 0.5, False),
+        ("quadratic", 1, -1.0, 1.0, 0.6, True),
+        ("quadratic", 2, -1.0, 1.0, 0.5, False),
+        ("quadratic", 2, -1.0, 1.0, 0.55, True),
+        ("quadratic", 3, -1.0, 1.0, 0.3, False),
+        ("quadratic", 3, -1.0, 1.0, 0.4, True),
+        ("quartic_radial", 2, -1.0, 1.0, 0.4, True),
+        ("quartic_radial", 1, 1.0, 2.0, 1.0 / 16.0, False),
+    ])
+    def test_builtin_tangency_region(self, name, n, lo, hi, theta, outside):
+        grid = GridSpec(n, (lo,) * (2 * n), (hi,) * (2 * n), 5)
+        u = field_of(grid, builtin_solution(name, n)[0])
+        assert check_premises(u, ThetaBox(theta, n)) == (3 ** (2 * n) if outside else 0)
 
     def test_box_of_another_n_rejected(self):
         u = ScalarField.constant(make_grid_1(7), 0.0)
