@@ -366,23 +366,20 @@ def _certify_values(Z: np.ndarray, box: ThetaBox) -> tuple[np.ndarray, tuple]:
 
 def _certify_policy(value: np.ndarray, state: tuple, box: ThetaBox) -> EnvelopeCertificate:
     """The certificates of `_certify_values`' output, in blocks: saddle
-    slopes p, the symmetrized Q = U diag(p) U^H (equal eigenvalues get equal
-    slopes, so Q is the same in any eigenbasis the eigensolver picks), which
-    overwrites the eigenvectors U, and the intercepts t - p.x."""
+    slopes p, the exactly Hermitian Q = U diag(p) U^H of
+    `herm_from_eigensystem` (equal eigenvalues get equal slopes, so Q is the
+    same in any eigenbasis the eigensolver picks), which overwrites the
+    eigenvectors U, and the intercepts t - p.x.  At n = 2 Q is written entry
+    by entry from the two columns of U, each term weighted by its own slope;
+    for every other n it is the Hermitian part of the product."""
     Q, mu, x, t = state
     p, c = np.empty_like(mu), np.empty_like(t)
     for rows in _blocks(len(Q)):
         p[rows] = _saddle_slopes(mu[rows], x[rows], t[rows], box)
-        U = Q[rows]
-        Q[rows] = _hermitian_part(np.einsum("nik,nk,njk->nij", U, p[rows], U.conj()))
+        Q[rows] = mc.herm_from_eigensystem(Q[rows], p[rows])
         c[rows] = t[rows] - np.einsum("ij,ij->i", p[rows], x[rows])
     return EnvelopeCertificate(value=value, slope_eigs=p, intercept=c, slope=Q, mu=mu,
                                inner_max=x)
-
-
-def _hermitian_part(X: np.ndarray) -> np.ndarray:
-    """(X + X^H)/2 for a stack of complex matrices (..., n, n)."""
-    return (X + X.conj().swapaxes(-1, -2)) / 2.0
 
 
 def envelope_batch(H_stack, box: ThetaBox) -> EnvelopeCertificate:

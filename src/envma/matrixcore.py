@@ -8,6 +8,8 @@ closed-form plane rotation per matrix, vectorized over the stack with the
 arithmetic of LAPACK's zlaev2/dlaev2; for every other n one LAPACK `eigh`
 call on the complex stack A + iB.  It does not loop over matrices, and a
 caller that needs only eigenvalues takes its first output.
+`herm_from_eigensystem` is its inverse, U diag(p) U^H, with the same split:
+entry by entry at n = 2, one product for every other n.
 
 Conventions
 -----------
@@ -131,6 +133,35 @@ def _eig2(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U.real[..., 1, 0], U.real[..., 1, 1] = w_re * y, w_re * x
     U.imag[..., 1, 0], U.imag[..., 1, 1] = w_im * y, w_im * x
     return mu, U
+
+
+def herm_from_eigensystem(U: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian U diag(p) U^H of a unitary stack U (N, n, n) and
+    real p (N, n): at n = 2 entry by entry (`_herm2`); for every other n the
+    product, then its Hermitian part."""
+    if U.shape[-1] != 2:
+        return hermitian_part(np.einsum("nik,nk,njk->nij", U, p, U.conj()))
+    return _herm2(U, p)
+
+
+def _herm2(U: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """U diag(p) U^H at n = 2 from the columns u, v of U, each term with its
+    own weight: Q00 = p1 |u0|^2 + p2 |v0|^2, Q11 likewise, and
+    Q10 = p1 u1 conj(u0) + p2 v1 conj(v0) = conj(Q01).  The shorter
+    p1 I + (p2 - p1) v v^H cancels where p1 >> p2."""
+    u0, u1, v0, v1 = U[..., 0, 0], U[..., 1, 0], U[..., 0, 1], U[..., 1, 1]
+    p1, p2 = p[..., 0], p[..., 1]
+    Q = np.empty(U.shape, dtype=complex)
+    Q[..., 0, 0] = p1 * (u0.real ** 2 + u0.imag ** 2) + p2 * (v0.real ** 2 + v0.imag ** 2)
+    Q[..., 1, 1] = p1 * (u1.real ** 2 + u1.imag ** 2) + p2 * (v1.real ** 2 + v1.imag ** 2)
+    Q[..., 1, 0] = p1 * (u1 * u0.conj()) + p2 * (v1 * v0.conj())
+    Q[..., 0, 1] = Q[..., 1, 0].conj()
+    return Q
+
+
+def hermitian_part(X: np.ndarray) -> np.ndarray:
+    """(X + X^H)/2 for a stack of complex matrices (..., n, n)."""
+    return (X + X.conj().swapaxes(-1, -2)) / 2.0
 
 
 def geometric_mean(x):

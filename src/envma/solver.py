@@ -9,16 +9,17 @@ freezing the policy leaves the linear uniformly elliptic equation
     tr(S(x) D^2 u(x)) + c(x) = g(x),
 
 solved with Dirichlet data by restarted GMRES in one function
-(`_evaluate_policy`), preconditioned by the exact inverse, in the tensor sine
-basis, of the frozen operator's own constant-coefficient part
-(`_laplacian_inverse`), and stopped at the first Krylov step that passes a
-true max-norm check; the two steps alternate until the max-norm residual of
-the nonlinear equation meets the tolerance.  Howard's iteration is a
-semismooth Newton method, so the Howard loop picks how accurately each
-policy is evaluated: loosely while the nonlinear residual is large, as
-tightly as the tolerance needs at the end (quadratic forcing,
-`solve_dirichlet`); the linear solver meets that accuracy or its own
-round-off floor, whichever is larger (`_Target`).
+(`_evaluate_policy`), preconditioned by M = L^{-1} diag(1/sigma)
+(`_laplacian_inverse`): L^{-1} is the exact inverse, in the tensor sine
+basis, of the frozen operator's own constant-coefficient part, and sigma its
+pointwise scale, both read from its coefficient fields on the unit shifts.
+GMRES stops at the first Krylov step that passes a true max-norm check.  The
+two steps alternate until the max-norm residual of the nonlinear equation
+meets the tolerance.  Howard's iteration is a semismooth Newton method, so
+the Howard loop picks how accurately each policy is evaluated: loosely while
+the nonlinear residual is large, as tightly as the tolerance needs at the
+end (quadratic forcing, `solve_dirichlet`); the linear solver meets that
+accuracy or its own round-off floor, whichever is larger (`_Target`).
 
 Each iterate is certified once, by the envelope's kernel driver, on the
 Hermitian parts Z = extract(proj(D^2_h u)) = A + iB built from the stencil
@@ -294,10 +295,17 @@ _MAX_GMRES_CYCLES = 50
 
 
 def _laplacian_inverse(A: _StencilOperator):
-    """Exact inverse of the constant-coefficient part of A, the Dirichlet
-    operator sum_a c_a (x[+e_a] - 2 x + x[-e_a]) with c_a the interior mean
-    of A's coefficient on the unit shift e_a; a frozen-policy A, whose slopes
-    have eigenvalues in [theta, 1/theta], is a bounded distortion of it.
+    """M = L^{-1} diag(1/sigma): L is the constant-coefficient part of A, the
+    Dirichlet operator sum_a c_a (x[+e_a] - 2 x + x[-e_a]) with c_a the
+    interior mean of A's coefficient field c_{e_a} on the unit shift e_a, and
+    sigma(x) = sum_a c_{e_a}(x) / sum_a c_a is A's local scale, read from the
+    same fields (1 wherever it is not positive, as on a zeroed row; a frozen
+    policy's slopes have eigenvalues in [theta, 1/theta], so its sigma is
+    positive).  A row of A is its coefficients at one point, so where the
+    slope is Q(x) = sigma(x) Qbar, A = diag(sigma) Abar, as on every railed
+    row (Q = pI); M then removes the pointwise scale as well as the mean,
+    and A is a bounded distortion of diag(sigma) L (the equivalent-operator
+    view of Faber, Manteuffel and Parter, Adv. Appl. Math. 11, 1990).
 
     On m points per axis, Phi[j, k] = sqrt(2/(m+1)) sin(pi j k/(m+1)) is
     symmetric and orthogonal, and its column k is an eigenvector of the
@@ -305,22 +313,26 @@ def _laplacian_inverse(A: _StencilOperator):
     eigs[k] = -4 sin^2(pi k/(2(m+1))).  So the part is diagonal in the
     tensor sine basis, with eigenvalues Lambda(k) = sum_a c_a eigs[k_a], and
     its inverse is Phi^{(x)d} [(Phi^{(x)d} r) / Lambda]: d small matrix
-    products per transform, on interior values in lexicographic order.
+    products per transform, on interior values in lexicographic order.  M
+    applies it to r / sigma.
     """
     d, m = A.grid.dim, A.grid.points_per_axis - 2
     k = np.arange(1, m + 1)
     phi = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
     eigs = -4.0 * np.sin(np.pi * k / (2 * (m + 1))) ** 2
-    units = (tuple(int(a == b) for b in range(d)) for a in range(d))
-    lam = functools.reduce(np.add.outer, [np.mean(A.coeffs[A.shifts.index(e)]) * eigs
-                                          for e in units]).reshape(-1)
+    fields = [A.coeffs[A.shifts.index(tuple(int(a == b) for b in range(d)))] for a in range(d)]
+    means = [np.mean(c) for c in fields]
+    lam = functools.reduce(np.add.outer, [c * eigs for c in means]).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = np.ravel(sum(fields) / sum(means))
+    sigma = np.where(sigma > 0.0, sigma, 1.0)
 
     def transform(v):
         for _ in range(d):   # each product contracts the last axis and puts its result first
             v = phi @ v.reshape(-1, m).T
         return v.reshape(-1)
 
-    return lambda r: transform(transform(r) / lam)
+    return lambda r: transform(transform(r / sigma) / lam)
 
 
 class _Target:

@@ -143,8 +143,8 @@ def _in_box(rngs: tuple, box: envelope.ThetaBox, m: int) -> np.ndarray:
     rng_mu, rng_Z, rng_S = rngs
     mu = rng_mu.uniform(box.theta, box.hi, size=(m, box.n))
     U = _unitaries(rng_Z, m, box.n)
-    core = mc.embed(envelope._hermitian_part((U * mu[..., np.newaxis, :])
-                                             @ U.conj().swapaxes(-1, -2)))
+    core = mc.embed(mc.hermitian_part((U * mu[..., np.newaxis, :])
+                                      @ U.conj().swapaxes(-1, -2)))
     S = rng_S.uniform(-1.0, 1.0, size=(m, 2 * box.n, 2 * box.n))
     S = _symmetrized(S, 0.0)
     return core + (S - mc.embed(mc.hermitian_blocks(S)))
@@ -157,7 +157,7 @@ def _psd(rng, d: int, kind: str, m: int) -> np.ndarray:
         return (G @ G.swapaxes(-1, -2)) / d
     if kind == "embedded":
         Z = _complex_gaussian(rng, m, d // 2)
-        return mc.embed(envelope._hermitian_part((Z @ Z.conj().swapaxes(-1, -2)) / (d // 2)))
+        return mc.embed(mc.hermitian_part((Z @ Z.conj().swapaxes(-1, -2)) / (d // 2)))
     if kind == "rank1":
         v = rng.normal(size=(m, d))
         row, col = v[..., np.newaxis, :], v[..., :, np.newaxis]

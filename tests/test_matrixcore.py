@@ -255,6 +255,23 @@ class TestHermEigensystem:
             assert np.array_equal(mu, ref_mu) and np.array_equal(U, ref_U)
 
 
+class TestHermFromEigensystem:
+    @pytest.mark.parametrize("kind", N2_KINDS)
+    @pytest.mark.parametrize("theta", [0.5, 1e-8])
+    def test_n2_diagonal_keeps_its_relative_accuracy(self, kind, theta):
+        # a diagonal entry of U diag(p) U^H is a convex combination of the
+        # slopes, so it keeps its relative accuracy near the smaller one even
+        # where p1 = 1/theta >> p2 = theta; p1 I + (p2 - p1) v v^H would not
+        rng = np.random.default_rng(9)
+        U = mc.herm_eigensystem(n2_stack(rng, kind))[1]
+        p = np.where(rng.uniform(size=(len(U), 2)) < 0.5, theta, 1.0 / theta)
+        p[::3] = rng.uniform(theta, 1.0 / theta, size=(len(p[::3]), 2))
+        got = mc.herm_from_eigensystem(U, p).diagonal(axis1=1, axis2=2)
+        want = ((U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2)).diagonal(axis1=1, axis2=2)
+        assert np.all(got.imag == 0.0)
+        assert np.all(np.abs(got.real - want.real) <= 4 * np.finfo(float).eps * want.real)
+
+
 class TestDetRoot:
     def test_identity(self):
         for n in (1, 2, 4):

@@ -644,9 +644,10 @@ def materialized(A):
 
 
 class TestPolicyEvaluation:
-    """GMRES preconditioned by the sine-basis inverse of the frozen operator's
-    constant-coefficient part, run until max|A x - b| meets max(accuracy, 8 eps max(|A||x| + |b|)),
-    the accuracy being what the Howard loop asks of the evaluation."""
+    """GMRES preconditioned by the frozen operator's pointwise scale and the
+    sine-basis inverse of its constant-coefficient part, run until
+    max|A x - b| meets max(accuracy, 8 eps max(|A||x| + |b|)), the accuracy
+    being what the Howard loop asks of the evaluation."""
 
     def test_preconditioner_inverts_constant_diagonal_operator(self):
         # unequal spans per axis and unequal weights: a spacing, field or
@@ -708,6 +709,24 @@ class TestPolicyEvaluation:
                                        ScalarField.constant(grid, 2.0), ThetaBox(0.5, 1))
         assert report.converged
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_scalar_slope_field_takes_one_step(self, n):
+        # Q(x) = sigma(x) I makes every row of A sigma(x) times the same
+        # constant-coefficient row, A = diag(sigma) Abar, and
+        # M = L^{-1} diag(1/sigma) inverts it up to rounding however far
+        # sigma moves in [theta, 1/theta]: one Krylov step meets the target
+        theta = 0.1
+        grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), 7)
+        N = int(np.prod(grid.interior_shape))
+        rng = np.random.default_rng(8)
+        Q = rng.uniform(theta, 1.0 / theta, N)[:, np.newaxis, np.newaxis] * np.eye(n)
+        A, b = solver._frozen_policy(grid, Q.astype(complex), rng.uniform(-1.0, 1.0, N),
+                                     np.zeros(grid.shape))
+        x = rng.uniform(-1.0, 1.0, N)
+        assert np.max(np.abs(solver._laplacian_inverse(A)(A @ x) - x)) <= 1e-12
+        x, steps = solver._evaluate_policy(A, b, np.zeros(N), 1e-10)
+        assert steps == 1 and np.max(np.abs(A @ x - b)) <= 1e-10
+
     def test_singular_matrix_raises(self, monkeypatch):
         frozen_policy = solver._frozen_policy
 
@@ -748,7 +767,7 @@ class TestKrylovStop:
         _, _, report = solve_dirichlet(field_of(grid, u_fn), field_of(grid, g_fn),
                                        ThetaBox(0.4, 2))
         assert report.converged and report.iterations == 3
-        assert report.krylov_steps == [6, 10, 10]
+        assert report.krylov_steps == [4, 7, 7]
 
     def test_exact_start_returns_after_one_check(self, monkeypatch):
         # b - A x0 == 0: no Krylov step, one true check, x0 itself returned
@@ -892,6 +911,27 @@ class TestForcing:
         assert same_bits(report.residual_history, full.residual_history)
         assert report.krylov_steps == full.krylov_steps
         assert with_skip < len(passes) - with_skip
+
+
+def with_unit_g(boundary, g, box):
+    return boundary, ScalarField.constant(boundary.grid, 1.0), box
+
+
+# per problem: its Howard iterations, which the preconditioner does not
+# change, and the most Krylov steps in total its evaluations may take
+KRYLOV_CASES = {
+    "n2-P9-quartic": (lambda: quartic_problem(2, 9, 0.4), 3, 18),
+    "n2-P9-g=1": (lambda: with_unit_g(*quartic_problem(2, 9, 0.05)), 6, 32),
+    "n3-P7-quartic": (lambda: quartic_problem(3, 7, 0.4), 4, 18),
+}
+
+
+@pytest.mark.parametrize("case", KRYLOV_CASES)
+def test_slope_scaled_preconditioner_keeps_krylov_totals(case):
+    problem, iterations, most_steps = KRYLOV_CASES[case]
+    _, _, report = solve_dirichlet(*problem())
+    assert report.converged and report.iterations == iterations
+    assert sum(report.krylov_steps) <= most_steps
 
 
 class TestAssembly:
