@@ -369,9 +369,8 @@ def _certify_policy(value: np.ndarray, state: tuple, box: ThetaBox) -> EnvelopeC
     slopes p, the exactly Hermitian Q = U diag(p) U^H of
     `herm_from_eigensystem` (equal eigenvalues get equal slopes, so Q is the
     same in any eigenbasis the eigensolver picks), which overwrites the
-    eigenvectors U, and the intercepts t - p.x.  At n = 2 Q is written entry
-    by entry from the two columns of U, each term weighted by its own slope;
-    for every other n it is the Hermitian part of the product."""
+    eigenvectors U, and the intercepts t - p.x.  Q is written entry by
+    entry from the columns of U, each term weighted by its own slope."""
     Q, mu, x, t = state
     p, c = np.empty_like(mu), np.empty_like(t)
     for rows in _blocks(len(Q)):

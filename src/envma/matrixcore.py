@@ -8,8 +8,8 @@ closed-form plane rotation per matrix, vectorized over the stack with the
 arithmetic of LAPACK's zlaev2/dlaev2; for every other n one LAPACK `eigh`
 call on the complex stack A + iB.  It does not loop over matrices, and a
 caller that needs only eigenvalues takes its first output.
-`herm_from_eigensystem` is its inverse, U diag(p) U^H, with the same split:
-entry by entry at n = 2, one product for every other n.
+`herm_from_eigensystem` is its inverse, U diag(p) U^H, written entry by
+entry for every n, so that it is exactly Hermitian.
 
 Conventions
 -----------
@@ -26,10 +26,14 @@ Conventions
 * For M = [[M11, M12], [M21, M22]], extract(proj(M)) = A + iB with
   A = (M11 + M22) / 2 and B = (M21 - M12) / 2, which `hermitian_blocks`
   computes as a complex array, so the Hermitian spectrum of a whole stack of
-  matrices needs no projection and no real 2n x 2n solve.
+  matrices needs no projection and no real 2n x 2n solve.  It is the one map
+  from real Hessian indices to Hermitian coordinates: the solver's discrete
+  Hessian is mapped by it too, one stencil weight matrix at a time.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -137,25 +141,20 @@ def _eig2(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def herm_from_eigensystem(U: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The exactly Hermitian U diag(p) U^H of a unitary stack U (N, n, n) and
-    real p (N, n): at n = 2 entry by entry (`_herm2`); for every other n the
-    product, then its Hermitian part."""
-    if U.shape[-1] != 2:
-        return hermitian_part(np.einsum("nik,nk,njk->nij", U, p, U.conj()))
-    return _herm2(U, p)
-
-
-def _herm2(U: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """U diag(p) U^H at n = 2 from the columns u, v of U, each term with its
-    own weight: Q00 = p1 |u0|^2 + p2 |v0|^2, Q11 likewise, and
-    Q10 = p1 u1 conj(u0) + p2 v1 conj(v0) = conj(Q01).  The shorter
-    p1 I + (p2 - p1) v v^H cancels where p1 >> p2."""
-    u0, u1, v0, v1 = U[..., 0, 0], U[..., 1, 0], U[..., 0, 1], U[..., 1, 1]
-    p1, p2 = p[..., 0], p[..., 1]
+    real p (N, n), entry by entry, each term with its own weight:
+    Q_ii = sum_k p_k |U_ik|^2, Q_ij = sum_k p_k U_ik conj(U_jk) for i > j,
+    and Q_ji = conj(Q_ij).  A diagonal entry is a convex combination of the
+    p_k, so it keeps its relative accuracy where p_1 >> p_n; the shorter
+    p_1 I + (p_n - p_1) v v^H at n = 2 would cancel."""
+    n = U.shape[-1]
     Q = np.empty(U.shape, dtype=complex)
-    Q[..., 0, 0] = p1 * (u0.real ** 2 + u0.imag ** 2) + p2 * (v0.real ** 2 + v0.imag ** 2)
-    Q[..., 1, 1] = p1 * (u1.real ** 2 + u1.imag ** 2) + p2 * (v1.real ** 2 + v1.imag ** 2)
-    Q[..., 1, 0] = p1 * (u1 * u0.conj()) + p2 * (v1 * v0.conj())
-    Q[..., 0, 1] = Q[..., 1, 0].conj()
+    for i in range(n):
+        Q[..., i, i] = functools.reduce(np.add, (
+            p[..., k] * (U[..., i, k].real ** 2 + U[..., i, k].imag ** 2) for k in range(n)))
+        for j in range(i):
+            Q[..., i, j] = functools.reduce(np.add, (
+                p[..., k] * (U[..., i, k] * U[..., j, k].conj()) for k in range(n)))
+            Q[..., j, i] = Q[..., i, j].conj()
     return Q
 
 

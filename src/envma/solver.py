@@ -22,21 +22,21 @@ end (quadratic forcing, `solve_dirichlet`); the linear solver meets that
 accuracy or its own round-off floor, whichever is larger (`_Target`).
 
 Each iterate is certified once, by the envelope's kernel driver, on the
-Hermitian parts Z = extract(proj(D^2_h u)) = A + iB built from the stencil
+Hermitian parts Z = extract(proj(D^2_h u)) built from the stencil
 (`_hermitian_stack`): the values are the residual, and the next policy is
 formed only when another iteration follows.  A policy is the
 EnvelopeCertificate of the iterate: per point a Hermitian slope Q and an
 intercept, and the frozen equation reads tr(S D^2_h u) as Re tr(Q Z), the
 same pairing with S = embed(Q)/2.
 
-The discrete Hessian D^2_h is written down once, in Hermitian coordinates:
-the n^2 real coordinates of Z, each as symmetric (shift, weight) stencil
-terms (`_hessian_stencil`), a shift being a tuple of per-axis offsets; a
-term reads the grid values on the interior block moved by +shift and by
--shift, so only interior points are computed.  Z is those terms applied to
-the grid values; the frozen-policy operator folds them, weighted by the
-entries of Q, into one interior-shaped coefficient field per distinct shift,
-applied matrix-free (`_StencilOperator`).  Everything is numpy.
+The discrete Hessian D^2_h is written down once (`_hessian_stencil`): per
+shift, a tuple of per-axis offsets, a real symmetric 2n x 2n weight matrix,
+which `hermitian_blocks` maps to a Hermitian n x n weight W[s]; a term reads
+the grid values on the interior block moved by +shift and by -shift, so
+only interior points are computed.  extract o proj is linear, so Z is the
+neighbour sums times W, one matrix product; the frozen-policy operator's
+field of shift s is Re tr(Q W[s]), one more, applied matrix-free
+(`_StencilOperator`).  Everything is numpy.
 """
 
 from __future__ import annotations
@@ -162,53 +162,48 @@ def transfinite_interpolation(boundary: ScalarField) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _hessian_stencil(grid: GridSpec) -> tuple:
-    """The discrete complex Hessian Z = extract(proj(D^2_h u)) = A + iB as
-    pairs ((part, i, j), `_StencilOperator`), one per real coordinate of Z:
-    A_ij = (H_ij + H_{n+i,n+j})/2 for i <= j (part 0) and
-    B_ij = (H_{j,n+i} - H_{i,n+j})/2 for i < j (part 1), H_ab being entry
-    (a, b) of the real D^2_h.  A coordinate at an interior point is the sum
-    of weight * (u[+shift] + u[-shift]) over the (shift, weight) pairs of its
-    operator, a shift being a tuple of per-axis offsets in {-1, 0, 1}.  H_ab
-    is the centered second difference on the diagonal and the product of
-    centered first differences (the 4-point cross stencil) off it, exact for
-    quadratics; its terms enter a coordinate halved, equal shifts merged.
+    """The discrete complex Hessian Z = extract(proj(D^2_h u)) as (shifts, W):
+    Z at an interior point is the sum over shifts s of W[s] (u[+s] + u[-s]),
+    a shift being a tuple of per-axis offsets in {-1, 0, 1}.  Per shift the
+    real D^2_h has a symmetric 2n x 2n weight matrix: the centered second
+    difference on the diagonal, and off it the product of centered first
+    differences (the 4-point cross stencil), exact for quadratics.  W[s] is
+    `hermitian_blocks` of it, an exactly Hermitian (n, n) matrix; the shifts
+    of the x_i y_i cross terms, whose W[s] is zero, are left out (3, 13 and
+    31 shifts remain at n = 1, 2, 3).  W is read-only.
     """
-    n, d, h = grid.n, grid.dim, grid.spacing
-    unit = [tuple(int(a == b) for b in range(d)) for a in range(d)]
+    d, h = grid.dim, grid.spacing
 
-    def real_entry(a, b):   # entry (a, b), a <= b, of D^2_h as {shift: weight}
-        if a == b:
-            return {(0,) * d: -1.0 / h[a] ** 2, unit[a]: 1.0 / h[a] ** 2}
-        return {tuple(i + sb * j for i, j in zip(unit[a], unit[b])):
-                (0.5 / h[a]) * (sb * 0.5 / h[b]) for sb in (1, -1)}
+    def shift(a, b=None, sign=1):   # e_a, or e_a + sign e_b
+        return tuple(int(c == a) + sign * int(c == b) for c in range(d))
 
-    def halves(*signed_entries):
-        terms = {}
-        for sign, entry in signed_entries:
-            for shift, weight in entry.items():
-                terms[shift] = terms.get(shift, 0.0) + sign * 0.5 * weight
-        return _StencilOperator(grid, tuple(terms), tuple(terms.values()))
-
-    stencil = []
-    for i in range(n):
-        for j in range(i, n):
-            stencil.append(((0, i, j), halves((1, real_entry(i, j)),
-                                              (1, real_entry(n + i, n + j)))))
-            if i < j:
-                stencil.append(((1, i, j), halves((1, real_entry(j, n + i)),
-                                                  (-1, real_entry(i, n + j)))))
-    return tuple(stencil)
+    real = {(0,) * d: np.diag(-1.0 / h ** 2)}
+    for a in range(d):
+        real[shift(a)] = np.diag(np.eye(d)[a] / h ** 2)
+        for b in range(a + 1, d):
+            for sign in (1, -1):
+                weights = real[shift(a, b, sign)] = np.zeros((d, d))
+                weights[a, b] = weights[b, a] = (0.5 / h[a]) * (sign * 0.5 / h[b])
+    shifts = tuple(s for s, weights in real.items() if np.any(mc.hermitian_blocks(weights)))
+    W = mc.hermitian_blocks(np.array([real[s] for s in shifts]))
+    W.flags.writeable = False
+    return shifts, W
 
 
 def _hermitian_stack(u: ScalarField) -> np.ndarray:
-    """Z = extract(proj(D^2_h u)) = A + iB at the interior points, (N, n, n):
-    each coordinate of `_hessian_stencil` applied to the grid values."""
+    """Z = extract(proj(D^2_h u)) at the interior points, (N, n, n): the
+    neighbour sums u[+s] + u[-s] of every shift of `_hessian_stencil`, one
+    row each, times W, with the strict upper triangle the conjugate of the
+    lower, so that Z is exactly Hermitian."""
     grid, n = u.grid, u.grid.n
-    Z = np.zeros((int(np.prod(grid.interior_shape)), n, n), dtype=complex)
-    for (part, i, j), coordinate in _hessian_stencil(grid):
-        z = (Z.real, Z.imag)[part]
-        z[:, i, j] = coordinate.apply(u.values)
-        z[:, j, i] = -z[:, i, j] if part else z[:, i, j]
+    shifts, W = _hessian_stencil(grid)
+    sums = np.empty((len(shifts),) + grid.interior_shape)
+    for row, s in zip(sums, shifts):
+        np.add(u.values[grid.interior(s)], u.values[grid.interior([-o for o in s])], out=row)
+    Z = sums.reshape(len(shifts), -1).T @ W.reshape(len(shifts), -1).view(float)
+    Z = Z.view(complex).reshape(-1, n, n)
+    for i, j in zip(*np.triu_indices(n, 1)):
+        np.conjugate(Z[:, j, i], out=Z[:, i, j])
     return Z
 
 
@@ -265,25 +260,18 @@ def _frozen_policy(grid: GridSpec, Q: np.ndarray, rhs: np.ndarray,
                    boundary_values: np.ndarray) -> tuple[_StencilOperator, np.ndarray]:
     """System A x = b for Re tr(Q(x) Z(x)) = rhs(x) with Dirichlet data, where
     Q (N, n, n) is the Hermitian slope at every interior point and
-    Z = A + iB = extract(proj(D^2_h u)).
+    Z = extract(proj(D^2_h u)).
 
-    Re tr(Q Z) = sum over i <= j of w (Re Q_ij A_ij + Im Q_ij B_ij), with
-    w = 1 on the diagonal and 2 off it, so each term (shift, weight) of
-    coordinate A_ij (B_ij) of `_hessian_stencil` adds w Re Q_ij * weight
-    (w Im Q_ij * weight) to the field of its shift (13 distinct shifts at
-    n = 2).  A applies them to the interior values; the same sum over the
+    With Z = sum_s W[s] (u[+s] + u[-s]) (`_hessian_stencil`), the field of
+    shift s is Re tr(Q W[s]), the real dot product of Q and W[s] (both
+    Hermitian): one product of W and Q, each viewed as real numbers.  A
+    applies the fields to the interior values; the same sum over the
     boundary values moves to b.  Each entry of A is one field at one point
-    (twice it at shift 0), so |A| is the fields' absolute values.  The fields
-    are summed in place in one array, shifts in first-appearance order.
+    (twice it at shift 0), so |A| is the fields' absolute values.
     """
-    stencil = _hessian_stencil(grid)
-    shifts = tuple(dict.fromkeys(shift for _, coord in stencil for shift in coord.shifts))
-    fields = np.zeros((len(shifts),) + grid.interior_shape)
-    for (part, i, j), coordinate in stencil:
-        q = (1.0 if i == j else 2.0) * (Q.real, Q.imag)[part][:, i, j].reshape(grid.interior_shape)
-        for shift, weight in zip(coordinate.shifts, coordinate.coeffs):
-            fields[shifts.index(shift)] += q * weight
-    A = _StencilOperator(grid, shifts, fields)
+    shifts, W = _hessian_stencil(grid)
+    fields = W.reshape(len(shifts), -1).view(float) @ Q.reshape(len(Q), -1).view(float).T
+    A = _StencilOperator(grid, shifts, fields.reshape((len(shifts),) + grid.interior_shape))
     boundary = boundary_values.copy()
     boundary[grid.interior()] = 0.0
     return A, rhs - A.apply(boundary)

@@ -271,6 +271,26 @@ class TestHermFromEigensystem:
         assert np.all(got.imag == 0.0)
         assert np.all(np.abs(got.real - want.real) <= 4 * np.finfo(float).eps * want.real)
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_other_n_is_hermitian_and_keeps_diagonal_accuracy(self, n):
+        # the same entrywise sums at every n: Q is its own conjugate
+        # transpose bit for bit, and a diagonal entry, a sum of n positive
+        # terms, keeps its relative accuracy near theta; every other matrix
+        # is nearly diagonal, so there the slope 1/theta reaches the
+        # diagonal only through |U_ik|^2 ~ 1e-18
+        rng = np.random.default_rng(10)
+        theta = 1e-8
+        Z = np.array([rand_herm(rng, n) for _ in range(64)])
+        Z[::2] = np.array([np.diag(rng.normal(size=n)) for _ in range(32)]) + 1e-9 * Z[::2]
+        U = mc.herm_eigensystem(Z)[1]
+        p = np.where(rng.uniform(size=(len(U), n)) < 0.5, theta, 1.0 / theta)
+        Q = mc.herm_from_eigensystem(U, p)
+        assert np.array_equal(Q, Q.conj().swapaxes(1, 2))
+        got = Q.diagonal(axis1=1, axis2=2)
+        want = ((U * p[:, np.newaxis, :]) @ U.conj().swapaxes(1, 2)).diagonal(axis1=1, axis2=2)
+        assert np.all(got.imag == 0.0)
+        assert np.all(np.abs(got.real - want.real) <= (n + 2) * np.finfo(float).eps * want.real)
+
 
 class TestDetRoot:
     def test_identity(self):

@@ -972,9 +972,10 @@ class TestAssembly:
         assert np.max(np.abs(A.abs_matmul(x) - ref)) <= 1e-14 * np.max(ref)
 
     def test_one_nonzero_field_per_shift(self):
-        # the fields are those of the Hermitian coordinates of D^2_h: 3, 13
-        # and 31 shifts at n = 1, 2, 3, none of them identically zero on a
-        # real policy (the real (i, n + i) cross terms pair with Im Q_ii = 0)
+        # the fields are those of the shifts of `_hessian_stencil`: 3, 13
+        # and 31 at n = 1, 2, 3, none of them identically zero on a real
+        # policy; the real (i, n + i) cross terms, whose Hermitian weights
+        # are zero, are not among them, and every weight is exactly Hermitian
         for n, P, count in ((1, 9, 3), (2, 7, 13), (3, 5, 31)):
             grid = GridSpec(n, (-1.0,) * (2 * n), (1.0,) * (2 * n), P)
             u_fn, _ = builtin_solution("quartic_radial", n)
@@ -983,3 +984,6 @@ class TestAssembly:
                                          np.zeros(len(policy.intercept)), np.zeros(grid.shape))
             assert len(set(A.shifts)) == len(A.shifts) == count
             assert all(np.any(field != 0.0) for field in A.coeffs)
+            shifts, W = solver._hessian_stencil(grid)
+            assert shifts == A.shifts and all(
+                np.any(w != 0.0) and np.array_equal(w, w.conj().T) for w in W)
